@@ -30,19 +30,6 @@ def weight(v: int) -> int:
     return int(v).bit_count()
 
 
-def add(u: int, v: int) -> int:
-    """Vector addition in F_2^n (coordinatewise XOR)."""
-    return u ^ v
-
-
-def hamming_distance(u: int, v: int) -> int:
-    return weight(u ^ v)
-
-
-def subset_size(mask: int) -> int:
-    return int(mask).bit_count()
-
-
 def subset_coords(mask: int) -> list[int]:
     """Coordinates in the subset, increasing."""
     coords = []
@@ -215,10 +202,6 @@ def random_linear_code(n: int, k: int, seed: int) -> Code:
             return _linear_code(rows, n, f"random_linear({n},{k},{seed})")
 
 
-def explicit_code(n: int, codewords: list[int], name: str = "explicit") -> Code:
-    return Code(n=n, codewords=tuple(sorted(set(codewords))), name=name)
-
-
 def full_space_code(n: int) -> Code:
     _check_dim(n)
     rows = [1 << i for i in range(n)]
@@ -266,7 +249,7 @@ def parse_codeword_file(text: str, name: str = "file") -> Code:
     if len(set(words)) != len(words):
         raise ValueError("duplicate codeword")
     _check_dim(n)
-    return explicit_code(n, words, name)
+    return Code(n=n, codewords=tuple(sorted(words)), name=name)
 
 
 def make_code(spec: str) -> Code:

@@ -8,44 +8,26 @@ over the fibers of S and maps f_X to the marginal f_{X_S}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bitspace import subset_coords
 from .boolfn import dim_of
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """BSC crossover eps, BEC erasure eta, subset density lam."""
+def _axis_pairs(f: np.ndarray):
+    """Yield the (lo, hi) views of each coordinate axis of f, coordinate 0 first.
 
-    eps: float = 0.0
-    eta: float = 0.0
-    lam: float = 0.0
-
-    def __post_init__(self) -> None:
-        for field_name in ("eps", "eta", "lam"):
-            v = getattr(self, field_name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"{field_name}={v} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    """BEC output: the mask of revealed coordinates and their values.
-
-    ``bits`` carries the revealed coordinate values in place (erased
-    coordinates are zeroed), so bits & revealed == bits.
+    ``lo`` holds the entries whose index has that coordinate clear and
+    ``hi`` the entries with it set, aligned so hi[j] is lo[j] with the
+    coordinate flipped.  They are views: writing to them updates f,
+    which must therefore be contiguous.
     """
-
-    n: int
-    revealed: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits & ~self.revealed:
-            raise ValueError("bits set outside the revealed mask")
+    if not f.flags.c_contiguous:
+        raise ValueError("f must be a contiguous array")
+    n = dim_of(f)
+    for i in range(n):
+        t = f.reshape(1 << (n - 1 - i), 2, 1 << i)
+        yield t[:, 0, :], t[:, 1, :]
 
 
 def noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
@@ -57,45 +39,19 @@ def noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     """
     if not 0 <= eps <= 1:
         raise ValueError("eps must be in [0, 1]")
-    f = np.asarray(f, dtype=float)
-    n = dim_of(f)
-    out = f.copy()
-    for i in range(n):
-        t = out.reshape(1 << (n - 1 - i), 2, 1 << i)
-        out = ((1 - eps) * t + eps * t[:, ::-1, :]).reshape(-1)
+    out = np.array(f, dtype=float)
+    scratch = np.empty((2, len(out) // 2))  # reused by every axis
+    for lo, hi in _axis_pairs(out):
+        # lo, hi <- (1-eps) lo + eps hi, (1-eps) hi + eps lo, in place.
+        # Keep this rounding: verify's summary argmin breaks ties between
+        # slacks that are equal in exact arithmetic by their last bits.
+        eps_hi = np.multiply(hi, eps, out=scratch[0].reshape(lo.shape))
+        eps_lo = np.multiply(lo, eps, out=scratch[1].reshape(lo.shape))
+        lo *= 1 - eps
+        lo += eps_hi
+        hi *= 1 - eps
+        hi += eps_lo
     return out
-
-
-def fwht(f: np.ndarray) -> np.ndarray:
-    """In-place-style fast Walsh-Hadamard transform (unnormalized)."""
-    f = np.asarray(f, dtype=float).copy()
-    n = dim_of(f)
-    for i in range(n):
-        t = f.reshape(1 << (n - 1 - i), 2, 1 << i)
-        a = t[:, 0, :].copy()
-        b = t[:, 1, :].copy()
-        t[:, 0, :] = a + b
-        t[:, 1, :] = a - b
-    return f
-
-
-def noise_operator_fast(f: np.ndarray, eps: float) -> np.ndarray:
-    """Spectral form of the noise operator.
-
-    Transforms to the character basis, attenuates frequency s by
-    (1-2*eps)^{|s|}, and transforms back.  Matches noise_operator to
-    floating-point accuracy; that identity is enforced by tests, not
-    assumed here.
-    """
-    if not 0 <= eps <= 1:
-        raise ValueError("eps must be in [0, 1]")
-    f = np.asarray(f, dtype=float)
-    n = dim_of(f)
-    rho = 1 - 2 * eps
-    idx = np.arange(1 << n, dtype=np.uint64)
-    atten = rho ** np.bitwise_count(idx).astype(float)
-    spec = fwht(f) * atten
-    return fwht(spec) / (1 << n)
 
 
 def conditional_expectation(f: np.ndarray, mask: int, n: int | None = None) -> np.ndarray:
@@ -120,37 +76,12 @@ def conditional_expectation(f: np.ndarray, mask: int, n: int | None = None) -> n
     return tensor.mean(axis=drop).reshape(-1)
 
 
-def bsc_sample(x: int, n: int, eps: float, rng: np.random.Generator) -> int:
-    """Transmit x over BSC(eps): flip each coordinate independently."""
-    if not 0 <= eps <= 1:
-        raise ValueError("eps must be in [0, 1]")
-    flips = rng.random(n) < eps
-    z = 0
-    for i in range(n):
-        if flips[i]:
-            z |= 1 << i
-    return x ^ z
+def bernoulli_words(trials: int, n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """``trials`` words in F_2^n whose coordinates are i.i.d. Bernoulli(p).
 
-
-def bec_sample(x: int, n: int, eta: float, rng: np.random.Generator) -> ErasurePattern:
-    """Transmit x over BEC(eta): erase each coordinate independently."""
-    if not 0 <= eta <= 1:
-        raise ValueError("eta must be in [0, 1]")
-    keep = rng.random(n) >= eta
-    mask = 0
-    for i in range(n):
-        if keep[i]:
-            mask |= 1 << i
-    return ErasurePattern(n=n, revealed=mask, bits=x & mask)
-
-
-def sample_subset(lam: float, n: int, rng: np.random.Generator) -> int:
-    """Random subset of [n] with i.i.d. inclusion probability lam."""
-    if not 0 <= lam <= 1:
-        raise ValueError("lam must be in [0, 1]")
-    include = rng.random(n) < lam
-    mask = 0
-    for i in range(n):
-        if include[i]:
-            mask |= 1 << i
-    return mask
+    Serves as BSC noise (p = eps) and as the revealed mask of a BEC or a
+    random subset (p = lam); returned as uint64 bit vectors.
+    """
+    bits = rng.random((trials, n)) < p
+    powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
+    return (bits.astype(np.uint64) * powers).sum(axis=1, dtype=np.uint64)

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import bitspace, entropy_analysis, inequalities, listdecode
+from .boolfn import from_code
 from .listdecode import DecoderConfig
 
 
@@ -100,19 +101,15 @@ def cmd_verify(args) -> int:
     rows = []
     reports = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
-        f = None
+        f = from_code(code)
         for eps in eps_grid:
             checks = [
                 inequalities.check_cor_rv_entropy(code, eps),
-                inequalities.check_sam_entropy(
-                    _code_fn(code), eps, name=code.name
-                ),
+                inequalities.check_sam_entropy(f, eps, name=code.name),
             ]
             for q in qs:
                 checks.append(inequalities.check_cor_rv(code, eps, q))
-                checks.append(
-                    inequalities.check_sam_norm(_code_fn(code), eps, q, name=code.name)
-                )
+                checks.append(inequalities.check_sam_norm(f, eps, q, name=code.name))
             for rep in checks:
                 reports.append(rep)
                 rows.append({**rep.to_dict(), "skipped": False})
@@ -152,17 +149,6 @@ def cmd_verify(args) -> int:
     rows.append(summary)
     emit(rows, args)
     return 0 if all_pass else 1
-
-
-_FN_CACHE: dict[bitspace.Code, object] = {}
-
-
-def _code_fn(code: bitspace.Code):
-    if code not in _FN_CACHE:
-        from .boolfn import from_code
-
-        _FN_CACHE[code] = from_code(code)
-    return _FN_CACHE[code]
 
 
 def cmd_decode_sim(args) -> int:

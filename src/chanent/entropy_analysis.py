@@ -14,14 +14,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitspace import Code, rank_gf2
+from .bitspace import Code
 from .boolfn import (
     binary_entropy,
     ent,
     from_code,
     renyi_entropy_from_counts,
 )
-from .channels import noise_operator
+from .channels import _axis_pairs, bernoulli_words, noise_operator
 
 EXACT_SUBSET_CAP = 20
 
@@ -58,31 +58,24 @@ def marginal_entropy(code: Code, mask: int, q: float) -> float:
     return renyi_entropy_from_counts(counts, q)
 
 
-def marginal_entropy_linear(code: Code, mask: int, q: float) -> float:
-    """Rank-based fast path for linear codes.
-
-    The projection of a uniform subspace distribution is uniform on a
-    subspace, so H_q(X_S) equals the GF(2) rank of the generator
-    columns in S for every q.
-    """
-    if code.generator is None:
-        raise ValueError("code has no generator matrix")
-    del q  # value is the same for every order
-    return float(rank_gf2([g & mask for g in code.generator]))
-
-
 @lru_cache(maxsize=64)
 def subset_renyi_values(code: Code, q: float) -> np.ndarray:
     """H_q(X_S) for every subset S, indexed by mask."""
     n = code.n
     if n > EXACT_SUBSET_CAP:
         raise ValueError(f"exact subset enumeration capped at n <= {EXACT_SUBSET_CAP}")
-    out = np.empty(1 << n)
     if code.generator is not None:
-        gen = [int(g) for g in code.generator]
-        for mask in range(1 << n):
-            out[mask] = rank_gf2([g & mask for g in gen])
+        # X_S is uniform on a subspace for every q, so H_q(X_S) is
+        # log2|C| - log2 #{c : c & S = 0}; that count is the sum over the
+        # supersets of S of the indicator of the complemented codewords.
+        out = np.zeros(1 << n)
+        out[code.codeword_array() ^ np.uint64((1 << n) - 1)] = 1
+        for lo, hi in _axis_pairs(out):
+            lo += hi
+        np.log2(out, out=out)
+        np.subtract(code.log_size, out, out=out)
     else:
+        out = np.empty(1 << n)
         for mask in range(1 << n):
             out[mask] = marginal_entropy(code, mask, q)
     out.setflags(write=False)
@@ -97,12 +90,6 @@ def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
     return float(subset_weights(code.n, lam) @ vals)
 
 
-def _sample_masks(n: int, lam: float, trials: int, rng: np.random.Generator) -> np.ndarray:
-    include = rng.random((trials, n)) < lam
-    powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
-    return (include.astype(np.uint64) * powers).sum(axis=1, dtype=np.uint64)
-
-
 def subset_entropy_expectation_mc(
     code: Code, lam: float, q: float, trials: int, seed: int
 ) -> tuple[float, float]:
@@ -110,7 +97,7 @@ def subset_entropy_expectation_mc(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    masks = _sample_masks(code.n, lam, trials, rng)
+    masks = bernoulli_words(trials, code.n, lam, rng)
     vals = np.array([marginal_entropy(code, int(m), q) for m in masks])
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
@@ -200,9 +187,11 @@ def entropy_report(
             if trials is None or seed is None:
                 raise ValueError("monte_carlo mode requires trials and seed")
             e_s, stderr = subset_entropy_expectation_mc(code, lam, q, trials, seed)
-            h_bec = code.log_size - subset_entropy_expectation_mc(
+            # the same seed draws the same subsets, so q == 1 reuses e_s
+            e_s1 = e_s if q == 1 else subset_entropy_expectation_mc(
                 code, lam, 1.0, trials, seed
             )[0]
+            h_bec = code.log_size - e_s1
     h_bsc = cond_entropy_bsc(code, eps) if eps is not None else None
     return EntropyReport(
         code=code.name or "code",

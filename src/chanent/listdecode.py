@@ -17,7 +17,7 @@ import numpy as np
 
 from .bitspace import Code
 from .boolfn import binary_entropy, from_code
-from .channels import noise_operator
+from .channels import bernoulli_words, noise_operator
 
 EXACT_CAP = 20
 
@@ -100,11 +100,19 @@ def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
     return [c for _, c in hits[:cap]], truncated
 
 
-def qualifying_count(y: int, code: Code, cfg: DecoderConfig) -> int:
-    """Number of codewords strictly within the radius of y."""
-    recv = y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
-    dists = np.bitwise_count(code.codeword_array() ^ np.uint64(recv))
-    return int(np.count_nonzero(dists < cfg.radius))
+def _within_radius(ys: np.ndarray, code: Code, radius: float) -> np.ndarray:
+    """Codewords strictly within the radius of each received word.
+
+    Works in blocks of at most 2^22 (word, codeword) pairs, so memory
+    stays bounded whatever the number of received words.
+    """
+    cws = code.codeword_array()
+    block = max(1, (1 << 22) // code.size)
+    counts = np.empty(len(ys), dtype=np.int64)
+    for start in range(0, len(ys), block):
+        dists = np.bitwise_count(ys[start : start + block, None] ^ cws[None, :])
+        counts[start : start + block] = np.count_nonzero(dists < radius, axis=1)
+    return counts
 
 
 def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
@@ -115,7 +123,8 @@ def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
 
 def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
     """Whether y has more within-radius explanations than the threshold."""
-    count = qualifying_count(y, code, cfg)
+    recv = y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
+    count = int(_within_radius(np.array([recv], dtype=np.uint64), code, cfg.radius)[0])
     return count > likely_threshold(code, cfg), count
 
 
@@ -125,17 +134,12 @@ def likely_probability(code: Code, cfg: DecoderConfig) -> float:
     if n > EXACT_CAP:
         raise ValueError(f"exact enumeration capped at n <= {EXACT_CAP}")
     p_y = noise_operator(from_code(code), cfg.eps) / (1 << n)
-    threshold = likely_threshold(code, cfg)
-    radius = cfg.radius
-    cws = code.codeword_array()
     ys = np.arange(1 << n, dtype=np.uint64)
     if cfg.eps > 0.5:
         # the decoder relabels ones and zeros before testing the radius
         ys = ys ^ np.uint64((1 << n) - 1)
-    counts = np.count_nonzero(
-        np.bitwise_count(ys[:, None] ^ cws[None, :]) < radius, axis=1
-    )
-    return float(p_y[counts > threshold].sum())
+    counts = _within_radius(ys, code, cfg.radius)
+    return float(p_y[counts > likely_threshold(code, cfg)].sum())
 
 
 def likely_probability_mc(
@@ -143,29 +147,14 @@ def likely_probability_mc(
 ) -> tuple[float, float]:
     """Monte Carlo Pr[Y is delta-likely]; returns (estimate, std error)."""
     rng = np.random.default_rng(seed)
-    n = code.n
     cws = code.codeword_array()
     xs = cws[rng.integers(0, code.size, size=trials)]
-    zs = _noise_words(trials, n, cfg.effective_eps, rng)
-    ys = xs ^ zs
-    threshold = likely_threshold(code, cfg)
-    radius = cfg.radius
-    hits = 0
-    for start in range(0, trials, 4096):
-        block = ys[start : start + 4096]
-        counts = np.count_nonzero(
-            np.bitwise_count(block[:, None] ^ cws[None, :]) < radius, axis=1
-        )
-        hits += int(np.count_nonzero(counts > threshold))
+    zs = bernoulli_words(trials, code.n, cfg.effective_eps, rng)
+    counts = _within_radius(xs ^ zs, code, cfg.radius)
+    hits = int(np.count_nonzero(counts > likely_threshold(code, cfg)))
     p = hits / trials
     stderr = math.sqrt(max(p * (1 - p), 0.0) / trials)
     return p, stderr
-
-
-def _noise_words(trials: int, n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
-    flips = rng.random((trials, n)) < eps
-    powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
-    return (flips.astype(np.uint64) * powers).sum(axis=1, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -232,7 +221,7 @@ def simulate(code: Code, cfg: DecoderConfig, trials: int, seed: int) -> DecodeTr
 
     block_size = max(1, min(trials, (1 << 22) // max(code.size, 1)))
     x_idx_all = rng.integers(0, code.size, size=trials)
-    z_all = _noise_words(trials, n, eps_eff, rng)
+    z_all = bernoulli_words(trials, n, eps_eff, rng)
     z_weights = np.bitwise_count(z_all).astype(np.int64)
 
     for start in range(0, trials, block_size):

@@ -50,6 +50,25 @@ def naive_noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
+def spectral_noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
+    """Noise operator in the character basis: frequency s is scaled by (1-2eps)^|s|."""
+    n = int(len(f)).bit_length() - 1
+
+    def walsh_hadamard(g: np.ndarray) -> np.ndarray:
+        g = np.array(g, dtype=float)
+        h = 1
+        while h < len(g):
+            blocks = g.reshape(-1, 2 * h)
+            a, b = blocks[:, :h].copy(), blocks[:, h:].copy()
+            blocks[:, :h], blocks[:, h:] = a + b, a - b
+            h *= 2
+        return g
+
+    weights = np.array([bin(s).count("1") for s in range(1 << n)], dtype=float)
+    spec = walsh_hadamard(f) * (1 - 2 * eps) ** weights
+    return walsh_hadamard(spec) / (1 << n)
+
+
 def naive_project(v: int, mask: int, n: int) -> int:
     coords = [i for i in range(n) if (mask >> i) & 1]
     out = 0

@@ -22,6 +22,7 @@ from conftest import (
     erasure_cond_entropy_bec,
     full_corpus,
     naive_project,
+    spectral_noise_operator,
 )
 
 EPS_GRID = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
@@ -78,13 +79,13 @@ def test_criterion_2_theorem1_battery(corpus):
 def test_criterion_3_operator_identities(corpus):
     rng = np.random.default_rng(2024)
     ok = True
-    # fast path vs direct on 100 random functions
+    # noise operator vs the spectral oracle on 100 random functions
     for _ in range(100):
         n = int(rng.integers(4, 13))
         f = rng.random(1 << n) * 2
         eps = float(rng.uniform(0, 0.5))
         diff = np.max(np.abs(channels.noise_operator(f, eps)
-                             - channels.noise_operator_fast(f, eps)))
+                             - spectral_noise_operator(f, eps)))
         ok &= diff < 1e-10
     # noise operator maps f_X to the X+Z distribution (exhaustive, n <= 10)
     for code in [c for c in corpus if c.n <= 10]:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from chanent import bitspace as bs
@@ -12,33 +11,6 @@ def test_weight_trivial():
     assert bs.weight(0b000) == 0
     assert bs.weight(0b111) == 3
     assert bs.weight(0b1011001) == 4
-
-
-def test_add_trivial():
-    assert bs.add(0b101, 0b000) == 0b101
-    assert bs.add(0b101, 0b101) == 0b000
-    assert bs.add(0b110, 0b011) == 0b101
-
-
-def test_add_group_laws_exhaustive():
-    n = 4
-    for u in range(1 << n):
-        for v in range(1 << n):
-            assert bs.add(u, v) == bs.add(v, u)
-            assert bs.add(bs.add(u, v), v) == u
-            for w in range(1 << n):
-                assert bs.add(bs.add(u, v), w) == bs.add(u, bs.add(v, w))
-
-
-def test_hamming_distance_triangle_inequality():
-    n = 6
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        u, v, w = rng.integers(0, 1 << n, size=3)
-        duv = bs.hamming_distance(int(u), int(v))
-        dvw = bs.hamming_distance(int(v), int(w))
-        duw = bs.hamming_distance(int(u), int(w))
-        assert duw <= duv + dvw
 
 
 def test_project_full_and_empty():

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent import boolfn, channels
 
-from conftest import naive_noise_operator, naive_project, small_corpus
+from conftest import (
+    naive_noise_operator,
+    naive_project,
+    small_corpus,
+    spectral_noise_operator,
+)
 
 
 def random_nonneg(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -43,20 +50,42 @@ def test_noise_operator_matches_naive_oracle():
             )
 
 
-def test_noise_operator_fast_matches_direct():
-    rng = np.random.default_rng(3)
-    for n in (4, 6, 10):
-        f = random_nonneg(n, rng)
-        for eps in (0.0, 0.2, 0.5, 0.9):
-            a = channels.noise_operator(f, eps)
-            b = channels.noise_operator_fast(f, eps)
-            assert np.max(np.abs(a - b)) < 1e-10
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    eps=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noise_operator_matches_spectral_oracle(n, eps, seed):
+    f = random_nonneg(n, np.random.default_rng(seed))
+    diff = channels.noise_operator(f, eps) - spectral_noise_operator(f, eps)
+    assert np.max(np.abs(diff)) < 1e-10
 
 
-def test_noise_operator_fast_fixed_points():
+def test_noise_operator_fixed_points():
     f = np.ones(16)
-    for eps in (0.0, 0.3, 0.7):
-        assert np.allclose(channels.noise_operator_fast(f, eps), f)
+    for eps in (0.0, 0.3, 0.7, 1.0):
+        assert np.allclose(channels.noise_operator(f, eps), f)
+
+
+def test_noise_operator_rejects_bad_input():
+    with pytest.raises(ValueError):
+        channels.noise_operator(np.ones(4), 1.5)
+    with pytest.raises(ValueError):
+        channels.noise_operator(np.ones(6), 0.1)
+
+
+def test_axis_pairs_views_write_through():
+    f = np.arange(8)
+    pairs = [(lo.ravel().tolist(), hi.ravel().tolist()) for lo, hi in channels._axis_pairs(f)]
+    assert pairs == [([0, 2, 4, 6], [1, 3, 5, 7]), ([0, 1, 4, 5], [2, 3, 6, 7]),
+                     ([0, 1, 2, 3], [4, 5, 6, 7])]
+    for lo, hi in channels._axis_pairs(f):
+        hi += lo
+    # subset sums: entry t is the sum of f over the subsets of t
+    assert f.tolist() == [sum(s for s in range(8) if s & ~t == 0) for t in range(8)]
+    with pytest.raises(ValueError):
+        next(channels._axis_pairs(np.arange(16)[::2]))
 
 
 def test_noise_operator_preserves_mean_and_positivity():
@@ -157,37 +186,34 @@ def test_conditional_expectation_preserves_mean():
 
 
 def test_bsc_sample_endpoints():
+    # Y = x ^ Z with Z the BSC(eps) noise word
     rng = np.random.default_rng(10)
-    assert channels.bsc_sample(0b1011, 4, 0.0, rng) == 0b1011
-    assert channels.bsc_sample(0b1011, 4, 1.0, rng) == 0b0100
+    x = np.uint64(0b1011)
+    assert (x ^ channels.bernoulli_words(5, 4, 0.0, rng) == 0b1011).all()
+    assert (x ^ channels.bernoulli_words(5, 4, 1.0, rng) == 0b0100).all()
 
 
 def test_bsc_sample_flip_rate():
     rng = np.random.default_rng(11)
     n, eps, reps = 20, 0.3, 50000
-    flips = 0
-    for _ in range(reps):
-        flips += bin(channels.bsc_sample(0, n, eps, rng)).count("1")
+    flips = int(np.bitwise_count(channels.bernoulli_words(reps, n, eps, rng)).sum())
     total = n * reps
     sigma = math.sqrt(eps * (1 - eps) / total)
     assert abs(flips / total - eps) < 4 * sigma
 
 
 def test_bec_sample_endpoints():
+    # BEC(eta) reveals each coordinate with probability 1 - eta
     rng = np.random.default_rng(12)
-    out = channels.bec_sample(0b101, 3, 0.0, rng)
-    assert out.revealed == 0b111 and out.bits == 0b101
-    out = channels.bec_sample(0b101, 3, 1.0, rng)
-    assert out.revealed == 0 and out.bits == 0
+    assert (channels.bernoulli_words(5, 3, 1 - 0.0, rng) == 0b111).all()
+    assert (channels.bernoulli_words(5, 3, 1 - 1.0, rng) == 0).all()
 
 
 def test_bec_sample_erasure_rate():
     rng = np.random.default_rng(13)
     n, eta, reps = 20, 0.5, 50000
-    erased = 0
-    for _ in range(reps):
-        out = channels.bec_sample((1 << n) - 1, n, eta, rng)
-        erased += n - bin(out.revealed).count("1")
+    revealed = channels.bernoulli_words(reps, n, 1 - eta, rng)
+    erased = n * reps - int(np.bitwise_count(revealed).sum())
     total = n * reps
     sigma = math.sqrt(eta * (1 - eta) / total)
     assert abs(erased / total - eta) < 4 * sigma
@@ -195,27 +221,17 @@ def test_bec_sample_erasure_rate():
 
 def test_sample_subset_endpoints_and_mean():
     rng = np.random.default_rng(14)
-    assert channels.sample_subset(1.0, 6, rng) == 0b111111
-    assert channels.sample_subset(0.0, 6, rng) == 0
+    assert (channels.bernoulli_words(3, 6, 1.0, rng) == 0b111111).all()
+    assert (channels.bernoulli_words(3, 6, 0.0, rng) == 0).all()
     n, lam, reps = 10, 0.4, 10000
-    sizes = sum(bin(channels.sample_subset(lam, n, rng)).count("1") for _ in range(reps))
+    sizes = int(np.bitwise_count(channels.bernoulli_words(reps, n, lam, rng)).sum())
     total = n * reps
     sigma = math.sqrt(lam * (1 - lam) / total)
     assert abs(sizes / total - lam) < 4 * sigma
 
 
 def test_samplers_deterministic_given_seed():
-    a = channels.bsc_sample(0b1100, 4, 0.4, np.random.default_rng(99))
-    b = channels.bsc_sample(0b1100, 4, 0.4, np.random.default_rng(99))
-    assert a == b
-
-
-def test_erasure_pattern_invariant():
-    with pytest.raises(ValueError):
-        channels.ErasurePattern(n=3, revealed=0b001, bits=0b010)
-
-
-def test_channel_params_validation():
-    channels.ChannelParams(eps=0.1, eta=0.5, lam=0.9)
-    with pytest.raises(ValueError):
-        channels.ChannelParams(eps=1.2)
+    a = channels.bernoulli_words(100, 12, 0.4, np.random.default_rng(99))
+    b = channels.bernoulli_words(100, 12, 0.4, np.random.default_rng(99))
+    assert a.dtype == np.uint64 and a.shape == (100,)
+    assert np.array_equal(a, b)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
@@ -32,15 +34,19 @@ def test_marginal_entropy_repetition3_pair():
     assert ea.marginal_entropy(c, 0b011, 1) == pytest.approx(1.0)
 
 
-def test_linear_fast_path_matches_generic():
-    for code in small_corpus():
-        if code.generator is None or code.n > 10:
-            continue
-        for mask in range(1 << code.n):
-            generic = {q: ea.marginal_entropy(code, mask, q) for q in (1, 2, math.inf)}
-            fast = ea.marginal_entropy_linear(code, mask, 2)
-            for q, val in generic.items():
-                assert val == pytest.approx(fast, abs=1e-9), (code, mask, q)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_linear_fast_path_matches_generic(data):
+    # the subset-sum table of a linear code against per-mask projection counts
+    n = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(1, n))
+    code = bs.random_linear_code(n, k, data.draw(st.integers(0, 10**6)))
+    for q in (1, 2, math.inf):
+        table = ea.subset_renyi_values(code, q)
+        for mask in range(1 << n):
+            assert table[mask] == pytest.approx(
+                ea.marginal_entropy(code, mask, q), abs=1e-9
+            ), (code, mask, q)
 
 
 def test_subset_expectation_endpoints():
@@ -165,3 +171,21 @@ def test_entropy_report_roundtrip():
     assert d["H_X_given_Ybsc"] == pytest.approx(ea.cond_entropy_bsc(code, 0.1))
     assert d["H_X_given_Ybec"] == pytest.approx(ea.cond_entropy_bec(code, 0.5))
     assert d["method"] == "exact"
+
+
+def test_monte_carlo_report_samples_subsets_once_for_q1(monkeypatch):
+    calls = []
+    sampler = ea.subset_entropy_expectation_mc
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(ea, "subset_entropy_expectation_mc", counted)
+    code = bs.repetition_code(ea.EXACT_SUBSET_CAP + 1)
+    rep = ea.entropy_report(code, None, 0.5, q=1, trials=200, seed=3)
+    assert len(calls) == 1
+    assert rep.method == "monte_carlo"
+    assert rep.h_x_given_bec == code.log_size - rep.e_s_hq_xs
+    ea.entropy_report(code, None, 0.5, q=2, trials=200, seed=3)
+    assert len(calls) == 3

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy import stats
 
 from chanent import bitspace as bs
 from chanent import listdecode as ld
+from chanent.boolfn import from_code
+from chanent.channels import noise_operator
 
 from conftest import exhaustive_decode_scan, small_corpus
 
@@ -173,6 +176,34 @@ def test_likely_probability_exact_by_enumeration():
         if len(exhaustive_decode_scan(y, c, cfg.radius)) > threshold:
             total += p_y
     assert ld.likely_probability(c, cfg) == pytest.approx(total, abs=1e-12)
+
+
+def test_likely_probability_matches_per_codeword_count():
+    # |C| * 2^n = 2^23 pairs, so the counter runs in more than one block;
+    # delta puts the threshold inside the range of the counts
+    c = bs.random_linear_code(14, 9, 21)
+    cfg = ld.DecoderConfig(n=14, eps=0.05, delta=0.66)
+    ys = np.arange(1 << 14, dtype=np.uint64)
+    counts = np.zeros(1 << 14, dtype=np.int64)
+    for x in c.codeword_array():
+        counts += np.bitwise_count(ys ^ x) < cfg.radius
+    p_y = noise_operator(from_code(c), cfg.eps) / (1 << 14)
+    expected = float(p_y[counts > ld.likely_threshold(c, cfg)].sum())
+    assert 0 < expected < 1
+    assert ld.likely_probability(c, cfg) == pytest.approx(expected, abs=1e-12)
+
+
+def test_likely_probability_memory_is_bounded():
+    # unchunked, the 2^18 x 2^8 distance matrix alone is 512 MiB
+    c = bs.random_linear_code(18, 8, 4)
+    cfg = ld.DecoderConfig(n=18, eps=0.1, delta=0.0)
+    tracemalloc.start()
+    try:
+        ld.likely_probability(c, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_simulate_zero_noise_never_fails():
