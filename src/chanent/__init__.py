@@ -25,6 +25,7 @@ from .inequalities import (
     check_sam_entropy,
     check_sam_norm,
     partial_entropy_bound_check,
+    subset_stats,
 )
 from .listdecode import (
     DecoderConfig,

@@ -25,11 +25,6 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be in [1, {DENSE_CAP}], got {n}")
 
 
-def weight(v: int) -> int:
-    """Hamming weight: number of set coordinates."""
-    return int(v).bit_count()
-
-
 def subset_coords(mask: int) -> list[int]:
     """Coordinates in the subset, increasing."""
     coords = []
@@ -41,25 +36,6 @@ def subset_coords(mask: int) -> list[int]:
         m >>= 1
         i += 1
     return coords
-
-
-def project(v: int, mask: int) -> int:
-    """Restrict v to the coordinates in mask, re-indexed densely.
-
-    Bit j of the result is the coordinate of v at the j-th smallest
-    element of the subset.
-    """
-    out = 0
-    j = 0
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            out |= ((v >> i) & 1) << j
-            j += 1
-        m >>= 1
-        i += 1
-    return out
 
 
 def rank_gf2(rows: list[int] | tuple[int, ...]) -> int:

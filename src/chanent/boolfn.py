@@ -31,10 +31,13 @@ def dim_of(f: np.ndarray) -> int:
 
 
 def validate(f: np.ndarray) -> np.ndarray:
+    """f as a float array; rejects bad lengths, negative values and f == 0."""
     f = np.asarray(f, dtype=float)
     dim_of(f)
     if np.any(f < 0):
         raise ValueError("function values must be nonnegative")
+    if not f.any():
+        raise ValueError("function must not be identically zero")
     return f
 
 
@@ -43,10 +46,6 @@ def from_code(code: Code) -> np.ndarray:
     f = np.zeros(1 << code.n)
     f[list(code.codewords)] = (1 << code.n) / code.size
     return f
-
-
-def mean(f: np.ndarray) -> float:
-    return float(np.mean(f))
 
 
 def norm_q(f: np.ndarray, q: float) -> float:

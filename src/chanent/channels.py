@@ -57,9 +57,8 @@ def noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
 def conditional_expectation(f: np.ndarray, mask: int, n: int | None = None) -> np.ndarray:
     """Average f over the fibers of the coordinate subset ``mask``.
 
-    Returns a function on F_2^{|S|}, indexed per the project()
-    convention (bit j of the index is the j-th smallest coordinate of
-    the subset).  Preserves the mean.
+    Returns a function on F_2^{|S|} whose index bit j is the j-th
+    smallest coordinate of the subset.  Preserves the mean.
     """
     f = np.asarray(f, dtype=float)
     fn = dim_of(f)

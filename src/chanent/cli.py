@@ -101,15 +101,15 @@ def cmd_verify(args) -> int:
     rows = []
     reports = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
-        f = from_code(code)
+        stats = inequalities.subset_stats(from_code(code), qs)
         for eps in eps_grid:
             checks = [
                 inequalities.check_cor_rv_entropy(code, eps),
-                inequalities.check_sam_entropy(f, eps, name=code.name),
+                inequalities.check_sam_entropy(stats, eps, name=code.name),
             ]
             for q in qs:
                 checks.append(inequalities.check_cor_rv(code, eps, q))
-                checks.append(inequalities.check_sam_norm(f, eps, q, name=code.name))
+                checks.append(inequalities.check_sam_norm(stats, eps, q, name=code.name))
             for rep in checks:
                 reports.append(rep)
                 rows.append({**rep.to_dict(), "skipped": False})

@@ -8,17 +8,26 @@ bits; the underlying theorems guarantee slack >= 0, so any slack below
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bitspace import Code
-from .boolfn import binary_entropy, ent, from_code, h_q, norm_q, renyi_entropy_of_function
+from .boolfn import (
+    binary_entropy,
+    dim_of,
+    ent,
+    from_code,
+    h_q,
+    norm_q,
+    renyi_entropy_of_function,
+    validate,
+)
 from .channels import noise_operator
 from .entropy_analysis import (
     cond_entropy_bec,
     cond_entropy_bsc,
+    popcounts,
     subset_entropy_expectation,
     subset_weights,
 )
@@ -58,29 +67,28 @@ class SlackReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-subset quantities of a general nonnegative f, cached across the
-# epsilon grid (the subset values do not depend on eps, only the
-# weights do).
-
-_MAX_CACHED = 8
-_subset_cache: OrderedDict[bytes, dict] = OrderedDict()
+# Per-subset statistics of a general nonnegative f.  They do not depend
+# on eps (only the subset weights do), so callers build them once per
+# function and pass them down the eps grid.
 
 
-def _subset_stats(f: np.ndarray, qs: tuple[int, ...]) -> dict:
-    """log2 ||E(f|S)||_q for each requested q, and Ent[E(f|S)], all S."""
-    f = np.asarray(f, dtype=float)
-    key = f.tobytes()
-    entry = _subset_cache.get(key)
-    if entry is None:
-        entry = {}
-    missing = [q for q in qs if ("norm", q) not in entry]
-    if not missing and "ent" in entry:
-        _subset_cache.move_to_end(key)
-        return entry
-    n = int(len(f)).bit_length() - 1
-    size = 1 << n
-    norm_sums = {q: np.empty(size) for q in missing}
-    ent_sums = np.empty(size)
+@dataclass(frozen=True)
+class SubsetStats:
+    """Ent[E(f|S)] and log2 ||E(f|S)||_q of f for every subset mask S."""
+
+    f: np.ndarray  # read-only copy of the function
+    ent: np.ndarray
+    log_norm: dict[int, np.ndarray]  # q -> values per mask
+
+
+def subset_stats(f: np.ndarray, qs) -> SubsetStats:
+    """One O(3^n) pass over all subsets, for Ent and every requested q."""
+    f = validate(f).copy()
+    f.flags.writeable = False
+    qs = tuple(dict.fromkeys(_require_q(q) for q in qs))
+    n = dim_of(f)
+    norm_sums = {q: np.empty(len(f)) for q in qs}
+    ent_sums = np.empty(len(f))
 
     # Divide and conquer on the top remaining coordinate: leaving it out
     # of S averages the two halves, putting it in S stacks their fibers.
@@ -88,7 +96,7 @@ def _subset_stats(f: np.ndarray, qs: tuple[int, ...]) -> dict:
     def visit(arr: np.ndarray, coord: int, mask: int) -> None:
         if coord < 0:
             vals = arr[:, 0]
-            for q in missing:
+            for q in qs:
                 norm_sums[q][mask] = float(np.sum(vals**q))
             pos = vals > 0
             ent_sums[mask] = float(np.sum(vals[pos] * np.log2(vals[pos])))
@@ -100,16 +108,13 @@ def _subset_stats(f: np.ndarray, qs: tuple[int, ...]) -> dict:
 
     visit(f.reshape(1, -1), n - 1, 0)
 
-    sizes = np.exp2(np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(float))
+    sizes = np.exp2(popcounts(n))
     m = float(f.mean())
-    if "ent" not in entry:
-        entry["ent"] = ent_sums / sizes - (m * math.log2(m) if m > 0 else 0.0)
-    for q in missing:
-        entry[("norm", q)] = np.log2(norm_sums[q] / sizes) / q
-    _subset_cache[key] = entry
-    if len(_subset_cache) > _MAX_CACHED:
-        _subset_cache.popitem(last=False)
-    return entry
+    return SubsetStats(
+        f,
+        ent_sums / sizes - m * math.log2(m),
+        {q: np.log2(norm_sums[q] / sizes) / q for q in qs},
+    )
 
 
 def _require_q(q) -> int:
@@ -118,37 +123,26 @@ def _require_q(q) -> int:
     return int(q)
 
 
-def _require_distribution_function(f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise ValueError("f must be nonnegative")
-    if float(f.mean()) <= 0:
-        raise ValueError("f must not be identically zero")
-    return f
-
-
-def check_sam_norm(f: np.ndarray, eps: float, q: int, name: str = "f") -> SlackReport:
+def check_sam_norm(stats: SubsetStats, eps: float, q: int, name: str = "f") -> SlackReport:
     """log2 ||T_eps f||_q <= E_{S~lam} log2 ||E(f|S)||_q, lam = 1 - h_q(eps)."""
-    f = _require_distribution_function(f)
     q = _require_q(q)
+    if q not in stats.log_norm:
+        raise ValueError(f"subset statistics were built without q={q}")
     lam = 1 - h_q(eps, q)
-    n = int(len(f)).bit_length() - 1
-    lhs = math.log2(norm_q(noise_operator(f, eps), q))
-    stats = _subset_stats(f, (q,))
-    rhs = float(subset_weights(n, lam) @ stats[("norm", q)])
+    n = dim_of(stats.f)
+    lhs = math.log2(norm_q(noise_operator(stats.f, eps), q))
+    rhs = float(subset_weights(n, lam) @ stats.log_norm[q])
     return SlackReport(
         "sam_norm", {"f": name, "n": n, "eps": eps, "q": q, "lambda": lam}, lhs, rhs
     )
 
 
-def check_sam_entropy(f: np.ndarray, eps: float, name: str = "f") -> SlackReport:
+def check_sam_entropy(stats: SubsetStats, eps: float, name: str = "f") -> SlackReport:
     """Ent[T_eps f] <= E_{S~lam} Ent[E(f|S)], lam = (1-2*eps)^2."""
-    f = _require_distribution_function(f)
     lam = (1 - 2 * eps) ** 2
-    n = int(len(f)).bit_length() - 1
-    lhs = ent(noise_operator(f, eps))
-    stats = _subset_stats(f, ())
-    rhs = float(subset_weights(n, lam) @ stats["ent"])
+    n = dim_of(stats.f)
+    lhs = ent(noise_operator(stats.f, eps))
+    rhs = float(subset_weights(n, lam) @ stats.ent)
     return SlackReport(
         "sam_entropy", {"f": name, "n": n, "eps": eps, "lambda": lam}, lhs, rhs
     )

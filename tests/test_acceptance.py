@@ -46,13 +46,13 @@ def corpus():
 def test_criterion_1_inequality_battery(corpus):
     worst = math.inf
     for code in corpus:
-        f = boolfn.from_code(code)
+        stats = iq.subset_stats(boolfn.from_code(code), QS)
         for eps in EPS_GRID:
             worst = min(worst, iq.check_cor_rv_entropy(code, eps).slack)
-            worst = min(worst, iq.check_sam_entropy(f, eps).slack)
+            worst = min(worst, iq.check_sam_entropy(stats, eps).slack)
             for q in QS:
                 worst = min(worst, iq.check_cor_rv(code, eps, q).slack)
-                worst = min(worst, iq.check_sam_norm(f, eps, q).slack)
+                worst = min(worst, iq.check_sam_norm(stats, eps, q).slack)
     _report(1, "inequality battery slack >= -1e-9", worst >= -1e-9,
             f"min slack {worst:.3e}")
 

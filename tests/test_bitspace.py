@@ -4,40 +4,7 @@ import pytest
 
 from chanent import bitspace as bs
 
-from conftest import naive_project, small_corpus
-
-
-def test_weight_trivial():
-    assert bs.weight(0b000) == 0
-    assert bs.weight(0b111) == 3
-    assert bs.weight(0b1011001) == 4
-
-
-def test_project_full_and_empty():
-    n = 5
-    full = (1 << n) - 1
-    for v in (0, 7, 21, 31):
-        assert bs.project(v, full) == v
-        assert bs.project(v, 0) == 0
-
-
-def test_project_matches_naive_reindexing_exhaustive():
-    for n in range(1, 7):
-        for v in range(1 << n):
-            for mask in range(1 << n):
-                assert bs.project(v, mask) == naive_project(v, mask, n)
-
-
-def test_project_composes_for_nested_subsets():
-    n = 6
-    for v in range(1 << n):
-        for mask in range(1 << n):
-            inner = bs.project(v, mask)
-            # T' picks every other coordinate of S
-            coords = bs.subset_coords(mask)
-            sub = sum(1 << j for j in range(len(coords)) if j % 2 == 0)
-            nested = sum(1 << c for j, c in enumerate(coords) if j % 2 == 0)
-            assert bs.project(inner, sub) == bs.project(v, nested)
+from conftest import small_corpus
 
 
 def test_rank_gf2():
@@ -69,7 +36,7 @@ def test_single_code():
 def test_parity_code_is_even_weight():
     c = bs.parity_code(5)
     assert c.size == 16
-    assert all(bs.weight(x) % 2 == 0 for x in c.codewords)
+    assert all(x.bit_count() % 2 == 0 for x in c.codewords)
 
 
 def test_reed_muller_13():
@@ -78,7 +45,7 @@ def test_reed_muller_13():
     assert c.size == 16
     assert c.rate == pytest.approx(0.5)
     # RM(1,3) codewords have weight 0, 4, or 8
-    assert {bs.weight(x) for x in c.codewords} == {0, 4, 8}
+    assert {x.bit_count() for x in c.codewords} == {0, 4, 8}
 
 
 def test_random_linear_deterministic_and_full_rank():

@@ -28,7 +28,7 @@ def test_from_code_repetition2():
 
 def test_from_code_mean_one():
     for code in small_corpus():
-        assert boolfn.mean(boolfn.from_code(code)) == pytest.approx(1.0, abs=1e-12)
+        assert np.mean(boolfn.from_code(code)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_q_constant():
@@ -181,3 +181,8 @@ def test_validate_rejects_negative_and_bad_length():
         boolfn.validate(np.array([1.0, -0.1]))
     with pytest.raises(ValueError):
         boolfn.validate(np.ones(3))
+
+
+def test_validate_rejects_identically_zero():
+    with pytest.raises(ValueError, match="identically zero"):
+        boolfn.validate(np.zeros(4))

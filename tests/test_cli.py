@@ -6,6 +6,7 @@ import pytest
 
 from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
+from chanent import inequalities
 from chanent.cli import main
 
 
@@ -80,6 +81,30 @@ def test_verify_small_battery_passes(capsys):
     for row in rows[:-1]:
         if not row["skipped"]:
             assert row["slack"] >= -1e-9
+
+
+def test_verify_builds_subset_stats_once_per_code(monkeypatch, capsys):
+    calls = []
+    build = inequalities.subset_stats
+
+    def counted(f, qs):
+        calls.append(tuple(qs))
+        return build(f, qs)
+
+    monkeypatch.setattr(inequalities, "subset_stats", counted)
+    code, _ = run(
+        [
+            "verify",
+            "--code", "repetition:3",
+            "--code", "hamming74",
+            "--eps", "0.1,0.2,0.3",
+            "--q", "2,3,4",
+            "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert calls == [(2, 3, 4), (2, 3, 4)]
 
 
 def test_verify_marks_hypothesis_violations_skipped(capsys):

@@ -6,30 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanent import bitspace as bs
-from chanent import boolfn, inequalities as iq
+from chanent import boolfn, channels, inequalities as iq
 
 from conftest import small_corpus
 
 
 def test_sam_norm_constant_function():
-    f = np.ones(16)
-    rep = iq.check_sam_norm(f, 0.2, 2)
+    rep = iq.check_sam_norm(iq.subset_stats(np.ones(16), (2,)), 0.2, 2)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sam_norm_full_space():
     f = boolfn.from_code(bs.full_space_code(4))
-    rep = iq.check_sam_norm(f, 0.3, 3)
+    rep = iq.check_sam_norm(iq.subset_stats(f, (3,)), 0.3, 3)
     assert abs(rep.slack) <= 1e-9
 
 
 def test_sam_norm_rejects_bad_q():
-    f = np.ones(8)
+    stats = iq.subset_stats(np.ones(8), (2,))
     with pytest.raises(ValueError):
-        iq.check_sam_norm(f, 0.2, 1)
+        iq.check_sam_norm(stats, 0.2, 1)
     with pytest.raises(ValueError):
-        iq.check_sam_norm(f, 0.2, 2.5)
+        iq.check_sam_norm(stats, 0.2, 2.5)
+    with pytest.raises(ValueError, match="q=3"):
+        iq.check_sam_norm(stats, 0.2, 3)  # valid, but not in the stats
+    for q in (1, 2.5):
+        with pytest.raises(ValueError):
+            iq.subset_stats(np.ones(8), (q,))
 
 
 def test_sam_norm_random_battery():
@@ -39,16 +43,15 @@ def test_sam_norm_random_battery():
         f = rng.random(1 << n) * 2
         eps = float(rng.uniform(0.05, 0.45))
         q = int(rng.choice([2, 3, 4]))
-        rep = iq.check_sam_norm(f, eps, q)
+        rep = iq.check_sam_norm(iq.subset_stats(f, (q,)), eps, q)
         assert rep.slack >= -1e-9, (n, eps, q)
 
 
 def test_sam_entropy_constant_and_half():
-    f = np.ones(16)
-    assert abs(iq.check_sam_entropy(f, 0.2).slack) <= 1e-12
+    assert abs(iq.check_sam_entropy(iq.subset_stats(np.ones(16), ()), 0.2).slack) <= 1e-12
     rng = np.random.default_rng(21)
     g = rng.random(16) + 0.1
-    rep = iq.check_sam_entropy(g, 0.5)
+    rep = iq.check_sam_entropy(iq.subset_stats(g, ()), 0.5)
     # lambda = 0: both sides equal Ent of the empty-subset conditional = 0
     assert rep.lhs == pytest.approx(0.0, abs=1e-10)
     assert rep.rhs == pytest.approx(0.0, abs=1e-10)
@@ -60,7 +63,7 @@ def test_sam_entropy_random_battery():
         n = int(rng.integers(2, 7))
         f = rng.random(1 << n) * 2
         eps = float(rng.uniform(0.05, 0.45))
-        assert iq.check_sam_entropy(f, eps).slack >= -1e-9
+        assert iq.check_sam_entropy(iq.subset_stats(f, ()), eps).slack >= -1e-9
 
 
 def test_cor_rv_full_space_equality():
@@ -104,12 +107,16 @@ def test_cor_rv_entropy_corpus_battery():
 def test_cor_rv_consistent_with_sam_norm():
     # the same inequality through the norm/entropy translations
     for code in [bs.repetition_code(3), bs.hamming74_code()]:
-        f = boolfn.from_code(code)
+        stats = iq.subset_stats(boolfn.from_code(code), (2, 3))
         for eps in (0.1, 0.3):
             for q in (2, 3):
-                a = iq.check_sam_norm(f, eps, q)
+                a = iq.check_sam_norm(stats, eps, q)
                 b = iq.check_cor_rv(code, eps, q)
                 assert b.slack == pytest.approx(a.slack * q / (q - 1), abs=1e-9)
+            # q = 1: Ent[E(f|S)] = |S| - H(X_S) and E|S| = lam n, so the slacks agree
+            a = iq.check_sam_entropy(stats, eps)
+            b = iq.check_cor_rv_entropy(code, eps)
+            assert b.slack == pytest.approx(a.slack, abs=1e-9)
 
 
 def test_bsc_bec_full_space_equality():
@@ -191,5 +198,48 @@ def test_slack_report_serialization():
 
 
 def test_rejects_identically_zero_function():
+    with pytest.raises(ValueError, match="identically zero"):
+        iq.subset_stats(np.zeros(8), ())
+
+
+def test_subset_stats_rejects_bad_length():
+    with pytest.raises(ValueError, match="not a power of two"):
+        iq.subset_stats(np.ones(6), (2,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=4.0)),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    ).filter(any)
+)
+def test_subset_stats_matches_definition(values):
+    # every mask against Ent and the q-norm of conditional_expectation
+    f = np.array(values)
+    stats = iq.subset_stats(f, (2, 3, 4))
+    for mask in range(len(f)):
+        cond = channels.conditional_expectation(f, mask)
+        assert stats.ent[mask] == pytest.approx(boolfn.ent(cond), abs=1e-12)
+        for q in (2, 3, 4):
+            direct = math.log2(boolfn.norm_q(cond, q))
+            assert stats.log_norm[q][mask] == pytest.approx(direct, abs=1e-12)
+
+
+def test_subset_stats_independent_of_other_qs():
+    f = np.random.default_rng(24).random(64)
+    both = iq.subset_stats(f, (2, 3)).log_norm[3]
+    alone = iq.subset_stats(f, (3,)).log_norm[3]
+    assert both.tobytes() == alone.tobytes()
+
+
+def test_subset_stats_keeps_a_read_only_copy():
+    f = np.ones(8)
+    stats = iq.subset_stats(f, ())
+    f[0] = 5.0
+    assert np.all(stats.f == 1.0)
     with pytest.raises(ValueError):
-        iq.check_sam_entropy(np.zeros(8), 0.2)
+        stats.f[0] = 5.0
