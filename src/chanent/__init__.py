@@ -18,12 +18,14 @@ from .entropy_analysis import (
 )
 from .inequalities import (
     HypothesisViolation,
+    NoisyFunction,
     SlackReport,
     check_bsc_bec,
     check_cor_rv,
     check_cor_rv_entropy,
     check_sam_entropy,
     check_sam_norm,
+    noisy_function,
     partial_entropy_bound_check,
     subset_stats,
 )

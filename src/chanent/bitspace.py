@@ -53,7 +53,7 @@ def rank_gf2(rows: list[int] | tuple[int, ...]) -> int:
     return rank
 
 
-def span(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
+def span(rows: list[int] | tuple[int, ...]) -> list[int]:
     """All vectors in the row span, sorted."""
     words = {0}
     for row in rows:
@@ -86,7 +86,7 @@ class Code:
         if self.generator is not None:
             if any(not 0 <= g < (1 << self.n) for g in self.generator):
                 raise ValueError("generator row out of range for n")
-            if tuple(span(self.generator, self.n)) != self.codewords:
+            if tuple(span(self.generator)) != self.codewords:
                 raise ValueError("codewords do not match generator row span")
 
     @property
@@ -112,7 +112,7 @@ class Code:
 
 
 def _linear_code(rows: list[int], n: int, name: str) -> Code:
-    cws = tuple(span(rows, n))
+    cws = tuple(span(rows))
     return Code(n=n, codewords=cws, generator=tuple(rows), name=name)
 
 

@@ -16,8 +16,6 @@ import numpy as np
 
 from .bitspace import Code
 
-INFINITY = math.inf
-
 _SUM_TOL = 1e-12
 
 

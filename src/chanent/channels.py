@@ -54,18 +54,14 @@ def noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def conditional_expectation(f: np.ndarray, mask: int, n: int | None = None) -> np.ndarray:
+def conditional_expectation(f: np.ndarray, mask: int) -> np.ndarray:
     """Average f over the fibers of the coordinate subset ``mask``.
 
     Returns a function on F_2^{|S|} whose index bit j is the j-th
     smallest coordinate of the subset.  Preserves the mean.
     """
     f = np.asarray(f, dtype=float)
-    fn = dim_of(f)
-    if n is None:
-        n = fn
-    elif n != fn:
-        raise ValueError(f"function has dimension {fn}, expected {n}")
+    n = dim_of(f)
     if not 0 <= mask < (1 << n):
         raise ValueError("subset mask out of range")
     coords = subset_coords(mask)

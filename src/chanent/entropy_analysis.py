@@ -106,8 +106,12 @@ def subset_entropy_expectation_mc(
 
 def cond_entropy_bsc(code: Code, eps: float) -> float:
     """H(X|Y_BSC) = H(X) + n*h(eps) - H(X+Z), all in bits."""
+    return _cond_entropy_bsc_from(code, noise_operator(from_code(code), eps), eps)
+
+
+def _cond_entropy_bsc_from(code: Code, f_noisy: np.ndarray, eps: float) -> float:
+    """H(X|Y_BSC) given f_noisy = T_eps f_X, the distribution function of X+Z."""
     n = code.n
-    f_noisy = noise_operator(from_code(code), eps)
     h_xz = n - ent(f_noisy)
     return code.log_size + n * binary_entropy(eps) - h_xz
 

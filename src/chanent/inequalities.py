@@ -17,7 +17,6 @@ from .boolfn import (
     binary_entropy,
     dim_of,
     ent,
-    from_code,
     h_q,
     norm_q,
     renyi_entropy_of_function,
@@ -25,8 +24,8 @@ from .boolfn import (
 )
 from .channels import noise_operator
 from .entropy_analysis import (
+    _cond_entropy_bsc_from,
     cond_entropy_bec,
-    cond_entropy_bsc,
     popcounts,
     subset_entropy_expectation,
     subset_weights,
@@ -123,38 +122,70 @@ def _require_q(q) -> int:
     return int(q)
 
 
-def check_sam_norm(stats: SubsetStats, eps: float, q: int, name: str = "f") -> SlackReport:
+# ---------------------------------------------------------------------------
+# T_eps f depends only on (f, eps), so callers apply the noise operator
+# once per eps and pass the result to every check at that eps.
+
+
+@dataclass(frozen=True)
+class NoisyFunction:
+    """T_eps f together with the eps it was built for."""
+
+    eps: float
+    f: np.ndarray  # read-only T_eps f
+
+
+def noisy_function(f: np.ndarray, eps: float) -> NoisyFunction:
+    """Apply the noise operator to f once; the checks read eps from the result."""
+    noisy = noise_operator(validate(f), eps)
+    noisy.flags.writeable = False
+    return NoisyFunction(eps, noisy)
+
+
+def _require_dim(noisy: NoisyFunction, n: int) -> None:
+    if len(noisy.f) != 1 << n:
+        raise ValueError(f"noisy function has length {len(noisy.f)}, expected 2^{n}")
+
+
+def check_sam_norm(
+    stats: SubsetStats, noisy: NoisyFunction, q: int, name: str = "f"
+) -> SlackReport:
     """log2 ||T_eps f||_q <= E_{S~lam} log2 ||E(f|S)||_q, lam = 1 - h_q(eps)."""
     q = _require_q(q)
     if q not in stats.log_norm:
         raise ValueError(f"subset statistics were built without q={q}")
+    eps = noisy.eps
     lam = 1 - h_q(eps, q)
     n = dim_of(stats.f)
-    lhs = math.log2(norm_q(noise_operator(stats.f, eps), q))
+    _require_dim(noisy, n)
+    lhs = math.log2(norm_q(noisy.f, q))
     rhs = float(subset_weights(n, lam) @ stats.log_norm[q])
     return SlackReport(
         "sam_norm", {"f": name, "n": n, "eps": eps, "q": q, "lambda": lam}, lhs, rhs
     )
 
 
-def check_sam_entropy(stats: SubsetStats, eps: float, name: str = "f") -> SlackReport:
+def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction, name: str = "f") -> SlackReport:
     """Ent[T_eps f] <= E_{S~lam} Ent[E(f|S)], lam = (1-2*eps)^2."""
+    eps = noisy.eps
     lam = (1 - 2 * eps) ** 2
     n = dim_of(stats.f)
-    lhs = ent(noise_operator(stats.f, eps))
+    _require_dim(noisy, n)
+    lhs = ent(noisy.f)
     rhs = float(subset_weights(n, lam) @ stats.ent)
     return SlackReport(
         "sam_entropy", {"f": name, "n": n, "eps": eps, "lambda": lam}, lhs, rhs
     )
 
 
-def check_cor_rv(code: Code, eps: float, q: int) -> SlackReport:
+def check_cor_rv(code: Code, noisy: NoisyFunction, q: int) -> SlackReport:
     """H_q(X+Z) >= (1-lam)*n + E_{S~lam} H_q(X_S), lam = 1 - h_q(eps)."""
     q = _require_q(q)
+    eps = noisy.eps
     lam = 1 - h_q(eps, q)
     n = code.n
-    noisy = noise_operator(from_code(code), eps)
-    lhs_side = renyi_entropy_of_function(noisy, q)
+    _require_dim(noisy, n)
+    lhs_side = renyi_entropy_of_function(noisy.f, q)
     rhs_side = (1 - lam) * n + subset_entropy_expectation(code, lam, q)
     # slack = H_q(X+Z) - lower bound
     return SlackReport(
@@ -165,12 +196,13 @@ def check_cor_rv(code: Code, eps: float, q: int) -> SlackReport:
     )
 
 
-def check_cor_rv_entropy(code: Code, eps: float) -> SlackReport:
+def check_cor_rv_entropy(code: Code, noisy: NoisyFunction) -> SlackReport:
     """H(X+Z) >= (1-lam)*n + E_{S~lam} H(X_S), lam = (1-2*eps)^2."""
+    eps = noisy.eps
     lam = (1 - 2 * eps) ** 2
     n = code.n
-    noisy = noise_operator(from_code(code), eps)
-    h_xz = n - ent(noisy)
+    _require_dim(noisy, n)
+    h_xz = n - ent(noisy.f)
     bound = (1 - lam) * n + subset_entropy_expectation(code, lam, 1.0)
     return SlackReport(
         "cor_rv_entropy",
@@ -180,16 +212,18 @@ def check_cor_rv_entropy(code: Code, eps: float) -> SlackReport:
     )
 
 
-def check_bsc_bec(code: Code, eps: float, eta: float) -> SlackReport:
+def check_bsc_bec(code: Code, noisy: NoisyFunction, eta: float) -> SlackReport:
     """H(X|Y_BSC) <= (h(eps)-eta)*n + H(X|Y_BEC), for 4*eps*(1-eps) >= eta."""
+    eps = noisy.eps
     if not 0 <= eta <= 1:
-        raise HypothesisViolation(f"eta={eta} outside [0, 1]")
+        raise ValueError(f"eta={eta} outside [0, 1]")
     if 4 * eps * (1 - eps) < eta:
         raise HypothesisViolation(
             f"hypothesis 4*eps*(1-eps) >= eta fails: eps={eps}, eta={eta}"
         )
     n = code.n
-    lhs = cond_entropy_bsc(code, eps)
+    _require_dim(noisy, n)
+    lhs = _cond_entropy_bsc_from(code, noisy.f, eps)
     rhs = (binary_entropy(eps) - eta) * n + cond_entropy_bec(code, eta)
     return SlackReport(
         "bsc_bec", {"code": code.name, "n": n, "eps": eps, "eta": eta}, lhs, rhs

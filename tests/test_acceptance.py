@@ -48,11 +48,12 @@ def test_criterion_1_inequality_battery(corpus):
     for code in corpus:
         stats = iq.subset_stats(boolfn.from_code(code), QS)
         for eps in EPS_GRID:
-            worst = min(worst, iq.check_cor_rv_entropy(code, eps).slack)
-            worst = min(worst, iq.check_sam_entropy(stats, eps).slack)
+            noisy = iq.noisy_function(stats.f, eps)
+            worst = min(worst, iq.check_cor_rv_entropy(code, noisy).slack)
+            worst = min(worst, iq.check_sam_entropy(stats, noisy).slack)
             for q in QS:
-                worst = min(worst, iq.check_cor_rv(code, eps, q).slack)
-                worst = min(worst, iq.check_sam_norm(stats, eps, q).slack)
+                worst = min(worst, iq.check_cor_rv(code, noisy, q).slack)
+                worst = min(worst, iq.check_sam_norm(stats, noisy, q).slack)
     _report(1, "inequality battery slack >= -1e-9", worst >= -1e-9,
             f"min slack {worst:.3e}")
 
@@ -61,15 +62,18 @@ def test_criterion_2_theorem1_battery(corpus):
     worst = math.inf
     checked = 0
     for code in corpus:
+        f = boolfn.from_code(code)
         for eps in EPS_GRID:
+            noisy = iq.noisy_function(f, eps)
             for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
                 if 4 * eps * (1 - eps) < eta:
                     continue
-                worst = min(worst, iq.check_bsc_bec(code, eps, eta).slack)
+                worst = min(worst, iq.check_bsc_bec(code, noisy, eta).slack)
                 checked += 1
     equality_ok = True
     for n in (2, 3, 4):
-        rep = iq.check_bsc_bec(bs.full_space_code(n), 0.3, 0.5)
+        full = bs.full_space_code(n)
+        rep = iq.check_bsc_bec(full, iq.noisy_function(boolfn.from_code(full), 0.3), 0.5)
         equality_ok &= abs(rep.slack) <= 1e-9
     _report(2, "BSC-BEC comparison slack >= -1e-9, equality at full space",
             worst >= -1e-9 and equality_ok and checked > 0,

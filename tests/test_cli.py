@@ -107,6 +107,42 @@ def test_verify_builds_subset_stats_once_per_code(monkeypatch, capsys):
     assert calls == [(2, 3, 4), (2, 3, 4)]
 
 
+def test_verify_applies_noise_operator_once_per_code_and_eps(monkeypatch, capsys):
+    calls = []
+    apply = inequalities.noise_operator
+
+    def counted(f, eps):
+        calls.append(eps)
+        return apply(f, eps)
+
+    monkeypatch.setattr(inequalities, "noise_operator", counted)
+    code, _ = run(
+        [
+            "verify",
+            "--code", "repetition:3",
+            "--code", "hamming74",
+            "--eps", "0.1,0.2,0.3",
+            "--eta", "0.3",
+            "--q", "2,3",
+            "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert calls == [0.1, 0.2, 0.3] * 2
+
+
+@pytest.mark.parametrize("eta", ["1.5", "-0.1"])
+def test_verify_rejects_eta_outside_unit_interval(eta, capsys):
+    code = main(
+        ["verify", "--code", "repetition:3", "--eps", "0.3", "--eta", eta, "--q", "2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: eta=" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_marks_hypothesis_violations_skipped(capsys):
     code, out = run(
         [
