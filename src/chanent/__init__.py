@@ -31,6 +31,7 @@ from .inequalities import (
 )
 from .listdecode import (
     DecoderConfig,
+    DecodeTrials,
     DecodeTrialStats,
     decode,
     likely_probability,

@@ -54,6 +54,23 @@ def noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
+def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh–Hadamard transform of f, in f's dtype.
+
+    Entry s is sum_x (-1)^{<s, x>} f(x); applying it twice multiplies by
+    2^n.  Integer input stays exact while every partial sum fits the dtype.
+    """
+    out = np.array(f)
+    scratch = np.empty(len(out) // 2, dtype=out.dtype)  # reused by every axis
+    for lo, hi in _axis_pairs(out):
+        # lo, hi <- lo + hi, lo - hi
+        lo_copy = scratch.reshape(lo.shape)
+        lo_copy[...] = lo
+        lo += hi
+        np.subtract(lo_copy, hi, out=hi)
+    return out
+
+
 def conditional_expectation(f: np.ndarray, mask: int) -> np.ndarray:
     """Average f over the fibers of the coordinate subset ``mask``.
 

@@ -97,7 +97,8 @@ def cmd_verify(args) -> int:
     codes = [resolve_code(s) for s in args.code]
     eps_grid = args.eps or [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
     eta_grid = args.eta or []
-    qs = args.q or [2, 3, 4]
+    # a repeated order would repeat its rows
+    qs = list(dict.fromkeys(args.q or [2, 3, 4]))
     rows = []
     reports = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
@@ -162,13 +163,16 @@ def cmd_decode_sim(args) -> int:
     rows = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
         for eps in eps_grid:
-            for delta in deltas:
-                cfg = DecoderConfig(
-                    n=code.n, eps=eps, delta=delta, list_cap=args.list_cap
-                )
-                stats = listdecode.simulate(code, cfg, args.trials, args.seed)
+            # validate every decoder before the pass they share
+            cfgs = [
+                DecoderConfig(n=code.n, eps=eps, delta=delta, list_cap=args.list_cap)
+                for delta in deltas
+            ]
+            decoded = listdecode.simulate(code, eps, args.trials, args.seed)
+            for cfg in cfgs:
+                stats = decoded.stats(cfg)
                 k_theory = listdecode.theoretical_list_size(
-                    code.rate, cfg.effective_eps, delta, code.n
+                    code.rate, cfg.effective_eps, cfg.delta, code.n
                 )
                 rs_exp, rs_in_hyp = listdecode.rs22_lower_bound(
                     code.rate, cfg.effective_eps, code.n
@@ -178,7 +182,7 @@ def cmd_decode_sim(args) -> int:
                         "code": code.name,
                         "n": code.n,
                         "eps": eps,
-                        "delta": delta,
+                        "delta": cfg.delta,
                         "k": cfg.cap_for(code),
                         "k_theoretical": k_theory,
                         "rs22_log2_lower_bound": rs_exp,

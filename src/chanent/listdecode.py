@@ -17,7 +17,7 @@ import numpy as np
 
 from .bitspace import Code
 from .boolfn import binary_entropy, from_code
-from .channels import bernoulli_words, noise_operator
+from .channels import _walsh_hadamard, bernoulli_words, noise_operator
 
 EXACT_CAP = 20
 
@@ -128,17 +128,32 @@ def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
     return count > likely_threshold(code, cfg), count
 
 
-def likely_probability(code: Code, cfg: DecoderConfig) -> float:
-    """Exact Pr[Y is delta-likely] with Y = X + Z, X uniform on the code."""
+def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:
+    """Codewords within the radius of every received word y, indexed by y.
+
+    The count at y is the XOR convolution of the within-radius weight
+    indicator with the code's indicator, taken through the Walsh–Hadamard
+    transform.  In int64 every value stays below 2^(3n) <= 2^60 for
+    n <= EXACT_CAP, so the counts are exact.
+    """
     n = code.n
     if n > EXACT_CAP:
         raise ValueError(f"exact enumeration capped at n <= {EXACT_CAP}")
-    p_y = noise_operator(from_code(code), cfg.eps) / (1 << n)
-    ys = np.arange(1 << n, dtype=np.uint64)
+    within = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)) < cfg.radius
+    indicator = np.zeros(1 << n, dtype=np.int64)
+    indicator[code.codeword_array()] = 1
+    spectrum = _walsh_hadamard(within.astype(np.int64)) * _walsh_hadamard(indicator)
+    counts = _walsh_hadamard(spectrum) >> n
     if cfg.eps > 0.5:
-        # the decoder relabels ones and zeros before testing the radius
-        ys = ys ^ np.uint64((1 << n) - 1)
-    counts = _within_radius(ys, code, cfg.radius)
+        # the decoder relabels ones and zeros: y ^ 1...1 = 2^n - 1 - y
+        counts = counts[::-1]
+    return counts
+
+
+def likely_probability(code: Code, cfg: DecoderConfig) -> float:
+    """Exact Pr[Y is delta-likely] with Y = X + Z, X uniform on the code."""
+    counts = _radius_counts(code, cfg)
+    p_y = noise_operator(from_code(code), cfg.eps) / (1 << code.n)
     return float(p_y[counts > likely_threshold(code, cfg)].sum())
 
 
@@ -196,70 +211,103 @@ class DecodeTrialStats:
         }
 
 
-def simulate(code: Code, cfg: DecoderConfig, trials: int, seed: int) -> DecodeTrialStats:
+@dataclass(frozen=True, eq=False)
+class DecodeTrials:
+    """Per-trial outcomes of one decode pass over BSC(eps), for any list cap.
+
+    ``counts`` is the number of codewords within the radius of the
+    received word, ``rank`` the number of codewords ahead of the
+    transmitted one in the decoder's (distance, lexicographic) order and
+    ``inside`` whether the noise weight is below the radius.  The arrays
+    are read-only; ``stats`` applies a decoder's list cap to them.
+    """
+
+    code: Code
+    eps: float
+    trials: int
+    counts: np.ndarray
+    rank: np.ndarray
+    inside: np.ndarray
+
+    def stats(self, cfg: DecoderConfig) -> DecodeTrialStats:
+        """Outcomes of the decoder ``cfg``, which must share this pass's n and eps.
+
+        Success means the transmitted codeword appears in the decoded
+        list.  Every failure is asserted to be explained by heavy noise
+        (wt(Z) >= radius) or truncation; anything else would contradict
+        the decoder's construction.
+        """
+        if cfg.n != self.code.n or cfg.eps != self.eps:
+            raise ValueError("decoder n and eps differ from the decode pass")
+        # no list exceeds |C|, so a larger cap acts as |C| (and fits any dtype)
+        cap = min(cfg.cap_for(self.code), self.code.size)
+        sizes = np.minimum(self.counts, cap)
+        trunc = self.counts > cap
+        # X makes the list iff it is within the radius and fewer than cap
+        # codewords beat it
+        ok = self.inside & (self.rank < cap)
+        if np.any(~ok & self.inside & ~trunc):
+            raise AssertionError("failure without heavy noise or truncation")
+        return DecodeTrialStats(
+            trials=self.trials,
+            successes=int(np.count_nonzero(ok)),
+            truncations=int(np.count_nonzero(trunc)),
+            heavy_noise=int(np.count_nonzero(~self.inside)),
+            list_min=int(sizes.min()),
+            list_mean=int(sizes.sum(dtype=np.int64)) / self.trials,
+            list_max=int(sizes.max()),
+        )
+
+
+# (received word, codeword) pairs per block: the block's scratch, 7 bytes
+# a pair, stays in a core's L2 cache
+_PAIR_BLOCK = 1 << 16
+
+
+def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
     """Transmit random codewords over BSC(eps) and decode each output.
 
-    Success means the transmitted codeword appears in the decoded list.
-    Every failure is asserted to be explained by heavy noise
-    (wt(Z) >= radius) or truncation; anything else would contradict the
-    decoder's construction.
+    One pass serves every list cap and delta: ``DecodeTrials.stats``
+    turns it into the outcomes of a given decoder.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if cfg.n != code.n:
-        raise ValueError("decoder and code dimensions differ")
+    cfg = DecoderConfig(n=code.n, eps=eps)
     rng = np.random.default_rng(seed)
-    n = code.n
-    eps_eff = cfg.effective_eps
-    cws = code.codeword_array()
-    cap = cfg.cap_for(code)
-    radius = cfg.radius
+    size = code.size
+    # n <= 24, so words fit in uint32, distances in uint8 and indices in uint32
+    cws = code.codeword_array().astype(np.uint32)
+    order = np.arange(size, dtype=np.uint32)
+    # integer distances: d < radius iff d < ceil(radius)
+    radius = np.uint8(math.ceil(cfg.radius))
 
-    successes = truncations = heavy = 0
-    list_sizes_sum = 0
-    list_min, list_max = code.size + 1, -1
+    x_idx = rng.integers(0, size, size=trials).astype(np.uint32)
+    counts = np.empty(trials, dtype=np.uint32)
+    rank = np.empty(trials, dtype=np.uint32)
+    inside = np.empty(trials, dtype=bool)
 
-    block_size = max(1, min(trials, (1 << 22) // max(code.size, 1)))
-    x_idx_all = rng.integers(0, code.size, size=trials)
-    z_all = bernoulli_words(trials, n, eps_eff, rng)
-    z_weights = np.bitwise_count(z_all).astype(np.int64)
+    block = max(1, min(trials, _PAIR_BLOCK // size))
+    words = np.empty((block, size), dtype=np.uint32)
+    dists = np.empty((block, size), dtype=np.uint8)
+    limits = np.empty((block, size), dtype=np.uint8)
+    hits = np.empty((block, size), dtype=bool)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        m = stop - start
+        idx = x_idx[start:stop]
+        # drawn per block after all of x_idx: the same stream as one draw
+        zs = bernoulli_words(m, code.n, cfg.effective_eps, rng).astype(np.uint32)
+        wz = np.bitwise_count(zs)
+        np.bitwise_xor((cws[idx] ^ zs)[:, None], cws, out=words[:m])
+        d = np.bitwise_count(words[:m], out=dists[:m])
+        counts[start:stop] = np.less(d, radius, out=hits[:m]).sum(axis=1, dtype=np.uint32)
+        # codeword j is ahead of X = cws[idx] iff d_j < wz, or d_j == wz and
+        # j < idx (the codewords are sorted): that is d_j < wz + [j < idx]
+        np.less(order, idx[:, None], out=hits[:m])
+        np.add(hits[:m], wz[:, None], out=limits[:m])
+        rank[start:stop] = np.less(d, limits[:m], out=hits[:m]).sum(axis=1, dtype=np.uint32)
+        inside[start:stop] = wz < radius
 
-    for start in range(0, trials, block_size):
-        stop = min(start + block_size, trials)
-        xs = cws[x_idx_all[start:stop]]
-        ys = xs ^ z_all[start:stop]
-        dists = np.bitwise_count(ys[:, None] ^ cws[None, :])
-        inside = dists < radius
-        counts = inside.sum(axis=1)
-        wz = z_weights[start:stop]
-        x_inside = wz < radius
-
-        sizes = np.minimum(counts, cap)
-        list_sizes_sum += int(sizes.sum())
-        list_min = min(list_min, int(sizes.min()))
-        list_max = max(list_max, int(sizes.max()))
-
-        trunc = counts > cap
-        truncations += int(np.count_nonzero(trunc))
-        heavy += int(np.count_nonzero(~x_inside))
-
-        # X makes the list iff it is within the radius and fewer than
-        # cap codewords beat it under the (distance, lexicographic) order
-        better = (dists < wz[:, None]) | (
-            (dists == wz[:, None]) & (cws[None, :] < xs[:, None])
-        )
-        rank = better.sum(axis=1)
-        ok = x_inside & (rank < cap)
-        if np.any(~ok & x_inside & ~trunc):
-            raise AssertionError("failure without heavy noise or truncation")
-        successes += int(np.count_nonzero(ok))
-
-    return DecodeTrialStats(
-        trials=trials,
-        successes=successes,
-        truncations=truncations,
-        heavy_noise=heavy,
-        list_min=list_min,
-        list_mean=list_sizes_sum / trials,
-        list_max=list_max,
-    )
+    for arr in (counts, rank, inside):
+        arr.setflags(write=False)
+    return DecodeTrials(code, eps, trials, counts, rank, inside)

@@ -145,3 +145,40 @@ def exhaustive_subset_entropy_expectation(code: Code, lam: float, q: float) -> f
 def exhaustive_decode_scan(y: int, code: Code, radius: float) -> list[int]:
     """All codewords strictly within radius of y, unsorted set semantics."""
     return [x for x in code.codewords if bin(x ^ y).count("1") < radius]
+
+
+def naive_simulate(code: Code, cfg, trials: int, seed: int):
+    """Decode trial by trial with ``decode``; draws as ``simulate`` does.
+
+    The draws are the transmitted codeword indices, then the noise bits
+    (coordinate i of a trial is column i), with the noise drawn at the
+    folded eps so that the words below are the decoder's relabeled view.
+    """
+    from chanent.listdecode import DecodeTrialStats, decode
+
+    rng = np.random.default_rng(seed)
+    x_idx = rng.integers(0, code.size, size=trials)
+    eps = cfg.eps if cfg.eps < 0.5 else 1 - cfg.eps
+    bits = rng.random((trials, code.n)) < eps
+    ones = (1 << code.n) - 1
+    successes = truncations = heavy = 0
+    sizes = []
+    for t in range(trials):
+        x = code.codewords[int(x_idx[t])]
+        z = sum(1 << i for i in range(code.n) if bits[t, i])
+        # the channel flips with probability cfg.eps: z, or its complement
+        y = x ^ (z if cfg.eps < 0.5 else z ^ ones)
+        listed, truncated = decode(y, code, cfg)
+        successes += x in listed
+        truncations += truncated
+        heavy += bin(z).count("1") >= cfg.radius
+        sizes.append(len(listed))
+    return DecodeTrialStats(
+        trials=trials,
+        successes=successes,
+        truncations=truncations,
+        heavy_noise=heavy,
+        list_min=min(sizes),
+        list_mean=sum(sizes) / trials,
+        list_max=max(sizes),
+    )

@@ -6,7 +6,7 @@ import pytest
 
 from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
-from chanent import inequalities
+from chanent import inequalities, listdecode
 from chanent.cli import main
 
 
@@ -132,6 +132,45 @@ def test_verify_applies_noise_operator_once_per_code_and_eps(monkeypatch, capsys
     assert calls == [0.1, 0.2, 0.3] * 2
 
 
+def test_verify_drops_repeated_orders(capsys):
+    code, out = run(
+        ["verify", "--code", "repetition:3", "--eps", "0.3", "--q", "2,2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    names = [row["inequality"] for row in json.loads(out)]
+    assert sorted(names) == sorted(
+        ["cor_rv_entropy", "sam_entropy", "cor_rv", "sam_norm", "summary"]
+    )
+
+
+def test_decode_sim_runs_one_pass_per_code_and_eps(monkeypatch, capsys):
+    calls = []
+    simulate = listdecode.simulate
+
+    def counted(code, eps, trials, seed):
+        calls.append((code.n, eps))
+        return simulate(code, eps, trials, seed)
+
+    monkeypatch.setattr(listdecode, "simulate", counted)
+    code, out = run(
+        [
+            "decode-sim",
+            "--code", "repetition:5",
+            "--code", "hamming74",
+            "--eps", "0.1,0.2",
+            "--delta", "0.0,0.05",
+            "--trials", "200",
+            "--seed", "3",
+            "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert len(json.loads(out)) == 8
+    assert calls == [(5, 0.1), (5, 0.2), (7, 0.1), (7, 0.2)]
+
+
 @pytest.mark.parametrize("eta", ["1.5", "-0.1"])
 def test_verify_rejects_eta_outside_unit_interval(eta, capsys):
     code = main(
@@ -229,7 +268,7 @@ def test_decode_sim_matches_library(tmp_path):
     c = bs.hamming74_code()
     for row in rows:
         cfg = ld.DecoderConfig(n=7, eps=row["eps"], delta=0.0)
-        stats = ld.simulate(c, cfg, trials=2000, seed=7)
+        stats = ld.simulate(c, cfg.eps, trials=2000, seed=7).stats(cfg)
         assert row["error_rate"] == pytest.approx(stats.error_rate, abs=1e-12)
         assert row["k_theoretical"] == ld.theoretical_list_size(
             c.rate, row["eps"], 0.0, 7

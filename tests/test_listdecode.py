@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from chanent import bitspace as bs
@@ -10,7 +12,7 @@ from chanent import listdecode as ld
 from chanent.boolfn import from_code
 from chanent.channels import noise_operator
 
-from conftest import exhaustive_decode_scan, small_corpus
+from conftest import exhaustive_decode_scan, naive_simulate, small_corpus
 
 
 def test_radius_definition():
@@ -179,7 +181,6 @@ def test_likely_probability_exact_by_enumeration():
 
 
 def test_likely_probability_matches_per_codeword_count():
-    # |C| * 2^n = 2^23 pairs, so the counter runs in more than one block;
     # delta puts the threshold inside the range of the counts
     c = bs.random_linear_code(14, 9, 21)
     cfg = ld.DecoderConfig(n=14, eps=0.05, delta=0.66)
@@ -191,6 +192,32 @@ def test_likely_probability_matches_per_codeword_count():
     expected = float(p_y[counts > ld.likely_threshold(c, cfg)].sum())
     assert 0 < expected < 1
     assert ld.likely_probability(c, cfg) == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def small_codes(draw):
+    # linear codes and arbitrary (mostly nonlinear) codeword sets, n <= 10
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        return bs.random_linear_code(n, draw(st.integers(1, n)), draw(st.integers(0, 10**6)))
+    words = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    return bs.Code(n=n, codewords=tuple(sorted(words)))
+
+
+# eps on both sides of 1/2 (1/2 itself is rejected)
+EPS = st.one_of(st.floats(0, 0.49), st.floats(0.51, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=small_codes(), eps=EPS)
+def test_radius_counts_match_exhaustive_scan(code, eps):
+    # the decoder counts within the radius of y, relabeled when eps > 1/2
+    cfg = ld.DecoderConfig(n=code.n, eps=eps)
+    counts = ld._radius_counts(code, cfg)
+    ones = (1 << code.n) - 1
+    for y in range(1 << code.n):
+        recv = y if eps < 0.5 else y ^ ones
+        assert counts[y] == len(exhaustive_decode_scan(recv, code, cfg.radius)), y
 
 
 def test_likely_probability_memory_is_bounded():
@@ -209,7 +236,7 @@ def test_likely_probability_memory_is_bounded():
 def test_simulate_zero_noise_never_fails():
     c = bs.hamming74_code()
     cfg = ld.DecoderConfig(n=7, eps=0.0, list_cap=1)
-    stats_ = ld.simulate(c, cfg, trials=2000, seed=8)
+    stats_ = ld.simulate(c, cfg.eps, trials=2000, seed=8).stats(cfg)
     assert stats_.error_rate == 0.0
 
 
@@ -218,7 +245,7 @@ def test_simulate_single_code_matches_binomial_tail():
     c = bs.single_code(n)
     cfg = ld.DecoderConfig(n=n, eps=eps, list_cap=1)
     trials = 10**5
-    out = ld.simulate(c, cfg, trials=trials, seed=9)
+    out = ld.simulate(c, cfg.eps, trials=trials, seed=9).stats(cfg)
     radius = eps * n + n**0.75
     p = float(stats.binom.sf(math.ceil(radius) - 1, n, eps))
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -247,7 +274,7 @@ def test_simulate_matches_exhaustive_error_probability():
             if x not in [cw for _, cw in hits[:cap]]:
                 exact += pz
     trials = 10**5
-    out = ld.simulate(c, cfg, trials=trials, seed=10)
+    out = ld.simulate(c, cfg.eps, trials=trials, seed=10).stats(cfg)
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(out.error_rate - exact) <= 4 * sigma + 1e-9
 
@@ -255,16 +282,75 @@ def test_simulate_matches_exhaustive_error_probability():
 def test_simulate_failure_decomposition():
     for code in small_corpus(8):
         cfg = ld.DecoderConfig(n=code.n, eps=0.2, delta=0.0)
-        out = ld.simulate(code, cfg, trials=5000, seed=11)
+        out = ld.simulate(code, cfg.eps, trials=5000, seed=11).stats(cfg)
         assert out.failures <= out.heavy_noise + out.truncations
         assert out.successes + out.failures == out.trials
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    code=small_codes(),
+    eps=EPS,
+    delta=st.floats(0, 0.5),
+    list_cap=st.one_of(st.none(), st.integers(1, 8)),
+    trials=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_matches_per_trial_decoding(code, eps, delta, list_cap, trials, seed):
+    cfg = ld.DecoderConfig(n=code.n, eps=eps, delta=delta, list_cap=list_cap)
+    out = ld.simulate(code, eps, trials, seed).stats(cfg)
+    assert out == naive_simulate(code, cfg, trials, seed)
+
+
+def test_simulate_serves_every_delta_and_cap():
+    # one pass gives each decoder the outcomes of its own pass
+    c = bs.random_linear_code(9, 5, 3)
+    decoded = ld.simulate(c, 0.3, trials=500, seed=13)
+    for delta, list_cap in ((0.0, None), (0.2, None), (0.0, 1), (0.0, 3)):
+        cfg = ld.DecoderConfig(n=9, eps=0.3, delta=delta, list_cap=list_cap)
+        assert decoded.stats(cfg) == naive_simulate(c, cfg, 500, 13)
+
+
+def test_simulate_rejects_bad_input():
+    c = bs.hamming74_code()
+    with pytest.raises(ValueError):
+        ld.simulate(c, 0.5, trials=10, seed=1)
+    with pytest.raises(ValueError):
+        ld.simulate(c, 1.2, trials=10, seed=1)
+    with pytest.raises(ValueError):
+        ld.simulate(c, 0.1, trials=0, seed=1)
+    decoded = ld.simulate(c, 0.1, trials=10, seed=1)
+    for cfg in (ld.DecoderConfig(n=7, eps=0.2), ld.DecoderConfig(n=8, eps=0.1)):
+        with pytest.raises(ValueError):
+            decoded.stats(cfg)
+
+
+def test_simulate_trials_are_read_only():
+    decoded = ld.simulate(bs.hamming74_code(), 0.1, trials=10, seed=1)
+    assert (decoded.code, decoded.eps, decoded.trials) == (bs.hamming74_code(), 0.1, 10)
+    for arr in (decoded.counts, decoded.rank, decoded.inside):
+        assert len(arr) == 10
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_simulate_memory_is_bounded():
+    # drawn in one piece, the noise of 10^6 trials alone is 80 MB of floats
+    c = bs.random_linear_code(10, 5, 1)
+    tracemalloc.start()
+    try:
+        ld.simulate(c, 0.1, trials=10**6, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_simulate_deterministic():
     c = bs.hamming74_code()
     cfg = ld.DecoderConfig(n=7, eps=0.15, delta=0.05)
-    a = ld.simulate(c, cfg, trials=3000, seed=12)
-    b = ld.simulate(c, cfg, trials=3000, seed=12)
+    a = ld.simulate(c, cfg.eps, trials=3000, seed=12).stats(cfg)
+    b = ld.simulate(c, cfg.eps, trials=3000, seed=12).stats(cfg)
     assert a == b
 
 
