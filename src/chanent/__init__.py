@@ -12,6 +12,7 @@ from .entropy_analysis import (
     EntropyReport,
     cond_entropy_bec,
     cond_entropy_bsc,
+    cond_entropy_bsc_linear,
     entropy_report,
     marginal_entropy,
     subset_entropy_expectation,

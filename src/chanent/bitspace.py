@@ -53,6 +53,38 @@ def rank_gf2(rows: list[int] | tuple[int, ...]) -> int:
     return rank
 
 
+def syndrome_columns(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
+    """Column h_i of a parity-check matrix of the row span, for each coordinate i.
+
+    Gaussian elimination reduces the rows to echelon form, one pivot
+    coordinate per row, and drops the dependent rows; k rows remain.
+    The n - k other coordinates get the unit columns 1, 2, 4, ... in
+    increasing order, and a pivot coordinate gets its row's bits on
+    those coordinates.  The syndrome of x, the XOR of h_i over the
+    coordinates set in x, is then a map onto F_2^(n-k) whose kernel is
+    the span.
+    """
+    basis: dict[int, int] = {}  # pivot -> row, zero at every other pivot
+    for row in rows:
+        r = int(row)
+        for pivot, b in basis.items():
+            if r >> pivot & 1:
+                r ^= b
+        if r:
+            pivot = r.bit_length() - 1
+            for other, b in basis.items():
+                if b >> pivot & 1:
+                    basis[other] = b ^ r
+            basis[pivot] = r
+    free = [i for i in range(n) if i not in basis]
+    cols = [0] * n
+    for t, i in enumerate(free):
+        cols[i] = 1 << t
+    for pivot, b in basis.items():
+        cols[pivot] = sum(1 << t for t, i in enumerate(free) if b >> i & 1)
+    return cols
+
+
 def span(rows: list[int] | tuple[int, ...]) -> list[int]:
     """All vectors in the row span, sorted."""
     words = {0}

@@ -1,29 +1,39 @@
 """Exact and Monte Carlo conditional entropies for codes over BSC/BEC.
 
 H(X|Y_BSC) is computed through the chain rule
-H(X) + n*h(eps) - H(X+Z), with the distribution of X+Z obtained from
-the noise operator.  H(X|Y_BEC) comes from the subset identity
-E_{S~lam} H(X_S) = H(X) - H(X|Y_BEC) with lam = 1 - eta.  Independent
-Bayes-rule / erasure-pattern oracles live in the test suite.
+H(X) + n*h(eps) - H(X+Z).  For a linear [n, k] code X+Z is uniform on
+the coset of the syndrome of Z, so H(X+Z) = k + H(s(Z)) and only the
+syndrome distribution, of length 2^(n-k), is needed; for other codes
+the distribution of X+Z comes from the noise operator on all of F_2^n.
+H(X|Y_BEC) comes from the subset identity
+E_{S~lam} H(X_S) = H(X) - H(X|Y_BEC) with lam = 1 - eta.  The entropies
+H_q(X_S) of a nonlinear code come from one blocked projection kernel,
+``projection_entropies``.  Independent Bayes-rule / erasure-pattern
+oracles live in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bitspace import Code
+from .bitspace import Code, syndrome_columns
 from .boolfn import (
     binary_entropy,
     ent,
     from_code,
+    renyi_entropy,
     renyi_entropy_from_counts,
 )
 from .channels import _axis_pairs, bernoulli_words, noise_operator
 
 EXACT_SUBSET_CAP = 20
+
+# (mask, codeword) pairs per block of the projection kernel
+_PAIR_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=32)
@@ -58,6 +68,43 @@ def marginal_entropy(code: Code, mask: int, q: float) -> float:
     return renyi_entropy_from_counts(counts, q)
 
 
+def projection_entropies(code: Code, masks: np.ndarray, q: float) -> np.ndarray:
+    """H_q(X_S) for each subset mask in ``masks``, as ``marginal_entropy`` gives it.
+
+    A block of masks projects every codeword at once.  The runs of each
+    sorted row are the multiplicities of its projected words, and their
+    entropy terms are summed per row by one bincount.
+    """
+    if q < 1:
+        raise ValueError("order must be >= 1")
+    cws = code.codeword_array()
+    size = code.size
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = np.empty(len(masks))
+    block = max(1, _PAIR_BLOCK // size)
+    for start in range(0, len(masks), block):
+        words = masks[start : start + block, None] & cws
+        words.sort(axis=1)
+        m = len(words)
+        first = np.empty(words.shape, dtype=bool)  # a run starts here
+        first[:, 0] = True
+        np.not_equal(words[:, 1:], words[:, :-1], out=first[:, 1:])
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=first.size)
+        p = counts / size
+        row = starts // size
+        if q == 1:
+            # log2|C| - E log2(count): exact when every count is 1, or one is |C|
+            e_log_c = np.bincount(row, weights=p * np.log2(counts), minlength=m)
+            vals = math.log2(size) - e_log_c
+        elif math.isinf(q):
+            vals = -np.log2(np.maximum.reduceat(p, np.flatnonzero(starts % size == 0)))
+        else:
+            vals = -np.log2(np.bincount(row, weights=p**q, minlength=m)) / (q - 1)
+        out[start : start + m] = vals
+    return out
+
+
 @lru_cache(maxsize=64)
 def subset_renyi_values(code: Code, q: float) -> np.ndarray:
     """H_q(X_S) for every subset S, indexed by mask."""
@@ -75,9 +122,7 @@ def subset_renyi_values(code: Code, q: float) -> np.ndarray:
         np.log2(out, out=out)
         np.subtract(code.log_size, out, out=out)
     else:
-        out = np.empty(1 << n)
-        for mask in range(1 << n):
-            out[mask] = marginal_entropy(code, mask, q)
+        out = projection_entropies(code, np.arange(1 << n, dtype=np.uint64), q)
     out.setflags(write=False)
     return out
 
@@ -98,7 +143,8 @@ def subset_entropy_expectation_mc(
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     masks = bernoulli_words(trials, code.n, lam, rng)
-    vals = np.array([marginal_entropy(code, int(m), q) for m in masks])
+    distinct, inverse = np.unique(masks, return_inverse=True)
+    vals = projection_entropies(code, distinct, q)[inverse]
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return est, stderr
@@ -107,6 +153,35 @@ def subset_entropy_expectation_mc(
 def cond_entropy_bsc(code: Code, eps: float) -> float:
     """H(X|Y_BSC) = H(X) + n*h(eps) - H(X+Z), all in bits."""
     return _cond_entropy_bsc_from(code, noise_operator(from_code(code), eps), eps)
+
+
+def syndrome_distribution(code: Code, eps: float) -> np.ndarray:
+    """Distribution of the syndrome of BSC(eps) noise Z, for a linear code.
+
+    It has length 2^(n-k).  Coordinate i of Z flips with probability
+    eps and then moves the syndrome by its column h_i, so each
+    coordinate mixes the distribution with its XOR shift by h_i.
+    """
+    if code.generator is None:
+        raise ValueError("the syndrome distribution needs a linear code")
+    if not 0 <= eps <= 1:
+        raise ValueError("eps must be in [0, 1]")
+    r = code.n - (code.size.bit_length() - 1)  # |C| = 2^k
+    p = np.zeros(1 << r)
+    p[0] = 1.0
+    index = np.arange(1 << r)
+    for h in syndrome_columns(code.generator, code.n):
+        p = (1 - eps) * p + eps * p[index ^ h]
+    return p
+
+
+def cond_entropy_bsc_linear(code: Code, eps: float) -> float:
+    """H(X|Y_BSC) = n*h(eps) - H(s(Z)) for a linear code, without 2^n arrays.
+
+    Y = X + Z is uniform on the coset of the syndrome s(Z), so
+    H(Y) = k + H(s(Z)); ``cond_entropy_bsc`` is the dense reference.
+    """
+    return code.n * binary_entropy(eps) - renyi_entropy(syndrome_distribution(code, eps), 1)
 
 
 def _cond_entropy_bsc_from(code: Code, f_noisy: np.ndarray, eps: float) -> float:
@@ -176,7 +251,9 @@ def entropy_report(
     """Compute the full entropy record for one configuration.
 
     Uses exact enumeration when n allows it, otherwise Monte Carlo for
-    the BEC/subset quantities (requires trials and seed).
+    the BEC/subset quantities (requires trials and seed).  H(X|Y_BSC) is
+    exact for every n: from the syndrome distribution for a code with a
+    generator, from the dense noise operator otherwise.
     """
     exact_ok = code.n <= EXACT_SUBSET_CAP
     method = "exact" if exact_ok else "monte_carlo"
@@ -196,7 +273,12 @@ def entropy_report(
                 code, lam, 1.0, trials, seed
             )[0]
             h_bec = code.log_size - e_s1
-    h_bsc = cond_entropy_bsc(code, eps) if eps is not None else None
+    if eps is None:
+        h_bsc = None
+    elif code.generator is not None:
+        h_bsc = cond_entropy_bsc_linear(code, eps)
+    else:
+        h_bsc = cond_entropy_bsc(code, eps)
     return EntropyReport(
         code=code.name or "code",
         n=code.n,

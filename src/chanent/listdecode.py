@@ -154,7 +154,8 @@ def likely_probability(code: Code, cfg: DecoderConfig) -> float:
     """Exact Pr[Y is delta-likely] with Y = X + Z, X uniform on the code."""
     counts = _radius_counts(code, cfg)
     p_y = noise_operator(from_code(code), cfg.eps) / (1 << code.n)
-    return float(p_y[counts > likely_threshold(code, cfg)].sum())
+    # p_y carries the noise operator's rounding: a sum over every y can pass 1
+    return min(1.0, float(p_y[counts > likely_threshold(code, cfg)].sum()))
 
 
 def likely_probability_mc(

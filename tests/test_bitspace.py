@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 
@@ -13,6 +15,38 @@ def test_rank_gf2():
     assert bs.rank_gf2([]) == 0
     assert bs.rank_gf2([0b11, 0b110, 0b101]) == 2
     assert bs.rank_gf2(bs.hamming74_code().generator) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_syndrome_columns_give_a_parity_check_of_the_span(data):
+    n = data.draw(st.integers(1, 10))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 2))
+    rows.append(rows[0])  # a repeated row is dropped by the elimination
+    words = bs.span(rows)
+    k = bs.rank_gf2(rows)
+    cols = bs.syndrome_columns(rows, n)
+
+    def syndrome(x):
+        s = 0
+        for i in range(n):
+            if x >> i & 1:
+                s ^= cols[i]
+        return s
+
+    assert len(cols) == n
+    assert all(0 <= h < 1 << (n - k) for h in cols)
+    # onto F_2^(n-k), and the kernel is exactly the span
+    assert bs.rank_gf2(cols) == n - k
+    assert [x for x in range(1 << n) if syndrome(x) == 0] == words
+
+
+def test_syndrome_columns_of_small_codes():
+    # full space: no syndrome bits; repetition(3): the free coordinates 0, 1
+    # get the unit columns and the pivot 2 gets the row's bits on them
+    assert bs.syndrome_columns(bs.full_space_code(3).generator, 3) == [0, 0, 0]
+    assert bs.syndrome_columns([0b111], 3) == [1, 2, 3]
+    assert bs.syndrome_columns([0], 2) == [1, 2]
 
 
 def test_repetition_code():

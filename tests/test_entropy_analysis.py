@@ -1,12 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
+from chanent.channels import bernoulli_words
 
 from conftest import (
     bayes_cond_entropy_bsc,
@@ -14,6 +17,29 @@ from conftest import (
     exhaustive_subset_entropy_expectation,
     small_corpus,
 )
+
+
+@st.composite
+def linear_codes(draw, max_n=12):
+    """A code given by random generator rows, which may be dependent."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n))
+    if draw(st.booleans()):
+        rows.append(rows[0])  # the rank is then below the row count
+    return bs.Code(n=n, codewords=tuple(bs.span(rows)), generator=tuple(rows))
+
+
+@st.composite
+def nonlinear_codes(draw, max_n=10):
+    """A code given by an arbitrary set of codewords."""
+    n = draw(st.integers(1, max_n))
+    words = draw(
+        st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 300))
+    )
+    return bs.Code(n=n, codewords=tuple(sorted(words)))
+
+
+REPEATED_ROW = bs.Code(n=5, codewords=tuple(bs.span([3, 3, 12])), generator=(3, 3, 12))
 
 
 def test_marginal_entropy_empty_subset():
@@ -47,6 +73,60 @@ def test_linear_fast_path_matches_generic(data):
             assert table[mask] == pytest.approx(
                 ea.marginal_entropy(code, mask, q), abs=1e-9
             ), (code, mask, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    code=nonlinear_codes(),
+    q=st.sampled_from([1, 2, 3, math.inf]),
+    pairs=st.integers(1, 4096),
+)
+def test_projection_kernel_matches_marginal_entropy(code, q, pairs):
+    # blocks of pairs // |C| masks (at least one), so most examples cross
+    # a block boundary
+    masks = np.arange(1 << code.n, dtype=np.uint64)
+    with mock.patch.object(ea, "_PAIR_BLOCK", pairs):
+        vals = ea.projection_entropies(code, masks, q)
+    ref = [ea.marginal_entropy(code, mask, q) for mask in range(1 << code.n)]
+    assert np.max(np.abs(vals - ref)) <= 1e-12
+
+
+def test_nonlinear_subset_table_spans_several_blocks():
+    rng = np.random.default_rng(4)
+    words = tuple(sorted(rng.choice(1 << 10, size=300, replace=False).tolist()))
+    code = bs.Code(n=10, codewords=words)
+    assert 1 << code.n > ea._PAIR_BLOCK // code.size
+    for q in (1, 2, math.inf):
+        table = ea.subset_renyi_values(code, q)
+        ref = [ea.marginal_entropy(code, mask, q) for mask in range(1 << code.n)]
+        assert np.max(np.abs(table - ref)) <= 1e-12
+
+
+def test_projection_kernel_rejects_orders_below_one():
+    with pytest.raises(ValueError):
+        ea.projection_entropies(bs.hamming74_code(), np.arange(4, dtype=np.uint64), 0.5)
+
+
+def test_subset_mc_reads_each_distinct_mask_from_the_kernel():
+    # the draws of a per-mask loop; the kernel sees each distinct mask once
+    calls = []
+    kernel = ea.projection_entropies
+
+    def counted(code, masks, q):
+        calls.append(len(masks))
+        return kernel(code, masks, q)
+
+    rng = np.random.default_rng(2)
+    words = tuple(sorted(rng.choice(1 << 9, size=40, replace=False).tolist()))
+    for code in (bs.Code(n=9, codewords=words), bs.hamming74_code()):
+        trials, lam, q, seed = 3000, 0.4, 2, 17
+        masks = bernoulli_words(trials, code.n, lam, np.random.default_rng(seed))
+        vals = np.array([ea.marginal_entropy(code, int(m), q) for m in masks])
+        with mock.patch.object(ea, "projection_entropies", counted):
+            est, stderr = ea.subset_entropy_expectation_mc(code, lam, q, trials, seed)
+        assert calls.pop() == len(set(masks.tolist()))
+        assert est == pytest.approx(vals.mean(), abs=1e-12)
+        assert stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(trials), abs=1e-12)
 
 
 def test_subset_expectation_endpoints():
@@ -95,6 +175,38 @@ def test_cond_entropy_bsc_matches_bayes_oracle():
             assert ea.cond_entropy_bsc(code, eps) == pytest.approx(
                 bayes_cond_entropy_bsc(code, eps), abs=1e-9
             )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    code=linear_codes(),
+    eps=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+)
+@example(code=bs.full_space_code(6), eps=0.3)
+@example(code=REPEATED_ROW, eps=0.5)
+@example(code=REPEATED_ROW, eps=0.2)
+def test_syndrome_cond_entropy_matches_dense_and_bayes(code, eps):
+    h = ea.cond_entropy_bsc_linear(code, eps)
+    assert h == pytest.approx(ea.cond_entropy_bsc(code, eps), abs=1e-12)
+    # the Bayes oracle makes 2^n |C| steps in Python
+    if code.size << code.n <= 1 << 15:
+        assert h == pytest.approx(bayes_cond_entropy_bsc(code, eps), abs=1e-12)
+
+
+def test_syndrome_distribution_shape_and_mass():
+    for code, k in ((REPEATED_ROW, 2), (bs.full_space_code(4), 4), (bs.hamming74_code(), 4)):
+        p = ea.syndrome_distribution(code, 0.2)
+        assert len(p) == 1 << (code.n - k)
+        assert p.min() >= 0 and p.sum() == pytest.approx(1.0, abs=1e-15)
+    # eps = 0: the syndrome of no noise is 0
+    assert ea.syndrome_distribution(bs.hamming74_code(), 0.0).tolist() == [1.0] + [0.0] * 7
+
+
+def test_syndrome_distribution_rejects_bad_input():
+    with pytest.raises(ValueError):
+        ea.syndrome_distribution(bs.single_code(3), 0.1)  # no generator
+    with pytest.raises(ValueError):
+        ea.syndrome_distribution(bs.hamming74_code(), 1.5)
 
 
 def test_bsc_chain_rule_identity():
@@ -171,6 +283,28 @@ def test_entropy_report_roundtrip():
     assert d["H_X_given_Ybsc"] == pytest.approx(ea.cond_entropy_bsc(code, 0.1))
     assert d["H_X_given_Ybec"] == pytest.approx(ea.cond_entropy_bec(code, 0.5))
     assert d["method"] == "exact"
+
+
+def test_entropy_report_takes_the_syndrome_path_for_linear_codes():
+    eps = 0.15
+    linear = bs.hamming74_code()
+    rep = ea.entropy_report(linear, eps, None)
+    assert rep.h_x_given_bsc == ea.cond_entropy_bsc_linear(linear, eps)
+    nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
+    rep = ea.entropy_report(nonlinear, eps, None)
+    assert rep.h_x_given_bsc == ea.cond_entropy_bsc(nonlinear, eps)
+
+
+def test_entropy_report_bsc_memory_is_bounded():
+    # the dense path's 2^24 floats are 128 MiB an array
+    code = bs.random_linear_code(24, 12, 1)
+    tracemalloc.start()
+    try:
+        ea.entropy_report(code, 0.1, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_monte_carlo_report_samples_subsets_once_for_q1(monkeypatch):

@@ -156,6 +156,19 @@ def test_likely_probability_extremes():
         assert ld.likely_probability(c, cfg0) == pytest.approx(1.0)
 
 
+def test_likely_probability_never_exceeds_one():
+    # every received word is likely, and the float sum of Pr[Y = y] over
+    # all y rounds above 1 at these eps
+    c = bs.random_linear_code(12, 6, 1)
+    for eps in (0.1, 0.2):
+        cfg = ld.DecoderConfig(n=12, eps=eps)
+        assert (ld._radius_counts(c, cfg) > ld.likely_threshold(c, cfg)).all()
+        assert ld.likely_probability(c, cfg) == 1.0
+    for code in small_corpus(10):
+        for eps in (0.05, 0.1, 0.3, 0.8):
+            assert ld.likely_probability(code, ld.DecoderConfig(n=code.n, eps=eps)) <= 1.0
+
+
 def test_likely_probability_exact_vs_mc():
     c = bs.repetition_code(5)
     cfg = ld.DecoderConfig(n=5, eps=0.1, delta=0.1)
