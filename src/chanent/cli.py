@@ -73,22 +73,14 @@ def _int_list(s: str) -> list[int]:
 
 def cmd_entropy(args) -> int:
     codes = [resolve_code(s) for s in args.code]
-    eps_grid = args.eps or [None]
-    eta_grid = list(args.eta or [])
     # a subset density lam is the same configuration as erasure eta = 1 - lam
-    for lam in args.lam or []:
-        eta_grid.append(1 - lam)
-    eta_grid = eta_grid or [None]
-    qs = args.q or [1.0]
+    eta_grid = [*(args.eta or []), *(1 - lam for lam in args.lam or [])] or [None]
     rows = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
-        for eps in eps_grid:
-            for eta in eta_grid:
-                for q in qs:
-                    report = entropy_analysis.entropy_report(
-                        code, eps, eta, q=q, trials=args.trials, seed=args.seed
-                    )
-                    rows.append(report.to_dict())
+        reports = entropy_analysis.entropy_report(
+            code, args.eps or [None], eta_grid, args.q or [1.0], args.trials, args.seed
+        )
+        rows += [report.to_dict() for report in reports]
     emit(rows, args)
     return 0
 

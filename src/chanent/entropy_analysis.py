@@ -14,7 +14,9 @@ oracles live in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,7 +77,7 @@ def projection_entropies(code: Code, masks: np.ndarray, q: float) -> np.ndarray:
     sorted row are the multiplicities of its projected words, and their
     entropy terms are summed per row by one bincount.
     """
-    if q < 1:
+    if not q >= 1:
         raise ValueError("order must be >= 1")
     cws = code.codeword_array()
     size = code.size
@@ -242,54 +244,63 @@ class EntropyReport:
 
 def entropy_report(
     code: Code,
-    eps: float | None,
-    eta: float | None,
-    q: float = 1.0,
+    eps_grid: Sequence[float | None],
+    eta_grid: Sequence[float | None],
+    qs: Sequence[float] = (1.0,),
     trials: int | None = None,
     seed: int | None = None,
-) -> EntropyReport:
-    """Compute the full entropy record for one configuration.
+) -> list[EntropyReport]:
+    """The code's entropy records over a grid, one per (eps, eta, q) in that order.
 
-    Uses exact enumeration when n allows it, otherwise Monte Carlo for
-    the BEC/subset quantities (requires trials and seed).  H(X|Y_BSC) is
-    exact for every n: from the syndrome distribution for a code with a
-    generator, from the dense noise operator otherwise.
+    H(X|Y_BSC) is computed once per eps, exactly for every n: from the
+    syndrome distribution for a code with a generator, from the dense
+    noise operator otherwise.  E_{S~1-eta} H_q(X_S) is computed once per
+    (eta, q), by exact enumeration when n allows it and otherwise by
+    Monte Carlo (requires trials and seed), and H(X|Y_BEC) comes from its
+    q = 1 value.  A None eps or eta leaves its quantities out.  Every q
+    and eta is checked before any work.
     """
-    exact_ok = code.n <= EXACT_SUBSET_CAP
-    method = "exact" if exact_ok else "monte_carlo"
-    stderr = None
-    h_bec = e_s = None
-    lam = None if eta is None else 1 - eta
-    if lam is not None:
-        if exact_ok:
-            e_s = subset_entropy_expectation(code, lam, q)
-            h_bec = cond_entropy_bec(code, eta)
-        else:
-            if trials is None or seed is None:
-                raise ValueError("monte_carlo mode requires trials and seed")
-            e_s, stderr = subset_entropy_expectation_mc(code, lam, q, trials, seed)
-            # the same seed draws the same subsets, so q == 1 reuses e_s
-            e_s1 = e_s if q == 1 else subset_entropy_expectation_mc(
-                code, lam, 1.0, trials, seed
-            )[0]
-            h_bec = code.log_size - e_s1
-    if eps is None:
-        h_bsc = None
-    elif code.generator is not None:
-        h_bsc = cond_entropy_bsc_linear(code, eps)
-    else:
-        h_bsc = cond_entropy_bsc(code, eps)
-    return EntropyReport(
-        code=code.name or "code",
-        n=code.n,
-        eps=eps,
-        eta=eta,
-        q=q,
-        h_x=code.log_size,
-        h_x_given_bsc=h_bsc,
-        h_x_given_bec=h_bec,
-        e_s_hq_xs=e_s,
-        method=method,
-        trials=trials if method == "monte_carlo" else None,
-        stderr=stderr,
-    )
+    for q in qs:
+        if not q >= 1:
+            raise ValueError(f"order q={q} must be >= 1")
+    etas = [eta for eta in dict.fromkeys(eta_grid) if eta is not None]
+    for eta in etas:
+        if not 0 <= eta <= 1:
+            raise ValueError(f"eta={eta} outside [0, 1]")
+    sampled = bool(etas) and code.n > EXACT_SUBSET_CAP
+    if sampled and (trials is None or seed is None):
+        raise ValueError("monte_carlo mode requires trials and seed")
+
+    bsc_entropy = cond_entropy_bsc_linear if code.generator is not None else cond_entropy_bsc
+    h_bsc = {eps: bsc_entropy(code, eps) for eps in dict.fromkeys(eps_grid) if eps is not None}
+    # (eta, q) -> (E_{S~1-eta} H_q(X_S), stderr); q = 1 gives H(X|Y_BEC)
+    subset = {}
+    for eta in etas:
+        for q in dict.fromkeys([*qs, 1.0]):
+            if sampled:
+                # the same seed draws the same subsets for every q
+                subset[eta, q] = subset_entropy_expectation_mc(code, 1 - eta, q, trials, seed)
+            else:
+                subset[eta, q] = subset_entropy_expectation(code, 1 - eta, q), None
+
+    reports = []
+    for eps, eta, q in itertools.product(eps_grid, eta_grid, qs):
+        e_s, stderr = subset.get((eta, q), (None, None))
+        mc = sampled and eta is not None
+        reports.append(
+            EntropyReport(
+                code=code.name or "code",
+                n=code.n,
+                eps=eps,
+                eta=eta,
+                q=q,
+                h_x=code.log_size,
+                h_x_given_bsc=h_bsc.get(eps),
+                h_x_given_bec=None if eta is None else code.log_size - subset[eta, 1.0][0],
+                e_s_hq_xs=e_s,
+                method="monte_carlo" if mc else "exact",
+                trials=trials if mc else None,
+                stderr=stderr,
+            )
+        )
+    return reports

@@ -100,21 +100,6 @@ def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
     return [c for _, c in hits[:cap]], truncated
 
 
-def _within_radius(ys: np.ndarray, code: Code, radius: float) -> np.ndarray:
-    """Codewords strictly within the radius of each received word.
-
-    Works in blocks of at most 2^22 (word, codeword) pairs, so memory
-    stays bounded whatever the number of received words.
-    """
-    cws = code.codeword_array()
-    block = max(1, (1 << 22) // code.size)
-    counts = np.empty(len(ys), dtype=np.int64)
-    for start in range(0, len(ys), block):
-        dists = np.bitwise_count(ys[start : start + block, None] ^ cws[None, :])
-        counts[start : start + block] = np.count_nonzero(dists < radius, axis=1)
-    return counts
-
-
 def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
     """2^((R - (1 - h(eps)) + delta) * n): the inflated target list size."""
     exponent = (code.rate - (1 - binary_entropy(cfg.effective_eps)) + cfg.delta) * cfg.n
@@ -124,7 +109,8 @@ def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
 def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
     """Whether y has more within-radius explanations than the threshold."""
     recv = y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
-    count = int(_within_radius(np.array([recv], dtype=np.uint64), code, cfg.radius)[0])
+    dists = np.bitwise_count(code.codeword_array() ^ np.uint64(recv))
+    count = int(np.count_nonzero(dists < cfg.radius))
     return count > likely_threshold(code, cfg), count
 
 
@@ -161,14 +147,13 @@ def likely_probability(code: Code, cfg: DecoderConfig) -> float:
 def likely_probability_mc(
     code: Code, cfg: DecoderConfig, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo Pr[Y is delta-likely]; returns (estimate, std error)."""
-    rng = np.random.default_rng(seed)
-    cws = code.codeword_array()
-    xs = cws[rng.integers(0, code.size, size=trials)]
-    zs = bernoulli_words(trials, code.n, cfg.effective_eps, rng)
-    counts = _within_radius(xs ^ zs, code, cfg.radius)
-    hits = int(np.count_nonzero(counts > likely_threshold(code, cfg)))
-    p = hits / trials
+    """Monte Carlo Pr[Y is delta-likely]; returns (estimate, std error).
+
+    The received words and their within-radius counts are those of
+    ``simulate`` under the same seed.
+    """
+    counts = simulate(code, cfg.eps, trials, seed).counts
+    p = int(np.count_nonzero(counts > likely_threshold(code, cfg))) / trials
     stderr = math.sqrt(max(p * (1 - p), 0.0) / trials)
     return p, stderr
 

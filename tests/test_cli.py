@@ -214,6 +214,72 @@ def test_entropy_lambda_matches_eta(capsys):
     )
 
 
+
+@pytest.mark.parametrize("q", ["-1", "0.5", "nan"])
+def test_entropy_rejects_orders_below_one(q, capsys):
+    # the linear subset table never reads q, so the check cannot live there
+    code = main(["entropy", "--code", "hamming74", "--eta", "0.5", "--q", q])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: order" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--eta", "--lambda"])
+def test_entropy_rejects_eta_outside_unit_interval_on_the_monte_carlo_path(flag, capsys):
+    code = main(
+        ["entropy", "--code", "repetition:21", flag, "1.5", "--trials", "100", "--seed", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: eta=" in captured.err and "outside [0, 1]" in captured.err
+    assert captured.out == ""
+
+
+def test_entropy_rows_without_subsets_are_exact_for_large_n(capsys):
+    # H(X|Y_BSC) is exact for every n; nothing is sampled without an eta
+    code, out = run(
+        ["entropy", "--code", "repetition:21", "--eps", "0.1", "--format", "json"], capsys
+    )
+    assert code == 0
+    (row,) = json.loads(out)
+    assert (row["method"], row["trials"], row["stderr"]) == ("exact", None, None)
+
+
+def test_entropy_computes_once_per_code(monkeypatch, tmp_path, capsys):
+    noise_calls, report_calls = [], []
+    apply, report = ea.noise_operator, ea.entropy_report
+
+    def counted_noise(f, eps):
+        noise_calls.append(eps)
+        return apply(f, eps)
+
+    def counted_report(code, *args, **kwargs):
+        report_calls.append(code.n)
+        return report(code, *args, **kwargs)
+
+    monkeypatch.setattr(ea, "noise_operator", counted_noise)
+    monkeypatch.setattr(ea, "entropy_report", counted_report)
+    words = tmp_path / "words.txt"
+    words.write_text("00000\n11000\n00110\n10011\n01111\n")
+    code, out = run(
+        [
+            "entropy",
+            "--code", f"codewords-file:{words}",
+            "--code", "hamming74",
+            "--eps", "0.1,0.2",
+            "--eta", "0.25,0.5",
+            "--q", "1,2",
+            "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert len(json.loads(out)) == 16
+    # the dense pass is the nonlinear code's, once per eps
+    assert noise_calls == [0.1, 0.2]
+    assert report_calls == [5, 7]
+
 def test_decode_sim_requires_seed(capsys):
     assert main(["decode-sim", "--code", "repetition:3", "--eps", "0.1"]) == 2
 

@@ -103,8 +103,9 @@ def test_nonlinear_subset_table_spans_several_blocks():
 
 
 def test_projection_kernel_rejects_orders_below_one():
-    with pytest.raises(ValueError):
-        ea.projection_entropies(bs.hamming74_code(), np.arange(4, dtype=np.uint64), 0.5)
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            ea.projection_entropies(bs.hamming74_code(), np.arange(4, dtype=np.uint64), q)
 
 
 def test_subset_mc_reads_each_distinct_mask_from_the_kernel():
@@ -276,7 +277,7 @@ def test_exact_mode_cap():
 
 def test_entropy_report_roundtrip():
     code = bs.repetition_code(3)
-    rep = ea.entropy_report(code, eps=0.1, eta=0.5, q=2)
+    (rep,) = ea.entropy_report(code, [0.1], [0.5], [2])
     d = rep.to_dict()
     assert d["code"] == "repetition(3)"
     assert d["H_X"] == pytest.approx(1.0)
@@ -288,10 +289,10 @@ def test_entropy_report_roundtrip():
 def test_entropy_report_takes_the_syndrome_path_for_linear_codes():
     eps = 0.15
     linear = bs.hamming74_code()
-    rep = ea.entropy_report(linear, eps, None)
+    (rep,) = ea.entropy_report(linear, [eps], [None])
     assert rep.h_x_given_bsc == ea.cond_entropy_bsc_linear(linear, eps)
     nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
-    rep = ea.entropy_report(nonlinear, eps, None)
+    (rep,) = ea.entropy_report(nonlinear, [eps], [None])
     assert rep.h_x_given_bsc == ea.cond_entropy_bsc(nonlinear, eps)
 
 
@@ -300,7 +301,7 @@ def test_entropy_report_bsc_memory_is_bounded():
     code = bs.random_linear_code(24, 12, 1)
     tracemalloc.start()
     try:
-        ea.entropy_report(code, 0.1, None)
+        ea.entropy_report(code, [0.1], [None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -317,9 +318,59 @@ def test_monte_carlo_report_samples_subsets_once_for_q1(monkeypatch):
 
     monkeypatch.setattr(ea, "subset_entropy_expectation_mc", counted)
     code = bs.repetition_code(ea.EXACT_SUBSET_CAP + 1)
-    rep = ea.entropy_report(code, None, 0.5, q=1, trials=200, seed=3)
+    (rep,) = ea.entropy_report(code, [None], [0.5], [1], trials=200, seed=3)
     assert len(calls) == 1
     assert rep.method == "monte_carlo"
     assert rep.h_x_given_bec == code.log_size - rep.e_s_hq_xs
-    ea.entropy_report(code, None, 0.5, q=2, trials=200, seed=3)
+    ea.entropy_report(code, [None], [0.5], [2], trials=200, seed=3)
     assert len(calls) == 3
+
+
+def test_entropy_report_computes_each_quantity_once_over_its_grid(monkeypatch):
+    bsc, subset = [], []
+    dense, sampler = ea.cond_entropy_bsc, ea.subset_entropy_expectation
+
+    def dense_counted(code, eps):
+        bsc.append(eps)
+        return dense(code, eps)
+
+    def subset_counted(code, lam, q):
+        subset.append((lam, q))
+        return sampler(code, lam, q)
+
+    monkeypatch.setattr(ea, "cond_entropy_bsc", dense_counted)
+    monkeypatch.setattr(ea, "subset_entropy_expectation", subset_counted)
+    code = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
+    reports = ea.entropy_report(code, [0.1, 0.2], [0.25, 0.5], [2, 3])
+    assert bsc == [0.1, 0.2]
+    # each (eta, q) once, and q = 1 once per eta for H(X|Y_BEC)
+    assert sorted(subset) == sorted((lam, q) for lam in (0.75, 0.5) for q in (1, 2, 3))
+    assert [(r.eps, r.eta, r.q) for r in reports] == [
+        (eps, eta, q) for eps in (0.1, 0.2) for eta in (0.25, 0.5) for q in (2, 3)
+    ]
+    for r in reports:
+        assert r.h_x_given_bsc == dense(code, r.eps)
+        assert r.h_x_given_bec == ea.cond_entropy_bec(code, r.eta)
+        assert r.e_s_hq_xs == sampler(code, 1 - r.eta, r.q)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [bs.hamming74_code(), bs.Code(n=3, codewords=(0, 3, 5)), bs.repetition_code(21)],
+    ids=["linear", "nonlinear", "monte_carlo"],
+)
+@pytest.mark.parametrize(
+    "etas, qs, message",
+    [
+        ([0.5], [-1], "order"),
+        ([0.5], [0.5], "order"),
+        ([0.5], [math.nan], "order"),
+        ([1.5], [1], "outside"),
+        ([math.nan], [1], "outside"),
+        ([0.5, -0.1], [1], "outside"),
+    ],
+)
+def test_entropy_report_checks_orders_and_etas_on_every_path(code, etas, qs, message):
+    # the linear subset table never reads q, and n > 20 samples subsets
+    with pytest.raises(ValueError, match=message):
+        ea.entropy_report(code, [None], etas, qs, trials=100, seed=1)

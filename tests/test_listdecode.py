@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -138,11 +139,15 @@ def test_is_delta_likely_single_code():
 
 
 def test_is_delta_likely_matches_brute_force():
-    c = bs.hamming74_code()
-    cfg = ld.DecoderConfig(n=7, eps=0.1, delta=0.01)
-    for y in range(1 << 7):
-        _, count = ld.is_delta_likely(y, c, cfg)
-        assert count == len(exhaustive_decode_scan(y, c, cfg.radius))
+    # above 1/2 the decoder reads the complement of y; the Hamming code is
+    # closed under complement, the 5-word code is not
+    codes = (bs.hamming74_code(), bs.Code(n=7, codewords=(0, 3, 12, 25, 30)))
+    for c, eps in itertools.product(codes, (0.1, 0.9)):
+        cfg = ld.DecoderConfig(n=7, eps=eps, delta=0.01)
+        for y in range(1 << 7):
+            _, count = ld.is_delta_likely(y, c, cfg)
+            recv = y if eps < 0.5 else y ^ 0b1111111
+            assert count == len(exhaustive_decode_scan(recv, c, cfg.radius))
 
 
 def test_likely_probability_extremes():

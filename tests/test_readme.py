@@ -18,6 +18,8 @@ VERIFY_ARGS = [
     "--format", "json",
 ]
 
+ENTROPY_ARGS = ["entropy", "--code", "hamming74", "--eps", "0.1,0.2", "--eta", "0.25,0.5", "--q", "1,2"]
+
 
 def test_readme_python_block_runs():
     blocks = re.findall(r"```python\n(.*?)```", README, re.S)
@@ -33,3 +35,10 @@ def test_readme_verify_example_output_is_pinned(tmp_path):
     out = tmp_path / "verify.json"
     assert main(VERIFY_ARGS + ["--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "data" / "verify_readme.json").read_bytes()
+
+
+def test_readme_entropy_example_output_is_pinned(tmp_path):
+    assert "chanent " + " ".join(ENTROPY_ARGS) in README
+    out = tmp_path / "entropy.csv"
+    assert main(ENTROPY_ARGS + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / "entropy_readme.csv").read_bytes()
