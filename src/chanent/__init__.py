@@ -29,6 +29,7 @@ from .inequalities import (
     noisy_function,
     partial_entropy_bound_check,
     subset_stats,
+    subset_stats_of_code,
 )
 from .listdecode import (
     DecoderConfig,

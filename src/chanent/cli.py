@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from . import bitspace, entropy_analysis, inequalities, listdecode
-from .boolfn import from_code
 from .listdecode import DecoderConfig
 
 
@@ -91,10 +90,13 @@ def cmd_verify(args) -> int:
     eta_grid = args.eta or []
     # a repeated order would repeat its rows
     qs = list(dict.fromkeys(args.q or [2, 3, 4]))
+    # every check enumerates all subsets: refuse an oversized code before any work
+    for code in codes:
+        entropy_analysis.require_subset_cap(code.n)
     rows = []
     reports = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
-        stats = inequalities.subset_stats(from_code(code), qs)
+        stats = inequalities.subset_stats_of_code(code, qs)
         for eps in eps_grid:
             noisy = inequalities.noisy_function(stats.f, eps)
             checks = [

@@ -107,12 +107,21 @@ def projection_entropies(code: Code, masks: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def subset_renyi_values(code: Code, q: float) -> np.ndarray:
-    """H_q(X_S) for every subset S, indexed by mask."""
-    n = code.n
+def require_subset_cap(n: int) -> None:
+    """Reject a dimension above the exact all-subsets cap."""
     if n > EXACT_SUBSET_CAP:
         raise ValueError(f"exact subset enumeration capped at n <= {EXACT_SUBSET_CAP}")
+
+
+@lru_cache(maxsize=64)
+def subset_renyi_values(code: Code, q: float) -> np.ndarray:
+    """H_q(X_S) for every subset S, indexed by mask.
+
+    A linear code's table is the same for every q; callers ask for it
+    with q = 1 so that one build serves all orders.
+    """
+    n = code.n
+    require_subset_cap(n)
     if code.generator is not None:
         # X_S is uniform on a subspace for every q, so H_q(X_S) is
         # log2|C| - log2 #{c : c & S = 0}; that count is the sum over the
@@ -133,7 +142,7 @@ def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
     """Exact E_{S~lam} H_q(X_S) by enumerating all 2^n subsets."""
     if not 0 <= lam <= 1:
         raise ValueError("lam must be in [0, 1]")
-    vals = subset_renyi_values(code, q)
+    vals = subset_renyi_values(code, 1.0 if code.generator is not None else q)
     return float(subset_weights(code.n, lam) @ vals)
 
 

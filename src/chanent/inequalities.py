@@ -17,6 +17,7 @@ from .boolfn import (
     binary_entropy,
     dim_of,
     ent,
+    from_code,
     h_q,
     norm_q,
     renyi_entropy_of_function,
@@ -27,7 +28,9 @@ from .entropy_analysis import (
     _cond_entropy_bsc_from,
     cond_entropy_bec,
     popcounts,
+    require_subset_cap,
     subset_entropy_expectation,
+    subset_renyi_values,
     subset_weights,
 )
 
@@ -66,9 +69,11 @@ class SlackReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-subset statistics of a general nonnegative f.  They do not depend
-# on eps (only the subset weights do), so callers build them once per
-# function and pass them down the eps grid.
+# Per-subset statistics of a nonnegative f.  They do not depend on eps
+# (only the subset weights do), so callers build them once per function
+# and pass them down the eps grid.  A general f takes the O(3^n) DP of
+# ``subset_stats``; the function of a linear code has them in closed
+# form from its subset table (``subset_stats_of_code``).
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,24 @@ def subset_stats(f: np.ndarray, qs) -> SubsetStats:
         ent_sums / sizes - m * math.log2(m),
         {q: np.log2(norm_sums[q] / sizes) / q for q in qs},
     )
+
+
+def subset_stats_of_code(code: Code, qs) -> SubsetStats:
+    """Subset statistics of f_C, the distribution function of X uniform on the code.
+
+    For a linear code E(f|S) is uniform on a subspace of rank
+    r(S) = H(X_S), so with free(S) = |S| - r(S) it has
+    Ent[E(f|S)] = free(S) and log2 ||E(f|S)||_q = free(S) (1 - 1/q);
+    r comes from the code's subset table.  Other codes take the DP.
+    """
+    require_subset_cap(code.n)
+    f = from_code(code)
+    if code.generator is None:
+        return subset_stats(f, qs)
+    qs = tuple(dict.fromkeys(_require_q(q) for q in qs))
+    f.flags.writeable = False
+    free = popcounts(code.n) - subset_renyi_values(code, 1.0)
+    return SubsetStats(f, free, {q: free * (1 - 1 / q) for q in qs})
 
 
 def _require_q(q) -> int:

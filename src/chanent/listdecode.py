@@ -81,14 +81,18 @@ def rs22_lower_bound(rate: float, eps: float, n: int) -> tuple[float, bool]:
     return exponent, in_hypothesis
 
 
+def _require_same_n(code: Code, cfg: DecoderConfig) -> None:
+    if cfg.n != code.n:
+        raise ValueError("decoder and code dimensions differ")
+
+
 def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
     """All codewords within the radius of y, k closest on truncation.
 
     Output is sorted by increasing distance, ties broken
     lexicographically; the second element flags truncation.
     """
-    if cfg.n != code.n:
-        raise ValueError("decoder and code dimensions differ")
+    _require_same_n(code, cfg)
     recv = y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
     radius = cfg.radius
     cws = code.codeword_array()
@@ -108,6 +112,7 @@ def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
 
 def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
     """Whether y has more within-radius explanations than the threshold."""
+    _require_same_n(code, cfg)
     recv = y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
     dists = np.bitwise_count(code.codeword_array() ^ np.uint64(recv))
     count = int(np.count_nonzero(dists < cfg.radius))
@@ -138,6 +143,7 @@ def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:
 
 def likely_probability(code: Code, cfg: DecoderConfig) -> float:
     """Exact Pr[Y is delta-likely] with Y = X + Z, X uniform on the code."""
+    _require_same_n(code, cfg)
     counts = _radius_counts(code, cfg)
     p_y = noise_operator(from_code(code), cfg.eps) / (1 << code.n)
     # p_y carries the noise operator's rounding: a sum over every y can pass 1
@@ -152,6 +158,7 @@ def likely_probability_mc(
     The received words and their within-radius counts are those of
     ``simulate`` under the same seed.
     """
+    _require_same_n(code, cfg)
     counts = simulate(code, cfg.eps, trials, seed).counts
     p = int(np.count_nonzero(counts > likely_threshold(code, cfg))) / trials
     stderr = math.sqrt(max(p * (1 - p), 0.0) / trials)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent.bitspace import Code
@@ -30,6 +31,26 @@ def small_corpus(max_n: int = 10) -> list[Code]:
 @pytest.fixture(scope="session")
 def corpus():
     return full_corpus()
+
+
+@st.composite
+def linear_codes(draw, max_n=12):
+    """A code given by random generator rows, which may be dependent."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n))
+    if draw(st.booleans()):
+        rows.append(rows[0])  # the rank is then below the row count
+    return bs.Code(n=n, codewords=tuple(bs.span(rows)), generator=tuple(rows))
+
+
+@st.composite
+def nonlinear_codes(draw, max_n=10):
+    """A code given by an arbitrary set of codewords."""
+    n = draw(st.integers(1, max_n))
+    words = draw(
+        st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 300))
+    )
+    return bs.Code(n=n, codewords=tuple(sorted(words)))
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,13 @@ def test_verify_small_battery_passes(capsys):
 
 def test_verify_builds_subset_stats_once_per_code(monkeypatch, capsys):
     calls = []
-    build = inequalities.subset_stats
+    build = inequalities.subset_stats_of_code
 
-    def counted(f, qs):
+    def counted(code, qs):
         calls.append(tuple(qs))
-        return build(f, qs)
+        return build(code, qs)
 
-    monkeypatch.setattr(inequalities, "subset_stats", counted)
+    monkeypatch.setattr(inequalities, "subset_stats_of_code", counted)
     code, _ = run(
         [
             "verify",
@@ -105,6 +105,50 @@ def test_verify_builds_subset_stats_once_per_code(monkeypatch, capsys):
     )
     assert code == 0
     assert calls == [(2, 3, 4), (2, 3, 4)]
+
+
+def _forbid(monkeypatch, module, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(module, name, fail)
+
+
+def test_verify_runs_no_dp_on_linear_codes(monkeypatch, capsys):
+    _forbid(monkeypatch, inequalities, "subset_stats")
+    code, out = run(
+        [
+            "verify",
+            "--code", "repetition:3",
+            "--code", "hamming74",
+            "--code", "reed_muller:1,4",
+            "--eps", "0.1,0.3",
+            "--eta", "0.5",
+            "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)[-1]["pass"] is True
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
+    linear, monkeypatch, tmp_path, capsys
+):
+    if linear:
+        spec = "repetition:21"
+    else:
+        path = tmp_path / "words.txt"
+        path.write_text("".join(format(w, "021b")[::-1] + "\n" for w in (0, 3, 1 << 20)))
+        spec = f"codewords-file:{path}"
+    for name in ("subset_stats", "subset_stats_of_code", "noise_operator"):
+        _forbid(monkeypatch, inequalities, name)
+    _forbid(monkeypatch, ea, "subset_renyi_values")
+    # the small code sorts first, so its work would start before the cap check
+    code = main(["verify", "--code", "repetition:3", "--code", spec, "--eps", "0.1", "--q", "2"])
+    assert code == 2
+    assert "capped at n <= 20" in capsys.readouterr().err
 
 
 def test_verify_applies_noise_operator_once_per_code_and_eps(monkeypatch, capsys):

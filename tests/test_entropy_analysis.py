@@ -15,28 +15,10 @@ from conftest import (
     bayes_cond_entropy_bsc,
     erasure_cond_entropy_bec,
     exhaustive_subset_entropy_expectation,
+    linear_codes,
+    nonlinear_codes,
     small_corpus,
 )
-
-
-@st.composite
-def linear_codes(draw, max_n=12):
-    """A code given by random generator rows, which may be dependent."""
-    n = draw(st.integers(1, max_n))
-    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n))
-    if draw(st.booleans()):
-        rows.append(rows[0])  # the rank is then below the row count
-    return bs.Code(n=n, codewords=tuple(bs.span(rows)), generator=tuple(rows))
-
-
-@st.composite
-def nonlinear_codes(draw, max_n=10):
-    """A code given by an arbitrary set of codewords."""
-    n = draw(st.integers(1, max_n))
-    words = draw(
-        st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 300))
-    )
-    return bs.Code(n=n, codewords=tuple(sorted(words)))
 
 
 REPEATED_ROW = bs.Code(n=5, codewords=tuple(bs.span([3, 3, 12])), generator=(3, 3, 12))
@@ -273,6 +255,20 @@ def test_cond_entropy_bec_monotone_in_eta():
 def test_exact_mode_cap():
     with pytest.raises(ValueError):
         ea.subset_renyi_values(bs.repetition_code(21), 1.0)
+
+
+def test_subset_expectation_builds_one_linear_table_for_every_order():
+    cache = ea.subset_renyi_values
+    cache.cache_clear()
+    linear = bs.hamming74_code()
+    for q in (1, 2, 3, math.inf):
+        ea.subset_entropy_expectation(linear, 0.5, q)
+    assert cache.cache_info().misses == 1
+    # a nonlinear code's table depends on q
+    nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
+    for q in (1, 2, 2.0, 1):
+        ea.subset_entropy_expectation(nonlinear, 0.5, q)
+    assert cache.cache_info().misses == 3
 
 
 def test_entropy_report_roundtrip():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chanent import bitspace as bs
 from chanent import boolfn, channels, inequalities as iq
 
-from conftest import small_corpus
+from conftest import linear_codes, nonlinear_codes, small_corpus
 
 
 def _noisy_code(code, eps):
@@ -264,6 +264,52 @@ def test_subset_stats_keeps_a_read_only_copy():
     assert np.all(stats.f == 1.0)
     with pytest.raises(ValueError):
         stats.f[0] = 5.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=linear_codes(max_n=9))
+def test_subset_stats_of_linear_code_matches_the_dp(code):
+    # the closed form against the DP on f_C, every mask and order
+    closed = iq.subset_stats_of_code(code, (2, 3, 4))
+    dp = iq.subset_stats(boolfn.from_code(code), (2, 3, 4))
+    assert closed.f.tobytes() == dp.f.tobytes()
+    assert np.max(np.abs(closed.ent - dp.ent)) <= 1e-12
+    for q in (2, 3, 4):
+        assert np.max(np.abs(closed.log_norm[q] - dp.log_norm[q])) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(code=nonlinear_codes(max_n=8))
+def test_subset_stats_of_nonlinear_code_is_the_dp(code):
+    stats = iq.subset_stats_of_code(code, (2, 3))
+    dp = iq.subset_stats(boolfn.from_code(code), (2, 3))
+    assert stats.f.tobytes() == dp.f.tobytes()
+    assert stats.ent.tobytes() == dp.ent.tobytes()
+    for q in (2, 3):
+        assert stats.log_norm[q].tobytes() == dp.log_norm[q].tobytes()
+
+
+def test_subset_stats_of_code_checks_orders_and_keeps_a_read_only_function():
+    code = bs.hamming74_code()
+    for q in (1, 2.5, 0):
+        with pytest.raises(ValueError, match="integer q >= 2"):
+            iq.subset_stats_of_code(code, (2, q))
+    stats = iq.subset_stats_of_code(code, (3, 2, 3.0))
+    assert list(stats.log_norm) == [3, 2]
+    assert stats.f.tobytes() == boolfn.from_code(code).tobytes()
+    with pytest.raises(ValueError):
+        stats.f[0] = 5.0
+
+
+def test_subset_stats_of_code_enforces_the_subset_cap(monkeypatch):
+    def dp(f, qs):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(iq, "subset_stats", dp)
+    nonlinear = bs.Code(n=21, codewords=(0, 3, 1 << 20))
+    for code in (bs.repetition_code(21), nonlinear):
+        with pytest.raises(ValueError, match="capped at n <= 20"):
+            iq.subset_stats_of_code(code, (2,))
 
 
 def test_noisy_function_is_read_only_and_keeps_eps():

@@ -69,6 +69,21 @@ def test_decode_truncation_keeps_closest():
     assert listed == [x for _, x in full[:3]]
 
 
+def test_likely_probability_rejects_a_decoder_of_another_length():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        ld.likely_probability(bs.hamming74_code(), ld.DecoderConfig(n=5, eps=0.1))
+
+
+def test_likely_probability_mc_rejects_a_decoder_of_another_length():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        ld.likely_probability_mc(bs.hamming74_code(), ld.DecoderConfig(n=5, eps=0.1), 100, 0)
+
+
+def test_is_delta_likely_rejects_a_decoder_of_another_length():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        ld.is_delta_likely(0, bs.hamming74_code(), ld.DecoderConfig(n=5, eps=0.1))
+
+
 def test_decode_eps_above_half_relabels():
     c = bs.repetition_code(3)
     cfg_hi = ld.DecoderConfig(n=3, eps=0.9, list_cap=4)
