@@ -25,46 +25,14 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be in [1, {DENSE_CAP}], got {n}")
 
 
-def subset_coords(mask: int) -> list[int]:
-    """Coordinates in the subset, increasing."""
-    coords = []
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            coords.append(i)
-        m >>= 1
-        i += 1
-    return coords
+def _reduced_echelon(rows: list[int] | tuple[int, ...]) -> dict[int, int]:
+    """Reduced row echelon form of the rows over GF(2), as pivot -> row.
 
-
-def rank_gf2(rows: list[int] | tuple[int, ...]) -> int:
-    """Rank over GF(2) of a matrix given as a sequence of row bitmasks."""
-    rank = 0
-    basis: list[int] = []
-    for row in rows:
-        r = int(row)
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
-
-
-def syndrome_columns(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
-    """Column h_i of a parity-check matrix of the row span, for each coordinate i.
-
-    Gaussian elimination reduces the rows to echelon form, one pivot
-    coordinate per row, and drops the dependent rows; k rows remain.
-    The n - k other coordinates get the unit columns 1, 2, 4, ... in
-    increasing order, and a pivot coordinate gets its row's bits on
-    those coordinates.  The syndrome of x, the XOR of h_i over the
-    coordinates set in x, is then a map onto F_2^(n-k) whose kernel is
-    the span.
+    A row's pivot is its highest set bit, and every other row is zero
+    at that pivot; dependent rows are dropped, so there is one entry
+    per unit of rank.
     """
-    basis: dict[int, int] = {}  # pivot -> row, zero at every other pivot
+    basis: dict[int, int] = {}
     for row in rows:
         r = int(row)
         for pivot, b in basis.items():
@@ -76,6 +44,25 @@ def syndrome_columns(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
                 if b >> pivot & 1:
                     basis[other] = b ^ r
             basis[pivot] = r
+    return basis
+
+
+def rank_gf2(rows: list[int] | tuple[int, ...]) -> int:
+    """Rank over GF(2) of a matrix given as a sequence of row bitmasks."""
+    return len(_reduced_echelon(rows))
+
+
+def syndrome_columns(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
+    """Column h_i of a parity-check matrix of the row span, for each coordinate i.
+
+    The reduced echelon form keeps k rows, one pivot coordinate each.
+    The n - k other coordinates get the unit columns 1, 2, 4, ... in
+    increasing order, and a pivot coordinate gets its row's bits on
+    those coordinates.  The syndrome of x, the XOR of h_i over the
+    coordinates set in x, is then a map onto F_2^(n-k) whose kernel is
+    the span.
+    """
+    basis = _reduced_echelon(rows)
     free = [i for i in range(n) if i not in basis]
     cols = [0] * n
     for t, i in enumerate(free):
@@ -221,42 +208,35 @@ def single_code(n: int) -> Code:
     return Code(n=n, codewords=(0,), name=f"single({n})")
 
 
+def _parse_bit_lines(text: str, kind: str, unit: str) -> tuple[int, list[int]]:
+    """Length n and int values of the nonblank '0'/'1' lines of a code file."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty {kind} file")
+    n = len(lines[0])
+    for idx, ln in enumerate(lines):
+        if len(ln) != n:
+            raise ValueError(f"{unit} {idx}: length {len(ln)} != {n}")
+        if set(ln) - {"0", "1"}:
+            raise ValueError(f"{unit} {idx}: invalid character")
+    _check_dim(n)
+    return n, [int(ln[::-1], 2) for ln in lines]
+
+
 def parse_generator_file(text: str, name: str = "file") -> Code:
     """Parse a generator matrix, one row of '0'/'1' characters per line.
 
     Bit order: the first character of a line is coordinate 0.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty generator file")
-    n = len(lines[0])
-    rows = []
-    for idx, ln in enumerate(lines):
-        if len(ln) != n:
-            raise ValueError(f"row {idx}: length {len(ln)} != {n}")
-        if set(ln) - {"0", "1"}:
-            raise ValueError(f"row {idx}: invalid character")
-        rows.append(int(ln[::-1], 2))
-    _check_dim(n)
+    n, rows = _parse_bit_lines(text, "generator", "row")
     return _linear_code(rows, n, name)
 
 
 def parse_codeword_file(text: str, name: str = "file") -> Code:
     """Parse an explicit codeword list, one codeword per line."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty codeword file")
-    n = len(lines[0])
-    words = []
-    for idx, ln in enumerate(lines):
-        if len(ln) != n:
-            raise ValueError(f"line {idx}: length {len(ln)} != {n}")
-        if set(ln) - {"0", "1"}:
-            raise ValueError(f"line {idx}: invalid character")
-        words.append(int(ln[::-1], 2))
+    n, words = _parse_bit_lines(text, "codeword", "line")
     if len(set(words)) != len(words):
         raise ValueError("duplicate codeword")
-    _check_dim(n)
     return Code(n=n, codewords=tuple(sorted(words)), name=name)
 
 

@@ -82,14 +82,14 @@ def renyi_entropy(p: np.ndarray, q: float) -> float:
     if np.any(p < 0):
         raise ValueError("negative probability")
     total = float(p.sum())
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
     p = p / total
     return _renyi_from_probs(p, q)
 
 
 def _renyi_from_probs(p: np.ndarray, q: float) -> float:
-    if q < 1:
+    if not q >= 1:
         raise ValueError("order must be >= 1")
     if q == 1:
         return float(-np.sum(_xlog2x(p)))
@@ -118,7 +118,7 @@ def h_q(eps: float, q: float) -> float:
     """
     if not 0 <= eps <= 1:
         raise ValueError("eps must be in [0, 1]")
-    if q < 1:
+    if not q >= 1:
         raise ValueError("order must be >= 1")
     if eps in (0.0, 1.0):
         return 0.0

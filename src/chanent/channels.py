@@ -2,15 +2,16 @@
 
 The noise operator convolves a function on F_2^n with the i.i.d.
 Bernoulli(eps) flip distribution; it maps the distribution function of
-X to that of X + Z.  Conditioning on a coordinate subset S averages
-over the fibers of S and maps f_X to the marginal f_{X_S}.
+X to that of X + Z.  It is one XOR-shift pass along the unit columns;
+the same pass along a linear code's parity-check columns gives the
+syndrome distribution of the noise.  Conditioning on a coordinate
+subset S averages over the fibers of S and maps f_X to f_{X_S}.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitspace import subset_coords
 from .boolfn import dim_of
 
 
@@ -30,28 +31,36 @@ def _axis_pairs(f: np.ndarray):
         yield t[:, 0, :], t[:, 1, :]
 
 
+def _xor_shift_pass(p: np.ndarray, m: int, columns: list[int], eps: float) -> np.ndarray:
+    """p <- (1-eps) p + eps p[. ^ h] for each column h in turn, in place; returns p.
+
+    p, contiguous of length 2^m, is read as a (2,)*m cube whose axis m-1-i
+    is index bit i: the shift by h is a view that flips the axes of h's bits.
+    """
+    cube = p.reshape((2,) * m)
+    scratch = np.empty_like(cube)  # reused by every column
+    for h in columns:
+        # axis=() for a zero column: np.flip(x, None) would flip every axis
+        axes = tuple(m - 1 - i for i in range(m) if h >> i & 1)
+        np.copyto(scratch, np.flip(cube, axes))  # a ufunc on the flip would buffer 64 KiB
+        # Keep this rounding: verify's summary argmin breaks ties between
+        # slacks that are equal in exact arithmetic by their last bits.
+        scratch *= eps
+        cube *= 1 - eps
+        cube += scratch
+    return p
+
+
 def noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     """Exact convolution of f with i.i.d. Bernoulli(eps) coordinate flips.
 
-    Applied one coordinate at a time; each step mixes f(x) with the
-    value at x with that coordinate flipped, which multiplies out to
-    the full eps^{|y|} (1-eps)^{n-|y|} kernel.
+    The XOR-shift pass along the unit columns: mixing f with its flip on
+    each coordinate multiplies out to the eps^{|y|} (1-eps)^{n-|y|} kernel.
     """
     if not 0 <= eps <= 1:
         raise ValueError("eps must be in [0, 1]")
-    out = np.array(f, dtype=float)
-    scratch = np.empty((2, len(out) // 2))  # reused by every axis
-    for lo, hi in _axis_pairs(out):
-        # lo, hi <- (1-eps) lo + eps hi, (1-eps) hi + eps lo, in place.
-        # Keep this rounding: verify's summary argmin breaks ties between
-        # slacks that are equal in exact arithmetic by their last bits.
-        eps_hi = np.multiply(hi, eps, out=scratch[0].reshape(lo.shape))
-        eps_lo = np.multiply(lo, eps, out=scratch[1].reshape(lo.shape))
-        lo *= 1 - eps
-        lo += eps_hi
-        hi *= 1 - eps
-        hi += eps_lo
-    return out
+    n = dim_of(f)
+    return _xor_shift_pass(np.array(f, dtype=float), n, [1 << i for i in range(n)], eps)
 
 
 def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
@@ -81,10 +90,9 @@ def conditional_expectation(f: np.ndarray, mask: int) -> np.ndarray:
     n = dim_of(f)
     if not 0 <= mask < (1 << n):
         raise ValueError("subset mask out of range")
-    coords = subset_coords(mask)
     # axis n-1-i of the reshaped tensor corresponds to coordinate i
     tensor = f.reshape((2,) * n)
-    drop = tuple(n - 1 - i for i in range(n) if i not in coords)
+    drop = tuple(n - 1 - i for i in range(n) if not mask >> i & 1)
     return tensor.mean(axis=drop).reshape(-1)
 
 

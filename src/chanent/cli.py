@@ -207,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(repeatable)",
         )
         p.add_argument("--eps", type=_float_list, help="comma-separated BSC eps grid")
-        p.add_argument("--eta", type=_float_list, help="comma-separated BEC eta grid")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=10000)
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -234,6 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--delta", type=_float_list, help="comma-separated delta grid")
     p_dec.add_argument("--list-cap", type=int, default=None)
     p_dec.set_defaults(func=cmd_decode_sim)
+    # each subcommand takes only the flags it reads
+    for p in (p_ent, p_ver):
+        p.add_argument("--eta", type=_float_list, help="comma-separated BEC eta grid")
+    for p in (p_ent, p_dec):
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--trials", type=int, default=10000)
 
     return parser
 

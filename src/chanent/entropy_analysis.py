@@ -3,8 +3,9 @@
 H(X|Y_BSC) is computed through the chain rule
 H(X) + n*h(eps) - H(X+Z).  For a linear [n, k] code X+Z is uniform on
 the coset of the syndrome of Z, so H(X+Z) = k + H(s(Z)) and only the
-syndrome distribution, of length 2^(n-k), is needed; for other codes
-the distribution of X+Z comes from the noise operator on all of F_2^n.
+syndrome distribution, of length 2^(n-k), is needed: the noise
+operator's XOR-shift pass along the parity-check columns.  For other
+codes X+Z comes from the noise operator on all of F_2^n.
 H(X|Y_BEC) comes from the subset identity
 E_{S~lam} H(X_S) = H(X) - H(X|Y_BEC) with lam = 1 - eta.  The entropies
 H_q(X_S) of a nonlinear code come from one blocked projection kernel,
@@ -30,7 +31,7 @@ from .boolfn import (
     renyi_entropy,
     renyi_entropy_from_counts,
 )
-from .channels import _axis_pairs, bernoulli_words, noise_operator
+from .channels import _axis_pairs, _xor_shift_pass, bernoulli_words, noise_operator
 
 EXACT_SUBSET_CAP = 20
 
@@ -138,10 +139,16 @@ def subset_renyi_values(code: Code, q: float) -> np.ndarray:
     return out
 
 
-def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
-    """Exact E_{S~lam} H_q(X_S) by enumerating all 2^n subsets."""
+def _check_subset_law(lam: float, q: float) -> None:
     if not 0 <= lam <= 1:
         raise ValueError("lam must be in [0, 1]")
+    if not q >= 1:
+        raise ValueError("order must be >= 1")
+
+
+def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
+    """Exact E_{S~lam} H_q(X_S) by enumerating all 2^n subsets."""
+    _check_subset_law(lam, q)
     vals = subset_renyi_values(code, 1.0 if code.generator is not None else q)
     return float(subset_weights(code.n, lam) @ vals)
 
@@ -150,6 +157,7 @@ def subset_entropy_expectation_mc(
     code: Code, lam: float, q: float, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo E_{S~lam} H_q(X_S); returns (estimate, std error)."""
+    _check_subset_law(lam, q)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -170,8 +178,9 @@ def syndrome_distribution(code: Code, eps: float) -> np.ndarray:
     """Distribution of the syndrome of BSC(eps) noise Z, for a linear code.
 
     It has length 2^(n-k).  Coordinate i of Z flips with probability
-    eps and then moves the syndrome by its column h_i, so each
-    coordinate mixes the distribution with its XOR shift by h_i.
+    eps and then moves the syndrome by its column h_i, so this is the
+    noise operator's XOR-shift pass along the columns h_i, started from
+    the point mass at syndrome 0.
     """
     if code.generator is None:
         raise ValueError("the syndrome distribution needs a linear code")
@@ -180,10 +189,7 @@ def syndrome_distribution(code: Code, eps: float) -> np.ndarray:
     r = code.n - (code.size.bit_length() - 1)  # |C| = 2^k
     p = np.zeros(1 << r)
     p[0] = 1.0
-    index = np.arange(1 << r)
-    for h in syndrome_columns(code.generator, code.n):
-        p = (1 - eps) * p + eps * p[index ^ h]
-    return p
+    return _xor_shift_pass(p, r, syndrome_columns(code.generator, code.n), eps)
 
 
 def cond_entropy_bsc_linear(code: Code, eps: float) -> float:
@@ -213,6 +219,8 @@ def cond_entropy_bec_mc(
     code: Code, eta: float, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo H(X|Y_BEC); returns (estimate, std error)."""
+    if not 0 <= eta <= 1:
+        raise ValueError("eta must be in [0, 1]")
     est, stderr = subset_entropy_expectation_mc(code, 1 - eta, 1.0, trials, seed)
     return code.log_size - est, stderr
 

@@ -71,6 +71,20 @@ def naive_noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
+def xor_shift_oracle(g: np.ndarray, columns: list[int], eps: float) -> np.ndarray:
+    """(1-eps)*g + eps*g[idx ^ h] for each column h in turn, by an index gather.
+
+    Along the unit columns 1, 2, 4, ... it is the noise operator, rounded
+    as the implementation rounds it; along a code's parity-check columns,
+    started from the point mass at 0, it is the syndrome distribution.
+    """
+    g = np.array(g, dtype=float)
+    idx = np.arange(len(g))
+    for h in columns:
+        g = (1 - eps) * g + eps * g[idx ^ h]
+    return g
+
+
 def spectral_noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     """Noise operator in the character basis: frequency s is scaled by (1-2eps)^|s|."""
     n = int(len(f)).bit_length() - 1

@@ -125,6 +125,18 @@ def test_renyi_rejects_non_distribution():
         boolfn.renyi_entropy(np.array([0.5, 0.4]), 1)
     with pytest.raises(ValueError):
         boolfn.renyi_entropy(np.array([0.5, -0.5, 1.0]), 2)
+    with pytest.raises(ValueError):
+        boolfn.renyi_entropy(np.array([math.nan, 0.5]), 1)  # a NaN sum is not near 1
+
+
+def test_renyi_rejects_nan_order():
+    with pytest.raises(ValueError, match="order"):
+        boolfn.renyi_entropy(np.array([0.5, 0.5]), math.nan)
+
+
+def test_h_q_rejects_nan_order():
+    with pytest.raises(ValueError, match="order"):
+        boolfn.h_q(0.1, math.nan)
 
 
 @settings(max_examples=200)

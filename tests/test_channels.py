@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     naive_project,
     small_corpus,
     spectral_noise_operator,
+    xor_shift_oracle,
 )
 
 
@@ -60,6 +62,31 @@ def test_noise_operator_matches_spectral_oracle(n, eps, seed):
     f = random_nonneg(n, np.random.default_rng(seed))
     diff = channels.noise_operator(f, eps) - spectral_noise_operator(f, eps)
     assert np.max(np.abs(diff)) < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    eps=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noise_operator_rounds_as_the_axis_by_axis_oracle(n, eps, seed):
+    # bit for bit: verify's summary argmin depends on the last bits
+    f = random_nonneg(n, np.random.default_rng(seed))
+    expected = xor_shift_oracle(f, [1 << i for i in range(n)], eps)
+    assert np.array_equal(channels.noise_operator(f, eps), expected)
+
+
+def test_noise_operator_memory_is_two_arrays():
+    # the output and one scratch array of 2^16 floats each, and small objects
+    f = np.random.default_rng(3).random(1 << 16)
+    tracemalloc.start()
+    try:
+        channels.noise_operator(f, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * 2**16 + 64 * 2**10
 
 
 def test_noise_operator_fixed_points():

@@ -446,3 +446,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["entropy"])  # missing --code
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode-sim", "--code", "hamming74", "--eps", "0.1", "--eta", "0.3",
+         "--trials", "100", "--seed", "1"],
+        ["verify", "--code", "hamming74", "--eps", "0.1", "--seed", "1"],
+        ["verify", "--code", "hamming74", "--eps", "0.1", "--trials", "100"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -18,6 +18,7 @@ from conftest import (
     linear_codes,
     nonlinear_codes,
     small_corpus,
+    xor_shift_oracle,
 )
 
 
@@ -185,6 +186,28 @@ def test_syndrome_distribution_shape_and_mass():
     assert ea.syndrome_distribution(bs.hamming74_code(), 0.0).tolist() == [1.0] + [0.0] * 7
 
 
+# a zero parity-check column: coordinate 0 is itself a codeword
+WEIGHT_ONE_ROW = bs.Code(n=4, codewords=tuple(bs.span([1, 6])), generator=(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=linear_codes(), eps=st.floats(0, 1))
+@example(code=bs.full_space_code(3), eps=0.3)
+@example(code=WEIGHT_ONE_ROW, eps=0.1)
+@example(code=WEIGHT_ONE_ROW, eps=0.3)
+def test_syndrome_distribution_rounds_as_the_oracle(code, eps):
+    r = code.n - (code.size.bit_length() - 1)
+    delta = np.zeros(1 << r)
+    delta[0] = 1.0
+    expected = xor_shift_oracle(delta, bs.syndrome_columns(code.generator, code.n), eps)
+    assert np.array_equal(ea.syndrome_distribution(code, eps), expected)
+
+
+def test_oracle_examples_have_a_zero_parity_check_column():
+    for code in (bs.full_space_code(3), WEIGHT_ONE_ROW):
+        assert 0 in bs.syndrome_columns(code.generator, code.n)
+
+
 def test_syndrome_distribution_rejects_bad_input():
     with pytest.raises(ValueError):
         ea.syndrome_distribution(bs.single_code(3), 0.1)  # no generator
@@ -224,6 +247,32 @@ def test_cond_entropy_bec_matches_erasure_oracle():
             assert ea.cond_entropy_bec(code, eta) == pytest.approx(
                 erasure_cond_entropy_bec(code, eta), abs=1e-9
             )
+
+
+@pytest.mark.parametrize("lam", [-0.5, 1.5, math.nan])
+def test_subset_mc_rejects_a_density_outside_unit_interval(lam):
+    # as the exact path does
+    with pytest.raises(ValueError, match="lam"):
+        ea.subset_entropy_expectation_mc(bs.hamming74_code(), lam, 1.0, 100, 1)
+    with pytest.raises(ValueError, match="lam"):
+        ea.subset_entropy_expectation(bs.hamming74_code(), lam, 1.0)
+
+
+@pytest.mark.parametrize("eta", [-0.5, 1.5, math.nan])
+def test_cond_entropy_bec_mc_rejects_eta_outside_unit_interval(eta):
+    with pytest.raises(ValueError, match="eta"):
+        ea.cond_entropy_bec_mc(bs.hamming74_code(), eta, 100, 1)
+    with pytest.raises(ValueError, match="eta"):
+        ea.cond_entropy_bec(bs.hamming74_code(), eta)
+
+
+@pytest.mark.parametrize("q", [0.5, math.nan])
+def test_exact_subset_expectation_rejects_orders_below_one_for_linear_codes(q):
+    # the linear table serves every order, so the order is checked up front
+    with pytest.raises(ValueError, match="order"):
+        ea.subset_entropy_expectation(bs.hamming74_code(), 0.5, q)
+    with pytest.raises(ValueError, match="order"):
+        ea.subset_entropy_expectation_mc(bs.hamming74_code(), 0.5, q, 100, 1)
 
 
 def test_cond_entropy_bec_mc_within_4_sigma():

@@ -20,6 +20,11 @@ VERIFY_ARGS = [
 
 ENTROPY_ARGS = ["entropy", "--code", "hamming74", "--eps", "0.1,0.2", "--eta", "0.25,0.5", "--q", "1,2"]
 
+DECODE_ARGS = [
+    "decode-sim", "--code", "hamming74", "--eps", "0.1,0.2", "--delta", "0.0,0.05",
+    "--trials", "100000", "--seed", "42",
+]
+
 
 def test_readme_python_block_runs():
     blocks = re.findall(r"```python\n(.*?)```", README, re.S)
@@ -42,3 +47,11 @@ def test_readme_entropy_example_output_is_pinned(tmp_path):
     out = tmp_path / "entropy.csv"
     assert main(ENTROPY_ARGS + ["--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "data" / "entropy_readme.csv").read_bytes()
+
+
+def test_readme_decode_sim_example_output_is_pinned(tmp_path):
+    shown = re.sub(r"\s*\\\n\s*", " ", README)
+    assert "chanent " + " ".join(DECODE_ARGS) + " --out results.csv" in shown
+    out = tmp_path / "results.csv"
+    assert main(DECODE_ARGS + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / "decode_readme.csv").read_bytes()
