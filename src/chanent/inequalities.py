@@ -258,6 +258,8 @@ def partial_entropy_bound_check(p) -> SlackReport:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("p must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("p must be finite")
     if np.any(p < 0):
         raise ValueError("p must be nonnegative")
     total = float(p.sum())

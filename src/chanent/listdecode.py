@@ -6,6 +6,15 @@ the k closest when the qualifying set is larger than the list cap.
 By construction a trial can only fail because the noise was heavy
 (weight >= radius) or the list was truncated; the simulator asserts
 exactly that decomposition.
+
+For a linear code the distances from Y = X + Z to the codewords are the
+weights of the coset Z + C, whatever X is.  ``simulate`` and
+``likely_probability`` therefore read one coset weight table of
+(n + 1) x 2^(n - k) counts, indexed by the syndrome of Z; only a tie in
+distance with X needs a scan, over the few low even-weight codewords.
+Other codes, and linear codes whose table would be larger than 2^n,
+take the pair kernel (every trial against every codeword) and the
+Walsh–Hadamard count over all 2^n received words.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitspace import Code
+from .bitspace import Code, syndrome_columns
 from .boolfn import binary_entropy, from_code
 from .channels import _walsh_hadamard, bernoulli_words, noise_operator
 
@@ -40,8 +49,8 @@ class DecoderConfig:
             raise ValueError("eps must be in [0, 1]")
         if self.eps == 0.5:
             raise ValueError("eps = 1/2 is rejected: the radius covers everything")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError("delta must be finite and >= 0")
         if self.list_cap is not None and self.list_cap < 1:
             raise ValueError("list cap must be >= 1")
 
@@ -142,12 +151,27 @@ def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:
 
 
 def likely_probability(code: Code, cfg: DecoderConfig) -> float:
-    """Exact Pr[Y is delta-likely] with Y = X + Z, X uniform on the code."""
+    """Exact Pr[Y is delta-likely] with Y = X + Z, X uniform on the code.
+
+    A linear code sums the noise-weight law over the likely cosets of its
+    coset weight table; other codes weigh the within-radius count of
+    every received word by its probability.
+    """
     _require_same_n(code, cfg)
-    counts = _radius_counts(code, cfg)
-    p_y = noise_operator(from_code(code), cfg.eps) / (1 << code.n)
-    # p_y carries the noise operator's rounding: a sum over every y can pass 1
-    return min(1.0, float(p_y[counts > likely_threshold(code, cfg)].sum()))
+    threshold = likely_threshold(code, cfg)
+    table = _coset_weights(code)
+    if table is None:
+        counts = _radius_counts(code, cfg)
+        p_y = noise_operator(from_code(code), cfg.eps) / (1 << code.n)
+        # p_y carries the noise operator's rounding: a sum over every y can pass 1
+        return min(1.0, float(p_y[counts > threshold].sum()))
+    # the count at Y = X + Z is that of the coset of Z's syndrome, with Z
+    # at the folded eps in the decoder's relabeled view
+    likely = table[: math.ceil(cfg.radius)].sum(axis=0) > threshold
+    e, w = cfg.effective_eps, np.arange(code.n + 1)
+    p_w = e**w * (1 - e) ** (code.n - w)  # Pr[Z = z] for wt(z) = w
+    # over the rounded total: exactly 1 when every coset is likely
+    return float(p_w @ table[:, likely].sum(axis=1) / (p_w @ table.sum(axis=1)))
 
 
 def likely_probability_mc(
@@ -253,33 +277,26 @@ class DecodeTrials:
 
 
 # (received word, codeword) pairs per block: the block's scratch, 7 bytes
-# a pair, stays in a core's L2 cache
+# a pair (11 with an offset), stays in a core's L2 cache
 _PAIR_BLOCK = 1 << 16
 
+# trials per block of drawn noise: the block's float draws stay below 1 MB
+_NOISE_BLOCK = 1 << 12
 
-def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
-    """Transmit random codewords over BSC(eps) and decode each output.
 
-    One pass serves every list cap and delta: ``DecodeTrials.stats``
-    turns it into the outcomes of a given decoder.
+def _pair_counts(y, x, wz, radius, cols, offset=None):
+    """Count, per trial t, candidate codewords against the received word y[t].
+
+    The candidates are cols, or cols[j] ^ offset[t] given an offset.
+    Returns (within, ahead): the candidates at distance below radius[t]
+    from y[t], and those ahead of the transmitted x[t] in the decoder's
+    (distance, lexicographic) order, with x[t] at distance wz[t].
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    cfg = DecoderConfig(n=code.n, eps=eps)
-    rng = np.random.default_rng(seed)
-    size = code.size
-    # n <= 24, so words fit in uint32, distances in uint8 and indices in uint32
-    cws = code.codeword_array().astype(np.uint32)
-    order = np.arange(size, dtype=np.uint32)
-    # integer distances: d < radius iff d < ceil(radius)
-    radius = np.uint8(math.ceil(cfg.radius))
-
-    x_idx = rng.integers(0, size, size=trials).astype(np.uint32)
-    counts = np.empty(trials, dtype=np.uint32)
-    rank = np.empty(trials, dtype=np.uint32)
-    inside = np.empty(trials, dtype=bool)
-
+    trials, size = len(y), len(cols)
+    within = np.empty(trials, dtype=np.uint32)
+    ahead = np.empty(trials, dtype=np.uint32)
     block = max(1, min(trials, _PAIR_BLOCK // size))
+    cands = None if offset is None else np.empty((block, size), dtype=np.uint32)
     words = np.empty((block, size), dtype=np.uint32)
     dists = np.empty((block, size), dtype=np.uint8)
     limits = np.empty((block, size), dtype=np.uint8)
@@ -287,19 +304,105 @@ def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         m = stop - start
-        idx = x_idx[start:stop]
-        # drawn per block after all of x_idx: the same stream as one draw
-        zs = bernoulli_words(m, code.n, cfg.effective_eps, rng).astype(np.uint32)
-        wz = np.bitwise_count(zs)
-        np.bitwise_xor((cws[idx] ^ zs)[:, None], cws, out=words[:m])
+        c = cols if offset is None else np.bitwise_xor(offset[start:stop, None], cols, out=cands[:m])
+        np.bitwise_xor(y[start:stop, None], c, out=words[:m])
         d = np.bitwise_count(words[:m], out=dists[:m])
-        counts[start:stop] = np.less(d, radius, out=hits[:m]).sum(axis=1, dtype=np.uint32)
-        # codeword j is ahead of X = cws[idx] iff d_j < wz, or d_j == wz and
-        # j < idx (the codewords are sorted): that is d_j < wz + [j < idx]
-        np.less(order, idx[:, None], out=hits[:m])
-        np.add(hits[:m], wz[:, None], out=limits[:m])
-        rank[start:stop] = np.less(d, limits[:m], out=hits[:m]).sum(axis=1, dtype=np.uint32)
-        inside[start:stop] = wz < radius
+        np.less(d, radius[start:stop, None], out=hits[:m])
+        within[start:stop] = hits[:m].sum(axis=1, dtype=np.uint32)
+        # c is ahead of x iff d < wz, or d == wz and c < x: d < wz + [c < x]
+        np.less(c, x[start:stop, None], out=hits[:m])
+        np.add(hits[:m], wz[start:stop, None], out=limits[:m])
+        ahead[start:stop] = np.less(d, limits[:m], out=hits[:m]).sum(axis=1, dtype=np.uint32)
+    return within, ahead
+
+
+def _coset_weights(code: Code) -> np.ndarray | None:
+    """T[w, s] = #{e in F_2^n : wt(e) = w, syndrome(e) = s} for a linear code.
+
+    Column s is the weight distribution of the coset of syndrome s, and
+    column 0 the code's weight enumerator (MacWilliams–Sloane).  The
+    table starts as the zero word; coordinate i, with parity-check
+    column h_i, adds T[w - 1, s ^ h_i] to T[w, s].  None for a code
+    without a generator, and when the (n + 1) x 2^(n - k) table would
+    be larger than the 2^n words it replaces.
+    """
+    if code.generator is None:
+        return None
+    n = code.n
+    r = n - (code.size.bit_length() - 1)  # |C| = 2^k
+    if (n + 1) << r > 1 << n:
+        return None
+    table = np.zeros((n + 1, 1 << r), dtype=np.int64)
+    table[0, 0] = 1
+    index = np.arange(1 << r)
+    for h in syndrome_columns(code.generator, n):
+        table[1:] += table[:-1, index ^ h]
+    return table
+
+
+def _coset_counts(code: Code, table: np.ndarray, x, z, wz, radius: int):
+    """``_pair_counts`` over the whole code, for a linear code, from its coset table.
+
+    The codewords x ^ c lie at distances wt(z ^ c) from y = x ^ z: the
+    weights of the coset z + C, which ``table`` gives by the syndrome of
+    z.  Only the order among the coset words of weight wt(z) depends on
+    x.  A tied x ^ c has wt(c) = 2|z & c| <= 2 wt(z), so the trials with
+    a tie scan only the nonzero even-weight codewords up to that weight.
+    """
+    n = code.n
+    s = np.zeros(len(z), dtype=np.uint32)
+    for i, h in enumerate(syndrome_columns(code.generator, n)):
+        s ^= np.uint32(h) * (z >> i & 1)
+    # below[w, s]: words of weight < w in the coset of syndrome s
+    below = np.zeros((n + 2, table.shape[1]), dtype=np.int64)
+    np.cumsum(table, axis=0, out=below[1:])
+    within = below[min(radius, n + 1), s].astype(np.uint32)
+    ahead = below[wz, s].astype(np.uint32)
+    tied = np.flatnonzero(table[wz, s] > 1)
+    if tied.size:
+        cws = code.codeword_array().astype(np.uint32)
+        weights = np.bitwise_count(cws)
+        order = np.argsort(weights, kind="stable")
+        order = order[(weights[order] % 2 == 0) & (weights[order] > 0)]
+        evens, evens_w = cws[order], weights[order]
+        for w in np.unique(wz[tied]):
+            t = tied[wz[tied] == w]
+            cols = evens[: np.searchsorted(evens_w, 2 * w, side="right")]
+            # with radius wt(z), ahead - within is the candidates tied with x
+            # and lexicographically before it
+            below_w, ahead_w = _pair_counts(z[t] ^ x[t], x[t], wz[t], wz[t], cols, x[t])
+            ahead[t] += ahead_w - below_w
+    return within, ahead
+
+
+def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
+    """Transmit random codewords over BSC(eps) and decode each output.
+
+    One pass serves every list cap and delta: ``DecodeTrials.stats``
+    turns it into the outcomes of a given decoder.  A linear code with a
+    coset weight table reads it; other codes scan every codeword per trial.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cfg = DecoderConfig(n=code.n, eps=eps)
+    rng = np.random.default_rng(seed)
+    # n <= 24, so words fit in uint32 and distances in uint8
+    cws = code.codeword_array().astype(np.uint32)
+    x = cws[rng.integers(0, code.size, size=trials)]
+    z = np.empty(trials, dtype=np.uint32)
+    for start in range(0, trials, _NOISE_BLOCK):
+        stop = min(start + _NOISE_BLOCK, trials)
+        # drawn in blocks after all of x: the same stream as one draw
+        z[start:stop] = bernoulli_words(stop - start, code.n, cfg.effective_eps, rng)
+    wz = np.bitwise_count(z)
+    # integer distances: d < radius iff d < ceil(radius)
+    radius = math.ceil(cfg.radius)
+    table = _coset_weights(code)
+    if table is None:
+        counts, rank = _pair_counts(x ^ z, x, wz, np.full(trials, radius, np.uint8), cws)
+    else:
+        counts, rank = _coset_counts(code, table, x, z, wz, radius)
+    inside = wz < radius
 
     for arr in (counts, rank, inside):
         arr.setflags(write=False)

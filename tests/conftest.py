@@ -177,6 +177,25 @@ def exhaustive_subset_entropy_expectation(code: Code, lam: float, q: float) -> f
     return total
 
 
+def coset_weight_histogram(code: Code) -> np.ndarray:
+    """(weight, syndrome) histogram of every word of F_2^n, word by word.
+
+    The syndrome of e is the XOR of the parity-check columns h_i over the
+    coordinates i set in e.
+    """
+    n = code.n
+    cols = bs.syndrome_columns(code.generator, n)
+    k = code.size.bit_length() - 1
+    hist = np.zeros((n + 1, 1 << (n - k)), dtype=np.int64)
+    for e in range(1 << n):
+        s = 0
+        for i in range(n):
+            if e >> i & 1:
+                s ^= cols[i]
+        hist[bin(e).count("1"), s] += 1
+    return hist
+
+
 def exhaustive_decode_scan(y: int, code: Code, radius: float) -> list[int]:
     """All codewords strictly within radius of y, unsorted set semantics."""
     return [x for x in code.codewords if bin(x ^ y).count("1") < radius]

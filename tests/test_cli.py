@@ -328,6 +328,16 @@ def test_decode_sim_requires_seed(capsys):
     assert main(["decode-sim", "--code", "repetition:3", "--eps", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_decode_sim_rejects_non_finite_delta(delta, capsys):
+    argv = ["decode-sim", "--code", "hamming74", "--eps", "0.1", "--delta", delta]
+    code = main(argv + ["--trials", "100", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: delta must be finite and >= 0\n"
+    assert captured.out == ""
+
+
 def test_decode_sim_zero_eps(capsys):
     code, out = run(
         [

@@ -190,6 +190,13 @@ def test_partial_entropy_rejects_overweight():
         iq.partial_entropy_bound_check(np.array([0.7, 0.7]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partial_entropy_rejects_non_finite_entries(bad):
+    # NaN passes both the sign check and the mass check
+    with pytest.raises(ValueError, match="finite"):
+        iq.partial_entropy_bound_check([bad, 0.5])
+
+
 @settings(max_examples=300)
 @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=20))
 def test_partial_entropy_random_subdistributions(raw):

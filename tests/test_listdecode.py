@@ -13,7 +13,13 @@ from chanent import listdecode as ld
 from chanent.boolfn import from_code
 from chanent.channels import noise_operator
 
-from conftest import exhaustive_decode_scan, naive_simulate, small_corpus
+from conftest import (
+    coset_weight_histogram,
+    exhaustive_decode_scan,
+    linear_codes,
+    naive_simulate,
+    small_corpus,
+)
 
 
 def test_radius_definition():
@@ -24,8 +30,9 @@ def test_radius_definition():
 def test_config_validation():
     with pytest.raises(ValueError):
         ld.DecoderConfig(n=4, eps=0.5)
-    with pytest.raises(ValueError):
-        ld.DecoderConfig(n=4, eps=0.1, delta=-0.1)
+    for delta in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            ld.DecoderConfig(n=4, eps=0.1, delta=delta)
     with pytest.raises(ValueError):
         ld.DecoderConfig(n=4, eps=0.1, list_cap=0)
 
@@ -177,13 +184,15 @@ def test_likely_probability_extremes():
 
 
 def test_likely_probability_never_exceeds_one():
-    # every received word is likely, and the float sum of Pr[Y = y] over
-    # all y rounds above 1 at these eps
+    # every received word is likely: the coset path divides the likely mass
+    # by the total, and the dense path, without a generator, clamps its sum
+    # over all y, which rounds above 1 at these eps
     c = bs.random_linear_code(12, 6, 1)
     for eps in (0.1, 0.2):
         cfg = ld.DecoderConfig(n=12, eps=eps)
         assert (ld._radius_counts(c, cfg) > ld.likely_threshold(c, cfg)).all()
-        assert ld.likely_probability(c, cfg) == 1.0
+        for code in (c, bs.Code(n=12, codewords=c.codewords)):
+            assert ld.likely_probability(code, cfg) == 1.0
     for code in small_corpus(10):
         for eps in (0.05, 0.1, 0.3, 0.8):
             assert ld.likely_probability(code, ld.DecoderConfig(n=code.n, eps=eps)) <= 1.0
@@ -213,15 +222,31 @@ def test_likely_probability_exact_by_enumeration():
     assert ld.likely_probability(c, cfg) == pytest.approx(total, abs=1e-12)
 
 
-def test_likely_probability_matches_per_codeword_count():
-    # delta puts the threshold inside the range of the counts
-    c = bs.random_linear_code(14, 9, 21)
-    cfg = ld.DecoderConfig(n=14, eps=0.05, delta=0.66)
-    ys = np.arange(1 << 14, dtype=np.uint64)
-    counts = np.zeros(1 << 14, dtype=np.int64)
+@pytest.mark.parametrize(
+    "spec, eps, delta",
+    [
+        # each delta puts the threshold inside the range of the coset counts
+        ("random_linear:14,9,21", 0.05, 0.66),
+        ("random_linear:14,10,3", 0.02, 0.8065),
+        ("random_linear:14,10,3", 0.05, 0.6615),
+        ("random_linear:14,10,3", 0.9, 0.506),
+        ("reed_muller:2,4", 0.02, 0.81),
+        ("reed_muller:2,4", 0.05, 0.67),
+        ("reed_muller:2,4", 0.9, 0.505),
+    ],
+)
+def test_likely_probability_matches_per_codeword_count(spec, eps, delta):
+    c = bs.make_code(spec)
+    n = c.n
+    cfg = ld.DecoderConfig(n=n, eps=eps, delta=delta)
+    ys = np.arange(1 << n, dtype=np.uint64)
+    recv = ys if eps < 0.5 else ys ^ np.uint64((1 << n) - 1)
+    counts = np.zeros(1 << n, dtype=np.int64)
     for x in c.codeword_array():
-        counts += np.bitwise_count(ys ^ x) < cfg.radius
-    p_y = noise_operator(from_code(c), cfg.eps) / (1 << 14)
+        counts += np.bitwise_count(recv ^ x) < cfg.radius
+    # the dense path's counts, which the closed form replaces for linear codes
+    assert np.array_equal(counts, ld._radius_counts(c, cfg))
+    p_y = noise_operator(from_code(c), cfg.eps) / (1 << n)
     expected = float(p_y[counts > ld.likely_threshold(c, cfg)].sum())
     assert 0 < expected < 1
     assert ld.likely_probability(c, cfg) == pytest.approx(expected, abs=1e-12)
@@ -264,6 +289,54 @@ def test_likely_probability_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=linear_codes(max_n=12))
+def test_coset_weights_match_brute_force_histogram(code):
+    n, k = code.n, code.size.bit_length() - 1
+    table = ld._coset_weights(code)
+    assert ld._coset_weights(bs.Code(n=n, codewords=code.codewords)) is None
+    if (n + 1) << (n - k) > 1 << n:
+        assert table is None
+        return
+    assert table.dtype == np.int64
+    assert np.array_equal(table, coset_weight_histogram(code))
+    assert table.sum(axis=1).tolist() == [math.comb(n, w) for w in range(n + 1)]
+    enumerator = np.bincount([bin(c).count("1") for c in code.codewords], minlength=n + 1)
+    assert table[:, 0].tolist() == enumerator.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    code=linear_codes(max_n=12),
+    eps=st.floats(0, 1).filter(lambda e: e != 0.5),
+    trials=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
+    # without a generator the same codewords take the pair kernel
+    plain = bs.Code(n=code.n, codewords=code.codewords)
+    fast, ref = ld.simulate(code, eps, trials, seed), ld.simulate(plain, eps, trials, seed)
+    for name in ("counts", "rank", "inside"):
+        a, b = getattr(fast, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_low_rate_code_takes_the_fallback_without_a_table():
+    # the coset table of a [24,2] code, 25 x 2^22 int64, would be 800 MB
+    c = bs.make_code("random_linear:24,2,1")
+    tracemalloc.start()
+    try:
+        assert ld._coset_weights(c) is None
+        ld.simulate(c, 0.1, trials=1000, seed=1)
+        # the dense fallback refuses n = 24 before allocating
+        with pytest.raises(ValueError, match="capped at n <= 20"):
+            ld.likely_probability(c, ld.DecoderConfig(n=24, eps=0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_simulate_zero_noise_never_fails():
