@@ -9,18 +9,22 @@ exactly that decomposition.
 
 For a linear code the distances from Y = X + Z to the codewords are the
 weights of the coset Z + C, whatever X is.  ``simulate`` and
-``likely_probability`` therefore read one coset weight table of
-(n + 1) x 2^(n - k) counts, indexed by the syndrome of Z; only a tie in
+``likely_probability`` therefore read one cached coset weight table of
+(n + 2) x 2^(n - k) counts, indexed by the syndrome of Z; only a tie in
 distance with X needs a scan, over the few low even-weight codewords.
-Other codes, and linear codes whose table would be larger than 2^n,
-take the pair kernel (every trial against every codeword) and the
-Walsh–Hadamard count over all 2^n received words.
+The table is built only when it holds at most 2^min(n, 20) entries, and
+``simulate`` reads it only when building it costs less than comparing
+every trial with every codeword.  Otherwise, and for nonlinear codes,
+``simulate`` runs the pair kernel (every trial against every codeword)
+and ``likely_probability`` the Walsh–Hadamard count over all 2^n
+received words (n <= 20).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,19 +163,24 @@ def likely_probability(code: Code, cfg: DecoderConfig) -> float:
     """
     _require_same_n(code, cfg)
     threshold = likely_threshold(code, cfg)
-    table = _coset_weights(code)
-    if table is None:
+    found = _coset_weights(code)
+    if found is None:
         counts = _radius_counts(code, cfg)
         p_y = noise_operator(from_code(code), cfg.eps) / (1 << code.n)
         # p_y carries the noise operator's rounding: a sum over every y can pass 1
         return min(1.0, float(p_y[counts > threshold].sum()))
+    below, _ = found
+    n = code.n
     # the count at Y = X + Z is that of the coset of Z's syndrome, with Z
     # at the folded eps in the decoder's relabeled view
-    likely = table[: math.ceil(cfg.radius)].sum(axis=0) > threshold
-    e, w = cfg.effective_eps, np.arange(code.n + 1)
-    p_w = e**w * (1 - e) ** (code.n - w)  # Pr[Z = z] for wt(z) = w
+    likely = below[min(math.ceil(cfg.radius), n + 1)] > threshold
+    e, w = cfg.effective_eps, np.arange(n + 1)
+    p_w = e**w * (1 - e) ** (n - w)  # Pr[Z = z] for wt(z) = w
+    # words of each weight in the likely cosets, and in all of them
+    in_likely = np.diff(below @ likely.astype(np.int64))
+    in_all = np.diff(below.sum(axis=1))
     # over the rounded total: exactly 1 when every coset is likely
-    return float(p_w @ table[:, likely].sum(axis=1) / (p_w @ table.sum(axis=1)))
+    return float(p_w @ in_likely / (p_w @ in_all))
 
 
 def likely_probability_mc(
@@ -277,26 +286,24 @@ class DecodeTrials:
 
 
 # (received word, codeword) pairs per block: the block's scratch, 7 bytes
-# a pair (11 with an offset), stays in a core's L2 cache
+# a pair, stays in a core's L2 cache
 _PAIR_BLOCK = 1 << 16
 
 # trials per block of drawn noise: the block's float draws stay below 1 MB
 _NOISE_BLOCK = 1 << 12
 
 
-def _pair_counts(y, x, wz, radius, cols, offset=None):
-    """Count, per trial t, candidate codewords against the received word y[t].
+def _pair_counts(y, x, wz, radius: int, cws):
+    """Compare every received word y[t] with every codeword.
 
-    The candidates are cols, or cols[j] ^ offset[t] given an offset.
-    Returns (within, ahead): the candidates at distance below radius[t]
-    from y[t], and those ahead of the transmitted x[t] in the decoder's
-    (distance, lexicographic) order, with x[t] at distance wz[t].
+    Returns (within, ahead) per trial: the codewords at distance below
+    radius from y[t], and those ahead of the transmitted x[t], at
+    distance wz[t], in the decoder's (distance, lexicographic) order.
     """
-    trials, size = len(y), len(cols)
+    trials, size = len(y), len(cws)
     within = np.empty(trials, dtype=np.uint32)
     ahead = np.empty(trials, dtype=np.uint32)
     block = max(1, min(trials, _PAIR_BLOCK // size))
-    cands = None if offset is None else np.empty((block, size), dtype=np.uint32)
     words = np.empty((block, size), dtype=np.uint32)
     dists = np.empty((block, size), dtype=np.uint8)
     limits = np.empty((block, size), dtype=np.uint8)
@@ -304,74 +311,112 @@ def _pair_counts(y, x, wz, radius, cols, offset=None):
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         m = stop - start
-        c = cols if offset is None else np.bitwise_xor(offset[start:stop, None], cols, out=cands[:m])
-        np.bitwise_xor(y[start:stop, None], c, out=words[:m])
+        np.bitwise_xor(y[start:stop, None], cws, out=words[:m])
         d = np.bitwise_count(words[:m], out=dists[:m])
-        np.less(d, radius[start:stop, None], out=hits[:m])
-        within[start:stop] = hits[:m].sum(axis=1, dtype=np.uint32)
+        within[start:stop] = np.less(d, radius, out=hits[:m]).sum(axis=1, dtype=np.uint32)
         # c is ahead of x iff d < wz, or d == wz and c < x: d < wz + [c < x]
-        np.less(c, x[start:stop, None], out=hits[:m])
+        np.less(cws, x[start:stop, None], out=hits[:m])
         np.add(hits[:m], wz[start:stop, None], out=limits[:m])
         ahead[start:stop] = np.less(d, limits[:m], out=hits[:m]).sum(axis=1, dtype=np.uint32)
     return within, ahead
 
 
-def _coset_weights(code: Code) -> np.ndarray | None:
-    """T[w, s] = #{e in F_2^n : wt(e) = w, syndrome(e) = s} for a linear code.
+def _redundancy(code: Code) -> int:
+    """n - k, the syndrome length of a linear code (|C| = 2^k)."""
+    return code.n - (code.size.bit_length() - 1)
 
-    Column s is the weight distribution of the coset of syndrome s, and
-    column 0 the code's weight enumerator (MacWilliams–Sloane).  The
-    table starts as the zero word; coordinate i, with parity-check
-    column h_i, adds T[w - 1, s ^ h_i] to T[w, s].  None for a code
-    without a generator, and when the (n + 1) x 2^(n - k) table would
-    be larger than the 2^n words it replaces.
+
+# at most 8 MB a table, so the cache holds at most 32 MB
+@lru_cache(maxsize=4)
+def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
+    """Cumulative coset weight table of a linear code, and its parity-check columns.
+
+    below[w, s] = #{e in F_2^n : wt(e) < w, syndrome(e) = s} for
+    w = 0..n+1.  Its row differences T[w, s] are the weight distribution
+    of the coset of syndrome s, column 0 the code's weight enumerator
+    (MacWilliams–Sloane).  T starts as the zero word; coordinate i, with
+    parity-check column h_i, adds T[w - 1, s ^ h_i] to T[w, s].  None for
+    a code without a generator, and when the (n + 2) x 2^(n - k) table
+    would hold more than 2^min(n, EXACT_CAP) entries: never more than
+    one array of the dense path.  The table is read-only and cached per
+    code, so every eps and delta of a code share one build.
     """
     if code.generator is None:
         return None
-    n = code.n
-    r = n - (code.size.bit_length() - 1)  # |C| = 2^k
-    if (n + 1) << r > 1 << n:
+    n, r = code.n, _redundancy(code)
+    if (n + 2) << r > 1 << min(n, EXACT_CAP):
         return None
-    table = np.zeros((n + 1, 1 << r), dtype=np.int64)
-    table[0, 0] = 1
+    cols = syndrome_columns(code.generator, n)
+    # T[w] is kept in row w + 1, so row w ends up counting weights below w
+    below = np.zeros((n + 2, 1 << r), dtype=np.int64)
+    below[1, 0] = 1
     index = np.arange(1 << r)
-    for h in syndrome_columns(code.generator, n):
-        table[1:] += table[:-1, index ^ h]
-    return table
+    for i, h in enumerate(cols):
+        perm = index ^ h
+        # downwards, so T[w - 1] is still the previous coordinate's row;
+        # after i coordinates no word is heavier than i
+        for row in range(i + 2, 1, -1):
+            below[row] += below[row - 1, perm]
+    for row in range(2, n + 2):
+        below[row] += below[row - 1]
+    below.setflags(write=False)
+    return below, cols
 
 
-def _coset_counts(code: Code, table: np.ndarray, x, z, wz, radius: int):
-    """``_pair_counts`` over the whole code, for a linear code, from its coset table.
+def _table_pays(code: Code, trials: int) -> bool:
+    """Whether ``simulate`` reads the coset table rather than the pair kernel.
+
+    Building the table costs about n (n + 2) 2^(n - k) integer adds; the
+    pair kernel costs trials |C| pair distances.  A low-rate code with
+    few trials, such as [24, 5] at 1000 trials, keeps the pair kernel.
+    """
+    if code.generator is None:
+        return False
+    n = code.n
+    return n * (n + 2) << _redundancy(code) <= trials * code.size
+
+
+def _top_bits(words: np.ndarray) -> np.ndarray:
+    """The highest set bit of each nonzero uint32 word."""
+    smeared = words.copy()
+    for shift in (1, 2, 4, 8, 16):
+        smeared |= smeared >> shift
+    return smeared ^ (smeared >> 1)
+
+
+def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radius: int):
+    """``_pair_counts`` over a linear code, read from its cumulative coset table.
 
     The codewords x ^ c lie at distances wt(z ^ c) from y = x ^ z: the
-    weights of the coset z + C, which ``table`` gives by the syndrome of
+    weights of the coset z + C, which ``below`` gives by the syndrome of
     z.  Only the order among the coset words of weight wt(z) depends on
-    x.  A tied x ^ c has wt(c) = 2|z & c| <= 2 wt(z), so the trials with
-    a tie scan only the nonzero even-weight codewords up to that weight.
+    x: a tied x ^ c is ahead of x iff x has a one at c's highest set bit.
+    A tie has wt(c) = 2|z & c| <= 2 wt(z), so the trials with one scan
+    only the nonzero even-weight codewords up to that weight.
     """
     n = code.n
     s = np.zeros(len(z), dtype=np.uint32)
-    for i, h in enumerate(syndrome_columns(code.generator, n)):
+    for i, h in enumerate(cols):
         s ^= np.uint32(h) * (z >> i & 1)
-    # below[w, s]: words of weight < w in the coset of syndrome s
-    below = np.zeros((n + 2, table.shape[1]), dtype=np.int64)
-    np.cumsum(table, axis=0, out=below[1:])
     within = below[min(radius, n + 1), s].astype(np.uint32)
     ahead = below[wz, s].astype(np.uint32)
-    tied = np.flatnonzero(table[wz, s] > 1)
+    tied = np.flatnonzero(below[wz + 1, s] - below[wz, s] > 1)
     if tied.size:
         cws = code.codeword_array().astype(np.uint32)
         weights = np.bitwise_count(cws)
         order = np.argsort(weights, kind="stable")
         order = order[(weights[order] % 2 == 0) & (weights[order] > 0)]
         evens, evens_w = cws[order], weights[order]
+        tops = _top_bits(evens)
         for w in np.unique(wz[tied]):
             t = tied[wz[tied] == w]
-            cols = evens[: np.searchsorted(evens_w, 2 * w, side="right")]
-            # with radius wt(z), ahead - within is the candidates tied with x
-            # and lexicographically before it
-            below_w, ahead_w = _pair_counts(z[t] ^ x[t], x[t], wz[t], wz[t], cols, x[t])
-            ahead[t] += ahead_w - below_w
+            m = int(np.searchsorted(evens_w, 2 * w, side="right"))
+            block = max(1, _PAIR_BLOCK // max(m, 1))
+            for start in range(0, len(t), block):
+                tb = t[start : start + block]
+                tie = np.bitwise_count(z[tb, None] ^ evens[:m]) == w
+                tie &= (x[tb, None] & tops[:m]) != 0
+                ahead[tb] += tie.sum(axis=1, dtype=np.uint32)
     return within, ahead
 
 
@@ -379,8 +424,10 @@ def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
     """Transmit random codewords over BSC(eps) and decode each output.
 
     One pass serves every list cap and delta: ``DecodeTrials.stats``
-    turns it into the outcomes of a given decoder.  A linear code with a
-    coset weight table reads it; other codes scan every codeword per trial.
+    turns it into the outcomes of a given decoder.  A linear code reads
+    its coset weight table when that is cheaper than the pair kernel
+    (``_table_pays``); otherwise every trial meets every codeword.  Both
+    paths give the same arrays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -397,11 +444,11 @@ def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
     wz = np.bitwise_count(z)
     # integer distances: d < radius iff d < ceil(radius)
     radius = math.ceil(cfg.radius)
-    table = _coset_weights(code)
-    if table is None:
-        counts, rank = _pair_counts(x ^ z, x, wz, np.full(trials, radius, np.uint8), cws)
+    found = _coset_weights(code) if _table_pays(code, trials) else None
+    if found is None:
+        counts, rank = _pair_counts(x ^ z, x, wz, radius, cws)
     else:
-        counts, rank = _coset_counts(code, table, x, z, wz, radius)
+        counts, rank = _coset_counts(code, *found, x, z, wz, radius)
     inside = wz < radius
 
     for arr in (counts, rank, inside):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,28 +280,35 @@ def test_radius_counts_match_exhaustive_scan(code, eps):
 
 
 def test_likely_probability_memory_is_bounded():
-    # unchunked, the 2^18 x 2^8 distance matrix alone is 512 MiB
+    # unchunked, the 2^18 x 2^8 distance matrix alone is 512 MiB; the
+    # generator-less copy takes the dense WHT path, the code its coset table
     c = bs.random_linear_code(18, 8, 4)
     cfg = ld.DecoderConfig(n=18, eps=0.1, delta=0.0)
-    tracemalloc.start()
-    try:
-        ld.likely_probability(c, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    for code in (c, bs.Code(n=18, codewords=c.codewords)):
+        ld._coset_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            ld.likely_probability(code, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, code
 
 
 @settings(max_examples=60, deadline=None)
 @given(code=linear_codes(max_n=12))
 def test_coset_weights_match_brute_force_histogram(code):
-    n, k = code.n, code.size.bit_length() - 1
-    table = ld._coset_weights(code)
+    n, r = code.n, ld._redundancy(code)
     assert ld._coset_weights(bs.Code(n=n, codewords=code.codewords)) is None
-    if (n + 1) << (n - k) > 1 << n:
-        assert table is None
+    found = ld._coset_weights(code)
+    if (n + 2) << r > 1 << n:
+        assert found is None
         return
-    assert table.dtype == np.int64
+    below, cols = found
+    assert below.dtype == np.int64 and not below.flags.writeable
+    assert cols == bs.syndrome_columns(code.generator, n)
+    assert below[0].tolist() == [0] * (1 << r)
+    table = np.diff(below, axis=0)
     assert np.array_equal(table, coset_weight_histogram(code))
     assert table.sum(axis=1).tolist() == [math.comb(n, w) for w in range(n + 1)]
     enumerator = np.bincount([bin(c).count("1") for c in code.codewords], minlength=n + 1)
@@ -315,28 +323,47 @@ def test_coset_weights_match_brute_force_histogram(code):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
+    # the table path wherever the table exists, whatever it costs
+    with mock.patch.object(ld, "_table_pays", lambda code, trials: True):
+        fast = ld.simulate(code, eps, trials, seed)
     # without a generator the same codewords take the pair kernel
-    plain = bs.Code(n=code.n, codewords=code.codewords)
-    fast, ref = ld.simulate(code, eps, trials, seed), ld.simulate(plain, eps, trials, seed)
+    ref = ld.simulate(bs.Code(n=code.n, codewords=code.codewords), eps, trials, seed)
     for name in ("counts", "rank", "inside"):
         a, b = getattr(fast, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def test_low_rate_code_takes_the_fallback_without_a_table():
-    # the coset table of a [24,2] code, 25 x 2^22 int64, would be 800 MB
-    c = bs.make_code("random_linear:24,2,1")
+def test_simulate_reads_the_table_only_when_it_pays():
+    # [24,12] at the decode benchmark's 50000 trials: 624 x 2^12 adds
+    # against 2^12 pairs per trial
+    assert ld._table_pays(bs.make_code("random_linear:24,12,1"), 50000)
+    assert not ld._table_pays(bs.make_code("random_linear:24,12,1"), 100)
+    assert not ld._table_pays(bs.Code(n=3, codewords=(0, 7)), 10**9)
+
+
+def _no_table(code):
+    raise AssertionError("coset table built")
+
+
+@pytest.mark.parametrize("spec", ["random_linear:24,2,1", "random_linear:24,5,1"])
+def test_low_rate_code_keeps_the_pair_kernel_without_a_table(spec):
+    # the coset tables, 26 x 2^22 and 26 x 2^19 int64, would be 870 and 109 MB
+    c = bs.make_code(spec)
+    ld._coset_weights.cache_clear()
+    assert ld._coset_weights(c) is None
+    ref = ld.simulate(bs.Code(n=24, codewords=c.codewords), 0.1, trials=1000, seed=1)
     tracemalloc.start()
     try:
-        assert ld._coset_weights(c) is None
-        ld.simulate(c, 0.1, trials=1000, seed=1)
-        # the dense fallback refuses n = 24 before allocating
+        with mock.patch.object(ld, "_coset_weights", _no_table):
+            sim = ld.simulate(c, 0.1, trials=1000, seed=1)
+        # no table either, and the dense fallback refuses n = 24 before allocating
         with pytest.raises(ValueError, match="capped at n <= 20"):
             ld.likely_probability(c, ld.DecoderConfig(n=24, eps=0.1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
+    assert np.array_equal(sim.counts, ref.counts) and np.array_equal(sim.rank, ref.rank)
 
 
 def test_simulate_zero_noise_never_fails():
