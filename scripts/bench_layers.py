@@ -1,0 +1,172 @@
+"""Layer and CLI timings of one chanent source tree, written as JSON.
+
+    python scripts/bench_layers.py --src DIR --out FILE [--label NAME] [--repeats R]
+
+DIR is the directory that holds the ``chanent`` package (``src`` of a
+checkout).  Each case is timed R times in this interpreter (R >= 5 for
+a recorded file) and reported as the median with its quartiles:
+
+* ``subset_weights`` at n = 16 and n = 18, ten densities per repeat;
+* the subset Monte Carlo sampler on random_linear:24,12 at 2000 trials;
+* the ``verify`` and ``entropy`` operations of the benchmark workloads
+  (``perfbench/workloads.py``) on seed 1, each through ``cli.main``.
+
+Every lru cache of the package is cleared before each repeat, so a
+repeat pays what a fresh CLI process pays.  The CLI cases also record
+the SHA-256 of their output, so two trees can be compared row for row.
+The run is stored in FILE under NAME (default ``run``); other runs
+already in FILE are kept, so one file can hold a before and an after.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+MC_TRIALS = 2000
+DENSITIES = [i / 10 for i in range(10)]
+
+
+def quartiles(samples: list[float]) -> dict:
+    out = {"median_s": statistics.median(samples), "samples_s": samples}
+    if len(samples) >= 2:
+        q1, _, q3 = statistics.quantiles(samples, n=4)
+        out.update(q1_s=q1, q3_s=q3)
+    return out
+
+
+def git(src: Path, *args: str) -> str | None:
+    try:
+        return subprocess.run(
+            ["git", "-C", str(src), *args], capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def src_digest(src: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((src / "chanent").rglob("*.py")):
+        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def machine(src: Path) -> dict:
+    import numpy
+
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "mem_total_mb": os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 2**20,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "machine": platform.machine(),
+        "git_sha": git(src, "rev-parse", "HEAD"),
+        # uncommitted changes under --src: the timings are of the working tree
+        "git_dirty": bool(git(src, "status", "--porcelain", "--", ".")),
+        "src_sha256": src_digest(src),
+    }
+
+
+def clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chanent"):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def cases(work_dir: Path) -> dict:
+    """Case name -> callable returning the bytes to hash, or None."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    from chanent import bitspace, entropy_analysis
+
+    inputs = workloads.make_inputs(SEED)
+    mc_code = bitspace.make_code(f"random_linear:24,12,{inputs.code_seed}")
+
+    def weights(n):
+        def run():
+            for lam in DENSITIES:
+                entropy_analysis.subset_weights(n, lam)
+
+        return run
+
+    def mc():
+        entropy_analysis.subset_entropy_expectation_mc(
+            mc_code, 0.5, 1.0, MC_TRIALS, inputs.mc_seed
+        )
+
+    def cli(workload):
+        ops = workloads.build_ops(workload, inputs, work_dir)
+
+        def run():
+            return b"".join(
+                str(code).encode() + b"\0" + text.encode()
+                for code, text in (op.run() for op in ops)
+            )
+
+        return run
+
+    return {
+        "subset_weights.n16": weights(16),
+        "subset_weights.n18": weights(18),
+        "subset_entropy_expectation_mc.24_12": mc,
+        "cli.verify": cli("verify"),
+        "cli.entropy": cli("entropy"),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, type=Path)
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--label", default="run")
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    src = args.src.resolve()
+    if not (src / "chanent" / "__init__.py").is_file():
+        parser.error(f"no chanent package under {src}")
+    sys.path.insert(0, str(src))
+
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, fn in cases(Path(tmp)).items():
+            samples, digest = [], None
+            for _ in range(args.repeats):
+                clear_caches()
+                start = time.perf_counter()
+                out = fn()
+                samples.append(time.perf_counter() - start)
+                if out is not None:
+                    digest = hashlib.sha256(out).hexdigest()
+            results[name] = quartiles(samples)
+            if digest is not None:
+                results[name]["output_sha256"] = digest
+            print(f"{name}: median {results[name]['median_s']:.4f} s", file=sys.stderr)
+
+    stored = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    stored[args.label] = {
+        "machine": machine(src),
+        "seed": SEED,
+        "repeats": args.repeats,
+        "cases": results,
+    }
+    args.out.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,6 +19,9 @@ import numpy as np
 
 DENSE_CAP = 24
 
+# (mask, row) pairs per block of ``masked_ranks``
+_RANK_BLOCK = 1 << 16
+
 
 def _check_dim(n: int) -> None:
     if not 1 <= n <= DENSE_CAP:
@@ -50,6 +53,31 @@ def _reduced_echelon(rows: list[int] | tuple[int, ...]) -> dict[int, int]:
 def rank_gf2(rows: list[int] | tuple[int, ...]) -> int:
     """Rank over GF(2) of a matrix given as a sequence of row bitmasks."""
     return len(_reduced_echelon(rows))
+
+
+def masked_ranks(rows: list[int] | tuple[int, ...], masks: np.ndarray) -> np.ndarray:
+    """GF(2) rank of the rows restricted to each mask, ``rank_gf2([r & m for r in rows])``.
+
+    A block of masks is eliminated at once, one bit from high to low:
+    one row holding the bit is XORed into every row holding it, itself
+    included, so the bit leaves every row and the rank of a mask grows
+    by one when some row held it.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = np.zeros(len(masks), dtype=np.int64)
+    top = int(np.bitwise_or.reduce(rows, initial=np.uint64(0))).bit_length()
+    block = max(1, _RANK_BLOCK // max(1, len(rows)))
+    for start in range(0, len(masks), block):
+        words = masks[start : start + block, None] & rows
+        ranks = out[start : start + len(words)]
+        at = np.arange(len(words))
+        for bit in range(top - 1, -1, -1):
+            has = (words & np.uint64(1 << bit)) != 0
+            pivot = has.argmax(axis=1)
+            ranks += has[at, pivot]
+            words ^= np.where(has, words[at, pivot][:, None], np.uint64(0))
+    return out
 
 
 def syndrome_columns(rows: list[int] | tuple[int, ...], n: int) -> list[int]:

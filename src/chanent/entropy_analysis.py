@@ -7,10 +7,14 @@ syndrome distribution, of length 2^(n-k), is needed: the noise
 operator's XOR-shift pass along the parity-check columns.  For other
 codes X+Z comes from the noise operator on all of F_2^n.
 H(X|Y_BEC) comes from the subset identity
-E_{S~lam} H(X_S) = H(X) - H(X|Y_BEC) with lam = 1 - eta.  The entropies
-H_q(X_S) of a nonlinear code come from one blocked projection kernel,
-``projection_entropies``.  Independent Bayes-rule / erasure-pattern
-oracles live in the test suite.
+E_{S~lam} H(X_S) = H(X) - H(X|Y_BEC) with lam = 1 - eta.  The subset
+weight depends only on |S|, so ``subset_weights`` computes n+1 values.
+For a linear code H_q(X_S) is the GF(2) rank r(S) of the generator
+restricted to S, for every q: the exact table is a superset sum over
+the codewords, and the Monte Carlo sampler ranks each distinct drawn
+mask (``bitspace.masked_ranks``).  The entropies H_q(X_S) of a nonlinear
+code come from one blocked projection kernel, ``projection_entropies``.
+Independent Bayes-rule / erasure-pattern oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitspace import Code, syndrome_columns
+from .bitspace import Code, masked_ranks, syndrome_columns
 from .boolfn import (
     binary_entropy,
     ent,
@@ -47,15 +51,20 @@ def popcounts(n: int) -> np.ndarray:
 
 
 def subset_weights(n: int, lam: float) -> np.ndarray:
-    """Probability lam^|S| (1-lam)^(n-|S|) of each subset under S~lam."""
-    w = popcounts(n)
+    """Probability lam^|S| (1-lam)^(n-|S|) of each subset under S~lam.
+
+    The weight depends only on |S|, so the n+1 per-size values are
+    computed, each as exp(|S| log lam + (n-|S|) log(1-lam)), and gathered
+    by the popcount of each mask.
+    """
+    j = np.arange(n + 1, dtype=np.int64)
     # 0^0 := 1 at the endpoints
     with np.errstate(divide="ignore"):
-        logs = np.where(w > 0, w * np.log(lam) if lam > 0 else -np.inf, 0.0)
+        logs = np.where(j > 0, j * np.log(lam) if lam > 0 else -np.inf, 0.0)
         logs = logs + np.where(
-            n - w > 0, (n - w) * np.log(1 - lam) if lam < 1 else -np.inf, 0.0
+            n - j > 0, (n - j) * np.log(1 - lam) if lam < 1 else -np.inf, 0.0
         )
-    return np.exp(logs)
+    return np.exp(logs)[popcounts(n)]
 
 
 def marginal_entropy(code: Code, mask: int, q: float) -> float:
@@ -156,22 +165,31 @@ def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
 def subset_entropy_expectation_mc(
     code: Code, lam: float, q: float, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo E_{S~lam} H_q(X_S); returns (estimate, std error)."""
+    """Monte Carlo E_{S~lam} H_q(X_S); returns (estimate, std error).
+
+    Each distinct drawn mask is evaluated once: by the GF(2) rank of the
+    generator restricted to it for a linear code (H_q(X_S) = r(S) for
+    every q), by the projection kernel otherwise.
+    """
     _check_subset_law(lam, q)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 2:
+        raise ValueError("trials must be >= 2: a standard error needs two samples")
     rng = np.random.default_rng(seed)
     masks = bernoulli_words(trials, code.n, lam, rng)
     distinct, inverse = np.unique(masks, return_inverse=True)
-    vals = projection_entropies(code, distinct, q)[inverse]
+    if code.generator is not None:
+        vals = masked_ranks(code.generator, distinct).astype(float)
+    else:
+        vals = projection_entropies(code, distinct, q)
+    vals = vals[inverse]
     est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / np.sqrt(trials))
     return est, stderr
 
 
 def cond_entropy_bsc(code: Code, eps: float) -> float:
     """H(X|Y_BSC) = H(X) + n*h(eps) - H(X+Z), all in bits."""
-    return _cond_entropy_bsc_from(code, noise_operator(from_code(code), eps), eps)
+    return _cond_entropy_bsc_from(code, ent(noise_operator(from_code(code), eps)), eps)
 
 
 def syndrome_distribution(code: Code, eps: float) -> np.ndarray:
@@ -201,10 +219,10 @@ def cond_entropy_bsc_linear(code: Code, eps: float) -> float:
     return code.n * binary_entropy(eps) - renyi_entropy(syndrome_distribution(code, eps), 1)
 
 
-def _cond_entropy_bsc_from(code: Code, f_noisy: np.ndarray, eps: float) -> float:
-    """H(X|Y_BSC) given f_noisy = T_eps f_X, the distribution function of X+Z."""
+def _cond_entropy_bsc_from(code: Code, ent_noisy: float, eps: float) -> float:
+    """H(X|Y_BSC) given Ent[T_eps f_X]; T_eps f_X is the distribution function of X+Z."""
     n = code.n
-    h_xz = n - ent(f_noisy)
+    h_xz = n - ent_noisy
     return code.log_size + n * binary_entropy(eps) - h_xz
 
 

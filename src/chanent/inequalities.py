@@ -152,17 +152,18 @@ def _require_q(q) -> int:
 
 @dataclass(frozen=True)
 class NoisyFunction:
-    """T_eps f together with the eps it was built for."""
+    """T_eps f together with the eps it was built for and its Ent."""
 
     eps: float
     f: np.ndarray  # read-only T_eps f
+    ent: float  # Ent[T_eps f]
 
 
 def noisy_function(f: np.ndarray, eps: float) -> NoisyFunction:
-    """Apply the noise operator to f once; the checks read eps from the result."""
+    """Apply the noise operator to f and take Ent of the result, once; the checks read both."""
     noisy = noise_operator(validate(f), eps)
     noisy.flags.writeable = False
-    return NoisyFunction(eps, noisy)
+    return NoisyFunction(eps, noisy, ent(noisy))
 
 
 def _require_dim(noisy: NoisyFunction, n: int) -> None:
@@ -194,7 +195,7 @@ def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction, name: str = "f")
     lam = (1 - 2 * eps) ** 2
     n = dim_of(stats.f)
     _require_dim(noisy, n)
-    lhs = ent(noisy.f)
+    lhs = noisy.ent
     rhs = float(subset_weights(n, lam) @ stats.ent)
     return SlackReport(
         "sam_entropy", {"f": name, "n": n, "eps": eps, "lambda": lam}, lhs, rhs
@@ -225,7 +226,7 @@ def check_cor_rv_entropy(code: Code, noisy: NoisyFunction) -> SlackReport:
     lam = (1 - 2 * eps) ** 2
     n = code.n
     _require_dim(noisy, n)
-    h_xz = n - ent(noisy.f)
+    h_xz = n - noisy.ent
     bound = (1 - lam) * n + subset_entropy_expectation(code, lam, 1.0)
     return SlackReport(
         "cor_rv_entropy",
@@ -246,7 +247,7 @@ def check_bsc_bec(code: Code, noisy: NoisyFunction, eta: float) -> SlackReport:
         )
     n = code.n
     _require_dim(noisy, n)
-    lhs = _cond_entropy_bsc_from(code, noisy.f, eps)
+    lhs = _cond_entropy_bsc_from(code, noisy.ent, eps)
     rhs = (binary_entropy(eps) - eta) * n + cond_entropy_bec(code, eta)
     return SlackReport(
         "bsc_bec", {"code": code.name, "n": n, "eps": eps, "eta": eta}, lhs, rhs

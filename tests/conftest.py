@@ -104,6 +104,21 @@ def spectral_noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     return walsh_hadamard(spec) / (1 << n)
 
 
+def exp_log_subset_weights(n: int, lam: float) -> np.ndarray:
+    """lam^|S| (1-lam)^(n-|S|) for every mask, one exp/log per mask.
+
+    Each weight is exp(|S| log lam + (n-|S|) log(1-lam)), with 0^0 := 1
+    at the endpoints, evaluated over all 2^n masks.
+    """
+    w = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    with np.errstate(divide="ignore"):
+        logs = np.where(w > 0, w * np.log(lam) if lam > 0 else -np.inf, 0.0)
+        logs = logs + np.where(
+            n - w > 0, (n - w) * np.log(1 - lam) if lam < 1 else -np.inf, 0.0
+        )
+    return np.exp(logs)
+
+
 def naive_project(v: int, mask: int, n: int) -> int:
     coords = [i for i in range(n) if (mask >> i) & 1]
     out = 0

@@ -1,5 +1,7 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,29 @@ def test_rank_gf2():
     assert bs.rank_gf2([]) == 0
     assert bs.rank_gf2([0b11, 0b110, 0b101]) == 2
     assert bs.rank_gf2(bs.hamming74_code().generator) == 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_masked_ranks_match_rank_gf2_of_each_restriction(data):
+    n = data.draw(st.integers(1, 24))
+    word = st.integers(0, (1 << n) - 1)
+    rows = data.draw(st.lists(word, max_size=n + 2))
+    if rows and data.draw(st.booleans()):
+        rows += [rows[0], rows[0] ^ rows[-1]]  # dependent rows
+    if data.draw(st.booleans()):
+        rows.append(0)
+    masks = [0, (1 << n) - 1, *data.draw(st.lists(word, max_size=40))]
+    # blocks of pair_block // len(rows) masks, so most examples cross a boundary
+    pair_block = data.draw(st.integers(1, 64))
+    with mock.patch.object(bs, "_RANK_BLOCK", pair_block):
+        got = bs.masked_ranks(rows, np.array(masks, dtype=np.uint64))
+    assert got.tolist() == [bs.rank_gf2([r & m for r in rows]) for m in masks]
+
+
+def test_masked_ranks_of_no_rows_or_no_masks():
+    assert bs.masked_ranks([], np.array([0, 7], dtype=np.uint64)).tolist() == [0, 0]
+    assert bs.masked_ranks([1, 2], np.array([], dtype=np.uint64)).tolist() == []
 
 
 @settings(max_examples=60, deadline=None)

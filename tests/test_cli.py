@@ -6,7 +6,7 @@ import pytest
 
 from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
-from chanent import inequalities, listdecode
+from chanent import boolfn, inequalities, listdecode
 from chanent.cli import main
 
 
@@ -323,6 +323,49 @@ def test_entropy_computes_once_per_code(monkeypatch, tmp_path, capsys):
     # the dense pass is the nonlinear code's, once per eps
     assert noise_calls == [0.1, 0.2]
     assert report_calls == [5, 7]
+
+
+def test_verify_takes_one_ent_per_code_and_eps(monkeypatch, tmp_path, capsys):
+    calls = []
+    ent = boolfn.ent
+
+    def counted(f):
+        calls.append(len(f))
+        return ent(f)
+
+    for module in (boolfn, ea, inequalities):
+        monkeypatch.setattr(module, "ent", counted)
+    words = tmp_path / "words.txt"
+    words.write_text("00000\n11000\n00110\n10011\n01111\n")
+    code, out = run(
+        [
+            "verify",
+            "--code", f"codewords-file:{words}",
+            "--code", "hamming74",
+            "--eps", "0.1,0.2,0.3",
+            "--eta", "0.3,0.5",
+            "--q", "2,3",
+            "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert sum(row["inequality"] == "bsc_bec" and not row["skipped"] for row in rows) > 0
+    # cor_rv_entropy, sam_entropy and every bsc_bec read the one Ent[T_eps f]
+    assert calls == [32] * 3 + [128] * 3
+
+
+def test_entropy_rejects_a_single_monte_carlo_trial(capsys):
+    code = main(
+        ["entropy", "--code", "random_linear:24,12,1", "--eta", "0.5",
+         "--trials", "1", "--seed", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "standard error needs two samples" in captured.err
+    assert captured.out == ""
+
 
 def test_decode_sim_requires_seed(capsys):
     assert main(["decode-sim", "--code", "repetition:3", "--eps", "0.1"]) == 2

@@ -15,6 +15,7 @@ from conftest import (
     bayes_cond_entropy_bsc,
     erasure_cond_entropy_bec,
     exhaustive_subset_entropy_expectation,
+    exp_log_subset_weights,
     linear_codes,
     nonlinear_codes,
     small_corpus,
@@ -91,8 +92,15 @@ def test_projection_kernel_rejects_orders_below_one():
             ea.projection_entropies(bs.hamming74_code(), np.arange(4, dtype=np.uint64), q)
 
 
-def test_subset_mc_reads_each_distinct_mask_from_the_kernel():
-    # the draws of a per-mask loop; the kernel sees each distinct mask once
+def _mc_draws(code, trials, lam, q, seed):
+    """The draws of a per-mask loop, and H_q(X_S) of each drawn mask."""
+    masks = bernoulli_words(trials, code.n, lam, np.random.default_rng(seed))
+    vals = np.array([ea.marginal_entropy(code, int(m), q) for m in masks])
+    return masks, vals
+
+
+def test_subset_mc_reads_each_distinct_mask_from_the_projection_kernel():
+    # a nonlinear code: the projection kernel sees each distinct mask once
     calls = []
     kernel = ea.projection_entropies
 
@@ -102,15 +110,78 @@ def test_subset_mc_reads_each_distinct_mask_from_the_kernel():
 
     rng = np.random.default_rng(2)
     words = tuple(sorted(rng.choice(1 << 9, size=40, replace=False).tolist()))
-    for code in (bs.Code(n=9, codewords=words), bs.hamming74_code()):
-        trials, lam, q, seed = 3000, 0.4, 2, 17
-        masks = bernoulli_words(trials, code.n, lam, np.random.default_rng(seed))
-        vals = np.array([ea.marginal_entropy(code, int(m), q) for m in masks])
-        with mock.patch.object(ea, "projection_entropies", counted):
-            est, stderr = ea.subset_entropy_expectation_mc(code, lam, q, trials, seed)
-        assert calls.pop() == len(set(masks.tolist()))
-        assert est == pytest.approx(vals.mean(), abs=1e-12)
-        assert stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(trials), abs=1e-12)
+    code = bs.Code(n=9, codewords=words)
+    trials, lam, q, seed = 3000, 0.4, 2, 17
+    masks, vals = _mc_draws(code, trials, lam, q, seed)
+    with mock.patch.object(ea, "projection_entropies", counted):
+        est, stderr = ea.subset_entropy_expectation_mc(code, lam, q, trials, seed)
+    assert calls == [len(set(masks.tolist()))]
+    assert est == pytest.approx(vals.mean(), abs=1e-12)
+    assert stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(trials), abs=1e-12)
+
+
+def test_subset_mc_ranks_each_distinct_mask_of_a_linear_code():
+    # a code with a generator: the rank kernel sees each distinct mask once
+    calls = []
+    kernel = ea.masked_ranks
+
+    def counted(rows, masks):
+        calls.append(len(masks))
+        return kernel(rows, masks)
+
+    code = bs.hamming74_code()
+    trials, lam, q, seed = 3000, 0.4, 2, 17
+    masks, vals = _mc_draws(code, trials, lam, q, seed)
+    with mock.patch.object(ea, "masked_ranks", counted), mock.patch.object(
+        ea, "projection_entropies", side_effect=AssertionError("projection kernel called")
+    ):
+        est, stderr = ea.subset_entropy_expectation_mc(code, lam, q, trials, seed)
+    assert calls == [len(set(masks.tolist()))]
+    assert est == pytest.approx(vals.mean(), abs=1e-12)
+    assert stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(trials), abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    k=st.integers(1, 10),
+    lam=st.floats(0, 1),
+    q=st.sampled_from([1, 2, 3, math.inf]),
+    trials=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=22, k=9, lam=0.45, q=1, trials=600, seed=3)
+def test_subset_mc_ranks_equal_the_projection_kernel_on_the_same_draw(
+    n, k, lam, q, trials, seed
+):
+    # on a linear code every projected count is 2^(k - r(S)), so the
+    # projection kernel returns r(S) bit for bit at these orders
+    code = bs.random_linear_code(n, min(k, n), seed)
+    masks = bernoulli_words(trials, n, lam, np.random.default_rng(seed))
+    distinct, inverse = np.unique(masks, return_inverse=True)
+    vals = ea.projection_entropies(code, distinct, q)[inverse]
+    assert ea.subset_entropy_expectation_mc(code, lam, q, trials, seed) == (
+        float(vals.mean()),
+        float(vals.std(ddof=1) / np.sqrt(trials)),
+    )
+
+
+def test_subset_mc_rejects_a_single_trial():
+    code = bs.random_linear_code(24, 12, 1)
+    for trials in (1, 0):
+        with pytest.raises(ValueError, match="standard error needs two samples"):
+            ea.subset_entropy_expectation_mc(code, 0.5, 1.0, trials, 1)
+        with pytest.raises(ValueError, match="standard error needs two samples"):
+            ea.cond_entropy_bec_mc(code, 0.5, trials, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_subset_weights_equal_the_per_mask_exp_log_bit_for_bit(n):
+    lams = [0.0, 1.0, 0.5, 1e-300, 1 - 2**-53]
+    lams += np.random.default_rng(n).random(4).tolist()
+    for lam in lams:
+        got = ea.subset_weights(n, lam)
+        assert got.tobytes() == exp_log_subset_weights(n, lam).tobytes(), lam
 
 
 def test_subset_expectation_endpoints():
