@@ -55,9 +55,11 @@ def norm_q(f: np.ndarray, q: float) -> float:
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
+    """v log2 v where v > 0, else 0, with one temporary of v's size."""
     out = np.zeros_like(v)
     pos = v > 0
-    out[pos] = v[pos] * np.log2(v[pos])
+    np.log2(v, out=out, where=pos)
+    np.multiply(out, v, out=out, where=pos)
     return out
 
 
@@ -79,23 +81,29 @@ def renyi_entropy(p: np.ndarray, q: float) -> float:
     1e-12 of 1 and rejected otherwise.
     """
     p = np.asarray(p, dtype=float)
+    return _renyi_from_probs(p / _probability_total(p), q)
+
+
+def _probability_total(p: np.ndarray) -> float:
+    """Sum of p; rejects negative entries and a sum more than 1e-12 away from 1."""
     if np.any(p < 0):
         raise ValueError("negative probability")
     total = float(p.sum())
     if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    p = p / total
-    return _renyi_from_probs(p, q)
+    return total
 
 
 def _renyi_from_probs(p: np.ndarray, q: float) -> float:
+    """H_q of the probability vector p, which every caller makes fresh: it is overwritten."""
     if not q >= 1:
         raise ValueError("order must be >= 1")
     if q == 1:
         return float(-np.sum(_xlog2x(p)))
     if math.isinf(q):
         return float(-math.log2(p.max()))
-    return float(-math.log2(np.sum(p**q)) / (q - 1))
+    p **= q  # in place: the same power (or square) as p**q, without a second array
+    return float(-math.log2(np.sum(p)) / (q - 1))
 
 
 def renyi_entropy_from_counts(counts: np.ndarray, q: float) -> float:
@@ -108,7 +116,9 @@ def renyi_entropy_of_function(f: np.ndarray, q: float) -> float:
     """H_q(X) for the X whose distribution function is f."""
     f = np.asarray(f, dtype=float)
     n = dim_of(f)
-    return renyi_entropy(f / (1 << n), q)
+    p = f / (1 << n)
+    p /= _probability_total(p)
+    return _renyi_from_probs(p, q)
 
 
 def h_q(eps: float, q: float) -> float:

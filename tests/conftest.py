@@ -119,6 +119,35 @@ def exp_log_subset_weights(n: int, lam: float) -> np.ndarray:
     return np.exp(logs)
 
 
+def gathered_xlog2x(v: np.ndarray) -> np.ndarray:
+    """v log2 v on the gathered positive entries of v, scattered into zeros."""
+    out = np.zeros_like(v)
+    pos = v > 0
+    out[pos] = v[pos] * np.log2(v[pos])
+    return out
+
+
+def gathered_ent(f: np.ndarray) -> float:
+    """Ent[f] in bits, E f log2 f - (E f) log2 (E f), over ``gathered_xlog2x``."""
+    f = np.asarray(f, dtype=float)
+    m = float(np.mean(f))
+    term = float(np.mean(gathered_xlog2x(f)))
+    if m > 0:
+        term -= m * math.log2(m)
+    return term
+
+
+def array_per_step_renyi(p: np.ndarray, q: float) -> float:
+    """H_q of p / sum(p), one new array per step (normalise, then power or xlog2x)."""
+    p = np.asarray(p, dtype=float)
+    p = p / float(p.sum())
+    if q == 1:
+        return float(-np.sum(gathered_xlog2x(p)))
+    if math.isinf(q):
+        return float(-math.log2(p.max()))
+    return float(-math.log2(np.sum(p**q)) / (q - 1))
+
+
 def naive_project(v: int, mask: int, n: int) -> int:
     coords = [i for i in range(n) if (mask >> i) & 1]
     out = 0

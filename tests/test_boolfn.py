@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanent import bitspace as bs
-from chanent import boolfn
+from chanent import boolfn, channels
 
-from conftest import small_corpus
+from conftest import array_per_step_renyi, gathered_ent, small_corpus
 
 
 def test_from_code_point_mass():
@@ -198,3 +199,52 @@ def test_validate_rejects_negative_and_bad_length():
 def test_validate_rejects_identically_zero():
     with pytest.raises(ValueError, match="identically zero"):
         boolfn.validate(np.zeros(4))
+
+
+def _entropy_battery():
+    """Functions with zeros, point masses, float dust and noisy code functions."""
+    rng = np.random.default_rng(7)
+    fs = [np.ones(8), np.array([0.0, 0.0, 4.0, 0.0]), boolfn.from_code(bs.hamming74_code())]
+    for n in (1, 5, 12, 16):
+        f = rng.random(1 << n) * (rng.random(1 << n) < 0.6)
+        f[0] += 1e-300
+        fs.append(f * ((1 << n) / f.sum()))
+    for code in (bs.reed_muller_code(1, 4), bs.random_linear_code(14, 7, 3)):
+        for eps in (0.05, 0.3):
+            fs.append(channels.noise_operator(boolfn.from_code(code), eps))
+    return fs
+
+
+def test_ent_and_renyi_equal_the_array_per_step_oracles():
+    for f in _entropy_battery():
+        assert boolfn.ent(f) == gathered_ent(f)
+        p = f / f.sum()
+        for q in (1, 1.5, 2, 2.0, 3, 4, math.inf):
+            assert boolfn.renyi_entropy_of_function(f, q) == array_per_step_renyi(
+                f / len(f), q
+            ), q
+            assert boolfn.renyi_entropy(p, q) == array_per_step_renyi(p, q), q
+
+
+def test_renyi_entropy_leaves_its_input_unchanged():
+    p = np.array([0.125, 0.375, 0.0, 0.5])
+    for q in (1, 2, 3, math.inf):
+        boolfn.renyi_entropy(p, q)
+    assert list(p) == [0.125, 0.375, 0.0, 0.5]
+    counts = np.array([1.0, 3.0, 4.0])
+    boolfn.renyi_entropy_from_counts(counts, 2)
+    assert list(counts) == [1.0, 3.0, 4.0]
+
+
+def test_entropy_of_a_function_holds_one_temporary_of_its_size():
+    # the verify battery calls these once per (code, eps) on 2^16 floats;
+    # each extra temporary of that size is fresh memory the process faults in
+    f = channels.noise_operator(boolfn.from_code(bs.reed_muller_code(1, 4)), 0.1)
+    for compute in (boolfn.ent, lambda g: boolfn.renyi_entropy_of_function(g, 2)):
+        tracemalloc.start()
+        try:
+            compute(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * f.nbytes
