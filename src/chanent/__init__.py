@@ -7,7 +7,7 @@ theoretical list-size formulas.
 
 from .bitspace import Code, make_code
 from .boolfn import binary_entropy, ent, from_code, h_q, norm_q, renyi_entropy
-from .channels import conditional_expectation, noise_operator
+from .channels import noise_operator
 from .entropy_analysis import (
     EntropyReport,
     cond_entropy_bec,

@@ -1,11 +1,10 @@
-"""Noise operator, coordinate-subset conditioning, and channel samplers.
+"""Noise operator and channel samplers.
 
 The noise operator convolves a function on F_2^n with the i.i.d.
 Bernoulli(eps) flip distribution; it maps the distribution function of
 X to that of X + Z.  It is one XOR-shift pass along the unit columns;
 the same pass along a linear code's parity-check columns gives the
-syndrome distribution of the noise.  Conditioning on a coordinate
-subset S averages over the fibers of S and maps f_X to f_{X_S}.
+syndrome distribution of the noise.
 """
 
 from __future__ import annotations
@@ -78,22 +77,6 @@ def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
         lo += hi
         np.subtract(lo_copy, hi, out=hi)
     return out
-
-
-def conditional_expectation(f: np.ndarray, mask: int) -> np.ndarray:
-    """Average f over the fibers of the coordinate subset ``mask``.
-
-    Returns a function on F_2^{|S|} whose index bit j is the j-th
-    smallest coordinate of the subset.  Preserves the mean.
-    """
-    f = np.asarray(f, dtype=float)
-    n = dim_of(f)
-    if not 0 <= mask < (1 << n):
-        raise ValueError("subset mask out of range")
-    # axis n-1-i of the reshaped tensor corresponds to coordinate i
-    tensor = f.reshape((2,) * n)
-    drop = tuple(n - 1 - i for i in range(n) if not mask >> i & 1)
-    return tensor.mean(axis=drop).reshape(-1)
 
 
 def bernoulli_words(trials: int, n: int, p: float, rng: np.random.Generator) -> np.ndarray:

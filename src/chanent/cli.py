@@ -72,13 +72,10 @@ def _int_list(s: str) -> list[int]:
 
 def cmd_entropy(args) -> int:
     codes = [resolve_code(s) for s in args.code]
-    # a subset density lam is the same configuration as erasure eta = 1 - lam
-    eta_grid = [*(args.eta or []), *(1 - lam for lam in args.lam or [])] or [None]
+    grids = args.eps or [None], args.eta or [None], args.q or [1.0]
     rows = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
-        reports = entropy_analysis.entropy_report(
-            code, args.eps or [None], eta_grid, args.q or [1.0], args.trials, args.seed
-        )
+        reports = entropy_analysis.entropy_report(code, *grids, args.trials, args.seed)
         rows += [report.to_dict() for report in reports]
     emit(rows, args)
     return 0
@@ -88,8 +85,7 @@ def cmd_verify(args) -> int:
     codes = [resolve_code(s) for s in args.code]
     eps_grid = args.eps or [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
     eta_grid = args.eta or []
-    # a repeated order would repeat its rows
-    qs = list(dict.fromkeys(args.q or [2, 3, 4]))
+    qs = args.q or [2, 3, 4]
     # every check enumerates all subsets: refuse an oversized code before any work
     for code in codes:
         entropy_analysis.require_subset_cap(code.n)
@@ -241,9 +237,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_grids(args) -> None:
+    """Fold --lambda into --eta, then keep each code and grid value once, in first-seen order.
+
+    A repeated value would repeat its rows.
+    """
+    if getattr(args, "lam", None):
+        # a subset density lam is the same configuration as erasure eta = 1 - lam
+        args.eta = [*(args.eta or []), *(1 - lam for lam in args.lam)]
+    for key, value in list(vars(args).items()):
+        if isinstance(value, list):
+            setattr(args, key, list(dict.fromkeys(value)))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _unique_grids(args)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -13,7 +13,9 @@ For a linear code H_q(X_S) is the GF(2) rank r(S) of the generator
 restricted to S, for every q: the exact table is a superset sum over
 the codewords, and the Monte Carlo sampler ranks each distinct drawn
 mask (``bitspace.masked_ranks``).  The entropies H_q(X_S) of a nonlinear
-code come from one blocked projection kernel, ``projection_entropies``.
+code come from one blocked projection kernel, ``projection_entropies``,
+which sorts the projected words once for every order.  So the subset
+table of a code and a Monte Carlo draw of subsets serve all orders.
 Independent Bayes-rule / erasure-pattern oracles live in the test suite.
 """
 
@@ -80,19 +82,24 @@ def marginal_entropy(code: Code, mask: int, q: float) -> float:
     return renyi_entropy_from_counts(counts, q)
 
 
-def projection_entropies(code: Code, masks: np.ndarray, q: float) -> np.ndarray:
-    """H_q(X_S) for each subset mask in ``masks``, as ``marginal_entropy`` gives it.
+def _require_orders(qs: Sequence[float]) -> None:
+    for q in qs:
+        if not q >= 1:
+            raise ValueError(f"order q={q} must be >= 1")
 
-    A block of masks projects every codeword at once.  The runs of each
-    sorted row are the multiplicities of its projected words, and their
-    entropy terms are summed per row by one bincount.
+
+def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """H_q(X_S) as ``marginal_entropy`` gives it: row i at order qs[i], one column per mask.
+
+    A block of masks projects every codeword at once and is sorted once.
+    The runs of each sorted row are the multiplicities of its projected
+    words; every order sums their entropy terms per row by one bincount.
     """
-    if not q >= 1:
-        raise ValueError("order must be >= 1")
+    _require_orders(qs)
     cws = code.codeword_array()
     size = code.size
     masks = np.asarray(masks, dtype=np.uint64)
-    out = np.empty(len(masks))
+    out = np.empty((len(qs), len(masks)))
     block = max(1, _PAIR_BLOCK // size)
     for start in range(0, len(masks), block):
         words = masks[start : start + block, None] & cws
@@ -105,15 +112,16 @@ def projection_entropies(code: Code, masks: np.ndarray, q: float) -> np.ndarray:
         counts = np.diff(starts, append=first.size)
         p = counts / size
         row = starts // size
-        if q == 1:
-            # log2|C| - E log2(count): exact when every count is 1, or one is |C|
-            e_log_c = np.bincount(row, weights=p * np.log2(counts), minlength=m)
-            vals = math.log2(size) - e_log_c
-        elif math.isinf(q):
-            vals = -np.log2(np.maximum.reduceat(p, np.flatnonzero(starts % size == 0)))
-        else:
-            vals = -np.log2(np.bincount(row, weights=p**q, minlength=m)) / (q - 1)
-        out[start : start + m] = vals
+        for i, q in enumerate(qs):
+            if q == 1:
+                # log2|C| - E log2(count): exact when every count is 1, or one is |C|
+                e_log_c = np.bincount(row, weights=p * np.log2(counts), minlength=m)
+                vals = math.log2(size) - e_log_c
+            elif math.isinf(q):
+                vals = -np.log2(np.maximum.reduceat(p, np.flatnonzero(starts % size == 0)))
+            else:
+                vals = -np.log2(np.bincount(row, weights=p**q, minlength=m)) / (q - 1)
+            out[i, start : start + m] = vals
     return out
 
 
@@ -124,12 +132,14 @@ def require_subset_cap(n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def subset_renyi_values(code: Code, q: float) -> np.ndarray:
-    """H_q(X_S) for every subset S, indexed by mask.
+def subset_renyi_values(code: Code, qs: tuple[float, ...]) -> np.ndarray:
+    """H_q(X_S) for every order and subset, read-only: row i at order qs[i], column S.
 
-    A linear code's table is the same for every q; callers ask for it
-    with q = 1 so that one build serves all orders.
+    A nonlinear code's rows come from one projection pass.  A linear
+    code's rows are one array for every q, so the orders only key the
+    cache: callers that share its table pass the same tuple.
     """
+    _require_orders(qs)
     n = code.n
     require_subset_cap(n)
     if code.generator is not None:
@@ -142,49 +152,52 @@ def subset_renyi_values(code: Code, q: float) -> np.ndarray:
             lo += hi
         np.log2(out, out=out)
         np.subtract(code.log_size, out, out=out)
-    else:
-        out = projection_entropies(code, np.arange(1 << n, dtype=np.uint64), q)
+        return np.broadcast_to(out, (len(qs), len(out)))  # read-only, no copy
+    out = projection_entropies(code, np.arange(1 << n, dtype=np.uint64), qs)
     out.setflags(write=False)
     return out
 
 
-def _check_subset_law(lam: float, q: float) -> None:
+def _check_subset_law(lam: float, qs: Sequence[float]) -> None:
     if not 0 <= lam <= 1:
         raise ValueError("lam must be in [0, 1]")
-    if not q >= 1:
-        raise ValueError("order must be >= 1")
+    _require_orders(qs)
 
 
 def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
     """Exact E_{S~lam} H_q(X_S) by enumerating all 2^n subsets."""
-    _check_subset_law(lam, q)
-    vals = subset_renyi_values(code, 1.0 if code.generator is not None else q)
-    return float(subset_weights(code.n, lam) @ vals)
+    _check_subset_law(lam, (q,))
+    # a linear code's one table serves every order under one cache key
+    vals = subset_renyi_values(code, (1.0,) if code.generator is not None else (q,))
+    return float(subset_weights(code.n, lam) @ vals[0])
 
 
 def subset_entropy_expectation_mc(
-    code: Code, lam: float, q: float, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo E_{S~lam} H_q(X_S); returns (estimate, std error).
+    code: Code, lam: float, qs: Sequence[float], trials: int, seed: int
+) -> list[tuple[float, float]]:
+    """Monte Carlo E_{S~lam} H_q(X_S): (estimate, std error) for each order in qs.
 
-    Each distinct drawn mask is evaluated once: by the GF(2) rank of the
-    generator restricted to it for a linear code (H_q(X_S) = r(S) for
-    every q), by the projection kernel otherwise.
+    One draw of subsets serves every order, and each distinct drawn mask
+    is evaluated once: by the GF(2) rank of the generator restricted to
+    it for a linear code (H_q(X_S) = r(S) for every q), by one projection
+    pass for all orders otherwise.
     """
-    _check_subset_law(lam, q)
+    _check_subset_law(lam, qs)
     if trials < 2:
         raise ValueError("trials must be >= 2: a standard error needs two samples")
     rng = np.random.default_rng(seed)
     masks = bernoulli_words(trials, code.n, lam, rng)
     distinct, inverse = np.unique(masks, return_inverse=True)
     if code.generator is not None:
-        vals = masked_ranks(code.generator, distinct).astype(float)
+        ranks = masked_ranks(code.generator, distinct).astype(float)
+        table = np.broadcast_to(ranks, (len(qs), len(ranks)))
     else:
-        vals = projection_entropies(code, distinct, q)
-    vals = vals[inverse]
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(trials))
-    return est, stderr
+        table = projection_entropies(code, distinct, qs)
+    out = []
+    for row in table:
+        vals = row[inverse]
+        out.append((float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(trials))))
+    return out
 
 
 def cond_entropy_bsc(code: Code, eps: float) -> float:
@@ -233,16 +246,6 @@ def cond_entropy_bec(code: Code, eta: float) -> float:
     return code.log_size - subset_entropy_expectation(code, 1 - eta, 1.0)
 
 
-def cond_entropy_bec_mc(
-    code: Code, eta: float, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo H(X|Y_BEC); returns (estimate, std error)."""
-    if not 0 <= eta <= 1:
-        raise ValueError("eta must be in [0, 1]")
-    est, stderr = subset_entropy_expectation_mc(code, 1 - eta, 1.0, trials, seed)
-    return code.log_size - est, stderr
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """One (code, eps, eta, q) configuration's entropic quantities."""
@@ -289,15 +292,13 @@ def entropy_report(
 
     H(X|Y_BSC) is computed once per eps, exactly for every n: from the
     syndrome distribution for a code with a generator, from the dense
-    noise operator otherwise.  E_{S~1-eta} H_q(X_S) is computed once per
-    (eta, q), by exact enumeration when n allows it and otherwise by
-    Monte Carlo (requires trials and seed), and H(X|Y_BEC) comes from its
-    q = 1 value.  A None eps or eta leaves its quantities out.  Every q
-    and eta is checked before any work.
+    noise operator otherwise.  E_{S~1-eta} H_q(X_S) is read for every q
+    and for q = 1, which gives H(X|Y_BEC): from one subset table per code
+    when n allows exact enumeration, otherwise from one Monte Carlo draw
+    per eta (requires trials and seed).  A None eps or eta leaves its
+    quantities out.  Every q and eta is checked before any work.
     """
-    for q in qs:
-        if not q >= 1:
-            raise ValueError(f"order q={q} must be >= 1")
+    _require_orders(qs)
     etas = [eta for eta in dict.fromkeys(eta_grid) if eta is not None]
     for eta in etas:
         if not 0 <= eta <= 1:
@@ -308,15 +309,16 @@ def entropy_report(
 
     bsc_entropy = cond_entropy_bsc_linear if code.generator is not None else cond_entropy_bsc
     h_bsc = {eps: bsc_entropy(code, eps) for eps in dict.fromkeys(eps_grid) if eps is not None}
+    orders = tuple(dict.fromkeys([*qs, 1.0]))
+    table = subset_renyi_values(code, orders) if etas and not sampled else None
     # (eta, q) -> (E_{S~1-eta} H_q(X_S), stderr); q = 1 gives H(X|Y_BEC)
     subset = {}
     for eta in etas:
-        for q in dict.fromkeys([*qs, 1.0]):
-            if sampled:
-                # the same seed draws the same subsets for every q
-                subset[eta, q] = subset_entropy_expectation_mc(code, 1 - eta, q, trials, seed)
-            else:
-                subset[eta, q] = subset_entropy_expectation(code, 1 - eta, q), None
+        if sampled:
+            values = subset_entropy_expectation_mc(code, 1 - eta, orders, trials, seed)
+        else:
+            values = [(float(subset_weights(code.n, 1 - eta) @ row), None) for row in table]
+        subset.update(((eta, q), v) for q, v in zip(orders, values))
 
     reports = []
     for eps, eta, q in itertools.product(eps_grid, eta_grid, qs):

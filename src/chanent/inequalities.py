@@ -135,7 +135,7 @@ def subset_stats_of_code(code: Code, qs) -> SubsetStats:
         return subset_stats(f, qs)
     qs = tuple(dict.fromkeys(_require_q(q) for q in qs))
     f.flags.writeable = False
-    free = popcounts(code.n) - subset_renyi_values(code, 1.0)
+    free = popcounts(code.n) - subset_renyi_values(code, (1.0,))[0]
     return SubsetStats(f, free, {q: free * (1 - 1 / q) for q in qs})
 
 

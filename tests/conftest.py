@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent.bitspace import Code
+from chanent.boolfn import dim_of
 
 RANDOM_LINEAR_PARAMS = [
     (6 + i % 7, 2 + (3 * i) % 5, 100 + i) for i in range(20)
@@ -154,6 +155,22 @@ def naive_project(v: int, mask: int, n: int) -> int:
     for j, i in enumerate(coords):
         out |= ((v >> i) & 1) << j
     return out
+
+
+def conditional_expectation(f: np.ndarray, mask: int) -> np.ndarray:
+    """E(f|S): the average of f over the fibers of the coordinate subset ``mask``.
+
+    Returns a function on F_2^{|S|} whose index bit j is the j-th
+    smallest coordinate of the subset.  Preserves the mean.
+    """
+    f = np.asarray(f, dtype=float)
+    n = dim_of(f)
+    if not 0 <= mask < (1 << n):
+        raise ValueError("subset mask out of range")
+    # axis n-1-i of the reshaped tensor corresponds to coordinate i
+    tensor = f.reshape((2,) * n)
+    drop = tuple(n - 1 - i for i in range(n) if not mask >> i & 1)
+    return tensor.mean(axis=drop).reshape(-1)
 
 
 def bayes_cond_entropy_bsc(code: Code, eps: float) -> float:

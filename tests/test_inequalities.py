@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chanent import bitspace as bs
 from chanent import boolfn, channels, inequalities as iq
 
-from conftest import linear_codes, nonlinear_codes, small_corpus
+from conftest import conditional_expectation, linear_codes, nonlinear_codes, small_corpus
 
 
 def _noisy_code(code, eps):
@@ -250,7 +250,7 @@ def test_subset_stats_matches_definition(values):
     f = np.array(values)
     stats = iq.subset_stats(f, (2, 3, 4))
     for mask in range(len(f)):
-        cond = channels.conditional_expectation(f, mask)
+        cond = conditional_expectation(f, mask)
         assert stats.ent[mask] == pytest.approx(boolfn.ent(cond), abs=1e-12)
         for q in (2, 3, 4):
             direct = math.log2(boolfn.norm_q(cond, q))
