@@ -11,7 +11,10 @@ a recorded file) and reported as the median with its quartiles:
   at 2000 trials, two etas and orders 1 and 2 (through ``entropy_report``,
   whose signature is stable, so that any tree can be timed);
 * the ``verify`` and ``entropy`` operations of the benchmark workloads
-  (``perfbench/workloads.py``) on seed 1, each through ``cli.main``.
+  (``perfbench/workloads.py``) on seed 1, each through ``cli.main``;
+* ``verify`` through ``cli.main`` on seed 1's nonlinear n = 14, 200-word
+  ``codewords-file`` code of the same workloads, at orders 2 and 3 and
+  etas 0.3 and 0.5.
 
 Every lru cache of the package is cleared before each repeat, so a
 repeat pays what a fresh CLI process pays.  The CLI cases also record
@@ -112,9 +115,7 @@ def cases(work_dir: Path) -> dict:
         )
         return repr([report.to_dict() for report in reports]).encode()
 
-    def cli(workload):
-        ops = workloads.build_ops(workload, inputs, work_dir)
-
+    def cli(ops):
         def run():
             return b"".join(
                 str(code).encode() + b"\0" + text.encode()
@@ -123,12 +124,20 @@ def cases(work_dir: Path) -> dict:
 
         return run
 
+    nonlinear = work_dir / "verify_nonlinear14.txt"
+    nonlinear.write_text(
+        workloads.codeword_file_text(inputs.nonlinear_words, workloads.NONLINEAR_N)
+    )
+    verify_nonlinear = ["verify", "--code", f"codewords-file:{nonlinear}"]
+    verify_nonlinear += ["--q", "2,3", "--eta", "0.3,0.5", "--format", "json"]
+
     return {
         "subset_weights.n16": weights(16),
         "subset_weights.n18": weights(18),
         "entropy_report.mc.24_12": mc,
-        "cli.verify": cli("verify"),
-        "cli.entropy": cli("entropy"),
+        "cli.verify": cli(workloads.build_ops("verify", inputs, work_dir)),
+        "cli.entropy": cli(workloads.build_ops("entropy", inputs, work_dir)),
+        "cli.verify.nonlinear14": cli([workloads._cli_op("verify.nonlinear14", verify_nonlinear)]),
     }
 
 

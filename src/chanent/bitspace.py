@@ -146,6 +146,11 @@ class Code:
         return math.log2(self.size)
 
     @property
+    def redundancy(self) -> int:
+        """n - k, the syndrome length of a linear code (|C| = 2^k)."""
+        return self.n - (self.size.bit_length() - 1)
+
+    @property
     def rate(self) -> float:
         """Normalized rate log2|C| / n."""
         return self.log_size / self.n

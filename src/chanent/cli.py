@@ -96,18 +96,18 @@ def cmd_verify(args) -> int:
         for eps in eps_grid:
             noisy = inequalities.noisy_function(stats.f, eps)
             checks = [
-                inequalities.check_cor_rv_entropy(code, noisy),
+                inequalities.check_cor_rv_entropy(stats, noisy),
                 inequalities.check_sam_entropy(stats, noisy, name=code.name),
             ]
             for q in qs:
-                checks.append(inequalities.check_cor_rv(code, noisy, q))
+                checks.append(inequalities.check_cor_rv(stats, noisy, q))
                 checks.append(inequalities.check_sam_norm(stats, noisy, q, name=code.name))
             for rep in checks:
                 reports.append(rep)
                 rows.append({**rep.to_dict(), "skipped": False})
             for eta in eta_grid:
                 try:
-                    rep = inequalities.check_bsc_bec(code, noisy, eta)
+                    rep = inequalities.check_bsc_bec(stats, noisy, eta)
                 except inequalities.HypothesisViolation:
                     rows.append(
                         {

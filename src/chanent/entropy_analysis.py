@@ -158,6 +158,17 @@ def subset_renyi_values(code: Code, qs: tuple[float, ...]) -> np.ndarray:
     return out
 
 
+def subset_rows(code: Code, qs: Sequence[float]) -> np.ndarray:
+    """H_q(X_S) for every subset, read-only: row i at order qs[i], from one cached table.
+
+    A linear code's one table serves every order, so it is cached under
+    (1.0,) whatever the orders; a nonlinear code's is keyed by qs.
+    """
+    _require_orders(qs)
+    key = (1.0,) if code.generator is not None else tuple(qs)
+    return np.broadcast_to(subset_renyi_values(code, key), (len(qs), 1 << code.n))
+
+
 def _check_subset_law(lam: float, qs: Sequence[float]) -> None:
     if not 0 <= lam <= 1:
         raise ValueError("lam must be in [0, 1]")
@@ -167,9 +178,7 @@ def _check_subset_law(lam: float, qs: Sequence[float]) -> None:
 def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
     """Exact E_{S~lam} H_q(X_S) by enumerating all 2^n subsets."""
     _check_subset_law(lam, (q,))
-    # a linear code's one table serves every order under one cache key
-    vals = subset_renyi_values(code, (1.0,) if code.generator is not None else (q,))
-    return float(subset_weights(code.n, lam) @ vals[0])
+    return float(subset_weights(code.n, lam) @ subset_rows(code, (q,))[0])
 
 
 def subset_entropy_expectation_mc(
@@ -217,7 +226,7 @@ def syndrome_distribution(code: Code, eps: float) -> np.ndarray:
         raise ValueError("the syndrome distribution needs a linear code")
     if not 0 <= eps <= 1:
         raise ValueError("eps must be in [0, 1]")
-    r = code.n - (code.size.bit_length() - 1)  # |C| = 2^k
+    r = code.redundancy
     p = np.zeros(1 << r)
     p[0] = 1.0
     return _xor_shift_pass(p, r, syndrome_columns(code.generator, code.n), eps)
@@ -310,7 +319,7 @@ def entropy_report(
     bsc_entropy = cond_entropy_bsc_linear if code.generator is not None else cond_entropy_bsc
     h_bsc = {eps: bsc_entropy(code, eps) for eps in dict.fromkeys(eps_grid) if eps is not None}
     orders = tuple(dict.fromkeys([*qs, 1.0]))
-    table = subset_renyi_values(code, orders) if etas and not sampled else None
+    table = subset_rows(code, orders) if etas and not sampled else None
     # (eta, q) -> (E_{S~1-eta} H_q(X_S), stderr); q = 1 gives H(X|Y_BEC)
     subset = {}
     for eta in etas:

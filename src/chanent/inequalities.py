@@ -26,11 +26,9 @@ from .boolfn import (
 from .channels import noise_operator
 from .entropy_analysis import (
     _cond_entropy_bsc_from,
-    cond_entropy_bec,
     popcounts,
     require_subset_cap,
-    subset_entropy_expectation,
-    subset_renyi_values,
+    subset_rows,
     subset_weights,
 )
 
@@ -71,9 +69,12 @@ class SlackReport:
 # ---------------------------------------------------------------------------
 # Per-subset statistics of a nonnegative f.  They do not depend on eps
 # (only the subset weights do), so callers build them once per function
-# and pass them down the eps grid.  A general f takes the O(3^n) DP of
-# ``subset_stats``; the function of a linear code has them in closed
-# form from its subset table (``subset_stats_of_code``).
+# and pass them down the eps grid.  For f = f_C, the distribution
+# function of X uniform on a code C, E(f|S)(x) = 2^|S| Pr[X_S = x_S],
+# so every code, linear or not, has them in closed form from its one
+# subset table of H_q(X_S) (``subset_stats_of_code``); those rows also
+# give the code checks their E_{S~lam} H_q(X_S).  The O(3^n) DP of
+# ``subset_stats`` serves a general f.
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,9 @@ class SubsetStats:
     f: np.ndarray  # read-only copy of the function
     ent: np.ndarray
     log_norm: dict[int, np.ndarray]  # q -> values per mask
+    # for f = f_C: the code and q -> H_q(X_S) per mask, q = 1 included
+    code: Code | None = None
+    renyi: dict[float, np.ndarray] = field(default_factory=dict)
 
 
 def subset_stats(f: np.ndarray, qs) -> SubsetStats:
@@ -124,19 +128,24 @@ def subset_stats(f: np.ndarray, qs) -> SubsetStats:
 def subset_stats_of_code(code: Code, qs) -> SubsetStats:
     """Subset statistics of f_C, the distribution function of X uniform on the code.
 
-    For a linear code E(f|S) is uniform on a subspace of rank
-    r(S) = H(X_S), so with free(S) = |S| - r(S) it has
-    Ent[E(f|S)] = free(S) and log2 ||E(f|S)||_q = free(S) (1 - 1/q);
-    r comes from the code's subset table.  Other codes take the DP.
+    E(f|S) is 2^|S| times the law of X_S, so Ent[E(f|S)] = |S| - H(X_S)
+    and log2 ||E(f|S)||_q = (|S| - H_q(X_S)) (1 - 1/q), with H_q(X_S)
+    read from the code's one subset table for the orders {1} and qs.
     """
     require_subset_cap(code.n)
-    f = from_code(code)
-    if code.generator is None:
-        return subset_stats(f, qs)
     qs = tuple(dict.fromkeys(_require_q(q) for q in qs))
+    f = from_code(code)
     f.flags.writeable = False
-    free = popcounts(code.n) - subset_renyi_values(code, (1.0,))[0]
-    return SubsetStats(f, free, {q: free * (1 - 1 / q) for q in qs})
+    # popcounts first: the 2^n temporary it frees raises glibc's mmap
+    # threshold, so the table goes on the heap, not in a mapping of its
+    # own (0.5 MB of peak RSS at n = 16)
+    sizes = popcounts(code.n)
+    orders = (1.0, *qs)
+    renyi = dict(zip(orders, subset_rows(code, orders)))
+    log_norm = {q: np.subtract(sizes, renyi[q]) for q in qs}
+    for q, free in log_norm.items():
+        free *= 1 - 1 / q  # in place: no 2^n temporary per order
+    return SubsetStats(f, sizes - renyi[1.0], log_norm, code, renyi)
 
 
 def _require_q(q) -> int:
@@ -202,15 +211,25 @@ def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction, name: str = "f")
     )
 
 
-def check_cor_rv(code: Code, noisy: NoisyFunction, q: int) -> SlackReport:
+def _code_row(stats: SubsetStats, q: float) -> tuple[Code, np.ndarray]:
+    """The code behind the statistics and its row H_q(X_S)."""
+    if stats.code is None:
+        raise ValueError("the code checks need subset statistics of a code")
+    if q not in stats.renyi:
+        raise ValueError(f"subset statistics were built without q={q}")
+    return stats.code, stats.renyi[q]
+
+
+def check_cor_rv(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackReport:
     """H_q(X+Z) >= (1-lam)*n + E_{S~lam} H_q(X_S), lam = 1 - h_q(eps)."""
     q = _require_q(q)
+    code, row = _code_row(stats, q)
     eps = noisy.eps
     lam = 1 - h_q(eps, q)
     n = code.n
     _require_dim(noisy, n)
     lhs_side = renyi_entropy_of_function(noisy.f, q)
-    rhs_side = (1 - lam) * n + subset_entropy_expectation(code, lam, q)
+    rhs_side = (1 - lam) * n + float(subset_weights(n, lam) @ row)
     # slack = H_q(X+Z) - lower bound
     return SlackReport(
         "cor_rv",
@@ -220,14 +239,15 @@ def check_cor_rv(code: Code, noisy: NoisyFunction, q: int) -> SlackReport:
     )
 
 
-def check_cor_rv_entropy(code: Code, noisy: NoisyFunction) -> SlackReport:
+def check_cor_rv_entropy(stats: SubsetStats, noisy: NoisyFunction) -> SlackReport:
     """H(X+Z) >= (1-lam)*n + E_{S~lam} H(X_S), lam = (1-2*eps)^2."""
+    code, row = _code_row(stats, 1.0)
     eps = noisy.eps
     lam = (1 - 2 * eps) ** 2
     n = code.n
     _require_dim(noisy, n)
     h_xz = n - noisy.ent
-    bound = (1 - lam) * n + subset_entropy_expectation(code, lam, 1.0)
+    bound = (1 - lam) * n + float(subset_weights(n, lam) @ row)
     return SlackReport(
         "cor_rv_entropy",
         {"code": code.name, "n": n, "eps": eps, "lambda": lam},
@@ -236,8 +256,9 @@ def check_cor_rv_entropy(code: Code, noisy: NoisyFunction) -> SlackReport:
     )
 
 
-def check_bsc_bec(code: Code, noisy: NoisyFunction, eta: float) -> SlackReport:
+def check_bsc_bec(stats: SubsetStats, noisy: NoisyFunction, eta: float) -> SlackReport:
     """H(X|Y_BSC) <= (h(eps)-eta)*n + H(X|Y_BEC), for 4*eps*(1-eps) >= eta."""
+    code, row = _code_row(stats, 1.0)
     eps = noisy.eps
     if not 0 <= eta <= 1:
         raise ValueError(f"eta={eta} outside [0, 1]")
@@ -248,7 +269,8 @@ def check_bsc_bec(code: Code, noisy: NoisyFunction, eta: float) -> SlackReport:
     n = code.n
     _require_dim(noisy, n)
     lhs = _cond_entropy_bsc_from(code, noisy.ent, eps)
-    rhs = (binary_entropy(eps) - eta) * n + cond_entropy_bec(code, eta)
+    h_bec = code.log_size - float(subset_weights(n, 1 - eta) @ row)  # H(X) - E H(X_S)
+    rhs = (binary_entropy(eps) - eta) * n + h_bec
     return SlackReport(
         "bsc_bec", {"code": code.name, "n": n, "eps": eps, "eta": eta}, lhs, rhs
     )

@@ -321,11 +321,6 @@ def _pair_counts(y, x, wz, radius: int, cws):
     return within, ahead
 
 
-def _redundancy(code: Code) -> int:
-    """n - k, the syndrome length of a linear code (|C| = 2^k)."""
-    return code.n - (code.size.bit_length() - 1)
-
-
 # at most 8 MB a table, so the cache holds at most 32 MB
 @lru_cache(maxsize=4)
 def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
@@ -343,7 +338,7 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     """
     if code.generator is None:
         return None
-    n, r = code.n, _redundancy(code)
+    n, r = code.n, code.redundancy
     if (n + 2) << r > 1 << min(n, EXACT_CAP):
         return None
     cols = syndrome_columns(code.generator, n)
@@ -373,7 +368,7 @@ def _table_pays(code: Code, trials: int) -> bool:
     if code.generator is None:
         return False
     n = code.n
-    return n * (n + 2) << _redundancy(code) <= trials * code.size
+    return n * (n + 2) << code.redundancy <= trials * code.size
 
 
 def _top_bits(words: np.ndarray) -> np.ndarray:

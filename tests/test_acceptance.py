@@ -47,14 +47,16 @@ def corpus():
 def test_criterion_1_inequality_battery(corpus):
     worst = math.inf
     for code in corpus:
-        stats = iq.subset_stats(boolfn.from_code(code), QS)
+        stats = iq.subset_stats_of_code(code, QS)
+        # the SAM checks read the DP, independent of the code's subset table
+        dp = iq.subset_stats(stats.f, QS)
         for eps in EPS_GRID:
             noisy = iq.noisy_function(stats.f, eps)
-            worst = min(worst, iq.check_cor_rv_entropy(code, noisy).slack)
-            worst = min(worst, iq.check_sam_entropy(stats, noisy).slack)
+            worst = min(worst, iq.check_cor_rv_entropy(stats, noisy).slack)
+            worst = min(worst, iq.check_sam_entropy(dp, noisy).slack)
             for q in QS:
-                worst = min(worst, iq.check_cor_rv(code, noisy, q).slack)
-                worst = min(worst, iq.check_sam_norm(stats, noisy, q).slack)
+                worst = min(worst, iq.check_cor_rv(stats, noisy, q).slack)
+                worst = min(worst, iq.check_sam_norm(dp, noisy, q).slack)
     _report(1, "inequality battery slack >= -1e-9", worst >= -1e-9,
             f"min slack {worst:.3e}")
 
@@ -63,18 +65,18 @@ def test_criterion_2_theorem1_battery(corpus):
     worst = math.inf
     checked = 0
     for code in corpus:
-        f = boolfn.from_code(code)
+        stats = iq.subset_stats_of_code(code, ())
         for eps in EPS_GRID:
-            noisy = iq.noisy_function(f, eps)
+            noisy = iq.noisy_function(stats.f, eps)
             for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
                 if 4 * eps * (1 - eps) < eta:
                     continue
-                worst = min(worst, iq.check_bsc_bec(code, noisy, eta).slack)
+                worst = min(worst, iq.check_bsc_bec(stats, noisy, eta).slack)
                 checked += 1
     equality_ok = True
     for n in (2, 3, 4):
-        full = bs.full_space_code(n)
-        rep = iq.check_bsc_bec(full, iq.noisy_function(boolfn.from_code(full), 0.3), 0.5)
+        stats = iq.subset_stats_of_code(bs.full_space_code(n), ())
+        rep = iq.check_bsc_bec(stats, iq.noisy_function(stats.f, 0.3), 0.5)
         equality_ok &= abs(rep.slack) <= 1e-9
     _report(2, "BSC-BEC comparison slack >= -1e-9, equality at full space",
             worst >= -1e-9 and equality_ok and checked > 0,

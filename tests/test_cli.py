@@ -114,22 +114,38 @@ def _forbid(monkeypatch, module, name):
     monkeypatch.setattr(module, name, fail)
 
 
-def test_verify_runs_no_dp_on_linear_codes(monkeypatch, capsys):
+def test_verify_runs_no_dp_and_one_subset_table_per_code(monkeypatch, tmp_path, capsys):
     _forbid(monkeypatch, inequalities, "subset_stats")
+    passes = []
+    kernel = ea.projection_entropies
+
+    def counted(code, masks, qs):
+        passes.append(tuple(qs))
+        return kernel(code, masks, qs)
+
+    monkeypatch.setattr(ea, "projection_entropies", counted)
+    path = tmp_path / "words.txt"
+    path.write_text("".join(format(w, "05b")[::-1] + "\n" for w in (0, 3, 12, 25, 30)))
+    ea.subset_renyi_values.cache_clear()
     code, out = run(
         [
             "verify",
             "--code", "repetition:3",
             "--code", "hamming74",
             "--code", "reed_muller:1,4",
+            "--code", f"codewords-file:{path}",
             "--eps", "0.1,0.3",
             "--eta", "0.5",
+            "--q", "2,3,4",
             "--format", "json",
         ],
         capsys,
     )
     assert code == 0
     assert json.loads(out)[-1]["pass"] is True
+    # one projection pass serves every order of the nonlinear code
+    assert passes == [(1.0, 2, 3, 4)]
+    assert ea.subset_renyi_values.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("linear", [True, False])

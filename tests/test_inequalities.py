@@ -11,8 +11,10 @@ from chanent import boolfn, channels, inequalities as iq
 from conftest import conditional_expectation, linear_codes, nonlinear_codes, small_corpus
 
 
-def _noisy_code(code, eps):
-    return iq.noisy_function(boolfn.from_code(code), eps)
+def _code_inputs(code, eps, qs=()):
+    """The code's subset statistics and T_eps f_C, as the code checks take them."""
+    stats = iq.subset_stats_of_code(code, qs)
+    return stats, iq.noisy_function(stats.f, eps)
 
 
 def test_sam_norm_constant_function():
@@ -77,7 +79,7 @@ def test_sam_entropy_random_battery():
 
 def test_cor_rv_full_space_equality():
     c = bs.full_space_code(4)
-    rep = iq.check_cor_rv(c, _noisy_code(c, 0.2), 2)
+    rep = iq.check_cor_rv(*_code_inputs(c, 0.2, (2,)), 2)
     assert abs(rep.slack) <= 1e-9
     assert rep.rhs == pytest.approx(4.0)
 
@@ -86,7 +88,7 @@ def test_cor_rv_single_code():
     # both sides computed by brute force for the point-mass code
     n, eps, q = 5, 0.2, 2
     c = bs.single_code(n)
-    rep = iq.check_cor_rv(c, _noisy_code(c, eps), q)
+    rep = iq.check_cor_rv(*_code_inputs(c, eps, (q,)), q)
     lam = 1 - boolfn.h_q(eps, q)
     # H_q(Z) for iid Bernoulli noise is n h_q(eps); E_S H_q(X_S) = 0
     assert rep.rhs == pytest.approx(n * boolfn.h_q(eps, q), abs=1e-10)
@@ -97,51 +99,53 @@ def test_cor_rv_single_code():
 def test_cor_rv_corpus_battery():
     for code in small_corpus(8):
         for eps in (0.1, 0.3):
-            noisy = _noisy_code(code, eps)
+            stats, noisy = _code_inputs(code, eps, (2, 3))
             for q in (2, 3):
-                assert iq.check_cor_rv(code, noisy, q).slack >= -1e-9
+                assert iq.check_cor_rv(stats, noisy, q).slack >= -1e-9
 
 
 def test_cor_rv_entropy_trivial_cases():
     c = bs.full_space_code(3)
-    assert abs(iq.check_cor_rv_entropy(c, _noisy_code(c, 0.2)).slack) <= 1e-9
+    assert abs(iq.check_cor_rv_entropy(*_code_inputs(c, 0.2)).slack) <= 1e-9
     c = bs.hamming74_code()
-    rep = iq.check_cor_rv_entropy(c, _noisy_code(c, 0.5))
+    rep = iq.check_cor_rv_entropy(*_code_inputs(c, 0.5))
     assert abs(rep.slack) <= 1e-9  # lambda = 0 and H(X+Z) = n
 
 
 def test_cor_rv_entropy_corpus_battery():
     for code in small_corpus(8):
         for eps in (0.05, 0.25, 0.45):
-            assert iq.check_cor_rv_entropy(code, _noisy_code(code, eps)).slack >= -1e-9
+            assert iq.check_cor_rv_entropy(*_code_inputs(code, eps)).slack >= -1e-9
 
 
-def test_cor_rv_consistent_with_sam_norm():
-    # the same inequality through the norm/entropy translations
-    for code in [bs.repetition_code(3), bs.hamming74_code()]:
-        stats = iq.subset_stats(boolfn.from_code(code), (2, 3))
-        for eps in (0.1, 0.3):
-            noisy = iq.noisy_function(stats.f, eps)  # one T_eps f for both checks
-            for q in (2, 3):
-                a = iq.check_sam_norm(stats, noisy, q)
-                b = iq.check_cor_rv(code, noisy, q)
-                assert b.slack == pytest.approx(a.slack * q / (q - 1), abs=1e-9)
-            # q = 1: Ent[E(f|S)] = |S| - H(X_S) and E|S| = lam n, so the slacks agree
-            a = iq.check_sam_entropy(stats, noisy)
-            b = iq.check_cor_rv_entropy(code, noisy)
-            assert b.slack == pytest.approx(a.slack, abs=1e-9)
+@settings(max_examples=60, deadline=None)
+@given(
+    code=st.one_of(linear_codes(max_n=9), nonlinear_codes(max_n=8)),
+    eps=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_cor_rv_consistent_with_sam_norm(code, eps):
+    # the same inequality through the norm/entropy translations, for every
+    # code: T_eps f_C is 2^n times the law of X+Z, and E|S| = lam n
+    stats, noisy = _code_inputs(code, eps, (2, 3))  # one T_eps f for both checks
+    for q in (2, 3):
+        a = iq.check_sam_norm(stats, noisy, q)
+        b = iq.check_cor_rv(stats, noisy, q)
+        assert a.slack == pytest.approx((1 - 1 / q) * b.slack, abs=1e-12)
+    a = iq.check_sam_entropy(stats, noisy)
+    b = iq.check_cor_rv_entropy(stats, noisy)
+    assert a.slack == pytest.approx(b.slack, abs=1e-12)
 
 
 def test_bsc_bec_full_space_equality():
     c = bs.full_space_code(4)
-    rep = iq.check_bsc_bec(c, _noisy_code(c, 0.3), 0.5)
+    rep = iq.check_bsc_bec(*_code_inputs(c, 0.3), 0.5)
     assert abs(rep.slack) <= 1e-9
 
 
 def test_bsc_bec_single_code():
     n, eps, eta = 5, 0.3, 0.5
     c = bs.single_code(n)
-    rep = iq.check_bsc_bec(c, _noisy_code(c, eps), eta)
+    rep = iq.check_bsc_bec(*_code_inputs(c, eps), eta)
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
     assert rep.slack == pytest.approx(
         (boolfn.binary_entropy(eps) - eta) * n, abs=1e-9
@@ -151,17 +155,17 @@ def test_bsc_bec_single_code():
 
 def test_bsc_bec_repetition():
     c = bs.repetition_code(3)
-    assert iq.check_bsc_bec(c, _noisy_code(c, 0.3), 0.5).slack >= -1e-9
+    assert iq.check_bsc_bec(*_code_inputs(c, 0.3), 0.5).slack >= -1e-9
 
 
 def test_bsc_bec_hypothesis_gate():
     c = bs.repetition_code(3)
     with pytest.raises(iq.HypothesisViolation):
-        iq.check_bsc_bec(c, _noisy_code(c, 0.05), 0.5)
+        iq.check_bsc_bec(*_code_inputs(c, 0.05), 0.5)
     # a malformed eta is a usage error, not a hypothesis to skip
     for eta in (1.5, -0.1):
         with pytest.raises(ValueError) as exc:
-            iq.check_bsc_bec(c, _noisy_code(c, 0.3), eta)
+            iq.check_bsc_bec(*_code_inputs(c, 0.3), eta)
         assert not isinstance(exc.value, iq.HypothesisViolation)
 
 
@@ -218,7 +222,7 @@ def test_partial_entropy_random_battery():
 
 def test_slack_report_serialization():
     c = bs.repetition_code(3)
-    rep = iq.check_bsc_bec(c, _noisy_code(c, 0.3), 0.5)
+    rep = iq.check_bsc_bec(*_code_inputs(c, 0.3), 0.5)
     d = rep.to_dict()
     assert d["inequality"] == "bsc_bec"
     assert d["pass"] is True
@@ -273,9 +277,9 @@ def test_subset_stats_keeps_a_read_only_copy():
         stats.f[0] = 5.0
 
 
-@settings(max_examples=60, deadline=None)
-@given(code=linear_codes(max_n=9))
-def test_subset_stats_of_linear_code_matches_the_dp(code):
+@settings(max_examples=80, deadline=None)
+@given(code=st.one_of(linear_codes(max_n=9), nonlinear_codes(max_n=8)))
+def test_subset_stats_of_code_matches_the_dp(code):
     # the closed form against the DP on f_C, every mask and order
     closed = iq.subset_stats_of_code(code, (2, 3, 4))
     dp = iq.subset_stats(boolfn.from_code(code), (2, 3, 4))
@@ -283,17 +287,6 @@ def test_subset_stats_of_linear_code_matches_the_dp(code):
     assert np.max(np.abs(closed.ent - dp.ent)) <= 1e-12
     for q in (2, 3, 4):
         assert np.max(np.abs(closed.log_norm[q] - dp.log_norm[q])) <= 1e-12
-
-
-@settings(max_examples=20, deadline=None)
-@given(code=nonlinear_codes(max_n=8))
-def test_subset_stats_of_nonlinear_code_is_the_dp(code):
-    stats = iq.subset_stats_of_code(code, (2, 3))
-    dp = iq.subset_stats(boolfn.from_code(code), (2, 3))
-    assert stats.f.tobytes() == dp.f.tobytes()
-    assert stats.ent.tobytes() == dp.ent.tobytes()
-    for q in (2, 3):
-        assert stats.log_norm[q].tobytes() == dp.log_norm[q].tobytes()
 
 
 def test_subset_stats_of_code_checks_orders_and_keeps_a_read_only_function():
@@ -338,15 +331,32 @@ def test_noisy_function_matches_noise_operator():
 
 
 def test_checks_reject_noisy_function_of_another_dimension():
-    code = bs.repetition_code(3)
-    stats = iq.subset_stats(boolfn.from_code(code), (2,))
+    stats = iq.subset_stats_of_code(bs.repetition_code(3), (2,))
     noisy = iq.noisy_function(np.ones(16), 0.2)
     for check in (
         lambda: iq.check_sam_norm(stats, noisy, 2),
         lambda: iq.check_sam_entropy(stats, noisy),
-        lambda: iq.check_cor_rv(code, noisy, 2),
-        lambda: iq.check_cor_rv_entropy(code, noisy),
-        lambda: iq.check_bsc_bec(code, noisy, 0.5),
+        lambda: iq.check_cor_rv(stats, noisy, 2),
+        lambda: iq.check_cor_rv_entropy(stats, noisy),
+        lambda: iq.check_bsc_bec(stats, noisy, 0.5),
     ):
         with pytest.raises(ValueError, match="expected 2\\^3"):
             check()
+
+
+def test_code_checks_need_statistics_of_a_code_with_the_order():
+    code = bs.hamming74_code()
+    stats, noisy = _code_inputs(code, 0.3, (2,))
+    dp = iq.subset_stats(stats.f, (2, 3))  # no code behind it
+    for check in (
+        lambda: iq.check_cor_rv(dp, noisy, 2),
+        lambda: iq.check_cor_rv_entropy(dp, noisy),
+        lambda: iq.check_bsc_bec(dp, noisy, 0.5),
+    ):
+        with pytest.raises(ValueError, match="statistics of a code"):
+            check()
+    with pytest.raises(ValueError, match="q=3"):
+        iq.check_cor_rv(stats, noisy, 3)  # valid, but not in the stats
+    # the code's statistics always hold q = 1 and their own orders
+    assert list(stats.renyi) == [1.0, 2] and stats.code is code
+    iq.check_cor_rv(stats, noisy, 2)

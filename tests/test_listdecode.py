@@ -298,7 +298,7 @@ def test_likely_probability_memory_is_bounded():
 @settings(max_examples=60, deadline=None)
 @given(code=linear_codes(max_n=12))
 def test_coset_weights_match_brute_force_histogram(code):
-    n, r = code.n, ld._redundancy(code)
+    n, r = code.n, code.redundancy
     assert ld._coset_weights(bs.Code(n=n, codewords=code.codewords)) is None
     found = ld._coset_weights(code)
     if (n + 2) << r > 1 << n:
