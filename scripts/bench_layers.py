@@ -14,11 +14,16 @@ a recorded file) and reported as the median with its quartiles:
   (``perfbench/workloads.py``) on seed 1, each through ``cli.main``;
 * ``verify`` through ``cli.main`` on seed 1's nonlinear n = 14, 200-word
   ``codewords-file`` code of the same workloads, at orders 2 and 3 and
-  etas 0.3 and 0.5.
+  etas 0.3 and 0.5;
+* ``listdecode.simulate`` on seed 1's random_linear:24,12 at eps 0.2 and
+  the ``decode`` workload's 50000 trials, under its Monte Carlo seed;
+* the ``decode`` workload's operations: ``decode-sim`` through
+  ``cli.main`` and the ``likely_probability`` library calls.
 
 Every lru cache of the package is cleared before each repeat, so a
 repeat pays what a fresh CLI process pays.  The CLI cases also record
-the SHA-256 of their output, so two trees can be compared row for row.
+the SHA-256 of their output (``repr`` of a library call's value), so
+two trees can be compared row for row.
 The run is stored in FILE under NAME (default ``run``); other runs
 already in FILE are kept, so one file can hold a before and an after.
 """
@@ -97,7 +102,7 @@ def cases(work_dir: Path) -> dict:
     """Case name -> callable returning the bytes to hash, or None."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
-    from chanent import bitspace, entropy_analysis
+    from chanent import bitspace, entropy_analysis, listdecode
 
     inputs = workloads.make_inputs(SEED)
     mc_code = bitspace.make_code(f"random_linear:24,12,{inputs.code_seed}")
@@ -115,12 +120,18 @@ def cases(work_dir: Path) -> dict:
         )
         return repr([report.to_dict() for report in reports]).encode()
 
+    def simulate():
+        sim = listdecode.simulate(mc_code, 0.2, workloads.DECODE_SIM_TRIALS, inputs.mc_seed)
+        return b"".join(a.tobytes() for a in (sim.counts, sim.rank, sim.inside))
+
     def cli(ops):
         def run():
-            return b"".join(
-                str(code).encode() + b"\0" + text.encode()
-                for code, text in (op.run() for op in ops)
-            )
+            out = []
+            for op in ops:
+                code, value = op.run()
+                text = value if op.kind == "cli" else repr(value)
+                out.append(str(code).encode() + b"\0" + text.encode())
+            return b"".join(out)
 
         return run
 
@@ -138,6 +149,8 @@ def cases(work_dir: Path) -> dict:
         "cli.verify": cli(workloads.build_ops("verify", inputs, work_dir)),
         "cli.entropy": cli(workloads.build_ops("entropy", inputs, work_dir)),
         "cli.verify.nonlinear14": cli([workloads._cli_op("verify.nonlinear14", verify_nonlinear)]),
+        "simulate.24_12": simulate,
+        "cli.decode": cli(workloads.build_ops("decode", inputs, work_dir)),
     }
 
 

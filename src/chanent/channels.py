@@ -80,11 +80,15 @@ def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
 
 
 def bernoulli_words(trials: int, n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """``trials`` words in F_2^n whose coordinates are i.i.d. Bernoulli(p).
+    """``trials`` words in F_2^n, n <= 64, whose coordinates are i.i.d. Bernoulli(p).
 
     Serves as BSC noise (p = eps) and as the revealed mask of a BEC or a
-    random subset (p = lam); returned as uint64 bit vectors.
+    random subset (p = lam); returned as uint64 bit vectors.  Coordinate
+    i of a row is bit i of its word: ``packbits`` with the little bit
+    order packs the row into bytes, and eight zero-padded bytes read as
+    a little-endian uint64 are the word.
     """
     bits = rng.random((trials, n)) < p
-    powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
-    return (bits.astype(np.uint64) * powers).sum(axis=1, dtype=np.uint64)
+    words = np.zeros((trials, 8), dtype=np.uint8)
+    words[:, : (n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return words.view("<u8").ravel()

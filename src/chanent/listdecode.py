@@ -11,7 +11,10 @@ For a linear code the distances from Y = X + Z to the codewords are the
 weights of the coset Z + C, whatever X is.  ``simulate`` and
 ``likely_probability`` therefore read one cached coset weight table of
 (n + 2) x 2^(n - k) counts, indexed by the syndrome of Z; only a tie in
-distance with X needs a scan, over the few low even-weight codewords.
+distance with X needs a scan.  A tied X + c is ahead of X iff X has a
+one at c's top bit, so the scan groups the even-weight codewords c by
+top bit and tests |Z & c| = wt(c) / 2 only for the trials whose X has
+that bit, against the codewords of weight <= 2 wt(Z).
 The table is built only when it holds at most 2^min(n, 20) entries, and
 ``simulate`` reads it only when building it costs less than comparing
 every trial with every codeword.  Otherwise, and for nonlinear codes,
@@ -371,23 +374,18 @@ def _table_pays(code: Code, trials: int) -> bool:
     return n * (n + 2) << code.redundancy <= trials * code.size
 
 
-def _top_bits(words: np.ndarray) -> np.ndarray:
-    """The highest set bit of each nonzero uint32 word."""
-    smeared = words.copy()
-    for shift in (1, 2, 4, 8, 16):
-        smeared |= smeared >> shift
-    return smeared ^ (smeared >> 1)
-
-
 def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radius: int):
     """``_pair_counts`` over a linear code, read from its cumulative coset table.
 
     The codewords x ^ c lie at distances wt(z ^ c) from y = x ^ z: the
     weights of the coset z + C, which ``below`` gives by the syndrome of
     z.  Only the order among the coset words of weight wt(z) depends on
-    x: a tied x ^ c is ahead of x iff x has a one at c's highest set bit.
-    A tie has wt(c) = 2|z & c| <= 2 wt(z), so the trials with one scan
-    only the nonzero even-weight codewords up to that weight.
+    x: a tied x ^ c is ahead of x iff x has a one at c's top bit b.  A
+    tie means |z & c| = wt(c) / 2, so wt(c) is even and at most 2 wt(z).
+    The nonzero even-weight codewords are therefore grouped by top bit
+    and sorted by weight within a group: the tied trials of weight w
+    with a one at b meet only bit b's codewords of weight <= 2w, one
+    test a pair.
     """
     n = code.n
     s = np.zeros(len(z), dtype=np.uint32)
@@ -399,19 +397,28 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
     if tied.size:
         cws = code.codeword_array().astype(np.uint32)
         weights = np.bitwise_count(cws)
-        order = np.argsort(weights, kind="stable")
-        order = order[(weights[order] % 2 == 0) & (weights[order] > 0)]
-        evens, evens_w = cws[order], weights[order]
-        tops = _top_bits(evens)
-        for w in np.unique(wz[tied]):
+        evens = (weights % 2 == 0) & (weights > 0)
+        cws, weights = cws[evens], weights[evens]
+        top = np.frexp(cws)[1] - 1  # frexp's exponent of c is its bit length
+        order = np.lexsort((weights, top))
+        cws, weights, top = cws[order], weights[order], top[order]
+        halves = weights // 2
+        # bit b's codewords are cws[edges[b]:edges[b + 1]]
+        edges = np.searchsorted(top, np.arange(n + 1))
+        for w in np.flatnonzero(np.bincount(wz[tied])):
             t = tied[wz[tied] == w]
-            m = int(np.searchsorted(evens_w, 2 * w, side="right"))
-            block = max(1, _PAIR_BLOCK // max(m, 1))
-            for start in range(0, len(t), block):
-                tb = t[start : start + block]
-                tie = np.bitwise_count(z[tb, None] ^ evens[:m]) == w
-                tie &= (x[tb, None] & tops[:m]) != 0
-                ahead[tb] += tie.sum(axis=1, dtype=np.uint32)
+            xt = x[t]
+            for b in range(n):
+                lo = edges[b]
+                hi = lo + int(np.searchsorted(weights[lo : edges[b + 1]], 2 * w, side="right"))
+                if hi == lo:
+                    continue
+                tb = t[(xt >> b & 1) != 0]
+                block = max(1, _PAIR_BLOCK // (hi - lo))
+                for start in range(0, len(tb), block):
+                    tbb = tb[start : start + block]
+                    tie = np.bitwise_count(z[tbb, None] & cws[lo:hi]) == halves[lo:hi]
+                    ahead[tbb] += tie.sum(axis=1, dtype=np.uint32)
     return within, ahead
 
 

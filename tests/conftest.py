@@ -59,6 +59,15 @@ def nonlinear_codes(draw, max_n=10):
 # the implementations they check).
 
 
+def multiply_sum_bernoulli_words(
+    trials: int, n: int, p: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Bernoulli(p) words packed by a uint64 multiply-and-sum over powers of two."""
+    bits = rng.random((trials, n)) < p
+    powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
+    return (bits.astype(np.uint64) * powers).sum(axis=1, dtype=np.uint64)
+
+
 def naive_noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     """Direct double-sum evaluation of the convolution kernel."""
     n = int(len(f)).bit_length() - 1

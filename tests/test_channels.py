@@ -11,6 +11,7 @@ from chanent import boolfn, channels
 
 from conftest import (
     conditional_expectation,
+    multiply_sum_bernoulli_words,
     naive_noise_operator,
     naive_project,
     small_corpus,
@@ -263,3 +264,13 @@ def test_samplers_deterministic_given_seed():
     b = channels.bernoulli_words(100, 12, 0.4, np.random.default_rng(99))
     assert a.dtype == np.uint64 and a.shape == (100,)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 24, 63, 64])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_bernoulli_words_pack_bits_as_a_multiply_and_sum(n, p):
+    # coordinate i of a row is bit i of its word, the same draws bit for bit
+    words = channels.bernoulli_words(50, n, p, np.random.default_rng(n))
+    ref = multiply_sum_bernoulli_words(50, n, p, np.random.default_rng(n))
+    assert words.dtype == np.uint64 and words.shape == (50,)
+    assert np.array_equal(words, ref)

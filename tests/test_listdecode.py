@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -331,6 +334,38 @@ def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
     for name in ("counts", "rank", "inside"):
         a, b = getattr(fast, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "spec, eps",
+    [("random_linear:20,10,3", 0.2), ("random_linear:24,12,3", 0.2), ("reed_muller:2,4", 0.3)],
+)
+def test_simulate_coset_path_matches_pair_kernel_on_large_codes(spec, eps):
+    # 3000 trials: a tied noise weight holds more trials than one _PAIR_BLOCK
+    # block of the scan; RM(2,4) spreads its codewords' top bits over 11 bits
+    code = bs.make_code(spec)
+    with mock.patch.object(ld, "_table_pays", lambda code, trials: True):
+        fast = ld.simulate(code, eps, 3000, seed=5)
+    ref = ld.simulate(bs.Code(n=code.n, codewords=code.codewords), eps, 3000, seed=5)
+    for name in ("counts", "rank", "inside"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+
+
+def test_decoding_and_monte_carlo_entropy_leave_numpy_ma_unimported():
+    # numpy 2.4's unique without a return_* argument imports numpy.ma, about 20 ms
+    script = """
+import sys
+from chanent import bitspace, entropy_analysis, listdecode
+code = bitspace.make_code("random_linear:24,12,1")
+listdecode.simulate(code, 0.2, 50000, seed=1)
+entropy_analysis.entropy_report(code, [None], [0.5], [1.0], 2000, 1)
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+    src = os.path.dirname(os.path.dirname(ld.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_simulate_reads_the_table_only_when_it_pays():
