@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -325,6 +325,12 @@ def test_coset_weights_match_brute_force_histogram(code):
     trials=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
+# beyond the drawn sizes: at 3000 trials a tied noise weight spans several
+# _PAIR_BLOCK blocks of the tie scan, and RM(2,4) spreads its even-weight
+# codewords' top bits over 11 of its 16 positions
+@example(code=bs.make_code("random_linear:20,10,3"), eps=0.2, trials=3000, seed=5)
+@example(code=bs.make_code("random_linear:24,12,3"), eps=0.2, trials=3000, seed=5)
+@example(code=bs.make_code("reed_muller:2,4"), eps=0.3, trials=3000, seed=5)
 def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
     # the table path wherever the table exists, whatever it costs
     with mock.patch.object(ld, "_table_pays", lambda code, trials: True):
@@ -334,21 +340,6 @@ def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
     for name in ("counts", "rank", "inside"):
         a, b = getattr(fast, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-
-
-@pytest.mark.parametrize(
-    "spec, eps",
-    [("random_linear:20,10,3", 0.2), ("random_linear:24,12,3", 0.2), ("reed_muller:2,4", 0.3)],
-)
-def test_simulate_coset_path_matches_pair_kernel_on_large_codes(spec, eps):
-    # 3000 trials: a tied noise weight holds more trials than one _PAIR_BLOCK
-    # block of the scan; RM(2,4) spreads its codewords' top bits over 11 bits
-    code = bs.make_code(spec)
-    with mock.patch.object(ld, "_table_pays", lambda code, trials: True):
-        fast = ld.simulate(code, eps, 3000, seed=5)
-    ref = ld.simulate(bs.Code(n=code.n, codewords=code.codewords), eps, 3000, seed=5)
-    for name in ("counts", "rank", "inside"):
-        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
 
 
 def test_decoding_and_monte_carlo_entropy_leave_numpy_ma_unimported():
