@@ -16,7 +16,8 @@ a recorded file) and reported as the median with its quartiles:
   ``codewords-file`` code of the same workloads, at orders 2 and 3 and
   etas 0.3 and 0.5;
 * ``listdecode.simulate`` on seed 1's random_linear:24,12 at eps 0.2 and
-  the ``decode`` workload's 50000 trials, under its Monte Carlo seed;
+  on reed_muller:2,4 at eps 0.3, each at the ``decode`` workload's 50000
+  trials, under its Monte Carlo seed;
 * the ``decode`` workload's operations: ``decode-sim`` through
   ``cli.main`` and the ``likely_probability`` library calls.
 
@@ -120,9 +121,12 @@ def cases(work_dir: Path) -> dict:
         )
         return repr([report.to_dict() for report in reports]).encode()
 
-    def simulate():
-        sim = listdecode.simulate(mc_code, 0.2, workloads.DECODE_SIM_TRIALS, inputs.mc_seed)
-        return b"".join(a.tobytes() for a in (sim.counts, sim.rank, sim.inside))
+    def simulate(code, eps):
+        def run():
+            sim = listdecode.simulate(code, eps, workloads.DECODE_SIM_TRIALS, inputs.mc_seed)
+            return b"".join(a.tobytes() for a in (sim.counts, sim.rank, sim.inside))
+
+        return run
 
     def cli(ops):
         def run():
@@ -149,7 +153,8 @@ def cases(work_dir: Path) -> dict:
         "cli.verify": cli(workloads.build_ops("verify", inputs, work_dir)),
         "cli.entropy": cli(workloads.build_ops("entropy", inputs, work_dir)),
         "cli.verify.nonlinear14": cli([workloads._cli_op("verify.nonlinear14", verify_nonlinear)]),
-        "simulate.24_12": simulate,
+        "simulate.24_12": simulate(mc_code, 0.2),
+        "simulate.rm2_4": simulate(bitspace.make_code("reed_muller:2,4"), 0.3),
         "cli.decode": cli(workloads.build_ops("decode", inputs, work_dir)),
     }
 

@@ -10,11 +10,13 @@ exactly that decomposition.
 For a linear code the distances from Y = X + Z to the codewords are the
 weights of the coset Z + C, whatever X is.  ``simulate`` and
 ``likely_probability`` therefore read one cached coset weight table of
-(n + 2) x 2^(n - k) counts, indexed by the syndrome of Z; only a tie in
-distance with X needs a scan.  A tied X + c is ahead of X iff X has a
-one at c's top bit, so the scan groups the even-weight codewords c by
-top bit and tests |Z & c| = wt(c) / 2 only for the trials whose X has
-that bit, against the codewords of weight <= 2 wt(Z).
+(n + 2) x 2^(n - k) counts, indexed by the syndrome of Z.  Only a tie
+in distance with X depends on X: a tied X + c is ahead of X iff X has a
+one at c's top bit b.  The same table recursion, stopped before
+coordinate b, counts the words below bit b by weight and syndrome, and
+one lookup there gives the codewords of top bit b tied with X, so
+``simulate`` walks the recursion once per call and a tied trial needs
+at most n lookups.
 The table is built only when it holds at most 2^min(n, 20) entries, and
 ``simulate`` reads it only when building it costs less than comparing
 every trial with every codeword.  Otherwise, and for nonlinear codes,
@@ -102,14 +104,21 @@ def _require_same_n(code: Code, cfg: DecoderConfig) -> None:
         raise ValueError("decoder and code dimensions differ")
 
 
+def _received(y: int, code: Code, cfg: DecoderConfig) -> int:
+    """The n-bit word y as the decoder reads it: relabeled when eps > 1/2."""
+    _require_same_n(code, cfg)
+    if not 0 <= y < 1 << code.n:
+        raise ValueError(f"received word must be in [0, 2^{code.n})")
+    return y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
+
+
 def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
     """All codewords within the radius of y, k closest on truncation.
 
     Output is sorted by increasing distance, ties broken
     lexicographically; the second element flags truncation.
     """
-    _require_same_n(code, cfg)
-    recv = y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
+    recv = _received(y, code, cfg)
     radius = cfg.radius
     cws = code.codeword_array()
     dists = np.bitwise_count(cws ^ np.uint64(recv))
@@ -128,8 +137,7 @@ def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
 
 def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
     """Whether y has more within-radius explanations than the threshold."""
-    _require_same_n(code, cfg)
-    recv = y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
+    recv = _received(y, code, cfg)
     dists = np.bitwise_count(code.codeword_array() ^ np.uint64(recv))
     count = int(np.count_nonzero(dists < cfg.radius))
     return count > likely_threshold(code, cfg), count
@@ -324,19 +332,43 @@ def _pair_counts(y, x, wz, radius: int, cws):
     return within, ahead
 
 
+def _prefix_tables(cols: list[int], r: int, dtype):
+    """The coset table recursion, one coordinate at a time.
+
+    Yields T_b for b = 0..n, in one array updated in place: T_b[w, s]
+    counts the words supported below bit b of weight w and syndrome s,
+    kept in row w + 1 so that row 0 stays zero.  T_0 is the zero word;
+    coordinate b, with parity-check column h_b, adds T_b[w - 1, s ^ h_b]
+    to T_b[w, s].  T_n is the full coset weight table (MacWilliams–Sloane).
+    """
+    n, size = len(cols), 1 << r
+    table = np.zeros((n + 2, size), dtype=dtype)
+    table[1, 0] = 1
+    index = np.arange(size)
+    shifted = np.empty(size, dtype=dtype)
+    for b, h in enumerate(cols):
+        yield table
+        perm = index ^ h
+        # downwards, so row w - 1 is still T_b's; below bit b no word is
+        # heavier than b.  perm is in range, and mode "clip" spares take
+        # the buffered bounds check of mode "raise"
+        for row in range(b + 2, 1, -1):
+            table[row] += np.take(table[row - 1], perm, out=shifted, mode="clip")
+    yield table
+
+
 # at most 8 MB a table, so the cache holds at most 32 MB
 @lru_cache(maxsize=4)
 def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     """Cumulative coset weight table of a linear code, and its parity-check columns.
 
     below[w, s] = #{e in F_2^n : wt(e) < w, syndrome(e) = s} for
-    w = 0..n+1.  Its row differences T[w, s] are the weight distribution
-    of the coset of syndrome s, column 0 the code's weight enumerator
-    (MacWilliams–Sloane).  T starts as the zero word; coordinate i, with
-    parity-check column h_i, adds T[w - 1, s ^ h_i] to T[w, s].  None for
-    a code without a generator, and when the (n + 2) x 2^(n - k) table
-    would hold more than 2^min(n, EXACT_CAP) entries: never more than
-    one array of the dense path.  The table is read-only and cached per
+    w = 0..n+1: the last of ``_prefix_tables``, summed over rows.  Its
+    row differences T[w, s] are the weight distribution of the coset of
+    syndrome s, column 0 the code's weight enumerator.  None for a code
+    without a generator, and when the (n + 2) x 2^(n - k) table would
+    hold more than 2^min(n, EXACT_CAP) entries: never more than one
+    array of the dense path.  The table is read-only and cached per
     code, so every eps and delta of a code share one build.
     """
     if code.generator is None:
@@ -345,16 +377,9 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     if (n + 2) << r > 1 << min(n, EXACT_CAP):
         return None
     cols = syndrome_columns(code.generator, n)
-    # T[w] is kept in row w + 1, so row w ends up counting weights below w
-    below = np.zeros((n + 2, 1 << r), dtype=np.int64)
-    below[1, 0] = 1
-    index = np.arange(1 << r)
-    for i, h in enumerate(cols):
-        perm = index ^ h
-        # downwards, so T[w - 1] is still the previous coordinate's row;
-        # after i coordinates no word is heavier than i
-        for row in range(i + 2, 1, -1):
-            below[row] += below[row - 1, perm]
+    for below in _prefix_tables(cols, r, np.int64):
+        pass
+    # T[w] sits in row w + 1, so row w ends up counting weights below w
     for row in range(2, n + 2):
         below[row] += below[row - 1]
     below.setflags(write=False)
@@ -364,9 +389,11 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
 def _table_pays(code: Code, trials: int) -> bool:
     """Whether ``simulate`` reads the coset table rather than the pair kernel.
 
-    Building the table costs about n (n + 2) 2^(n - k) integer adds; the
-    pair kernel costs trials |C| pair distances.  A low-rate code with
-    few trials, such as [24, 5] at 1000 trials, keeps the pair kernel.
+    The table path costs one cached build and one prefix walk per call,
+    together about n (n + 2) 2^(n - k) integer adds, and at most n
+    lookups per tied trial; the pair kernel costs trials |C| pair
+    distances.  A low-rate code with few trials, such as [24, 5] at 1000
+    trials, keeps the pair kernel.
     """
     if code.generator is None:
         return False
@@ -380,14 +407,14 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
     The codewords x ^ c lie at distances wt(z ^ c) from y = x ^ z: the
     weights of the coset z + C, which ``below`` gives by the syndrome of
     z.  Only the order among the coset words of weight wt(z) depends on
-    x: a tied x ^ c is ahead of x iff x has a one at c's top bit b.  A
-    tie means |z & c| = wt(c) / 2, so wt(c) is even and at most 2 wt(z).
-    The nonzero even-weight codewords are therefore grouped by top bit
-    and sorted by weight within a group: the tied trials of weight w
-    with a one at b meet only bit b's codewords of weight <= 2w, one
-    test a pair.
+    x: a tied x ^ c is ahead of x iff x has a one at c's top bit b.
+    Write c = e_b + c', with c' below bit b and syndrome h_b, and
+    u = z_<b ^ c'.  Then u is below b with syndrome syn(z_<b) ^ h_b,
+    and c ties iff wt(u) = wt(z_<b) + 2 z_b - 1.  So the prefix table
+    T_b counts the tied codewords of top bit b in one lookup, and a
+    tied trial needs at most n lookups, one per one of x.
     """
-    n = code.n
+    n, r = code.n, code.redundancy
     s = np.zeros(len(z), dtype=np.uint32)
     for i, h in enumerate(cols):
         s ^= np.uint32(h) * (z >> i & 1)
@@ -395,30 +422,24 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
     ahead = below[wz, s].astype(np.uint32)
     tied = np.flatnonzero(below[wz + 1, s] - below[wz, s] > 1)
     if tied.size:
-        cws = code.codeword_array().astype(np.uint32)
-        weights = np.bitwise_count(cws)
-        evens = (weights % 2 == 0) & (weights > 0)
-        cws, weights = cws[evens], weights[evens]
-        top = np.frexp(cws)[1] - 1  # frexp's exponent of c is its bit length
-        order = np.lexsort((weights, top))
-        cws, weights, top = cws[order], weights[order], top[order]
-        halves = weights // 2
-        # bit b's codewords are cws[edges[b]:edges[b + 1]]
-        edges = np.searchsorted(top, np.arange(n + 1))
-        for w in np.flatnonzero(np.bincount(wz[tied])):
-            t = tied[wz[tied] == w]
-            xt = x[t]
-            for b in range(n):
-                lo = edges[b]
-                hi = lo + int(np.searchsorted(weights[lo : edges[b + 1]], 2 * w, side="right"))
-                if hi == lo:
-                    continue
-                tb = t[(xt >> b & 1) != 0]
-                block = max(1, _PAIR_BLOCK // (hi - lo))
-                for start in range(0, len(tb), block):
-                    tbb = tb[start : start + block]
-                    tie = np.bitwise_count(z[tbb, None] & cws[lo:hi]) == halves[lo:hi]
-                    ahead[tbb] += tie.sum(axis=1, dtype=np.uint32)
+        xt, zt = x[tied], z[tied]
+        # wt(z_<b) 2^r + syn(z_<b), below (n + 2) 2^r <= 2^20
+        key = np.zeros(tied.size, dtype=np.uint32)
+        ties = np.zeros(tied.size, dtype=np.uint32)
+        # T_b fits uint32: no entry passes C(24, 12)
+        for b, table in zip(range(n), _prefix_tables(cols, r, np.uint32)):
+            h = np.uint32(cols[b])
+            zb = zt >> b & 1
+            # no codeword has top bit b when h_b is unreachable below b
+            if table[:, h].any():
+                # T_b[w - 1] sits in row w, and row 0 reads w = -1 as no word:
+                # the flat index of T_b[wt(z_<b) + 2 z_b - 1, syn(z_<b) ^ h_b]
+                found = table.ravel().take((key ^ h) + (zb << (r + 1)))
+                found *= xt >> b & 1
+                ties += found
+            key ^= zb * h
+            key += zb << r
+        ahead[tied] += ties
     return within, ahead
 
 

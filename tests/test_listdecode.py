@@ -95,6 +95,14 @@ def test_is_delta_likely_rejects_a_decoder_of_another_length():
         ld.is_delta_likely(0, bs.hamming74_code(), ld.DecoderConfig(n=5, eps=0.1))
 
 
+@pytest.mark.parametrize("fn", [ld.decode, ld.is_delta_likely])
+@pytest.mark.parametrize("y", [1 << 7, -1])
+def test_received_word_outside_the_space_is_rejected(fn, y):
+    # 1 << 7 would decode as y = 0 with every distance one too large
+    with pytest.raises(ValueError, match="received word"):
+        fn(y, bs.hamming74_code(), ld.DecoderConfig(n=7, eps=0.1))
+
+
 def test_decode_eps_above_half_relabels():
     c = bs.repetition_code(3)
     cfg_hi = ld.DecoderConfig(n=3, eps=0.9, list_cap=4)
@@ -325,9 +333,10 @@ def test_coset_weights_match_brute_force_histogram(code):
     trials=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-# beyond the drawn sizes: at 3000 trials a tied noise weight spans several
-# _PAIR_BLOCK blocks of the tie scan, and RM(2,4) spreads its even-weight
-# codewords' top bits over 11 of its 16 positions
+# beyond the drawn sizes: at 3000 trials many tied trials meet both edge
+# cases of the prefix lookup, a prefix of weight 0 with z_b = 0 (row
+# w = -1, no word) and the coordinates whose column is unreachable below b
+# (skipped), which RM(2,4) interleaves with the others at 0, 1, 2, 4 and 8
 @example(code=bs.make_code("random_linear:20,10,3"), eps=0.2, trials=3000, seed=5)
 @example(code=bs.make_code("random_linear:24,12,3"), eps=0.2, trials=3000, seed=5)
 @example(code=bs.make_code("reed_muller:2,4"), eps=0.3, trials=3000, seed=5)
@@ -340,6 +349,27 @@ def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
     for name in ("counts", "rank", "inside"):
         a, b = getattr(fast, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["hamming74", "reed_muller:1,3", "random_linear:10,5,3", "random_linear:8,7,1",
+     "random_linear:11,4,5"],
+)
+def test_coset_counts_match_pair_kernel_on_every_pair(spec):
+    # every (codeword, noise) pair, at most 2^15 here; RM(2,4) would have
+    # 2^27, more than memory holds
+    code = bs.make_code(spec)
+    n = code.n
+    cws = code.codeword_array().astype(np.uint32)
+    x = np.repeat(cws, 1 << n)
+    z = np.tile(np.arange(1 << n, dtype=np.uint32), code.size)
+    wz = np.bitwise_count(z)
+    for radius in (1, n // 2, n + 1):
+        got = ld._coset_counts(code, *ld._coset_weights(code), x, z, wz, radius)
+        expect = ld._pair_counts(x ^ z, x, wz, radius, cws)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype and np.array_equal(a, b), radius
 
 
 def test_decoding_and_monte_carlo_entropy_leave_numpy_ma_unimported():
