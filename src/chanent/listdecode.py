@@ -420,12 +420,12 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
         s ^= np.uint32(h) * (z >> i & 1)
     within = below[min(radius, n + 1), s].astype(np.uint32)
     ahead = below[wz, s].astype(np.uint32)
-    tied = np.flatnonzero(below[wz + 1, s] - below[wz, s] > 1)
-    if tied.size:
+    tied = below[wz + 1, s] - below[wz, s] > 1
+    if tied.any():
         xt, zt = x[tied], z[tied]
         # wt(z_<b) 2^r + syn(z_<b), below (n + 2) 2^r <= 2^20
-        key = np.zeros(tied.size, dtype=np.uint32)
-        ties = np.zeros(tied.size, dtype=np.uint32)
+        key = np.zeros(xt.size, dtype=np.uint32)
+        ties = np.zeros(xt.size, dtype=np.uint32)
         # T_b fits uint32: no entry passes C(24, 12)
         for b, table in zip(range(n), _prefix_tables(cols, r, np.uint32)):
             h = np.uint32(cols[b])
