@@ -333,10 +333,11 @@ def test_coset_weights_match_brute_force_histogram(code):
     trials=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-# beyond the drawn sizes: at 3000 trials many tied trials meet both edge
-# cases of the prefix lookup, a prefix of weight 0 with z_b = 0 (row
-# w = -1, no word) and the coordinates whose column is unreachable below b
-# (skipped), which RM(2,4) interleaves with the others at 0, 1, 2, 4 and 8
+# beyond the drawn sizes: at 3000 trials many tied trials reach both edge
+# cases of the prefix lookup: a prefix of weight 0 with z_b = 0, which
+# reads row w = -1 as no word, and a coordinate whose column is
+# unreachable below b, which is skipped; RM(2,4) has five such
+# coordinates, 0, 1, 2, 4 and 8, between reachable ones
 @example(code=bs.make_code("random_linear:20,10,3"), eps=0.2, trials=3000, seed=5)
 @example(code=bs.make_code("random_linear:24,12,3"), eps=0.2, trials=3000, seed=5)
 @example(code=bs.make_code("reed_muller:2,4"), eps=0.3, trials=3000, seed=5)
@@ -353,8 +354,13 @@ def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
 
 @pytest.mark.parametrize(
     "spec",
-    ["hamming74", "reed_muller:1,3", "random_linear:10,5,3", "random_linear:8,7,1",
-     "random_linear:11,4,5"],
+    [
+        "hamming74",
+        "reed_muller:1,3",
+        "random_linear:10,5,3",
+        "random_linear:8,7,1",
+        "random_linear:11,4,5",
+    ],
 )
 def test_coset_counts_match_pair_kernel_on_every_pair(spec):
     # every (codeword, noise) pair, at most 2^15 here; RM(2,4) would have
