@@ -15,6 +15,11 @@ a recorded file) and reported as the median with its quartiles:
 * ``verify`` through ``cli.main`` on seed 1's nonlinear n = 14, 200-word
   ``codewords-file`` code of the same workloads, at orders 2 and 3 and
   etas 0.3 and 0.5;
+* ``verify`` through ``cli.main`` on random_linear:20,10,1 with the
+  ``verify`` workload's grid (default eps grid, orders 2 and 3, etas 0.3
+  and 0.5);
+* ``channels.noise_operator`` on the distribution function of
+  random_linear:20,10,1 at eps 0.2: one dense operator at n = 20;
 * ``listdecode.simulate`` on seed 1's random_linear:24,12 at eps 0.2 and
   on reed_muller:2,4 at eps 0.3, each at the ``decode`` workload's 50000
   trials, under its Monte Carlo seed;
@@ -100,10 +105,10 @@ def clear_caches() -> None:
 
 
 def cases(work_dir: Path) -> dict:
-    """Case name -> callable returning the bytes to hash, or None."""
+    """Case name -> callable returning the bytes (or contiguous array) to hash, or None."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
-    from chanent import bitspace, entropy_analysis, listdecode
+    from chanent import bitspace, boolfn, channels, entropy_analysis, listdecode
 
     inputs = workloads.make_inputs(SEED)
     mc_code = bitspace.make_code(f"random_linear:24,12,{inputs.code_seed}")
@@ -120,6 +125,13 @@ def cases(work_dir: Path) -> dict:
             mc_code, [None], MC_ETAS, MC_ORDERS, MC_TRIALS, inputs.mc_seed
         )
         return repr([report.to_dict() for report in reports]).encode()
+
+    linear20 = bitspace.make_code("random_linear:20,10,1")
+    f20 = boolfn.from_code(linear20)
+
+    def noise20():
+        # the array itself is hashed through its buffer: no 8 MB copy in the timing
+        return channels.noise_operator(f20, 0.2)
 
     def simulate(code, eps):
         def run():
@@ -143,8 +155,9 @@ def cases(work_dir: Path) -> dict:
     nonlinear.write_text(
         workloads.codeword_file_text(inputs.nonlinear_words, workloads.NONLINEAR_N)
     )
-    verify_nonlinear = ["verify", "--code", f"codewords-file:{nonlinear}"]
-    verify_nonlinear += ["--q", "2,3", "--eta", "0.3,0.5", "--format", "json"]
+    verify_args = ["verify", "--q", "2,3", "--eta", "0.3,0.5", "--format", "json"]
+    verify_nonlinear = verify_args + ["--code", f"codewords-file:{nonlinear}"]
+    verify_linear20 = verify_args + ["--code", "random_linear:20,10,1"]
 
     return {
         "subset_weights.n16": weights(16),
@@ -153,6 +166,8 @@ def cases(work_dir: Path) -> dict:
         "cli.verify": cli(workloads.build_ops("verify", inputs, work_dir)),
         "cli.entropy": cli(workloads.build_ops("entropy", inputs, work_dir)),
         "cli.verify.nonlinear14": cli([workloads._cli_op("verify.nonlinear14", verify_nonlinear)]),
+        "cli.verify.linear20": cli([workloads._cli_op("verify.linear20", verify_linear20)]),
+        "noise_operator.n20": noise20,
         "simulate.24_12": simulate(mc_code, 0.2),
         "simulate.rm2_4": simulate(bitspace.make_code("reed_muller:2,4"), 0.3),
         "cli.decode": cli(workloads.build_ops("decode", inputs, work_dir)),

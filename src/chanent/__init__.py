@@ -27,6 +27,7 @@ from .inequalities import (
     check_sam_entropy,
     check_sam_norm,
     noisy_function,
+    noisy_law,
     partial_entropy_bound_check,
     subset_stats,
     subset_stats_of_code,

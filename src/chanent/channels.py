@@ -43,7 +43,9 @@ def _xor_shift_pass(p: np.ndarray, m: int, columns: list[int], eps: float) -> np
         axes = tuple(m - 1 - i for i in range(m) if h >> i & 1)
         np.copyto(scratch, np.flip(cube, axes))  # a ufunc on the flip would buffer 64 KiB
         # Keep this rounding: verify's summary argmin breaks ties between
-        # slacks that are equal in exact arithmetic by their last bits.
+        # slacks that are equal in exact arithmetic by their last bits, and
+        # it reads this pass twice: as the noise operator for a nonlinear
+        # code and as the syndrome law of a linear one.
         scratch *= eps
         cube *= 1 - eps
         cube += scratch

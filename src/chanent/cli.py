@@ -94,7 +94,7 @@ def cmd_verify(args) -> int:
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
         stats = inequalities.subset_stats_of_code(code, qs)
         for eps in eps_grid:
-            noisy = inequalities.noisy_function(stats.f, eps)
+            noisy = inequalities.noisy_law(stats, eps)
             checks = [
                 inequalities.check_cor_rv_entropy(stats, noisy),
                 inequalities.check_sam_entropy(stats, noisy, name=code.name),

@@ -47,9 +47,11 @@ _PAIR_BLOCK = 1 << 16
 
 @lru_cache(maxsize=32)
 def popcounts(n: int) -> np.ndarray:
-    """Hamming weight of every integer in [0, 2^n)."""
-    idx = np.arange(1 << n, dtype=np.uint64)
-    return np.bitwise_count(idx).astype(np.int64)
+    """Hamming weight of every integer in [0, 2^n), read-only."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    np.bitwise_count(idx, out=idx)  # in place: one 2^n array
+    idx.flags.writeable = False
+    return idx
 
 
 def subset_weights(n: int, lam: float) -> np.ndarray:

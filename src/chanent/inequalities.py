@@ -3,12 +3,19 @@
 Each check returns a SlackReport with signed slack = RHS - LHS in
 bits; the underlying theorems guarantee slack >= 0, so any slack below
 -1e-9 indicates an implementation bug rather than a near-violation.
+
+A check reads f through its subset statistics and T_eps f through its
+noisy law (``NoisyFunction``).  For a linear code the law is the
+syndrome law of the noise on 2^(n-k) cosets (``noisy_law``), so no
+check of a linear code touches a 2^n noisy array; any other f takes
+the dense noise operator (``noisy_function``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,11 +23,10 @@ from .bitspace import Code
 from .boolfn import (
     binary_entropy,
     dim_of,
-    ent,
     from_code,
     h_q,
-    norm_q,
-    renyi_entropy_of_function,
+    renyi_entropy,
+    renyi_entropy_from_counts,
     validate,
 )
 from .channels import noise_operator
@@ -30,6 +36,7 @@ from .entropy_analysis import (
     require_subset_cap,
     subset_rows,
     subset_weights,
+    syndrome_distribution,
 )
 
 TOLERANCE = 1e-9
@@ -136,12 +143,9 @@ def subset_stats_of_code(code: Code, qs) -> SubsetStats:
     qs = tuple(dict.fromkeys(_require_q(q) for q in qs))
     f = from_code(code)
     f.flags.writeable = False
-    # popcounts first: the 2^n temporary it frees raises glibc's mmap
-    # threshold, so the table goes on the heap, not in a mapping of its
-    # own (0.5 MB of peak RSS at n = 16)
-    sizes = popcounts(code.n)
     orders = (1.0, *qs)
     renyi = dict(zip(orders, subset_rows(code, orders)))
+    sizes = popcounts(code.n)
     log_norm = {q: np.subtract(sizes, renyi[q]) for q in qs}
     for q, free in log_norm.items():
         free *= 1 - 1 / q  # in place: no 2^n temporary per order
@@ -155,29 +159,74 @@ def _require_q(q) -> int:
 
 
 # ---------------------------------------------------------------------------
-# T_eps f depends only on (f, eps), so callers apply the noise operator
-# once per eps and pass the result to every check at that eps.
+# T_eps f depends only on (f, eps), so callers build its law once per eps
+# and pass it to every check at that eps.  The checks read it only
+# through n, Ent, log2 ||.||_q and H_q, so a law whose cells are cosets
+# serves them as well as the dense T_eps f does.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyFunction:
-    """T_eps f together with the eps it was built for and its Ent."""
+    """The noisy law of f: T_eps f as 2^(n-k) cells of 2^k points each.
+
+    ``p`` is the read-only probability of each cell, and T_eps f is
+    2^(n-k) p(cell) on every point of a cell.  For a linear [n, k] code
+    the cells are the cosets and p is the syndrome law of the noise:
+    T_eps f_C(y) = 2^(n-k) P(s(y)).  For any other f, k = 0 and
+    p = T_eps f / 2^n, which sums to the mean of f.  With m = sum p:
+
+    * log2 ||T_eps f||_q = (n-k)(1 - 1/q) + log2(sum p^q) / q;
+    * Ent[T_eps f] = m ((n-k) - H(p / m)), so (n-k) - H(p) for a distribution;
+    * H_q(X+Z) = k + H_q(p) when T_eps f is the distribution function of X+Z.
+    """
 
     eps: float
-    f: np.ndarray  # read-only T_eps f
-    ent: float  # Ent[T_eps f]
+    n: int
+    k: int  # cell exponent: each cell holds 2^k points
+    p: np.ndarray  # read-only probability of each cell
+
+    @cached_property
+    def ent(self) -> float:
+        """Ent[T_eps f], taken once and read by every check at this eps."""
+        m = float(self.p.sum())
+        return m * (self.n - self.k - renyi_entropy_from_counts(self.p, 1))
+
+    def log_norm(self, q: float) -> float:
+        """log2 ||T_eps f||_q."""
+        return (self.n - self.k) * (1 - 1 / q) + math.log2(float(np.sum(self.p**q))) / q
+
+    def renyi(self, q: float) -> float:
+        """H_q of the X whose distribution function is T_eps f."""
+        return self.k + renyi_entropy(self.p, q)
 
 
 def noisy_function(f: np.ndarray, eps: float) -> NoisyFunction:
-    """Apply the noise operator to f and take Ent of the result, once; the checks read both."""
+    """The noisy law of a general f: the dense noise operator, cells of one point."""
     noisy = noise_operator(validate(f), eps)
+    n = dim_of(noisy)
+    noisy *= 2.0**-n  # exact: a power of two
     noisy.flags.writeable = False
-    return NoisyFunction(eps, noisy, ent(noisy))
+    return NoisyFunction(eps, n, 0, noisy)
+
+
+def noisy_law(stats: SubsetStats, eps: float) -> NoisyFunction:
+    """The noisy law of the function behind the statistics, at eps.
+
+    A linear code's law is its syndrome law over the 2^(n-k) cosets, so
+    no 2^n array is built; any other function reuses ``stats.f`` on the
+    dense path of ``noisy_function``.
+    """
+    code = stats.code
+    if code is None or code.generator is None:
+        return noisy_function(stats.f, eps)
+    p = syndrome_distribution(code, eps)
+    p.flags.writeable = False
+    return NoisyFunction(eps, code.n, code.n - code.redundancy, p)
 
 
 def _require_dim(noisy: NoisyFunction, n: int) -> None:
-    if len(noisy.f) != 1 << n:
-        raise ValueError(f"noisy function has length {len(noisy.f)}, expected 2^{n}")
+    if noisy.n != n:
+        raise ValueError(f"noisy function has 2^{noisy.n} points, expected 2^{n}")
 
 
 def check_sam_norm(
@@ -191,7 +240,7 @@ def check_sam_norm(
     lam = 1 - h_q(eps, q)
     n = dim_of(stats.f)
     _require_dim(noisy, n)
-    lhs = math.log2(norm_q(noisy.f, q))
+    lhs = noisy.log_norm(q)
     rhs = float(subset_weights(n, lam) @ stats.log_norm[q])
     return SlackReport(
         "sam_norm", {"f": name, "n": n, "eps": eps, "q": q, "lambda": lam}, lhs, rhs
@@ -228,7 +277,7 @@ def check_cor_rv(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackRepor
     lam = 1 - h_q(eps, q)
     n = code.n
     _require_dim(noisy, n)
-    lhs_side = renyi_entropy_of_function(noisy.f, q)
+    lhs_side = noisy.renyi(q)
     rhs_side = (1 - lam) * n + float(subset_weights(n, lam) @ row)
     # slack = H_q(X+Z) - lower bound
     return SlackReport(

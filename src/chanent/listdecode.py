@@ -18,8 +18,9 @@ one lookup there gives the codewords of top bit b tied with X, so
 ``simulate`` walks the recursion once per call and a tied trial needs
 at most n lookups.
 The table is built only when it holds at most 2^min(n, 20) entries, and
-``simulate`` reads it only when building it costs less than comparing
-every trial with every codeword.  Otherwise, and for nonlinear codes,
+``simulate`` reads it only when building and reading it, numpy call
+overhead included, cost less than comparing every trial with every
+codeword.  Otherwise, and for nonlinear codes,
 ``simulate`` runs the pair kernel (every trial against every codeword)
 and ``likely_probability`` the Walsh–Hadamard count over all 2^n
 received words (n <= 20).
@@ -386,19 +387,32 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     return below, cols
 
 
+# The table path's fixed costs, in pair distances of ``_pair_counts``
+# (about 3 ns each), fitted to both paths of ``simulate`` with a fresh
+# cache on codes from [7, 4] to [24, 12] at 30 to 10^4 trials (2-core
+# x86 box): each of its n (n + 2) numpy steps costs about 1500 in call
+# overhead, and the syndrome pass and tie lookups about 2 per trial and
+# coordinate
+_STEP_PAIRS = 1500
+_TRIAL_BIT_PAIRS = 2
+
+
 def _table_pays(code: Code, trials: int) -> bool:
     """Whether ``simulate`` reads the coset table rather than the pair kernel.
 
     The table path costs one cached build and one prefix walk per call,
-    together about n (n + 2) 2^(n - k) integer adds, and at most n
-    lookups per tied trial; the pair kernel costs trials |C| pair
-    distances.  A low-rate code with few trials, such as [24, 5] at 1000
-    trials, keeps the pair kernel.
+    together about n (n + 2) 2^(n - k) integer adds in n (n + 2) numpy
+    steps, and a syndrome pass of n steps over the trials; the pair
+    kernel costs trials |C| pair distances.  A low-rate code with few
+    trials, such as [24, 5] at 1000 trials, keeps the pair kernel, and
+    so does a small run, such as [16, 8] at 500 trials, whose table
+    path is mostly numpy call overhead.
     """
     if code.generator is None:
         return False
     n = code.n
-    return n * (n + 2) << code.redundancy <= trials * code.size
+    steps = n * (n + 2) * ((1 << code.redundancy) + _STEP_PAIRS)
+    return steps + _TRIAL_BIT_PAIRS * n * trials <= trials * code.size
 
 
 def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radius: int):

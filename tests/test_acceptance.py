@@ -51,7 +51,7 @@ def test_criterion_1_inequality_battery(corpus):
         # the SAM checks read the DP, independent of the code's subset table
         dp = iq.subset_stats(stats.f, QS)
         for eps in EPS_GRID:
-            noisy = iq.noisy_function(stats.f, eps)
+            noisy = iq.noisy_law(stats, eps)
             worst = min(worst, iq.check_cor_rv_entropy(stats, noisy).slack)
             worst = min(worst, iq.check_sam_entropy(dp, noisy).slack)
             for q in QS:
@@ -67,7 +67,7 @@ def test_criterion_2_theorem1_battery(corpus):
     for code in corpus:
         stats = iq.subset_stats_of_code(code, ())
         for eps in EPS_GRID:
-            noisy = iq.noisy_function(stats.f, eps)
+            noisy = iq.noisy_law(stats, eps)
             for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
                 if 4 * eps * (1 - eps) < eta:
                     continue
@@ -76,7 +76,7 @@ def test_criterion_2_theorem1_battery(corpus):
     equality_ok = True
     for n in (2, 3, 4):
         stats = iq.subset_stats_of_code(bs.full_space_code(n), ())
-        rep = iq.check_bsc_bec(stats, iq.noisy_function(stats.f, 0.3), 0.5)
+        rep = iq.check_bsc_bec(stats, iq.noisy_law(stats, 0.3), 0.5)
         equality_ok &= abs(rep.slack) <= 1e-9
     _report(2, "BSC-BEC comparison slack >= -1e-9, equality at full space",
             worst >= -1e-9 and equality_ok and checked > 0,

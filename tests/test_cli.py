@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
-from chanent import boolfn, inequalities, listdecode
+from chanent import inequalities, listdecode
 from chanent.cli import main
 
 
@@ -158,7 +159,8 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
         path = tmp_path / "words.txt"
         path.write_text("".join(format(w, "021b")[::-1] + "\n" for w in (0, 3, 1 << 20)))
         spec = f"codewords-file:{path}"
-    for name in ("subset_stats", "subset_stats_of_code", "noise_operator"):
+    forbidden = ("subset_stats", "subset_stats_of_code", "noise_operator", "syndrome_distribution")
+    for name in forbidden:
         _forbid(monkeypatch, inequalities, name)
     _forbid(monkeypatch, ea, "subset_renyi_values")
     # the small code sorts first, so its work would start before the cap check
@@ -167,19 +169,39 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
     assert "capped at n <= 20" in capsys.readouterr().err
 
 
-def test_verify_applies_noise_operator_once_per_code_and_eps(monkeypatch, capsys):
-    calls = []
-    apply = inequalities.noise_operator
+def test_verify_takes_one_noise_pass_per_code_and_eps(monkeypatch, tmp_path, capsys):
+    # a linear code: one syndrome pass, no 2^n noise operator; a nonlinear
+    # code: one dense pass on the f of its subset statistics
+    noise_calls, syndrome_calls, f_calls = [], [], []
+    apply, syndrome, from_code = (
+        inequalities.noise_operator,
+        inequalities.syndrome_distribution,
+        inequalities.from_code,
+    )
 
-    def counted(f, eps):
-        calls.append(eps)
+    def counted_noise(f, eps):
+        noise_calls.append((len(f), eps))
         return apply(f, eps)
 
-    monkeypatch.setattr(inequalities, "noise_operator", counted)
+    def counted_syndrome(code, eps):
+        syndrome_calls.append((code.name, eps))
+        return syndrome(code, eps)
+
+    def counted_from_code(code):
+        f_calls.append(code.n)
+        return from_code(code)
+
+    for module in (inequalities, ea):
+        monkeypatch.setattr(module, "noise_operator", counted_noise)
+    monkeypatch.setattr(inequalities, "syndrome_distribution", counted_syndrome)
+    monkeypatch.setattr(inequalities, "from_code", counted_from_code)
+    words = tmp_path / "words.txt"
+    words.write_text("00000\n11000\n00110\n10011\n01111\n")
     code, _ = run(
         [
             "verify",
             "--code", "repetition:3",
+            "--code", f"codewords-file:{words}",
             "--code", "hamming74",
             "--eps", "0.1,0.2,0.3",
             "--eta", "0.3",
@@ -189,7 +211,11 @@ def test_verify_applies_noise_operator_once_per_code_and_eps(monkeypatch, capsys
         capsys,
     )
     assert code == 0
-    assert calls == [0.1, 0.2, 0.3] * 2
+    assert syndrome_calls == [
+        (name, eps) for name in ("repetition(3)", "hamming74") for eps in (0.1, 0.2, 0.3)
+    ]
+    assert noise_calls == [(32, 0.1), (32, 0.2), (32, 0.3)]
+    assert f_calls == [3, 5, 7]
 
 
 @pytest.mark.parametrize(
@@ -368,14 +394,15 @@ def test_entropy_computes_once_per_code(monkeypatch, tmp_path, capsys):
 
 def test_verify_takes_one_ent_per_code_and_eps(monkeypatch, tmp_path, capsys):
     calls = []
-    ent = boolfn.ent
+    ent = inequalities.NoisyFunction.ent.func
 
-    def counted(f):
-        calls.append(len(f))
-        return ent(f)
+    def counted(noisy):
+        calls.append((noisy.n, noisy.k, len(noisy.p)))
+        return ent(noisy)
 
-    for module in (boolfn, ea, inequalities):
-        monkeypatch.setattr(module, "ent", counted)
+    counted_ent = functools.cached_property(counted)
+    counted_ent.__set_name__(inequalities.NoisyFunction, "ent")
+    monkeypatch.setattr(inequalities.NoisyFunction, "ent", counted_ent)
     words = tmp_path / "words.txt"
     words.write_text("00000\n11000\n00110\n10011\n01111\n")
     code, out = run(
@@ -393,8 +420,9 @@ def test_verify_takes_one_ent_per_code_and_eps(monkeypatch, tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)
     assert sum(row["inequality"] == "bsc_bec" and not row["skipped"] for row in rows) > 0
-    # cor_rv_entropy, sam_entropy and every bsc_bec read the one Ent[T_eps f]
-    assert calls == [32] * 3 + [128] * 3
+    # cor_rv_entropy, sam_entropy and every bsc_bec read the one Ent[T_eps f]:
+    # of the dense 2^5 points, and of hamming74's 2^3 cosets of 2^4 points
+    assert calls == [(5, 0, 32)] * 3 + [(7, 4, 8)] * 3
 
 
 def test_entropy_rejects_a_single_monte_carlo_trial(capsys):

@@ -184,6 +184,14 @@ def test_subset_mc_rejects_a_single_trial():
             ea.subset_entropy_expectation_mc(code, 0.5, (1.0,), trials, 1)
 
 
+def test_popcounts_are_a_read_only_int64_table():
+    ea.popcounts.cache_clear()
+    got = ea.popcounts(10)
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert got.tolist() == [bin(i).count("1") for i in range(1 << 10)]
+    assert ea.popcounts(10) is got  # cached
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_subset_weights_equal_the_per_mask_exp_log_bit_for_bit(n):
     lams = [0.0, 1.0, 0.5, 1e-300, 1 - 2**-53]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanent import bitspace as bs
@@ -12,9 +12,9 @@ from conftest import conditional_expectation, linear_codes, nonlinear_codes, sma
 
 
 def _code_inputs(code, eps, qs=()):
-    """The code's subset statistics and T_eps f_C, as the code checks take them."""
+    """The code's subset statistics and noisy law, as ``verify`` gives them to the checks."""
     stats = iq.subset_stats_of_code(code, qs)
-    return stats, iq.noisy_function(stats.f, eps)
+    return stats, iq.noisy_law(stats, eps)
 
 
 def test_sam_norm_constant_function():
@@ -315,33 +315,70 @@ def test_subset_stats_of_code_enforces_the_subset_cap(monkeypatch):
 def test_noisy_function_is_read_only_and_keeps_eps():
     f = np.ones(8)
     noisy = iq.noisy_function(f, 0.2)
-    assert noisy.eps == 0.2
+    assert (noisy.eps, noisy.n, noisy.k) == (0.2, 3, 0)
     f[0] = 5.0
-    assert np.all(noisy.f == 1.0)
+    assert np.all(noisy.p == 1 / 8)
     with pytest.raises(ValueError):
-        noisy.f[0] = 5.0
+        noisy.p[0] = 5.0
     with pytest.raises(AttributeError):
         noisy.eps = 0.3
+    law = iq.noisy_law(iq.subset_stats_of_code(bs.hamming74_code(), ()), 0.2)
+    with pytest.raises(ValueError):
+        law.p[0] = 5.0
 
 
 def test_noisy_function_matches_noise_operator():
     f = boolfn.from_code(bs.hamming74_code())
     noisy = iq.noisy_function(f, 0.15)
-    assert noisy.f.tobytes() == channels.noise_operator(f, 0.15).tobytes()
+    assert (noisy.p * 2**7).tobytes() == channels.noise_operator(f, 0.15).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=linear_codes(max_n=12), eps=st.floats(min_value=0.0, max_value=1.0))
+@example(code=bs.hamming74_code(), eps=0.0)
+@example(code=bs.hamming74_code(), eps=0.5)
+@example(code=bs.hamming74_code(), eps=1.0)
+@example(code=bs.reed_muller_code(1, 4), eps=0.1)
+@example(code=bs.make_code("random_linear:20,10,1"), eps=0.3)
+def test_noisy_law_of_a_linear_code_matches_the_dense_path(code, eps):
+    law = iq.noisy_law(iq.subset_stats_of_code(code, ()), eps)
+    dense = iq.noisy_function(boolfn.from_code(code), eps)
+    # one cell per coset: 2^(n-k) of them, 2^k points each
+    assert (law.n, law.k, len(law.p)) == (code.n, code.n - code.redundancy, 1 << code.redundancy)
+    assert law.ent == pytest.approx(dense.ent, abs=1e-12)
+    for q in (2, 3, 4):
+        assert law.log_norm(q) == pytest.approx(dense.log_norm(q), abs=1e-12), q
+        assert law.renyi(q) == pytest.approx(dense.renyi(q), abs=1e-12), q
+        # and the dense path's reads agree with the boolfn reductions of T_eps f
+        noisy = dense.p * 2**code.n
+        assert dense.log_norm(q) == pytest.approx(math.log2(boolfn.norm_q(noisy, q)), abs=1e-12)
+        assert dense.renyi(q) == boolfn.renyi_entropy_of_function(noisy, q)
+    assert dense.ent == pytest.approx(boolfn.ent(dense.p * 2**code.n), abs=1e-12)
+
+
+def test_noisy_law_of_a_nonlinear_code_is_the_dense_path():
+    code = bs.Code(n=5, codewords=(0, 3, 12, 19, 30))
+    stats = iq.subset_stats_of_code(code, ())
+    law = iq.noisy_law(stats, 0.2)
+    assert (law.n, law.k) == (5, 0)
+    assert law.p.tobytes() == iq.noisy_function(stats.f, 0.2).p.tobytes()
 
 
 def test_checks_reject_noisy_function_of_another_dimension():
     stats = iq.subset_stats_of_code(bs.repetition_code(3), (2,))
-    noisy = iq.noisy_function(np.ones(16), 0.2)
-    for check in (
-        lambda: iq.check_sam_norm(stats, noisy, 2),
-        lambda: iq.check_sam_entropy(stats, noisy),
-        lambda: iq.check_cor_rv(stats, noisy, 2),
-        lambda: iq.check_cor_rv_entropy(stats, noisy),
-        lambda: iq.check_bsc_bec(stats, noisy, 0.5),
+    for noisy in (
+        iq.noisy_function(np.ones(16), 0.2),
+        iq.noisy_law(iq.subset_stats_of_code(bs.hamming74_code(), ()), 0.2),
     ):
-        with pytest.raises(ValueError, match="expected 2\\^3"):
-            check()
+        for check in (
+            lambda: iq.check_sam_norm(stats, noisy, 2),
+            lambda: iq.check_sam_entropy(stats, noisy),
+            lambda: iq.check_cor_rv(stats, noisy, 2),
+            lambda: iq.check_cor_rv_entropy(stats, noisy),
+            lambda: iq.check_bsc_bec(stats, noisy, 0.5),
+        ):
+            with pytest.raises(ValueError, match="expected 2\\^3"):
+                check()
 
 
 def test_code_checks_need_statistics_of_a_code_with_the_order():

@@ -407,6 +407,32 @@ def _no_table(code):
     raise AssertionError("coset table built")
 
 
+@pytest.mark.parametrize("spec, trials", [("random_linear:16,8,1", 500), ("hamming74", 40)])
+def test_small_runs_keep_the_pair_kernel(spec, trials):
+    # the table path's numpy call overhead dominates here: with a fresh
+    # cache, 2.0 ms against 0.6 ms, and 0.6 ms against 0.1 ms
+    code = bs.make_code(spec)
+    assert not ld._table_pays(code, trials)
+    ld._coset_weights.cache_clear()
+    with mock.patch.object(ld, "_coset_weights", _no_table):
+        ld.simulate(code, 0.2, trials, seed=1)
+
+
+@pytest.mark.parametrize(
+    "spec, trials",
+    [
+        ("random_linear:16,8,1", 5000),
+        ("random_linear:20,10,1", 2000),
+        ("random_linear:20,10,1", 50000),
+        ("random_linear:24,12,1", 50000),
+    ],
+)
+def test_larger_runs_stay_on_the_table(spec, trials):
+    # the decode benchmark's codes at its 50000 trials, and runs where the
+    # table is faster: 3.4 ms against 5.5 ms, and 4.9 ms against 9.4 ms
+    assert ld._table_pays(bs.make_code(spec), trials)
+
+
 @pytest.mark.parametrize("spec", ["random_linear:24,2,1", "random_linear:24,5,1"])
 def test_low_rate_code_keeps_the_pair_kernel_without_a_table(spec):
     # the coset tables, 26 x 2^22 and 26 x 2^19 int64, would be 870 and 109 MB
