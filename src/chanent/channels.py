@@ -44,8 +44,8 @@ def _xor_shift_pass(p: np.ndarray, m: int, columns: list[int], eps: float) -> np
         np.copyto(scratch, np.flip(cube, axes))  # a ufunc on the flip would buffer 64 KiB
         # Keep this rounding: verify's summary argmin breaks ties between
         # slacks that are equal in exact arithmetic by their last bits, and
-        # it reads this pass twice: as the noise operator for a nonlinear
-        # code and as the syndrome law of a linear one.
+        # verify reads this pass as the noise operator of a nonlinear code
+        # and as the syndrome law of a linear one.
         scratch *= eps
         cube *= 1 - eps
         cube += scratch

@@ -204,7 +204,7 @@ def noisy_function(f: np.ndarray, eps: float) -> NoisyFunction:
     """The noisy law of a general f: the dense noise operator, cells of one point."""
     noisy = noise_operator(validate(f), eps)
     n = dim_of(noisy)
-    noisy *= 2.0**-n  # exact: a power of two
+    noisy *= 2.0**-n  # a power of two: exact unless an entry is subnormal
     noisy.flags.writeable = False
     return NoisyFunction(eps, n, 0, noisy)
 

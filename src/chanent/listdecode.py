@@ -20,10 +20,10 @@ at most n lookups.
 The table is built only when it holds at most 2^min(n, 20) entries, and
 ``simulate`` reads it only when building and reading it, numpy call
 overhead included, cost less than comparing every trial with every
-codeword.  Otherwise, and for nonlinear codes,
-``simulate`` runs the pair kernel (every trial against every codeword)
-and ``likely_probability`` the Walsh–Hadamard count over all 2^n
-received words (n <= 20).
+codeword.  Otherwise, and for nonlinear codes, ``simulate`` runs the
+pair kernel (every trial against every codeword) and
+``likely_probability`` the Walsh–Hadamard count over all 2^n received
+words (n <= 20).
 """
 
 from __future__ import annotations
@@ -402,17 +402,17 @@ def _table_pays(code: Code, trials: int) -> bool:
 
     The table path costs one cached build and one prefix walk per call,
     together about n (n + 2) 2^(n - k) integer adds in n (n + 2) numpy
-    steps, and a syndrome pass of n steps over the trials; the pair
-    kernel costs trials |C| pair distances.  A low-rate code with few
-    trials, such as [24, 5] at 1000 trials, keeps the pair kernel, and
-    so does a small run, such as [16, 8] at 500 trials, whose table
+    steps, then a syndrome pass and at most n lookups per trial; the
+    pair kernel costs trials |C| pair distances.  A low-rate code with
+    few trials, such as [24, 5] at 1000 trials, keeps the pair kernel,
+    and so does a small run, such as [16, 8] at 500 trials, whose table
     path is mostly numpy call overhead.
     """
     if code.generator is None:
         return False
     n = code.n
-    steps = n * (n + 2) * ((1 << code.redundancy) + _STEP_PAIRS)
-    return steps + _TRIAL_BIT_PAIRS * n * trials <= trials * code.size
+    fixed = n * (n + 2) * ((1 << code.redundancy) + _STEP_PAIRS)
+    return fixed + _TRIAL_BIT_PAIRS * n * trials <= trials * code.size
 
 
 def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radius: int):
