@@ -1,10 +1,14 @@
-"""Layer and CLI timings of one chanent source tree, written as JSON.
+"""Layer and CLI timings of one or two chanent source trees, written as JSON.
 
     python scripts/bench_layers.py --src DIR --out FILE [--label NAME] [--repeats R]
+    python scripts/bench_layers.py --src DIR_A --label A --src DIR_B --label B --out FILE
 
 DIR is the directory that holds the ``chanent`` package (``src`` of a
-checkout).  Each case is timed R times in this interpreter (R >= 5 for
-a recorded file) and reported as the median with its quartiles:
+checkout).  Each tree is timed in its own subprocess.  With two trees
+the repeats alternate between them, each tree going first on every
+other repeat, so machine drift during the run falls on both alike.
+Each case is timed R times (R >= 5 for a recorded file) and reported
+as the median with its quartiles:
 
 * ``subset_weights`` at n = 16 and n = 18, ten densities per repeat;
 * the subset Monte Carlo rows of ``entropy_report`` on random_linear:24,12
@@ -18,6 +22,9 @@ a recorded file) and reported as the median with its quartiles:
 * ``verify`` through ``cli.main`` on random_linear:20,10,1 with the
   ``verify`` workload's grid (default eps grid, orders 2 and 3, etas 0.3
   and 0.5);
+* ``entropy_analysis.projection_entropies`` over all masks on seed 1's
+  nonlinear n = 14, 200-word code at orders 1 and 2, and on 1,000
+  seeded random words of length 16 at orders 1 to 4;
 * ``channels.noise_operator`` on the distribution function of
   random_linear:20,10,1 at eps 0.2: one dense operator at n = 20;
 * ``listdecode.simulate`` on seed 1's random_linear:24,12 at eps 0.2 and
@@ -30,8 +37,8 @@ Every lru cache of the package is cleared before each repeat, so a
 repeat pays what a fresh CLI process pays.  The CLI cases also record
 the SHA-256 of their output (``repr`` of a library call's value), so
 two trees can be compared row for row.
-The run is stored in FILE under NAME (default ``run``); other runs
-already in FILE are kept, so one file can hold a before and an after.
+Each tree's run is stored in FILE under its NAME (default ``run`` for
+a single tree); other runs already in FILE are kept.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ MC_TRIALS = 2000
 MC_ETAS = [0.25, 0.5]
 MC_ORDERS = [1.0, 2.0]
 DENSITIES = [i / 10 for i in range(10)]
+KERNEL_WORDS = 1000  # codewords of the n = 16 projection case
 
 
 def quartiles(samples: list[float]) -> dict:
@@ -107,6 +115,7 @@ def clear_caches() -> None:
 def cases(work_dir: Path) -> dict:
     """Case name -> callable returning the bytes (or contiguous array) to hash, or None."""
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import numpy as np
     import workloads
     from chanent import bitspace, boolfn, channels, entropy_analysis, listdecode
 
@@ -159,6 +168,15 @@ def cases(work_dir: Path) -> dict:
     verify_nonlinear = verify_args + ["--code", f"codewords-file:{nonlinear}"]
     verify_linear20 = verify_args + ["--code", "random_linear:20,10,1"]
 
+    def projection(code, qs):
+        masks = np.arange(1 << code.n, dtype=np.uint64)
+        return lambda: entropy_analysis.projection_entropies(code, masks, qs)
+
+    nonlinear14 = bitspace.Code(n=workloads.NONLINEAR_N, codewords=inputs.nonlinear_words)
+    rng = np.random.default_rng(SEED)
+    words16 = rng.choice(1 << 16, KERNEL_WORDS, replace=False)
+    code16 = bitspace.Code(n=16, codewords=tuple(sorted(words16.tolist())))
+
     return {
         "subset_weights.n16": weights(16),
         "subset_weights.n18": weights(18),
@@ -167,6 +185,8 @@ def cases(work_dir: Path) -> dict:
         "cli.entropy": cli(workloads.build_ops("entropy", inputs, work_dir)),
         "cli.verify.nonlinear14": cli([workloads._cli_op("verify.nonlinear14", verify_nonlinear)]),
         "cli.verify.linear20": cli([workloads._cli_op("verify.linear20", verify_linear20)]),
+        "projection_entropies.nonlinear14": projection(nonlinear14, (1.0, 2.0)),
+        "projection_entropies.n16_1000": projection(code16, (1.0, 2.0, 3.0, 4.0)),
         "noise_operator.n20": noise20,
         "simulate.24_12": simulate(mc_code, 0.2),
         "simulate.rm2_4": simulate(bitspace.make_code("reed_muller:2,4"), 0.3),
@@ -174,43 +194,93 @@ def cases(work_dir: Path) -> dict:
     }
 
 
+def worker(src: Path) -> int:
+    """Time the cases of one tree: a case name per stdin line, one JSON line back each."""
+    sys.path.insert(0, str(src))
+    reply, sys.stdout = sys.stdout, sys.stderr  # the cases print nothing into the replies
+    with tempfile.TemporaryDirectory() as tmp:
+        table = cases(Path(tmp))
+        print(json.dumps(list(table)), file=reply, flush=True)
+        for line in sys.stdin:
+            fn = table[line.strip()]
+            clear_caches()
+            start = time.perf_counter()
+            out = fn()
+            elapsed = time.perf_counter() - start
+            digest = None if out is None else hashlib.sha256(out).hexdigest()
+            print(json.dumps({"s": elapsed, "sha256": digest}), file=reply, flush=True)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, type=Path)
-    parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--label", default="run")
+    parser.add_argument("--src", required=True, type=Path, action="append",
+                        help="a tree's package directory; twice to alternate two trees")
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--label", action="append", help="one per --src (default: run)")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    srcs = [src.resolve() for src in args.src]
+    for src in srcs:
+        if not (src / "chanent" / "__init__.py").is_file():
+            parser.error(f"no chanent package under {src}")
+    if args.worker:
+        return worker(srcs[0])
+    if args.out is None:
+        parser.error("--out is required")
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    src = args.src.resolve()
-    if not (src / "chanent" / "__init__.py").is_file():
-        parser.error(f"no chanent package under {src}")
-    sys.path.insert(0, str(src))
+    if len(srcs) > 2:
+        parser.error("at most two --src trees")
+    labels = args.label or (["run"] if len(srcs) == 1 else [])
+    if len(labels) != len(srcs) or len(set(labels)) != len(labels):
+        parser.error("give each --src its own --label")
 
-    results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, fn in cases(Path(tmp)).items():
-            samples, digest = [], None
-            for _ in range(args.repeats):
-                clear_caches()
-                start = time.perf_counter()
-                out = fn()
-                samples.append(time.perf_counter() - start)
-                if out is not None:
-                    digest = hashlib.sha256(out).hexdigest()
-            results[name] = quartiles(samples)
-            if digest is not None:
-                results[name]["output_sha256"] = digest
-            print(f"{name}: median {results[name]['median_s']:.4f} s", file=sys.stderr)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--worker", "--src", str(src)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for src in srcs
+    ]
+    try:
+        # every worker runs this file's cases, so each lists the same names
+        names = [json.loads(proc.stdout.readline()) for proc in procs][0]
+        samples = {label: {} for label in labels}
+        digests = {label: {} for label in labels}
+        for name in names:
+            for rep in range(args.repeats):
+                order = range(len(procs)) if rep % 2 == 0 else reversed(range(len(procs)))
+                for i in order:
+                    procs[i].stdin.write(name + "\n")
+                    procs[i].stdin.flush()
+                    answer = json.loads(procs[i].stdout.readline())
+                    samples[labels[i]].setdefault(name, []).append(answer["s"])
+                    if answer["sha256"] is not None:
+                        digests[labels[i]][name] = answer["sha256"]
+            for label in labels:
+                median = statistics.median(samples[label][name])
+                print(f"{label} {name}: median {median:.4f} s", file=sys.stderr)
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            proc.wait()
 
     stored = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    stored[args.label] = {
-        "machine": machine(src),
-        "seed": SEED,
-        "repeats": args.repeats,
-        "cases": results,
-    }
+    for src, label in zip(srcs, labels):
+        results = {}
+        for name, times in samples[label].items():
+            results[name] = quartiles(times)
+            if name in digests[label]:
+                results[name]["output_sha256"] = digests[label][name]
+        stored[label] = {
+            "machine": machine(src),
+            "seed": SEED,
+            "repeats": args.repeats,
+            "alternated_with": [other for other in labels if other != label],
+            "cases": results,
+        }
     args.out.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
     return 0
 

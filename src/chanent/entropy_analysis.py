@@ -13,9 +13,12 @@ For a linear code H_q(X_S) is the GF(2) rank r(S) of the generator
 restricted to S, for every q: the exact table is a superset sum over
 the codewords, and the Monte Carlo sampler ranks each distinct drawn
 mask (``bitspace.masked_ranks``).  The entropies H_q(X_S) of a nonlinear
-code come from one blocked projection kernel, ``projection_entropies``,
-which sorts the projected words once for every order.  So the subset
-table of a code and a Monte Carlo draw of subsets serve all orders.
+code come from one blocked projection kernel, ``projection_entropies``:
+it projects into reused 16- or 32-bit word buffers, sorts the projected
+words once for every order, and reads the term of each run of equal
+words at each order from a table indexed by the run's length.  So the
+subset table of a code and a Monte Carlo draw of subsets serve all
+orders.
 Independent Bayes-rule / erasure-pattern oracles live in the test suite.
 """
 
@@ -41,7 +44,8 @@ from .channels import _axis_pairs, _xor_shift_pass, bernoulli_words, noise_opera
 
 EXACT_SUBSET_CAP = 20
 
-# (mask, codeword) pairs per block of the projection kernel
+# (mask, codeword) pairs per block of the projection kernel, divided
+# among its finite orders: no array of a block holds more entries
 _PAIR_BLOCK = 1 << 16
 
 
@@ -93,36 +97,58 @@ def _require_orders(qs: Sequence[float]) -> None:
 def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     """H_q(X_S) as ``marginal_entropy`` gives it: row i at order qs[i], one column per mask.
 
-    A block of masks projects every codeword at once and is sorted once.
-    The runs of each sorted row are the multiplicities of its projected
-    words; every order sums their entropy terms per row by one bincount.
+    A block of masks projects every codeword at once into reused buffers
+    of 16-bit words (32-bit above n = 16), and is sorted once.  The
+    runs of each sorted row are the multiplicities c of its projected
+    words.  A finite order reads the term of a run from a table indexed
+    by c, (c/|C|) log2 c at q = 1 and (c/|C|)^q otherwise, and sums each
+    row's terms in run order by one bincount shared by the finite orders;
+    q = inf reads each row's longest run.  The terms and their order are
+    those of an evaluation run by run, so every value is too, bit for bit.
     """
     _require_orders(qs)
-    cws = code.codeword_array()
     size = code.size
-    masks = np.asarray(masks, dtype=np.uint64)
+    dtype = np.uint16 if code.n <= 16 else np.uint32
+    cws = code.codeword_array().astype(dtype)
+    masks = np.asarray(masks, dtype=np.uint64).astype(dtype)
     out = np.empty((len(qs), len(masks)))
-    block = max(1, _PAIR_BLOCK // size)
+    finite = [q for q in qs if not math.isinf(q)]
+    block = max(1, _PAIR_BLOCK // (size * max(1, len(finite))))
+    rows = min(block, len(masks))
+    c = np.arange(1, size + 1)
+    p = c / size
+    terms = np.zeros((size + 1, len(finite)))  # row c: a run's term at each finite order
+    for j, q in enumerate(finite):
+        terms[1:, j] = p * np.log2(c) if q == 1 else p**q
+    # bin of row r at the j-th finite order; the orders interleave, so the
+    # adds into one row's sum are not back to back
+    bins = np.arange(rows)[:, None] + rows * np.arange(len(finite))
+    words = np.empty((rows, size), dtype=dtype)
+    first = np.empty(words.shape, dtype=bool)  # a run starts here
+    first[:, 0] = True
+    run_counts = np.empty(words.size, dtype=np.intp)
     for start in range(0, len(masks), block):
-        words = masks[start : start + block, None] & cws
-        words.sort(axis=1)
-        m = len(words)
-        first = np.empty(words.shape, dtype=bool)  # a run starts here
-        first[:, 0] = True
-        np.not_equal(words[:, 1:], words[:, :-1], out=first[:, 1:])
-        starts = np.flatnonzero(first)
-        counts = np.diff(starts, append=first.size)
-        p = counts / size
-        row = starts // size
+        m = min(block, len(masks) - start)
+        w, f = words[:m], first[:m]
+        np.bitwise_and(masks[start : start + m, None], cws, out=w)
+        w.sort(axis=1)
+        np.not_equal(w[:, 1:], w[:, :-1], out=f[:, 1:])
+        starts = np.flatnonzero(f)
+        counts = run_counts[: len(starts)]
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = f.size - starts[-1]
+        row_first = np.searchsorted(starts, np.arange(0, f.size, size))  # each row's first run
+        run_bins = np.repeat(bins[:m], np.diff(row_first, append=len(counts)), axis=0)
+        weights = np.take(terms, counts, axis=0)
+        sums = iter(np.bincount(run_bins.ravel(), weights.ravel(), bins.size).reshape(-1, rows))
         for i, q in enumerate(qs):
             if q == 1:
                 # log2|C| - E log2(count): exact when every count is 1, or one is |C|
-                e_log_c = np.bincount(row, weights=p * np.log2(counts), minlength=m)
-                vals = math.log2(size) - e_log_c
+                vals = math.log2(size) - next(sums)[:m]
             elif math.isinf(q):
-                vals = -np.log2(np.maximum.reduceat(p, np.flatnonzero(starts % size == 0)))
+                vals = -np.log2(np.maximum.reduceat(counts, row_first) / size)
             else:
-                vals = -np.log2(np.bincount(row, weights=p**q, minlength=m)) / (q - 1)
+                vals = -np.log2(next(sums)[:m]) / (q - 1)
             out[i, start : start + m] = vals
     return out
 
@@ -328,7 +354,12 @@ def entropy_report(
         if sampled:
             values = subset_entropy_expectation_mc(code, 1 - eta, orders, trials, seed)
         else:
-            values = [(float(subset_weights(code.n, 1 - eta) @ row), None) for row in table]
+            w = subset_weights(code.n, 1 - eta)
+            if code.generator is not None:  # one row serves every order: one dot
+                values = [(float(w @ table[0]), None)] * len(orders)
+            else:
+                values = [(float(w @ row), None) for row in table]
+            del w  # freed before the next eta's weights are built
         subset.update(((eta, q), v) for q, v in zip(orders, values))
 
     reports = []

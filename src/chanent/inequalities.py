@@ -86,9 +86,10 @@ class SlackReport:
 
 @dataclass(frozen=True)
 class SubsetStats:
-    """Ent[E(f|S)] and log2 ||E(f|S)||_q of f for every subset mask S."""
+    """Ent[E(f|S)] and log2 ||E(f|S)||_q of f on F_2^n, for every subset mask S."""
 
-    f: np.ndarray  # read-only copy of the function
+    n: int
+    f: np.ndarray | None  # read-only copy of the function; None for a linear code
     ent: np.ndarray
     log_norm: dict[int, np.ndarray]  # q -> values per mask
     # for f = f_C: the code and q -> H_q(X_S) per mask, q = 1 included
@@ -126,6 +127,7 @@ def subset_stats(f: np.ndarray, qs) -> SubsetStats:
     sizes = np.exp2(popcounts(n))
     m = float(f.mean())
     return SubsetStats(
+        n,
         f,
         ent_sums / sizes - m * math.log2(m),
         {q: np.log2(norm_sums[q] / sizes) / q for q in qs},
@@ -138,18 +140,22 @@ def subset_stats_of_code(code: Code, qs) -> SubsetStats:
     E(f|S) is 2^|S| times the law of X_S, so Ent[E(f|S)] = |S| - H(X_S)
     and log2 ||E(f|S)||_q = (|S| - H_q(X_S)) (1 - 1/q), with H_q(X_S)
     read from the code's one subset table for the orders {1} and qs.
+    Only a nonlinear code's noisy law reads f, so only such a code
+    builds it: a linear code's stats hold no 2^n copy of f.
     """
     require_subset_cap(code.n)
     qs = tuple(dict.fromkeys(_require_q(q) for q in qs))
-    f = from_code(code)
-    f.flags.writeable = False
+    f = None
+    if code.generator is None:
+        f = from_code(code)
+        f.flags.writeable = False
     orders = (1.0, *qs)
     renyi = dict(zip(orders, subset_rows(code, orders)))
     sizes = popcounts(code.n)
     log_norm = {q: np.subtract(sizes, renyi[q]) for q in qs}
     for q, free in log_norm.items():
         free *= 1 - 1 / q  # in place: no 2^n temporary per order
-    return SubsetStats(f, sizes - renyi[1.0], log_norm, code, renyi)
+    return SubsetStats(code.n, f, sizes - renyi[1.0], log_norm, code, renyi)
 
 
 def _require_q(q) -> int:
@@ -238,7 +244,7 @@ def check_sam_norm(
         raise ValueError(f"subset statistics were built without q={q}")
     eps = noisy.eps
     lam = 1 - h_q(eps, q)
-    n = dim_of(stats.f)
+    n = stats.n
     _require_dim(noisy, n)
     lhs = noisy.log_norm(q)
     rhs = float(subset_weights(n, lam) @ stats.log_norm[q])
@@ -251,7 +257,7 @@ def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction, name: str = "f")
     """Ent[T_eps f] <= E_{S~lam} Ent[E(f|S)], lam = (1-2*eps)^2."""
     eps = noisy.eps
     lam = (1 - 2 * eps) ** 2
-    n = dim_of(stats.f)
+    n = stats.n
     _require_dim(noisy, n)
     lhs = noisy.ent
     rhs = float(subset_weights(n, lam) @ stats.ent)

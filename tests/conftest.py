@@ -182,6 +182,42 @@ def conditional_expectation(f: np.ndarray, mask: int) -> np.ndarray:
     return tensor.mean(axis=drop).reshape(-1)
 
 
+def uint64_projection_entropies(code: Code, masks: np.ndarray, qs) -> np.ndarray:
+    """H_q(X_S) per order (row) and mask (column), run by run in uint64 words.
+
+    Each block of masks projects every codeword into fresh uint64
+    arrays, sorts them, and evaluates log2 or the power of every run of
+    equal words, order by order.
+    """
+    cws = code.codeword_array()
+    size = code.size
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = np.empty((len(qs), len(masks)))
+    block = max(1, (1 << 16) // size)
+    for start in range(0, len(masks), block):
+        words = masks[start : start + block, None] & cws
+        words.sort(axis=1)
+        m = len(words)
+        first = np.empty(words.shape, dtype=bool)  # a run starts here
+        first[:, 0] = True
+        np.not_equal(words[:, 1:], words[:, :-1], out=first[:, 1:])
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=first.size)
+        p = counts / size
+        row = starts // size
+        for i, q in enumerate(qs):
+            if q == 1:
+                # log2|C| - E log2(count): exact when every count is 1, or one is |C|
+                e_log_c = np.bincount(row, weights=p * np.log2(counts), minlength=m)
+                vals = math.log2(size) - e_log_c
+            elif math.isinf(q):
+                vals = -np.log2(np.maximum.reduceat(p, np.flatnonzero(starts % size == 0)))
+            else:
+                vals = -np.log2(np.bincount(row, weights=p**q, minlength=m)) / (q - 1)
+            out[i, start : start + m] = vals
+    return out
+
+
 def bayes_cond_entropy_bsc(code: Code, eps: float) -> float:
     """H(X|Y_BSC) = sum_y P(y) H(X|Y=y), by direct Bayes enumeration."""
     n = code.n

@@ -49,7 +49,7 @@ def test_criterion_1_inequality_battery(corpus):
     for code in corpus:
         stats = iq.subset_stats_of_code(code, QS)
         # the SAM checks read the DP, independent of the code's subset table
-        dp = iq.subset_stats(stats.f, QS)
+        dp = iq.subset_stats(boolfn.from_code(code), QS)
         for eps in EPS_GRID:
             noisy = iq.noisy_law(stats, eps)
             worst = min(worst, iq.check_cor_rv_entropy(stats, noisy).slack)

@@ -21,6 +21,7 @@ from conftest import (
     linear_codes,
     nonlinear_codes,
     small_corpus,
+    uint64_projection_entropies,
     xor_shift_oracle,
 )
 
@@ -79,6 +80,50 @@ def test_projection_kernel_matches_marginal_entropy(code, qs, pairs):
         assert np.max(np.abs(row - ref)) <= 1e-12
         # each order's row is the single-order pass, bit for bit
         assert row.tobytes() == ea.projection_entropies(code, masks, (q,))[0].tobytes()
+
+
+ORDERS = (1, 1.5, 2, 3, math.inf)
+
+
+@st.composite
+def projection_inputs(draw):
+    """A code with n in [1, 24], masks to project it on (all when n <= 12), and orders."""
+    code = draw(nonlinear_codes(max_n=24))
+    if code.n <= 12:
+        masks = np.arange(1 << code.n, dtype=np.uint64)
+    else:
+        subsets = st.lists(st.integers(0, (1 << code.n) - 1), max_size=700)
+        masks = np.array(draw(subsets), dtype=np.uint64)
+    qs = tuple(draw(st.lists(st.sampled_from(ORDERS), min_size=1, max_size=5)))
+    return code, masks, qs
+
+
+def _fixed_inputs(n, size, seed, mask_count=None):
+    """Seeded distinct words, one of them all ones, and all masks or mask_count seeded ones."""
+    rng = np.random.default_rng(seed)
+    words = [*rng.choice((1 << n) - 1, size - 1, replace=False).tolist(), (1 << n) - 1]
+    if mask_count is None:
+        masks = np.arange(1 << n, dtype=np.uint64)
+    else:
+        masks = np.append(rng.integers(0, 1 << n, mask_count), (1 << n) - 1).astype(np.uint64)
+    return bs.Code(n=n, codewords=tuple(sorted(words))), masks, ORDERS
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=projection_inputs())
+@example(inputs=_fixed_inputs(16, 300, 1, mask_count=500))  # the widest uint16 words
+@example(inputs=_fixed_inputs(17, 300, 2, mask_count=500))  # the narrowest uint32 words
+@example(inputs=_fixed_inputs(24, 300, 3, mask_count=500))
+@example(inputs=_fixed_inputs(5, 1, 4))  # one word: every run is the whole code
+@example(inputs=(bs.full_space_code(4), np.arange(16, dtype=np.uint64), ORDERS))
+@example(inputs=_fixed_inputs(12, 300, 5))  # blocks of 218 masks; the last holds 172
+def test_projection_kernel_equals_the_uint64_oracle(inputs):
+    code, masks, qs = inputs
+    table = ea.projection_entropies(code, masks, qs)
+    oracle = uint64_projection_entropies(code, masks, qs)
+    assert table.shape == oracle.shape == (len(qs), len(masks))
+    for row, ref in zip(table, oracle, strict=True):
+        assert row.tobytes() == ref.tobytes()
 
 
 def test_nonlinear_subset_table_spans_several_blocks():

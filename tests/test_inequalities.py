@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,7 +284,12 @@ def test_subset_stats_of_code_matches_the_dp(code):
     # the closed form against the DP on f_C, every mask and order
     closed = iq.subset_stats_of_code(code, (2, 3, 4))
     dp = iq.subset_stats(boolfn.from_code(code), (2, 3, 4))
-    assert closed.f.tobytes() == dp.f.tobytes()
+    assert closed.n == dp.n == code.n
+    # only a nonlinear code's noisy law reads f, so only it is built
+    if code.generator is None:
+        assert closed.f.tobytes() == dp.f.tobytes()
+    else:
+        assert closed.f is None
     assert np.max(np.abs(closed.ent - dp.ent)) <= 1e-12
     for q in (2, 3, 4):
         assert np.max(np.abs(closed.log_norm[q] - dp.log_norm[q])) <= 1e-12
@@ -296,9 +302,27 @@ def test_subset_stats_of_code_checks_orders_and_keeps_a_read_only_function():
             iq.subset_stats_of_code(code, (2, q))
     stats = iq.subset_stats_of_code(code, (3, 2, 3.0))
     assert list(stats.log_norm) == [3, 2]
-    assert stats.f.tobytes() == boolfn.from_code(code).tobytes()
+    assert (stats.n, stats.f) == (7, None)  # a linear code holds no copy of f
+    nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 19, 30))
+    stats = iq.subset_stats_of_code(nonlinear, (2,))
+    assert stats.f.tobytes() == boolfn.from_code(nonlinear).tobytes()
     with pytest.raises(ValueError):
         stats.f[0] = 5.0
+
+
+def test_subset_stats_of_a_linear_code_hold_no_dense_function():
+    # f_C of [20, 10] is 2^20 floats; the checks of a linear code read only its n
+    code = bs.make_code("random_linear:20,10,1")
+    iq.subset_stats_of_code(code, ())  # the cached subset table and popcounts
+    tracemalloc.start()
+    try:
+        stats = iq.subset_stats_of_code(code, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (stats.n, stats.f) == (20, None)
+    # one 2^20 float array is the Ent row; f_C would be a second
+    assert stats.ent.nbytes == 8 * 2**20 <= peak < 1.5 * stats.ent.nbytes
 
 
 def test_subset_stats_of_code_enforces_the_subset_cap(monkeypatch):
@@ -384,7 +408,7 @@ def test_checks_reject_noisy_function_of_another_dimension():
 def test_code_checks_need_statistics_of_a_code_with_the_order():
     code = bs.hamming74_code()
     stats, noisy = _code_inputs(code, 0.3, (2,))
-    dp = iq.subset_stats(stats.f, (2, 3))  # no code behind it
+    dp = iq.subset_stats(boolfn.from_code(code), (2, 3))  # no code behind it
     for check in (
         lambda: iq.check_cor_rv(dp, noisy, 2),
         lambda: iq.check_cor_rv_entropy(dp, noisy),
