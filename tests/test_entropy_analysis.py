@@ -116,7 +116,7 @@ def _fixed_inputs(n, size, seed, mask_count=None):
 @example(inputs=_fixed_inputs(24, 300, 3, mask_count=500))
 @example(inputs=_fixed_inputs(5, 1, 4))  # one word: every run is the whole code
 @example(inputs=(bs.full_space_code(4), np.arange(16, dtype=np.uint64), ORDERS))
-@example(inputs=_fixed_inputs(12, 300, 5))  # blocks of 218 masks; the last holds 172
+@example(inputs=_fixed_inputs(12, 300, 5))  # 54-mask blocks at 4 finite orders: the last holds 46
 def test_projection_kernel_equals_the_uint64_oracle(inputs):
     code, masks, qs = inputs
     table = ea.projection_entropies(code, masks, qs)
