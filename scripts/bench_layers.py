@@ -8,7 +8,10 @@ checkout).  Each tree is timed in its own subprocess.  With two trees
 the repeats alternate between them, each tree going first on every
 other repeat, so machine drift during the run falls on both alike.
 Each case is timed R times (R >= 5 for a recorded file) and reported
-as the median with its quartiles:
+as the median with its quartiles.  One untimed run per tree comes
+first; when the faster tree's run takes under 20 ms, each sample is the
+mean of an inner loop of at least 100 ms, the same number of runs in
+both trees (``inner_loops`` in FILE).  The cases:
 
 * ``subset_weights`` at n = 16 and n = 18, ten densities per repeat;
 * the subset Monte Carlo rows of ``entropy_report`` on random_linear:24,12
@@ -31,10 +34,13 @@ as the median with its quartiles:
   on reed_muller:2,4 at eps 0.3, each at the ``decode`` workload's 50000
   trials, under its Monte Carlo seed;
 * the ``decode`` workload's operations: ``decode-sim`` through
-  ``cli.main`` and the ``likely_probability`` library calls.
+  ``cli.main`` and the ``likely_probability`` library calls;
+* those ``likely_probability`` calls on their own: seed 1's
+  random_linear:18,8 at the workload's four (eps, delta) pairs, one
+  coset table build and four reads.
 
-Every lru cache of the package is cleared before each repeat, so a
-repeat pays what a fresh CLI process pays.  The CLI cases also record
+Every lru cache of the package is cleared before each run, so a run
+pays what a fresh CLI process pays.  The CLI cases also record
 the SHA-256 of their output (``repr`` of a library call's value), so
 two trees can be compared row for row.
 Each tree's run is stored in FILE under its NAME (default ``run`` for
@@ -46,6 +52,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -62,6 +69,8 @@ MC_ETAS = [0.25, 0.5]
 MC_ORDERS = [1.0, 2.0]
 DENSITIES = [i / 10 for i in range(10)]
 KERNEL_WORDS = 1000  # codewords of the n = 16 projection case
+SHORT_CASE_S = 0.02  # a case faster than this is timed in an inner loop
+MIN_SAMPLE_S = 0.1  # of at least this long per sample
 
 
 def quartiles(samples: list[float]) -> dict:
@@ -149,6 +158,16 @@ def cases(work_dir: Path) -> dict:
 
         return run
 
+    likely_code = bitspace.make_code(f"random_linear:18,8,{inputs.code_seed}")
+    likely_cfgs = [
+        listdecode.DecoderConfig(n=likely_code.n, eps=eps, delta=delta)
+        for eps, delta in workloads.LIKELY_GRID
+    ]
+
+    def likely():
+        values = [listdecode.likely_probability(likely_code, cfg) for cfg in likely_cfgs]
+        return repr(values).encode()
+
     def cli(ops):
         def run():
             out = []
@@ -191,25 +210,40 @@ def cases(work_dir: Path) -> dict:
         "simulate.24_12": simulate(mc_code, 0.2),
         "simulate.rm2_4": simulate(bitspace.make_code("reed_muller:2,4"), 0.3),
         "cli.decode": cli(workloads.build_ops("decode", inputs, work_dir)),
+        "likely_probability.18_8": likely,
     }
 
 
 def worker(src: Path) -> int:
-    """Time the cases of one tree: a case name per stdin line, one JSON line back each."""
+    """Time the cases of one tree.
+
+    Each stdin line is a case name and a run count; the reply, one JSON
+    line, holds the mean time of those runs, each with fresh caches.
+    """
     sys.path.insert(0, str(src))
     reply, sys.stdout = sys.stdout, sys.stderr  # the cases print nothing into the replies
     with tempfile.TemporaryDirectory() as tmp:
         table = cases(Path(tmp))
         print(json.dumps(list(table)), file=reply, flush=True)
         for line in sys.stdin:
-            fn = table[line.strip()]
-            clear_caches()
-            start = time.perf_counter()
-            out = fn()
-            elapsed = time.perf_counter() - start
+            name, runs = line.split()
+            fn = table[name]
+            elapsed = 0.0
+            for _ in range(int(runs)):
+                clear_caches()
+                start = time.perf_counter()
+                out = fn()
+                elapsed += time.perf_counter() - start
             digest = None if out is None else hashlib.sha256(out).hexdigest()
-            print(json.dumps({"s": elapsed, "sha256": digest}), file=reply, flush=True)
+            answer = {"s": elapsed / int(runs), "sha256": digest}
+            print(json.dumps(answer), file=reply, flush=True)
     return 0
+
+
+def ask(proc, name: str, runs: int) -> dict:
+    proc.stdin.write(f"{name} {runs}\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -249,13 +283,14 @@ def main(argv: list[str] | None = None) -> int:
         names = [json.loads(proc.stdout.readline()) for proc in procs][0]
         samples = {label: {} for label in labels}
         digests = {label: {} for label in labels}
+        loops = {}
         for name in names:
+            fastest = min(ask(proc, name, 1)["s"] for proc in procs)
+            loops[name] = 1 if fastest >= SHORT_CASE_S else math.ceil(MIN_SAMPLE_S / fastest)
             for rep in range(args.repeats):
                 order = range(len(procs)) if rep % 2 == 0 else reversed(range(len(procs)))
                 for i in order:
-                    procs[i].stdin.write(name + "\n")
-                    procs[i].stdin.flush()
-                    answer = json.loads(procs[i].stdout.readline())
+                    answer = ask(procs[i], name, loops[name])
                     samples[labels[i]].setdefault(name, []).append(answer["s"])
                     if answer["sha256"] is not None:
                         digests[labels[i]][name] = answer["sha256"]
@@ -271,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     for src, label in zip(srcs, labels):
         results = {}
         for name, times in samples[label].items():
-            results[name] = quartiles(times)
+            results[name] = {**quartiles(times), "inner_loops": loops[name]}
             if name in digests[label]:
                 results[name]["output_sha256"] = digests[label][name]
         stored[label] = {

@@ -40,6 +40,7 @@ from .listdecode import (
     likely_probability,
     rs22_lower_bound,
     simulate,
+    simulate_grid,
     theoretical_list_size,
 )
 

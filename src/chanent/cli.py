@@ -152,13 +152,16 @@ def cmd_decode_sim(args) -> int:
     deltas = args.delta or [0.0]
     rows = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
-        for eps in eps_grid:
-            # validate every decoder before the pass they share
-            cfgs = [
+        # validate every decoder before the pass they share
+        decoders = [
+            [
                 DecoderConfig(n=code.n, eps=eps, delta=delta, list_cap=args.list_cap)
                 for delta in deltas
             ]
-            decoded = listdecode.simulate(code, eps, args.trials, args.seed)
+            for eps in eps_grid
+        ]
+        passes = listdecode.simulate_grid(code, eps_grid, args.trials, args.seed)
+        for eps, cfgs, decoded in zip(eps_grid, decoders, passes):
             for cfg in cfgs:
                 stats = decoded.stats(cfg)
                 k_theory = listdecode.theoretical_list_size(

@@ -7,6 +7,13 @@ By construction a trial can only fail because the noise was heavy
 (weight >= radius) or the list was truncated; the simulator asserts
 exactly that decomposition.
 
+``simulate_grid`` decodes a whole eps grid in one pass over common
+random numbers: X and the uniforms behind Z are drawn once, and each
+eps compares the same uniforms with its own eps, so every eps gets the
+trials of a pass seeded at that eps alone.  The grid holds one extra
+uint32 noise word per trial per extra eps, and each eps's noise is
+dropped once its trials are counted.  ``simulate`` is its one-eps case.
+
 For a linear code the distances from Y = X + Z to the codewords are the
 weights of the coset Z + C, whatever X is.  ``simulate`` and
 ``likely_probability`` therefore read one cached coset weight table of
@@ -15,8 +22,8 @@ in distance with X depends on X: a tied X + c is ahead of X iff X has a
 one at c's top bit b.  The same table recursion, stopped before
 coordinate b, counts the words below bit b by weight and syndrome, and
 one lookup there gives the codewords of top bit b tied with X, so
-``simulate`` walks the recursion once per call and a tied trial needs
-at most n lookups.
+``simulate`` walks the recursion once per eps, one gather per
+coordinate, and a tied trial needs at most n lookups.
 The table is built only when it holds at most 2^min(n, 20) entries, and
 ``simulate`` reads it only when building and reading it, numpy call
 overhead included, cost less than comparing every trial with every
@@ -31,12 +38,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .bitspace import Code, syndrome_columns
 from .boolfn import binary_entropy, from_code
-from .channels import _walsh_hadamard, bernoulli_words, noise_operator
+from .channels import _walsh_hadamard, noise_operator
 
 EXACT_CAP = 20
 
@@ -333,28 +341,29 @@ def _pair_counts(y, x, wz, radius: int, cws):
     return within, ahead
 
 
-def _prefix_tables(cols: list[int], r: int, dtype):
+def _prefix_tables(cols: list[int], r: int):
     """The coset table recursion, one coordinate at a time.
 
-    Yields T_b for b = 0..n, in one array updated in place: T_b[w, s]
-    counts the words supported below bit b of weight w and syndrome s,
-    kept in row w + 1 so that row 0 stays zero.  T_0 is the zero word;
-    coordinate b, with parity-check column h_b, adds T_b[w - 1, s ^ h_b]
-    to T_b[w, s].  T_n is the full coset weight table (MacWilliams–Sloane).
+    Yields T_b for b = 0..n, in one uint32 array updated in place:
+    T_b[w, s] counts the words supported below bit b of weight w and
+    syndrome s, kept in row w + 1 so that row 0 stays zero.  T_0 is the
+    zero word; coordinate b, with parity-check column h_b, adds
+    T_b[w - 1, s ^ h_b] to T_b[w, s].  T_n is the full coset weight
+    table (MacWilliams–Sloane).  No entry passes C(24, 12) < 2^32.
     """
     n, size = len(cols), 1 << r
-    table = np.zeros((n + 2, size), dtype=dtype)
+    table = np.zeros((n + 2, size), dtype=np.uint32)
     table[1, 0] = 1
     index = np.arange(size)
-    shifted = np.empty(size, dtype=dtype)
+    shifted = np.empty((n, size), dtype=np.uint32)
     for b, h in enumerate(cols):
         yield table
-        perm = index ^ h
-        # downwards, so row w - 1 is still T_b's; below bit b no word is
-        # heavier than b.  perm is in range, and mode "clip" spares take
-        # the buffered bounds check of mode "raise"
-        for row in range(b + 2, 1, -1):
-            table[row] += np.take(table[row - 1], perm, out=shifted, mode="clip")
+        # below bit b no word is heavier than b, so rows 1..b+1 hold all
+        # of T_b; one gather shifts them all before any row changes.
+        # index ^ h is in range, and mode "clip" spares take the buffered
+        # bounds check of mode "raise"
+        np.take(table[1 : b + 2], index ^ h, axis=1, out=shifted[: b + 1], mode="clip")
+        table[2 : b + 3] += shifted[: b + 1]
     yield table
 
 
@@ -378,8 +387,9 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     if (n + 2) << r > 1 << min(n, EXACT_CAP):
         return None
     cols = syndrome_columns(code.generator, n)
-    for below in _prefix_tables(cols, r, np.int64):
+    for table in _prefix_tables(cols, r):
         pass
+    below = table.astype(np.int64)
     # T[w] sits in row w + 1, so row w ends up counting weights below w
     for row in range(2, n + 2):
         below[row] += below[row - 1]
@@ -387,21 +397,25 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     return below, cols
 
 
-# The table path's fixed costs, in pair distances of ``_pair_counts``
-# (about 3 ns each), fitted to both paths of ``simulate`` with a fresh
-# cache on codes from [7, 4] to [24, 12] at 30 to 10^4 trials (2-core
-# x86 box): each of its n (n + 2) numpy steps costs about 1500 in call
-# overhead, and the syndrome pass and tie lookups about 2 per trial and
-# coordinate
-_STEP_PAIRS = 1500
-_TRIAL_BIT_PAIRS = 2
+# The table path's costs, in pair distances of ``_pair_counts`` (about
+# 1.7 ns each), fitted to both paths of ``simulate`` with a fresh cache
+# on codes from [7, 4] to [24, 16] at 30 to 10^4 trials, the fastest of
+# 15 runs each, on a 2-core x86 box: each coordinate costs about 12000
+# in the call overhead of its numpy steps (one step of the build, one
+# of the prefix walk and the tie lookups), and the syndrome pass and
+# tie lookups about 1 per trial and coordinate beyond the pair kernel's
+# own per-trial work.  This routes 145 of the 146 timed runs, in two
+# recordings, to the faster path; the other, [20, 10] at 500 trials,
+# loses 0.15 ms
+_STEP_PAIRS = 12000
+_TRIAL_BIT_PAIRS = 1
 
 
 def _table_pays(code: Code, trials: int) -> bool:
     """Whether ``simulate`` reads the coset table rather than the pair kernel.
 
-    The table path costs one cached build and one prefix walk per call,
-    together about n (n + 2) 2^(n - k) integer adds in n (n + 2) numpy
+    The table path costs one cached build and one prefix walk per eps,
+    together about n (n + 2) 2^(n - k) integer adds in about 2n numpy
     steps, then a syndrome pass and at most n lookups per trial; the
     pair kernel costs trials |C| pair distances.  A low-rate code with
     few trials, such as [24, 5] at 1000 trials, keeps the pair kernel,
@@ -411,8 +425,31 @@ def _table_pays(code: Code, trials: int) -> bool:
     if code.generator is None:
         return False
     n = code.n
-    fixed = n * (n + 2) * ((1 << code.redundancy) + _STEP_PAIRS)
+    fixed = n * (n + 2) * (1 << code.redundancy) + _STEP_PAIRS * n
     return fixed + _TRIAL_BIT_PAIRS * n * trials <= trials * code.size
+
+
+def _syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
+    """The syndrome of every word of z (uint32), read a byte at a time.
+
+    Row j of the byte table maps a byte v to the syndrome of v << 8j,
+    the XOR of the columns of v's ones, filled by doubling over v's
+    bits; byte j of every little-endian word is every fourth byte from j.
+    """
+    table = np.zeros(((len(cols) + 7) // 8, 256), dtype=np.uint32)
+    for i, h in enumerate(cols):
+        row, bit = table[i // 8], i % 8
+        np.bitwise_xor(row[: 1 << bit], h, out=row[1 << bit : 2 << bit])
+    data = np.ascontiguousarray(z, dtype="<u4").view(np.uint8)
+    s = table[0].take(data[0::4])
+    for j in range(1, len(table)):
+        s ^= table[j].take(data[j::4])
+    return s
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table.take(index) as uint32; index is in range, so mode "clip" skips the check."""
+    return np.take(table, index, out=np.empty(len(index), dtype=np.uint32), mode="clip")
 
 
 def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radius: int):
@@ -429,19 +466,22 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
     tied trial needs at most n lookups, one per one of x.
     """
     n, r = code.n, code.redundancy
-    s = np.zeros(len(z), dtype=np.uint32)
-    for i, h in enumerate(cols):
-        s ^= np.uint32(h) * (z >> i & 1)
-    within = below[min(radius, n + 1), s].astype(np.uint32)
-    ahead = below[wz, s].astype(np.uint32)
-    tied = below[wz + 1, s] - below[wz, s] > 1
+    at = _syndromes(cols, z)
+    within = _gather(below[min(radius, n + 1)], at)
+    # the flat index of below[wt(z), s], then of below[wt(z) + 1, s]
+    flat = below.ravel()
+    at |= np.left_shift(wz, r, dtype=np.uint32)
+    ahead = _gather(flat, at)
+    at += np.uint32(1 << r)
+    # z ties when its coset holds another word of its weight
+    tied = _gather(flat, at) - ahead > 1
+    del at
     if tied.any():
         xt, zt = x[tied], z[tied]
         # wt(z_<b) 2^r + syn(z_<b), below (n + 2) 2^r <= 2^20
         key = np.zeros(xt.size, dtype=np.uint32)
         ties = np.zeros(xt.size, dtype=np.uint32)
-        # T_b fits uint32: no entry passes C(24, 12)
-        for b, table in zip(range(n), _prefix_tables(cols, r, np.uint32)):
+        for b, table in zip(range(n), _prefix_tables(cols, r)):
             h = np.uint32(cols[b])
             zb = zt >> b & 1
             # no codeword has top bit b when h_b is unreachable below b
@@ -457,37 +497,85 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
     return within, ahead
 
 
-def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
-    """Transmit random codewords over BSC(eps) and decode each output.
+def _noise_words(rng: np.random.Generator, trials: int, n: int, ps: list[float]) -> list:
+    """Bernoulli(p) noise words of ``trials`` trials for every p in ps, as uint32.
 
-    One pass serves every list cap and delta: ``DecodeTrials.stats``
-    turns it into the outcomes of a given decoder.  A linear code reads
-    its coset weight table when that is cheaper than the pair kernel
-    (``_table_pays``); otherwise every trial meets every codeword.  Both
-    paths give the same arrays.
+    Coordinate i of a trial is bit i of its word, set when the trial's
+    i-th uniform is below p, so each p's words are those of
+    ``channels.bernoulli_words`` at that p, drawn block by block.  Every
+    p reads the same blocks of uniforms (common random numbers): each
+    block is drawn once into one reused buffer, and each p packs it by
+    an integer dot with the powers of two.
+    """
+    words = [np.empty(trials, dtype=np.uint32) for _ in ps]
+    block = min(trials, _NOISE_BLOCK)
+    draw = np.empty((block, n))
+    bits = np.empty((block, n), dtype=bool)
+    powers = np.left_shift(np.uint32(1), np.arange(n, dtype=np.uint32))
+    for start in range(0, trials, _NOISE_BLOCK):
+        stop = min(start + _NOISE_BLOCK, trials)
+        # drawn after all of x: the same stream as one draw
+        u = rng.random(out=draw[: stop - start])
+        for p, z in zip(ps, words):
+            hit = np.less(u, p, out=bits[: stop - start])
+            np.matmul(hit.view(np.uint8), powers, out=z[start:stop])
+    return words
+
+
+def simulate_grid(
+    code: Code, eps_grid: list[float], trials: int, seed: int
+) -> Iterator[DecodeTrials]:
+    """Transmit random codewords over BSC(eps) and decode each output, for every eps.
+
+    Every eps reads the same draws (common random numbers): X once, and
+    each block of uniforms once, compared with each eps to give its
+    noise, so the grid costs one draw and one extra uint32 word per
+    trial per extra eps.  Each eps's trials are those of a pass seeded
+    with ``seed`` at that eps alone.  Every eps is validated before any
+    draw; the returned iterator yields one ``DecodeTrials`` per eps, in
+    grid order, counting each eps when it is reached.  One pass serves
+    every list cap and delta: ``DecodeTrials.stats`` turns it into the
+    outcomes of a given decoder.  A linear code reads its coset weight
+    table when that is cheaper than the pair kernel (``_table_pays``);
+    otherwise every trial meets every codeword.  Both paths give the
+    same arrays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cfg = DecoderConfig(n=code.n, eps=eps)
+    cfgs = [DecoderConfig(n=code.n, eps=eps) for eps in eps_grid]
     rng = np.random.default_rng(seed)
     # n <= 24, so words fit in uint32 and distances in uint8
     cws = code.codeword_array().astype(np.uint32)
     x = cws[rng.integers(0, code.size, size=trials)]
-    z = np.empty(trials, dtype=np.uint32)
-    for start in range(0, trials, _NOISE_BLOCK):
-        stop = min(start + _NOISE_BLOCK, trials)
-        # drawn in blocks after all of x: the same stream as one draw
-        z[start:stop] = bernoulli_words(stop - start, code.n, cfg.effective_eps, rng)
+    zs = _noise_words(rng, trials, code.n, [cfg.effective_eps for cfg in cfgs])
+    found = _coset_weights(code) if _table_pays(code, trials) else None
+    return _decode_each(code, cfgs, cws, x, zs, found)
+
+
+def _decode_each(code: Code, cfgs: list[DecoderConfig], cws, x, zs: list, found):
+    """One ``DecodeTrials`` per decoder; each noise array is dropped once counted."""
+    zs.reverse()
+    for cfg in cfgs:
+        yield _decode(code, cfg, cws, x, zs.pop(), found)
+
+
+def _decode(code: Code, cfg: DecoderConfig, cws, x, z, found) -> DecodeTrials:
     wz = np.bitwise_count(z)
     # integer distances: d < radius iff d < ceil(radius)
     radius = math.ceil(cfg.radius)
-    found = _coset_weights(code) if _table_pays(code, trials) else None
     if found is None:
         counts, rank = _pair_counts(x ^ z, x, wz, radius, cws)
     else:
         counts, rank = _coset_counts(code, *found, x, z, wz, radius)
     inside = wz < radius
-
     for arr in (counts, rank, inside):
         arr.setflags(write=False)
-    return DecodeTrials(code, eps, trials, counts, rank, inside)
+    return DecodeTrials(code, cfg.eps, len(x), counts, rank, inside)
+
+
+def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
+    """Transmit random codewords over BSC(eps) and decode each output.
+
+    The one-eps case of ``simulate_grid``.
+    """
+    return next(simulate_grid(code, [eps], trials, seed))

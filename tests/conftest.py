@@ -302,9 +302,46 @@ def coset_weight_histogram(code: Code) -> np.ndarray:
     return hist
 
 
+def bit_loop_syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
+    """The syndrome of every word of z: one shift, mask, multiply and XOR per coordinate."""
+    s = np.zeros(len(z), dtype=np.uint32)
+    for i, h in enumerate(cols):
+        s ^= np.uint32(h) * (z >> i & 1)
+    return s
+
+
+def row_by_row_prefix_tables(cols: list[int], r: int):
+    """T_b for b = 0..n (row w + 1 holds weight w), extended one row at a time.
+
+    Rows are updated downwards, so row w - 1 still holds T_b when row w
+    reads it; each yield is a copy.
+    """
+    n, size = len(cols), 1 << r
+    table = np.zeros((n + 2, size), dtype=np.int64)
+    table[1, 0] = 1
+    index = np.arange(size)
+    for b, h in enumerate(cols):
+        yield table.copy()
+        for row in range(b + 2, 1, -1):
+            table[row] += table[row - 1][index ^ h]
+    yield table.copy()
+
+
 def exhaustive_decode_scan(y: int, code: Code, radius: float) -> list[int]:
     """All codewords strictly within radius of y, unsorted set semantics."""
     return [x for x in code.codewords if bin(x ^ y).count("1") < radius]
+
+
+def single_eps_draws(code: Code, eps: float, trials: int, seed: int):
+    """(x, z) of a pass seeded at this eps alone, drawn in one piece.
+
+    The draws are the transmitted codeword indices, then every noise bit
+    at once, compared with the folded eps and packed by a multiply-and-sum.
+    """
+    rng = np.random.default_rng(seed)
+    x = code.codeword_array()[rng.integers(0, code.size, size=trials)]
+    z = multiply_sum_bernoulli_words(trials, code.n, min(eps, 1 - eps), rng)
+    return x.astype(np.uint32), z.astype(np.uint32)
 
 
 def naive_simulate(code: Code, cfg, trials: int, seed: int):

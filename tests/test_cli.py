@@ -256,21 +256,26 @@ def test_repeated_codes_and_grid_values_print_each_row_once(repeated, once, caps
     assert run(repeated.split(), capsys) == run(once.split(), capsys)
 
 
-def test_decode_sim_runs_one_pass_per_code_and_eps(monkeypatch, capsys):
+def test_decode_sim_runs_one_shared_pass_per_code(monkeypatch, capsys):
+    # one pass per code serves its whole eps grid; no per-eps pass is left
     calls = []
-    simulate = listdecode.simulate
+    simulate_grid = listdecode.simulate_grid
 
-    def counted(code, eps, trials, seed):
-        calls.append((code.n, eps))
-        return simulate(code, eps, trials, seed)
+    def counted(code, eps_grid, trials, seed):
+        calls.append((code.n, list(eps_grid)))
+        return simulate_grid(code, eps_grid, trials, seed)
 
-    monkeypatch.setattr(listdecode, "simulate", counted)
+    def per_eps(*args):
+        raise AssertionError("a pass of one eps")
+
+    monkeypatch.setattr(listdecode, "simulate_grid", counted)
+    monkeypatch.setattr(listdecode, "simulate", per_eps)
     code, out = run(
         [
             "decode-sim",
-            "--code", "repetition:5",
             "--code", "hamming74",
-            "--eps", "0.1,0.2",
+            "--code", "repetition:5",
+            "--eps", "0.2,0.1",
             "--delta", "0.0,0.05",
             "--trials", "200",
             "--seed", "3",
@@ -279,8 +284,11 @@ def test_decode_sim_runs_one_pass_per_code_and_eps(monkeypatch, capsys):
         capsys,
     )
     assert code == 0
-    assert len(json.loads(out)) == 8
-    assert calls == [(5, 0.1), (5, 0.2), (7, 0.1), (7, 0.2)]
+    rows = json.loads(out)
+    assert calls == [(5, [0.2, 0.1]), (7, [0.2, 0.1])]
+    assert [(row["n"], row["eps"], row["delta"]) for row in rows] == [
+        (n, eps, delta) for n in (5, 7) for eps in (0.2, 0.1) for delta in (0.0, 0.05)
+    ]
 
 
 @pytest.mark.parametrize("eta", ["1.5", "-0.1"])

@@ -18,10 +18,14 @@ from chanent.boolfn import from_code
 from chanent.channels import noise_operator
 
 from conftest import (
+    bit_loop_syndromes,
     coset_weight_histogram,
     exhaustive_decode_scan,
     linear_codes,
     naive_simulate,
+    nonlinear_codes,
+    row_by_row_prefix_tables,
+    single_eps_draws,
     small_corpus,
 )
 
@@ -378,6 +382,113 @@ def test_coset_counts_match_pair_kernel_on_every_pair(spec):
             assert a.dtype == b.dtype and np.array_equal(a, b), radius
 
 
+@settings(max_examples=60, deadline=None)
+@given(code=linear_codes(max_n=24), data=st.data())
+@example(code=bs.make_code("random_linear:24,12,3"), data=None)
+def test_byte_table_syndromes_match_the_bit_loop(code, data):
+    n = code.n
+    cols = bs.syndrome_columns(code.generator, n)
+    if data is None:
+        z = np.arange(1 << 16, dtype=np.uint32) * np.uint32(257)
+    else:
+        z = np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=50)), np.uint32)
+    got = ld._syndromes(cols, z)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, bit_loop_syndromes(cols, z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=linear_codes(max_n=14))
+def test_prefix_walk_matches_the_row_by_row_walk(code):
+    # the one gather per coordinate gives every T_b of the row-by-row update
+    cols = bs.syndrome_columns(code.generator, code.n)
+    r = code.redundancy
+    steps = zip(ld._prefix_tables(cols, r), row_by_row_prefix_tables(cols, r), strict=True)
+    for table, expect in steps:
+        assert table.dtype == np.uint32 and np.array_equal(table, expect)
+
+
+# eps on both sides of 1/2, with the noiseless channels 0 and 1
+GRID_EPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 0.49), st.floats(0.51, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    code=st.one_of(linear_codes(max_n=12), nonlinear_codes(max_n=10)),
+    grid=st.lists(GRID_EPS, min_size=1, max_size=4, unique=True),
+    trials=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    table=st.booleans(),
+    block=st.sampled_from([7, 64, ld._NOISE_BLOCK]),
+)
+# several blocks of the real size, the last one partial
+@example(
+    code=bs.make_code("random_linear:16,8,1"), grid=[0.2, 0.9, 0.0], trials=9000, seed=5,
+    table=True, block=ld._NOISE_BLOCK,
+)
+def test_grid_pass_matches_single_eps_passes(code, grid, trials, seed, table, block):
+    # every eps reads the draws of a pass seeded at that eps alone; a
+    # block size that does not divide the trials splits the noise draw,
+    # and ``table`` sends a linear code down either side of _table_pays
+    with (
+        mock.patch.object(ld, "_NOISE_BLOCK", block),
+        mock.patch.object(ld, "_table_pays", lambda code, trials: table),
+    ):
+        passes = list(ld.simulate_grid(code, grid, trials, seed))
+        singles = [ld.simulate(code, eps, trials, seed) for eps in grid]
+    cws = code.codeword_array().astype(np.uint32)
+    assert len(passes) == len(grid)
+    for eps, got, single in zip(grid, passes, singles):
+        x, z = single_eps_draws(code, eps, trials, seed)
+        wz = np.bitwise_count(z)
+        radius = math.ceil(ld.DecoderConfig(n=code.n, eps=eps).radius)
+        counts, rank = ld._pair_counts(x ^ z, x, wz, radius, cws)
+        assert (got.code, got.eps, got.trials) == (code, eps, trials)
+        for name, expect in (("counts", counts), ("rank", rank), ("inside", wz < radius)):
+            a, b = getattr(got, name), getattr(single, name)
+            assert a.dtype == expect.dtype and np.array_equal(a, expect), (eps, name)
+            assert b.dtype == expect.dtype and np.array_equal(b, expect), (eps, name)
+            assert not a.flags.writeable
+
+
+def test_grid_pass_validates_every_eps_before_drawing():
+    code = bs.hamming74_code()
+    with mock.patch.object(ld, "_noise_words", side_effect=AssertionError("drew")):
+        for grid in ([0.1, 0.5], [0.1, 1.2]):
+            with pytest.raises(ValueError, match="eps"):
+                ld.simulate_grid(code, grid, 10, seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            ld.simulate_grid(code, [0.1], 0, seed=1)
+
+
+def test_grid_pass_releases_each_eps_noise_at_its_yield():
+    # one uint32 noise word per trial per eps still to come, and nothing
+    # else of an eps outlives its yield
+    code = bs.make_code("random_linear:16,8,1")
+    trials, grid = 20000, [0.05, 0.1, 0.2, 0.3]
+    ld.simulate(code, 0.1, trials, seed=1)  # the coset table is cached
+    tracemalloc.start()
+    try:
+        held = []
+        for decoded in ld.simulate_grid(code, grid, trials, seed=1):
+            held.append(tracemalloc.get_traced_memory()[0])
+            del decoded
+        tracemalloc.reset_peak()
+        one = tracemalloc.get_traced_memory()[0]
+        ld.simulate(code, 0.3, trials, seed=1)
+        single_peak = tracemalloc.get_traced_memory()[1] - one
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in ld.simulate_grid(code, grid, trials, seed=1):
+            pass
+        grid_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    for before, after in zip(held, held[1:]):
+        assert abs(before - after - 4 * trials) < 2**12, held
+    assert grid_peak < single_peak + 3 * 4 * trials + 2**16
+
+
 def test_decoding_and_monte_carlo_entropy_leave_numpy_ma_unimported():
     # numpy 2.4's unique without a return_* argument imports numpy.ma, about 20 ms
     script = """
@@ -410,7 +521,7 @@ def _no_table(code):
 @pytest.mark.parametrize("spec, trials", [("random_linear:16,8,1", 500), ("hamming74", 40)])
 def test_small_runs_keep_the_pair_kernel(spec, trials):
     # the table path's numpy call overhead dominates here: with a fresh
-    # cache, 2.0 ms against 0.6 ms, and 0.6 ms against 0.1 ms
+    # cache, 1.2 ms against 0.8 ms, and 0.5 ms against 0.1 ms
     code = bs.make_code(spec)
     assert not ld._table_pays(code, trials)
     ld._coset_weights.cache_clear()
@@ -429,7 +540,7 @@ def test_small_runs_keep_the_pair_kernel(spec, trials):
 )
 def test_larger_runs_stay_on_the_table(spec, trials):
     # the decode benchmark's codes at its 50000 trials, and runs where the
-    # table is faster: 3.4 ms against 5.5 ms, and 4.9 ms against 9.4 ms
+    # table is faster: 1.4 ms against 3.9 ms, and 1.4 ms against 5.1 ms
     assert ld._table_pays(bs.make_code(spec), trials)
 
 
