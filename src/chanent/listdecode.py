@@ -549,14 +549,9 @@ def simulate_grid(
     x = cws[rng.integers(0, code.size, size=trials)]
     zs = _noise_words(rng, trials, code.n, [cfg.effective_eps for cfg in cfgs])
     found = _coset_weights(code) if _table_pays(code, trials) else None
-    return _decode_each(code, cfgs, cws, x, zs, found)
-
-
-def _decode_each(code: Code, cfgs: list[DecoderConfig], cws, x, zs: list, found):
-    """One ``DecodeTrials`` per decoder; each noise array is dropped once counted."""
+    # popped in grid order: each eps's noise is dropped once it is counted
     zs.reverse()
-    for cfg in cfgs:
-        yield _decode(code, cfg, cws, x, zs.pop(), found)
+    return (_decode(code, cfg, cws, x, zs.pop(), found) for cfg in cfgs)
 
 
 def _decode(code: Code, cfg: DecoderConfig, cws, x, z, found) -> DecodeTrials:
