@@ -9,6 +9,8 @@ syndrome distribution of the noise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .boolfn import dim_of
@@ -81,16 +83,35 @@ def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def bernoulli_words(trials: int, n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """``trials`` words in F_2^n, n <= 64, whose coordinates are i.i.d. Bernoulli(p).
+# trials per block of drawn uniforms: a block of n <= 24 coordinates
+# stays below 1 MB
+_DRAW_BLOCK = 1 << 12
+
+
+def bernoulli_words(
+    trials: int, n: int, ps: Sequence[float], rng: np.random.Generator
+) -> list[np.ndarray]:
+    """For each p in ps, ``trials`` words in F_2^n, n <= 64, of i.i.d. Bernoulli(p) coordinates.
 
     Serves as BSC noise (p = eps) and as the revealed mask of a BEC or a
-    random subset (p = lam); returned as uint64 bit vectors.  Coordinate
-    i of a row is bit i of its word: ``packbits`` with the little bit
-    order packs the row into bytes, and eight zero-padded bytes read as
-    a little-endian uint64 are the word.
+    random subset (p = lam).  Coordinate i of a trial is bit i of its
+    word, set when the trial's i-th uniform is below p; words are uint32
+    for n <= 32 and uint64 otherwise.  Every p reads the same uniforms
+    (common random numbers), so each p's words are those of a draw at
+    that p alone.  The uniforms are drawn a block of trials at a time
+    into one reused buffer, the same stream as one draw, and each p
+    packs the block's bits by an integer dot with the powers of two.
     """
-    bits = rng.random((trials, n)) < p
-    words = np.zeros((trials, 8), dtype=np.uint8)
-    words[:, : (n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    return words.view("<u8").ravel()
+    dtype = np.uint32 if n <= 32 else np.uint64
+    words = [np.empty(trials, dtype=dtype) for _ in ps]
+    block = min(trials, _DRAW_BLOCK)
+    draw = np.empty((block, n))
+    bits = np.empty((block, n), dtype=bool)
+    powers = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
+    for start in range(0, trials, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, trials)
+        u = rng.random(out=draw[: stop - start])
+        for p, w in zip(ps, words):
+            hit = np.less(u, p, out=bits[: stop - start])
+            np.matmul(hit.view(np.uint8), powers, out=w[start:stop])
+    return words

@@ -223,7 +223,7 @@ def subset_entropy_expectation_mc(
     if trials < 2:
         raise ValueError("trials must be >= 2: a standard error needs two samples")
     rng = np.random.default_rng(seed)
-    masks = bernoulli_words(trials, code.n, lam, rng)
+    (masks,) = bernoulli_words(trials, code.n, [lam], rng)
     distinct, inverse = np.unique(masks, return_inverse=True)
     if code.generator is not None:
         ranks = masked_ranks(code.generator, distinct).astype(float)

@@ -10,9 +10,10 @@ exactly that decomposition.
 ``simulate_grid`` decodes a whole eps grid in one pass over common
 random numbers: X and the uniforms behind Z are drawn once, and each
 eps compares the same uniforms with its own eps, so every eps gets the
-trials of a pass seeded at that eps alone.  The grid holds one extra
-uint32 noise word per trial per extra eps, and each eps's noise is
-dropped once its trials are counted.  ``simulate`` is its one-eps case.
+trials of a pass seeded at that eps alone.  Every eps's noise is drawn
+before the first eps is counted, so the grid holds one extra uint32
+noise word per trial per extra eps, and each eps's noise is dropped
+once its trials are counted.  ``simulate`` is its one-eps case.
 
 For a linear code the distances from Y = X + Z to the codewords are the
 weights of the coset Z + C, whatever X is.  ``simulate`` and
@@ -44,7 +45,7 @@ import numpy as np
 
 from .bitspace import Code, syndrome_columns
 from .boolfn import binary_entropy, from_code
-from .channels import _walsh_hadamard, noise_operator
+from .channels import _walsh_hadamard, bernoulli_words, noise_operator
 
 EXACT_CAP = 20
 
@@ -309,9 +310,6 @@ class DecodeTrials:
 # a pair, stays in a core's L2 cache
 _PAIR_BLOCK = 1 << 16
 
-# trials per block of drawn noise: the block's float draws stay below 1 MB
-_NOISE_BLOCK = 1 << 12
-
 
 def _pair_counts(y, x, wz, radius: int, cws):
     """Compare every received word y[t] with every codeword.
@@ -367,7 +365,7 @@ def _prefix_tables(cols: list[int], r: int):
     yield table
 
 
-# at most 8 MB a table, so the cache holds at most 32 MB
+# at most 4 MB a table, so the cache holds at most 16 MB
 @lru_cache(maxsize=4)
 def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     """Cumulative coset weight table of a linear code, and its parity-check columns.
@@ -378,8 +376,9 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     syndrome s, column 0 the code's weight enumerator.  None for a code
     without a generator, and when the (n + 2) x 2^(n - k) table would
     hold more than 2^min(n, EXACT_CAP) entries: never more than one
-    array of the dense path.  The table is read-only and cached per
-    code, so every eps and delta of a code share one build.
+    array of the dense path.  It stays in uint32, as no entry passes
+    2^n <= 2^24; it is read-only and cached per code, so every eps and
+    delta of a code share one build.
     """
     if code.generator is None:
         return None
@@ -387,9 +386,8 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     if (n + 2) << r > 1 << min(n, EXACT_CAP):
         return None
     cols = syndrome_columns(code.generator, n)
-    for table in _prefix_tables(cols, r):
+    for below in _prefix_tables(cols, r):
         pass
-    below = table.astype(np.int64)
     # T[w] sits in row w + 1, so row w ends up counting weights below w
     for row in range(2, n + 2):
         below[row] += below[row - 1]
@@ -447,11 +445,6 @@ def _syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table.take(index) as uint32; index is in range, so mode "clip" skips the check."""
-    return np.take(table, index, out=np.empty(len(index), dtype=np.uint32), mode="clip")
-
-
 def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radius: int):
     """``_pair_counts`` over a linear code, read from its cumulative coset table.
 
@@ -467,14 +460,15 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
     """
     n, r = code.n, code.redundancy
     at = _syndromes(cols, z)
-    within = _gather(below[min(radius, n + 1)], at)
+    # at is in range, so mode "clip" spares take the bounds check
+    within = below[min(radius, n + 1)].take(at, mode="clip")
     # the flat index of below[wt(z), s], then of below[wt(z) + 1, s]
     flat = below.ravel()
     at |= np.left_shift(wz, r, dtype=np.uint32)
-    ahead = _gather(flat, at)
+    ahead = flat.take(at, mode="clip")
     at += np.uint32(1 << r)
     # z ties when its coset holds another word of its weight
-    tied = _gather(flat, at) - ahead > 1
+    tied = flat.take(at, mode="clip") - ahead > 1
     del at
     if tied.any():
         xt, zt = x[tied], z[tied]
@@ -495,31 +489,6 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
             key += zb << r
         ahead[tied] += ties
     return within, ahead
-
-
-def _noise_words(rng: np.random.Generator, trials: int, n: int, ps: list[float]) -> list:
-    """Bernoulli(p) noise words of ``trials`` trials for every p in ps, as uint32.
-
-    Coordinate i of a trial is bit i of its word, set when the trial's
-    i-th uniform is below p, so each p's words are those of
-    ``channels.bernoulli_words`` at that p, drawn block by block.  Every
-    p reads the same blocks of uniforms (common random numbers): each
-    block is drawn once into one reused buffer, and each p packs it by
-    an integer dot with the powers of two.
-    """
-    words = [np.empty(trials, dtype=np.uint32) for _ in ps]
-    block = min(trials, _NOISE_BLOCK)
-    draw = np.empty((block, n))
-    bits = np.empty((block, n), dtype=bool)
-    powers = np.left_shift(np.uint32(1), np.arange(n, dtype=np.uint32))
-    for start in range(0, trials, _NOISE_BLOCK):
-        stop = min(start + _NOISE_BLOCK, trials)
-        # drawn after all of x: the same stream as one draw
-        u = rng.random(out=draw[: stop - start])
-        for p, z in zip(ps, words):
-            hit = np.less(u, p, out=bits[: stop - start])
-            np.matmul(hit.view(np.uint8), powers, out=z[start:stop])
-    return words
 
 
 def simulate_grid(
@@ -547,7 +516,7 @@ def simulate_grid(
     # n <= 24, so words fit in uint32 and distances in uint8
     cws = code.codeword_array().astype(np.uint32)
     x = cws[rng.integers(0, code.size, size=trials)]
-    zs = _noise_words(rng, trials, code.n, [cfg.effective_eps for cfg in cfgs])
+    zs = bernoulli_words(trials, code.n, [cfg.effective_eps for cfg in cfgs], rng)
     found = _coset_weights(code) if _table_pays(code, trials) else None
     # popped in grid order: each eps's noise is dropped once it is counted
     zs.reverse()

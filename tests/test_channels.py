@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,14 +219,14 @@ def test_bsc_sample_endpoints():
     # Y = x ^ Z with Z the BSC(eps) noise word
     rng = np.random.default_rng(10)
     x = np.uint64(0b1011)
-    assert (x ^ channels.bernoulli_words(5, 4, 0.0, rng) == 0b1011).all()
-    assert (x ^ channels.bernoulli_words(5, 4, 1.0, rng) == 0b0100).all()
+    assert (x ^ channels.bernoulli_words(5, 4, [0.0], rng)[0] == 0b1011).all()
+    assert (x ^ channels.bernoulli_words(5, 4, [1.0], rng)[0] == 0b0100).all()
 
 
 def test_bsc_sample_flip_rate():
     rng = np.random.default_rng(11)
     n, eps, reps = 20, 0.3, 50000
-    flips = int(np.bitwise_count(channels.bernoulli_words(reps, n, eps, rng)).sum())
+    flips = int(np.bitwise_count(channels.bernoulli_words(reps, n, [eps], rng)[0]).sum())
     total = n * reps
     sigma = math.sqrt(eps * (1 - eps) / total)
     assert abs(flips / total - eps) < 4 * sigma
@@ -234,14 +235,14 @@ def test_bsc_sample_flip_rate():
 def test_bec_sample_endpoints():
     # BEC(eta) reveals each coordinate with probability 1 - eta
     rng = np.random.default_rng(12)
-    assert (channels.bernoulli_words(5, 3, 1 - 0.0, rng) == 0b111).all()
-    assert (channels.bernoulli_words(5, 3, 1 - 1.0, rng) == 0).all()
+    assert (channels.bernoulli_words(5, 3, [1 - 0.0], rng)[0] == 0b111).all()
+    assert (channels.bernoulli_words(5, 3, [1 - 1.0], rng)[0] == 0).all()
 
 
 def test_bec_sample_erasure_rate():
     rng = np.random.default_rng(13)
     n, eta, reps = 20, 0.5, 50000
-    revealed = channels.bernoulli_words(reps, n, 1 - eta, rng)
+    revealed = channels.bernoulli_words(reps, n, [1 - eta], rng)[0]
     erased = n * reps - int(np.bitwise_count(revealed).sum())
     total = n * reps
     sigma = math.sqrt(eta * (1 - eta) / total)
@@ -250,27 +251,32 @@ def test_bec_sample_erasure_rate():
 
 def test_sample_subset_endpoints_and_mean():
     rng = np.random.default_rng(14)
-    assert (channels.bernoulli_words(3, 6, 1.0, rng) == 0b111111).all()
-    assert (channels.bernoulli_words(3, 6, 0.0, rng) == 0).all()
+    assert (channels.bernoulli_words(3, 6, [1.0], rng)[0] == 0b111111).all()
+    assert (channels.bernoulli_words(3, 6, [0.0], rng)[0] == 0).all()
     n, lam, reps = 10, 0.4, 10000
-    sizes = int(np.bitwise_count(channels.bernoulli_words(reps, n, lam, rng)).sum())
+    sizes = int(np.bitwise_count(channels.bernoulli_words(reps, n, [lam], rng)[0]).sum())
     total = n * reps
     sigma = math.sqrt(lam * (1 - lam) / total)
     assert abs(sizes / total - lam) < 4 * sigma
 
 
 def test_samplers_deterministic_given_seed():
-    a = channels.bernoulli_words(100, 12, 0.4, np.random.default_rng(99))
-    b = channels.bernoulli_words(100, 12, 0.4, np.random.default_rng(99))
-    assert a.dtype == np.uint64 and a.shape == (100,)
+    [a] = channels.bernoulli_words(100, 12, [0.4], np.random.default_rng(99))
+    [b] = channels.bernoulli_words(100, 12, [0.4], np.random.default_rng(99))
+    assert a.dtype == np.uint32 and a.shape == (100,)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 24, 63, 64])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_bernoulli_words_pack_bits_as_a_multiply_and_sum(n, p):
-    # coordinate i of a row is bit i of its word, the same draws bit for bit
-    words = channels.bernoulli_words(50, n, p, np.random.default_rng(n))
-    ref = multiply_sum_bernoulli_words(50, n, p, np.random.default_rng(n))
-    assert words.dtype == np.uint64 and words.shape == (50,)
-    assert np.array_equal(words, ref)
+    # coordinate i of a row is bit i of its word, the same draws bit for
+    # bit, and every p of one call reads the uniforms of a draw at that p
+    # alone; blocks of 7 trials split the draw, the last block partial
+    with mock.patch.object(channels, "_DRAW_BLOCK", 7):
+        words = channels.bernoulli_words(50, n, [p, 0.5], np.random.default_rng(n))
+    dtype = np.uint32 if n <= 32 else np.uint64
+    for q, got in zip([p, 0.5], words, strict=True):
+        ref = multiply_sum_bernoulli_words(50, n, q, np.random.default_rng(n))
+        assert got.dtype == dtype and got.shape == (50,)
+        assert np.array_equal(got, ref), q

@@ -147,7 +147,7 @@ def test_projection_kernel_rejects_orders_below_one():
 
 def _mc_draws(code, trials, lam, q, seed):
     """The draws of a per-mask loop, and H_q(X_S) of each drawn mask."""
-    masks = bernoulli_words(trials, code.n, lam, np.random.default_rng(seed))
+    (masks,) = bernoulli_words(trials, code.n, [lam], np.random.default_rng(seed))
     vals = np.array([ea.marginal_entropy(code, int(m), q) for m in masks])
     return masks, vals
 
@@ -214,7 +214,7 @@ def test_subset_mc_ranks_equal_the_projection_kernel_on_the_same_draw(
     # on a linear code every projected count is 2^(k - r(S)), so the
     # projection kernel returns r(S) bit for bit at these orders
     code = bs.random_linear_code(n, min(k, n), seed)
-    masks = bernoulli_words(trials, n, lam, np.random.default_rng(seed))
+    (masks,) = bernoulli_words(trials, n, [lam], np.random.default_rng(seed))
     distinct, inverse = np.unique(masks, return_inverse=True)
     vals = ea.projection_entropies(code, distinct, (q,))[0][inverse]
     assert ea.subset_entropy_expectation_mc(code, lam, (q,), trials, seed) == [
@@ -505,14 +505,14 @@ def test_monte_carlo_report_draws_subsets_once_per_eta_for_every_order(code, mon
     draws = []
     draw = ea.bernoulli_words
 
-    def counted(trials, n, p, rng):
-        draws.append(p)
-        return draw(trials, n, p, rng)
+    def counted(trials, n, ps, rng):
+        draws.append(ps)
+        return draw(trials, n, ps, rng)
 
     monkeypatch.setattr(ea, "bernoulli_words", counted)
     qs, trials, seed = [2, 3], 200, 3
     reports = ea.entropy_report(code, [None], [0.25, 0.5], qs, trials=trials, seed=seed)
-    assert draws == [0.75, 0.5]
+    assert draws == [[0.75], [0.5]]
     for rep in reports:
         assert rep.method == "monte_carlo"
         # each order's value is what a single-order draw gives

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from chanent import bitspace as bs
+from chanent import channels
 from chanent import listdecode as ld
 from chanent.boolfn import from_code
 from chanent.channels import noise_operator
@@ -320,7 +321,7 @@ def test_coset_weights_match_brute_force_histogram(code):
         assert found is None
         return
     below, cols = found
-    assert below.dtype == np.int64 and not below.flags.writeable
+    assert below.dtype == np.uint32 and not below.flags.writeable
     assert cols == bs.syndrome_columns(code.generator, n)
     assert below[0].tolist() == [0] * (1 << r)
     table = np.diff(below, axis=0)
@@ -419,19 +420,19 @@ GRID_EPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 0.49), st.floats(
     trials=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
     table=st.booleans(),
-    block=st.sampled_from([7, 64, ld._NOISE_BLOCK]),
+    block=st.sampled_from([7, 64, channels._DRAW_BLOCK]),
 )
 # several blocks of the real size, the last one partial
 @example(
     code=bs.make_code("random_linear:16,8,1"), grid=[0.2, 0.9, 0.0], trials=9000, seed=5,
-    table=True, block=ld._NOISE_BLOCK,
+    table=True, block=channels._DRAW_BLOCK,
 )
 def test_grid_pass_matches_single_eps_passes(code, grid, trials, seed, table, block):
     # every eps reads the draws of a pass seeded at that eps alone; a
     # block size that does not divide the trials splits the noise draw,
     # and ``table`` sends a linear code down either side of _table_pays
     with (
-        mock.patch.object(ld, "_NOISE_BLOCK", block),
+        mock.patch.object(channels, "_DRAW_BLOCK", block),
         mock.patch.object(ld, "_table_pays", lambda code, trials: table),
     ):
         passes = list(ld.simulate_grid(code, grid, trials, seed))
@@ -453,7 +454,7 @@ def test_grid_pass_matches_single_eps_passes(code, grid, trials, seed, table, bl
 
 def test_grid_pass_validates_every_eps_before_drawing():
     code = bs.hamming74_code()
-    with mock.patch.object(ld, "_noise_words", side_effect=AssertionError("drew")):
+    with mock.patch.object(ld, "bernoulli_words", side_effect=AssertionError("drew")):
         for grid in ([0.1, 0.5], [0.1, 1.2]):
             with pytest.raises(ValueError, match="eps"):
                 ld.simulate_grid(code, grid, 10, seed=1)
