@@ -28,6 +28,7 @@ from .inequalities import (
     check_sam_norm,
     noisy_function,
     noisy_law,
+    noisy_laws,
     partial_entropy_bound_check,
     subset_stats,
     subset_stats_of_code,

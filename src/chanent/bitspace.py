@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 import math
 
@@ -101,11 +102,19 @@ def syndrome_columns(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
 
 
 def span(rows: list[int] | tuple[int, ...]) -> list[int]:
-    """All vectors in the row span, sorted."""
-    words = {0}
-    for row in rows:
-        words |= {w ^ row for w in words}
-    return sorted(words)
+    """All vectors in the row span, sorted.
+
+    The span doubles once per row of the reduced echelon form, in
+    increasing order of pivot, and comes out sorted with no sort.  The
+    rows are independent, so no word repeats.  Two words first differ
+    at a pivot, where only that pivot's row has a one: so a new word,
+    which holds the new row's pivot, exceeds every old word, and the
+    new row, zero at the old pivots, keeps the old words' order.
+    """
+    words = [0]
+    for _, row in sorted(_reduced_echelon(rows).items()):
+        words += [w ^ row for w in words]
+    return words
 
 
 @dataclass(frozen=True)
@@ -114,27 +123,33 @@ class Code:
 
     ``codewords`` is a sorted, duplicate-free tuple of int-encoded
     vectors.  ``generator`` (optional) stores generator-matrix rows as
-    bitmasks; when present, the codewords are exactly its row span.
+    bitmasks; when present, the codewords are exactly its row span, and
+    ``codewords=None`` lets the code take that span without checking it
+    against a second copy.
     """
 
     n: int
-    codewords: tuple[int, ...]
+    codewords: tuple[int, ...] | None
     generator: tuple[int, ...] | None = None
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         _check_dim(self.n)
+        if self.generator is not None:
+            if any(not 0 <= g < (1 << self.n) for g in self.generator):
+                raise ValueError("generator row out of range for n")
+            if self.codewords is None:
+                # the span is sorted and duplicate-free by construction
+                object.__setattr__(self, "codewords", tuple(span(self.generator)))
+                return
         if not self.codewords:
             raise ValueError("code must contain at least one codeword")
         if list(self.codewords) != sorted(set(self.codewords)):
             raise ValueError("codewords must be sorted and duplicate-free")
         if self.codewords[0] < 0 or self.codewords[-1] >= (1 << self.n):
             raise ValueError("codeword out of range for n")
-        if self.generator is not None:
-            if any(not 0 <= g < (1 << self.n) for g in self.generator):
-                raise ValueError("generator row out of range for n")
-            if tuple(span(self.generator)) != self.codewords:
-                raise ValueError("codewords do not match generator row span")
+        if self.generator is not None and tuple(span(self.generator)) != self.codewords:
+            raise ValueError("codewords do not match generator row span")
 
     @property
     def size(self) -> int:
@@ -156,7 +171,14 @@ class Code:
         return self.log_size / self.n
 
     def codeword_array(self) -> np.ndarray:
-        return np.asarray(self.codewords, dtype=np.uint64)
+        """The codewords as a read-only uint64 array, converted once per code."""
+        return self._codeword_array
+
+    @cached_property
+    def _codeword_array(self) -> np.ndarray:
+        words = np.array(self.codewords, dtype=np.uint64)
+        words.flags.writeable = False
+        return words
 
     def __repr__(self) -> str:
         label = self.name or f"{self.size} codewords"
@@ -164,8 +186,7 @@ class Code:
 
 
 def _linear_code(rows: list[int], n: int, name: str) -> Code:
-    cws = tuple(span(rows))
-    return Code(n=n, codewords=cws, generator=tuple(rows), name=name)
+    return Code(n=n, codewords=None, generator=tuple(rows), name=name)
 
 
 def repetition_code(n: int) -> Code:

@@ -32,24 +32,43 @@ def _axis_pairs(f: np.ndarray):
         yield t[:, 0, :], t[:, 1, :]
 
 
-def _xor_shift_pass(p: np.ndarray, m: int, columns: list[int], eps: float) -> np.ndarray:
-    """p <- (1-eps) p + eps p[. ^ h] for each column h in turn, in place; returns p.
+# noisy-law cells that one chunk of an eps grid holds (8 MiB of floats);
+# its XOR-shift pass adds one scratch array of the chunk's size
+_LAW_CELLS = 1 << 20
 
-    p, contiguous of length 2^m, is read as a (2,)*m cube whose axis m-1-i
-    is index bit i: the shift by h is a view that flips the axes of h's bits.
+
+def _eps_chunks(eps_grid: Sequence[float], m: int) -> list[list[float]]:
+    """The eps grid in order, cut into chunks of at most _LAW_CELLS // 2^m values (one at least)."""
+    rows = max(1, _LAW_CELLS >> m)
+    eps_grid = list(eps_grid)
+    return [eps_grid[i : i + rows] for i in range(0, len(eps_grid), rows)]
+
+
+def _xor_shift_pass(
+    p: np.ndarray, m: int, columns: list[int], eps_grid: Sequence[float]
+) -> np.ndarray:
+    """Row e of p <- (1-eps) p + eps p[. ^ h], eps = eps_grid[e], for each column h; returns p.
+
+    p, contiguous of shape (len(eps_grid), 2^m), is updated in place.
+    Each row is read as a (2,)*m cube whose axis m-1-i is index bit i:
+    the shift by h is a view that flips the axes of h's bits.  Every row
+    gets the elementwise operations of a pass at its eps alone, so its
+    rounding does not depend on the other rows.
     """
-    cube = p.reshape((2,) * m)
+    cube = p.reshape((len(eps_grid),) + (2,) * m)
     scratch = np.empty_like(cube)  # reused by every column
+    eps = np.array(eps_grid, dtype=float).reshape((-1,) + (1,) * m)
+    keep = 1 - eps
     for h in columns:
         # axis=() for a zero column: np.flip(x, None) would flip every axis
-        axes = tuple(m - 1 - i for i in range(m) if h >> i & 1)
+        axes = tuple(m - i for i in range(m) if h >> i & 1)
         np.copyto(scratch, np.flip(cube, axes))  # a ufunc on the flip would buffer 64 KiB
         # Keep this rounding: verify's summary argmin breaks ties between
         # slacks that are equal in exact arithmetic by their last bits, and
         # verify reads this pass as the noise operator of a nonlinear code
         # and as the syndrome law of a linear one.
         scratch *= eps
-        cube *= 1 - eps
+        cube *= keep
         cube += scratch
     return p
 
@@ -63,7 +82,8 @@ def noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     if not 0 <= eps <= 1:
         raise ValueError("eps must be in [0, 1]")
     n = dim_of(f)
-    return _xor_shift_pass(np.array(f, dtype=float), n, [1 << i for i in range(n)], eps)
+    p = np.array(f, dtype=float).reshape(1, -1)
+    return _xor_shift_pass(p, n, [1 << i for i in range(n)], [eps])[0]
 
 
 def _walsh_hadamard(f: np.ndarray) -> np.ndarray:

@@ -81,6 +81,39 @@ def cmd_entropy(args) -> int:
     return 0
 
 
+def _check_law(stats, noisy, qs, eta_grid) -> list[tuple]:
+    """Every check of a code at one eps, as (report, row); a skipped bsc_bec has no report."""
+    code = stats.code
+    checks = [
+        inequalities.check_cor_rv_entropy(stats, noisy),
+        inequalities.check_sam_entropy(stats, noisy, name=code.name),
+    ]
+    for q in qs:
+        checks.append(inequalities.check_cor_rv(stats, noisy, q))
+        checks.append(inequalities.check_sam_norm(stats, noisy, q, name=code.name))
+    out = [(rep, {**rep.to_dict(), "skipped": False}) for rep in checks]
+    for eta in eta_grid:
+        try:
+            rep = inequalities.check_bsc_bec(stats, noisy, eta)
+        except inequalities.HypothesisViolation:
+            skipped = {
+                "inequality": "bsc_bec",
+                "code": code.name,
+                "n": code.n,
+                "eps": noisy.eps,
+                "eta": eta,
+                "lhs": None,
+                "rhs": None,
+                "slack": None,
+                "pass": True,
+                "skipped": True,
+            }
+            out.append((None, skipped))
+        else:
+            out.append((rep, {**rep.to_dict(), "skipped": False}))
+    return out
+
+
 def cmd_verify(args) -> int:
     codes = [resolve_code(s) for s in args.code]
     eps_grid = args.eps or [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
@@ -89,43 +122,16 @@ def cmd_verify(args) -> int:
     # every check enumerates all subsets: refuse an oversized code before any work
     for code in codes:
         entropy_analysis.require_subset_cap(code.n)
-    rows = []
-    reports = []
+    checked = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
         stats = inequalities.subset_stats_of_code(code, qs)
-        for eps in eps_grid:
-            noisy = inequalities.noisy_law(stats, eps)
-            checks = [
-                inequalities.check_cor_rv_entropy(stats, noisy),
-                inequalities.check_sam_entropy(stats, noisy, name=code.name),
-            ]
-            for q in qs:
-                checks.append(inequalities.check_cor_rv(stats, noisy, q))
-                checks.append(inequalities.check_sam_norm(stats, noisy, q, name=code.name))
-            for rep in checks:
-                reports.append(rep)
-                rows.append({**rep.to_dict(), "skipped": False})
-            for eta in eta_grid:
-                try:
-                    rep = inequalities.check_bsc_bec(stats, noisy, eta)
-                except inequalities.HypothesisViolation:
-                    rows.append(
-                        {
-                            "inequality": "bsc_bec",
-                            "code": code.name,
-                            "n": code.n,
-                            "eps": eps,
-                            "eta": eta,
-                            "lhs": None,
-                            "rhs": None,
-                            "slack": None,
-                            "pass": True,
-                            "skipped": True,
-                        }
-                    )
-                    continue
-                reports.append(rep)
-                rows.append({**rep.to_dict(), "skipped": False})
+        for chunk in inequalities.law_chunks(stats, eps_grid):
+            # one pass builds the noisy laws of a chunk of the eps grid
+            laws = inequalities.noisy_laws(stats, chunk)
+            checked += [c for noisy in laws for c in _check_law(stats, noisy, qs, eta_grid)]
+            del laws  # freed before the next chunk's pass
+    reports = [rep for rep, _ in checked if rep is not None]
+    rows = [row for _, row in checked]
     worst = min(reports, key=lambda r: r.slack) if reports else None
     all_pass = all(r.passed for r in reports)
     summary = {

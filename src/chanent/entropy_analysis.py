@@ -40,7 +40,13 @@ from .boolfn import (
     renyi_entropy,
     renyi_entropy_from_counts,
 )
-from .channels import _axis_pairs, _xor_shift_pass, bernoulli_words, noise_operator
+from .channels import (
+    _axis_pairs,
+    _eps_chunks,
+    _xor_shift_pass,
+    bernoulli_words,
+    noise_operator,
+)
 
 EXACT_SUBSET_CAP = 20
 
@@ -62,8 +68,12 @@ def subset_weights(n: int, lam: float) -> np.ndarray:
     """Probability lam^|S| (1-lam)^(n-|S|) of each subset under S~lam.
 
     The weight depends only on |S|, so the n+1 per-size values are
-    computed, each as exp(|S| log lam + (n-|S|) log(1-lam)), and gathered
-    by the popcount of each mask.
+    computed, each as exp(|S| log lam + (n-|S|) log(1-lam)), and copied
+    to every mask of their size in two steps: the masks of high part h
+    and low part l (n // 2 bits) take row |h| of a small table whose
+    row t holds the value of size t + |l| for every l, so the 2^n
+    weights are written one contiguous row at a time, not gathered one
+    by one.
     """
     j = np.arange(n + 1, dtype=np.int64)
     # 0^0 := 1 at the endpoints
@@ -72,7 +82,9 @@ def subset_weights(n: int, lam: float) -> np.ndarray:
         logs = logs + np.where(
             n - j > 0, (n - j) * np.log(1 - lam) if lam < 1 else -np.inf, 0.0
         )
-    return np.exp(logs)[popcounts(n)]
+    low = n // 2
+    rows = np.exp(logs)[np.arange(n - low + 1)[:, None] + popcounts(low)]
+    return rows[popcounts(n - low)].reshape(-1)
 
 
 def marginal_entropy(code: Code, mask: int, q: float) -> float:
@@ -177,7 +189,10 @@ def subset_renyi_values(code: Code, qs: tuple[float, ...]) -> np.ndarray:
         out = np.zeros(1 << n)
         out[code.codeword_array() ^ np.uint64((1 << n) - 1)] = 1
         for lo, hi in _axis_pairs(out):
-            lo += hi
+            # a narrow axis adds column by column, each one long strided
+            # loop; the counts are integers, so any order is exact
+            for j in range(lo.shape[1]) if lo.shape[1] < 16 else [slice(None)]:
+                lo[:, j] += hi[:, j]
         np.log2(out, out=out)
         np.subtract(code.log_size, out, out=out)
         return np.broadcast_to(out, (len(qs), len(out)))  # read-only, no copy
@@ -242,22 +257,36 @@ def cond_entropy_bsc(code: Code, eps: float) -> float:
     return _cond_entropy_bsc_from(code, ent(noise_operator(from_code(code), eps)), eps)
 
 
-def syndrome_distribution(code: Code, eps: float) -> np.ndarray:
-    """Distribution of the syndrome of BSC(eps) noise Z, for a linear code.
+def syndrome_distributions(code: Code, eps_grid: Sequence[float]) -> list[np.ndarray]:
+    """Distribution of the syndrome of BSC(eps) noise Z at each eps, for a linear code.
 
-    It has length 2^(n-k).  Coordinate i of Z flips with probability
+    Each has length 2^(n-k).  Coordinate i of Z flips with probability
     eps and then moves the syndrome by its column h_i, so this is the
     noise operator's XOR-shift pass along the columns h_i, started from
-    the point mass at syndrome 0.
+    the point mass at syndrome 0: one pass for the whole grid, whose
+    rows are bit for bit the passes at each eps alone.  The laws are
+    the rows of one array, so a caller bounds its memory by the grid it
+    passes (``channels._eps_chunks``).
     """
     if code.generator is None:
         raise ValueError("the syndrome distribution needs a linear code")
-    if not 0 <= eps <= 1:
-        raise ValueError("eps must be in [0, 1]")
+    for eps in eps_grid:
+        if not 0 <= eps <= 1:
+            raise ValueError("eps must be in [0, 1]")
     r = code.redundancy
-    p = np.zeros(1 << r)
-    p[0] = 1.0
-    return _xor_shift_pass(p, r, syndrome_columns(code.generator, code.n), eps)
+    p = np.zeros((len(eps_grid), 1 << r))
+    p[:, 0] = 1.0
+    return list(_xor_shift_pass(p, r, syndrome_columns(code.generator, code.n), eps_grid))
+
+
+def syndrome_distribution(code: Code, eps: float) -> np.ndarray:
+    """Distribution of the syndrome of BSC(eps) noise Z: ``syndrome_distributions`` at one eps."""
+    return syndrome_distributions(code, [eps])[0]
+
+
+def _cond_entropy_bsc_of_law(code: Code, eps: float, law: np.ndarray) -> float:
+    """H(X|Y_BSC) = n*h(eps) - H(s(Z)), given the syndrome law of the noise."""
+    return code.n * binary_entropy(eps) - renyi_entropy(law, 1)
 
 
 def cond_entropy_bsc_linear(code: Code, eps: float) -> float:
@@ -266,7 +295,7 @@ def cond_entropy_bsc_linear(code: Code, eps: float) -> float:
     Y = X + Z is uniform on the coset of the syndrome s(Z), so
     H(Y) = k + H(s(Z)); ``cond_entropy_bsc`` is the dense reference.
     """
-    return code.n * binary_entropy(eps) - renyi_entropy(syndrome_distribution(code, eps), 1)
+    return _cond_entropy_bsc_of_law(code, eps, syndrome_distribution(code, eps))
 
 
 def _cond_entropy_bsc_from(code: Code, ent_noisy: float, eps: float) -> float:
@@ -327,9 +356,10 @@ def entropy_report(
 ) -> list[EntropyReport]:
     """The code's entropy records over a grid, one per (eps, eta, q) in that order.
 
-    H(X|Y_BSC) is computed once per eps, exactly for every n: from the
-    syndrome distribution for a code with a generator, from the dense
-    noise operator otherwise.  E_{S~1-eta} H_q(X_S) is read for every q
+    H(X|Y_BSC) is computed once per eps, exactly for every n: for a code
+    with a generator from its syndrome laws, one pass per chunk of the
+    eps grid, and from the dense noise operator otherwise.
+    E_{S~1-eta} H_q(X_S) is read for every q
     and for q = 1, which gives H(X|Y_BEC): from one subset table per code
     when n allows exact enumeration, otherwise from one Monte Carlo draw
     per eta (requires trials and seed).  A None eps or eta leaves its
@@ -344,8 +374,17 @@ def entropy_report(
     if sampled and (trials is None or seed is None):
         raise ValueError("monte_carlo mode requires trials and seed")
 
-    bsc_entropy = cond_entropy_bsc_linear if code.generator is not None else cond_entropy_bsc
-    h_bsc = {eps: bsc_entropy(code, eps) for eps in dict.fromkeys(eps_grid) if eps is not None}
+    epss = [eps for eps in dict.fromkeys(eps_grid) if eps is not None]
+    if code.generator is None:
+        h_bsc = {eps: cond_entropy_bsc(code, eps) for eps in epss}
+    else:  # every syndrome law from one pass per chunk of the grid
+        h_bsc = {}
+        for chunk in _eps_chunks(epss, code.redundancy):
+            laws = syndrome_distributions(code, chunk)
+            h_bsc.update(
+                (eps, _cond_entropy_bsc_of_law(code, eps, law)) for eps, law in zip(chunk, laws)
+            )
+            del laws  # freed before the next chunk's pass
     orders = tuple(dict.fromkeys([*qs, 1.0]))
     table = subset_rows(code, orders) if etas and not sampled else None
     # (eta, q) -> (E_{S~1-eta} H_q(X_S), stderr); q = 1 gives H(X|Y_BEC)

@@ -29,14 +29,14 @@ from .boolfn import (
     renyi_entropy_from_counts,
     validate,
 )
-from .channels import noise_operator
+from .channels import _eps_chunks, noise_operator
 from .entropy_analysis import (
     _cond_entropy_bsc_from,
     popcounts,
     require_subset_cap,
     subset_rows,
     subset_weights,
-    syndrome_distribution,
+    syndrome_distributions,
 )
 
 TOLERANCE = 1e-9
@@ -95,6 +95,28 @@ class SubsetStats:
     # for f = f_C: the code and q -> H_q(X_S) per mask, q = 1 included
     code: Code | None = None
     renyi: dict[float, np.ndarray] = field(default_factory=dict)
+    # (row, q, lam) -> E_{S~lam} of that row, and the weights of the last lam
+    _expected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def expectation(self, row: str, lam: float, q: float | None = None) -> float:
+        """E_{S~lam} of a per-mask row: ``ent``, or ``log_norm`` / ``renyi`` at order q.
+
+        Each (row, q, lam) is computed once, as ``subset_weights(n, lam) @ row``.
+        The weights of the last lam are kept, so checks that ask for
+        several rows at one lam in turn share one gather; they are
+        dropped before the next lam's weights are built, so at most one
+        2^n weight array is alive.
+        """
+        key = (row, q, lam)
+        if key not in self._expected:
+            values = getattr(self, row)
+            values = values if q is None else values[q]
+            if self._weights.get("lam") != lam:
+                self._weights.clear()
+                self._weights.update(lam=lam, w=subset_weights(self.n, lam))
+            self._expected[key] = float(self._weights["w"] @ values)
+        return self._expected[key]
 
 
 def subset_stats(f: np.ndarray, qs) -> SubsetStats:
@@ -215,19 +237,39 @@ def noisy_function(f: np.ndarray, eps: float) -> NoisyFunction:
     return NoisyFunction(eps, n, 0, noisy)
 
 
-def noisy_law(stats: SubsetStats, eps: float) -> NoisyFunction:
-    """The noisy law of the function behind the statistics, at eps.
+def law_chunks(stats: SubsetStats, eps_grid) -> list[list[float]]:
+    """The eps grid in order, in chunks whose noisy laws hold at most 2^20 cells together.
 
-    A linear code's law is its syndrome law over the 2^(n-k) cosets, so
-    no 2^n array is built; any other function reuses ``stats.f`` on the
-    dense path of ``noisy_function``.
+    A linear code's law has 2^(n-k) cells, any other 2^n.  A caller that
+    builds the laws of one chunk (``noisy_laws``) and drops them before
+    the next bounds the memory of a long grid, or of laws of 2^19 cells.
+    """
+    code = stats.code
+    linear = code is not None and code.generator is not None
+    return _eps_chunks(eps_grid, code.redundancy if linear else stats.n)
+
+
+def noisy_laws(stats: SubsetStats, eps_grid) -> list[NoisyFunction]:
+    """The noisy law of the function behind the statistics at each eps of the grid.
+
+    A linear code's laws are its syndrome laws over the 2^(n-k) cosets,
+    all from one XOR-shift pass, so no 2^n array is built; any other
+    function reuses ``stats.f`` on the dense path of ``noisy_function``,
+    once per eps.
     """
     code = stats.code
     if code is None or code.generator is None:
-        return noisy_function(stats.f, eps)
-    p = syndrome_distribution(code, eps)
-    p.flags.writeable = False
-    return NoisyFunction(eps, code.n, code.n - code.redundancy, p)
+        return [noisy_function(stats.f, eps) for eps in eps_grid]
+    laws = []
+    for eps, p in zip(eps_grid, syndrome_distributions(code, eps_grid)):
+        p.flags.writeable = False
+        laws.append(NoisyFunction(eps, code.n, code.n - code.redundancy, p))
+    return laws
+
+
+def noisy_law(stats: SubsetStats, eps: float) -> NoisyFunction:
+    """The noisy law of the function behind the statistics, at eps: ``noisy_laws`` at one eps."""
+    return noisy_laws(stats, [eps])[0]
 
 
 def _require_dim(noisy: NoisyFunction, n: int) -> None:
@@ -247,7 +289,7 @@ def check_sam_norm(
     n = stats.n
     _require_dim(noisy, n)
     lhs = noisy.log_norm(q)
-    rhs = float(subset_weights(n, lam) @ stats.log_norm[q])
+    rhs = stats.expectation("log_norm", lam, q)
     return SlackReport(
         "sam_norm", {"f": name, "n": n, "eps": eps, "q": q, "lambda": lam}, lhs, rhs
     )
@@ -260,31 +302,31 @@ def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction, name: str = "f")
     n = stats.n
     _require_dim(noisy, n)
     lhs = noisy.ent
-    rhs = float(subset_weights(n, lam) @ stats.ent)
+    rhs = stats.expectation("ent", lam)
     return SlackReport(
         "sam_entropy", {"f": name, "n": n, "eps": eps, "lambda": lam}, lhs, rhs
     )
 
 
-def _code_row(stats: SubsetStats, q: float) -> tuple[Code, np.ndarray]:
-    """The code behind the statistics and its row H_q(X_S)."""
+def _code_of(stats: SubsetStats, q: float) -> Code:
+    """The code behind the statistics, which must hold its row H_q(X_S)."""
     if stats.code is None:
         raise ValueError("the code checks need subset statistics of a code")
     if q not in stats.renyi:
         raise ValueError(f"subset statistics were built without q={q}")
-    return stats.code, stats.renyi[q]
+    return stats.code
 
 
 def check_cor_rv(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackReport:
     """H_q(X+Z) >= (1-lam)*n + E_{S~lam} H_q(X_S), lam = 1 - h_q(eps)."""
     q = _require_q(q)
-    code, row = _code_row(stats, q)
+    code = _code_of(stats, q)
     eps = noisy.eps
     lam = 1 - h_q(eps, q)
     n = code.n
     _require_dim(noisy, n)
     lhs_side = noisy.renyi(q)
-    rhs_side = (1 - lam) * n + float(subset_weights(n, lam) @ row)
+    rhs_side = (1 - lam) * n + stats.expectation("renyi", lam, q)
     # slack = H_q(X+Z) - lower bound
     return SlackReport(
         "cor_rv",
@@ -296,13 +338,13 @@ def check_cor_rv(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackRepor
 
 def check_cor_rv_entropy(stats: SubsetStats, noisy: NoisyFunction) -> SlackReport:
     """H(X+Z) >= (1-lam)*n + E_{S~lam} H(X_S), lam = (1-2*eps)^2."""
-    code, row = _code_row(stats, 1.0)
+    code = _code_of(stats, 1.0)
     eps = noisy.eps
     lam = (1 - 2 * eps) ** 2
     n = code.n
     _require_dim(noisy, n)
     h_xz = n - noisy.ent
-    bound = (1 - lam) * n + float(subset_weights(n, lam) @ row)
+    bound = (1 - lam) * n + stats.expectation("renyi", lam, 1.0)
     return SlackReport(
         "cor_rv_entropy",
         {"code": code.name, "n": n, "eps": eps, "lambda": lam},
@@ -313,7 +355,7 @@ def check_cor_rv_entropy(stats: SubsetStats, noisy: NoisyFunction) -> SlackRepor
 
 def check_bsc_bec(stats: SubsetStats, noisy: NoisyFunction, eta: float) -> SlackReport:
     """H(X|Y_BSC) <= (h(eps)-eta)*n + H(X|Y_BEC), for 4*eps*(1-eps) >= eta."""
-    code, row = _code_row(stats, 1.0)
+    code = _code_of(stats, 1.0)
     eps = noisy.eps
     if not 0 <= eta <= 1:
         raise ValueError(f"eta={eta} outside [0, 1]")
@@ -324,7 +366,8 @@ def check_bsc_bec(stats: SubsetStats, noisy: NoisyFunction, eta: float) -> Slack
     n = code.n
     _require_dim(noisy, n)
     lhs = _cond_entropy_bsc_from(code, noisy.ent, eps)
-    h_bec = code.log_size - float(subset_weights(n, 1 - eta) @ row)  # H(X) - E H(X_S)
+    # H(X) - E H(X_S); the expectation does not depend on eps
+    h_bec = code.log_size - stats.expectation("renyi", 1 - eta, 1.0)
     rhs = (binary_entropy(eps) - eta) * n + h_bec
     return SlackReport(
         "bsc_bec", {"code": code.name, "n": n, "eps": eps, "eta": eta}, lhs, rhs

@@ -54,6 +54,14 @@ def nonlinear_codes(draw, max_n=10):
     return bs.Code(n=n, codewords=tuple(sorted(words)))
 
 
+def eps_grids(max_size=6):
+    """An eps grid as the CLI passes it: eps 0 and 1 drawn on purpose, values may repeat."""
+    eps = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0, 1))
+    return st.lists(eps, min_size=1, max_size=max_size).flatmap(
+        lambda grid: st.sampled_from([grid, grid + grid[:1]])
+    )
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles (deliberately naive; never share code paths with
 # the implementations they check).
@@ -66,6 +74,14 @@ def multiply_sum_bernoulli_words(
     bits = rng.random((trials, n)) < p
     powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
     return (bits.astype(np.uint64) * powers).sum(axis=1, dtype=np.uint64)
+
+
+def set_span(rows: list[int]) -> list[int]:
+    """All vectors in the row span, sorted: the span closed row by row as a set."""
+    words = {0}
+    for row in rows:
+        words |= {w ^ row for w in words}
+    return sorted(words)
 
 
 def naive_noise_operator(f: np.ndarray, eps: float) -> np.ndarray:

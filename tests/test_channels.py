@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanent import bitspace as bs
@@ -12,6 +12,7 @@ from chanent import boolfn, channels
 
 from conftest import (
     conditional_expectation,
+    eps_grids,
     multiply_sum_bernoulli_words,
     naive_noise_operator,
     naive_project,
@@ -78,6 +79,30 @@ def test_noise_operator_rounds_as_the_axis_by_axis_oracle(n, eps, seed):
     f = random_nonneg(n, np.random.default_rng(seed))
     expected = xor_shift_oracle(f, [1 << i for i in range(n)], eps)
     assert np.array_equal(channels.noise_operator(f, eps), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 10), grid=eps_grids(), seed=st.integers(0, 2**32 - 1))
+@example(n=4, grid=[0.0, 1.0, 0.3, 0.3, 0.0], seed=1)
+def test_grid_pass_rows_are_the_one_eps_noise_operator(n, grid, seed):
+    # each row of the pass over an eps grid is bit for bit the pass at its eps alone
+    f = random_nonneg(n, np.random.default_rng(seed))
+    units = [1 << i for i in range(n)]
+    p = channels._xor_shift_pass(np.tile(f, (len(grid), 1)), n, units, grid)
+    assert p.shape == (len(grid), 1 << n)
+    for row, eps in zip(p, grid):
+        assert row.tobytes() == channels.noise_operator(f, eps).tobytes()
+        assert np.array_equal(row, xor_shift_oracle(f, units, eps))
+
+
+def test_eps_chunks_cut_the_grid_by_cells(monkeypatch):
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert channels._eps_chunks(grid, 19) == [[0.1, 0.2], [0.3, 0.4], [0.5]]
+    assert channels._eps_chunks(grid, 24) == [[eps] for eps in grid]  # one eps at least
+    assert channels._eps_chunks(grid, 4) == [grid]
+    assert channels._eps_chunks([], 4) == []
+    monkeypatch.setattr(channels, "_LAW_CELLS", 3 << 4)
+    assert channels._eps_chunks(grid, 4) == [[0.1, 0.2, 0.3], [0.4, 0.5]]
 
 
 def test_noise_operator_memory_is_two_arrays():

@@ -2,12 +2,14 @@ import csv
 import functools
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
-from chanent import inequalities, listdecode
+from chanent import channels, inequalities, listdecode
+from chanent.boolfn import h_q
 from chanent.cli import main
 
 
@@ -159,7 +161,7 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
         path = tmp_path / "words.txt"
         path.write_text("".join(format(w, "021b")[::-1] + "\n" for w in (0, 3, 1 << 20)))
         spec = f"codewords-file:{path}"
-    forbidden = ("subset_stats", "subset_stats_of_code", "noise_operator", "syndrome_distribution")
+    forbidden = ("subset_stats", "subset_stats_of_code", "noise_operator", "syndrome_distributions")
     for name in forbidden:
         _forbid(monkeypatch, inequalities, name)
     _forbid(monkeypatch, ea, "subset_renyi_values")
@@ -169,13 +171,14 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
     assert "capped at n <= 20" in capsys.readouterr().err
 
 
-def test_verify_takes_one_noise_pass_per_code_and_eps(monkeypatch, tmp_path, capsys):
-    # a linear code: one syndrome pass, no 2^n noise operator; a nonlinear
-    # code: one dense pass on the f of its subset statistics, the only f built
+def test_verify_takes_one_syndrome_pass_per_linear_code(monkeypatch, tmp_path, capsys):
+    # a linear code: one syndrome pass for its whole eps grid, no 2^n noise
+    # operator; a nonlinear code: one dense pass per eps on the f of its
+    # subset statistics, the only f built
     noise_calls, syndrome_calls, f_calls = [], [], []
-    apply, syndrome, from_code = (
+    apply, syndromes, from_code = (
         inequalities.noise_operator,
-        inequalities.syndrome_distribution,
+        inequalities.syndrome_distributions,
         inequalities.from_code,
     )
 
@@ -183,9 +186,9 @@ def test_verify_takes_one_noise_pass_per_code_and_eps(monkeypatch, tmp_path, cap
         noise_calls.append((len(f), eps))
         return apply(f, eps)
 
-    def counted_syndrome(code, eps):
-        syndrome_calls.append((code.name, eps))
-        return syndrome(code, eps)
+    def counted_syndromes(code, eps_grid):
+        syndrome_calls.append((code.name, list(eps_grid)))
+        return syndromes(code, eps_grid)
 
     def counted_from_code(code):
         f_calls.append(code.n)
@@ -193,7 +196,7 @@ def test_verify_takes_one_noise_pass_per_code_and_eps(monkeypatch, tmp_path, cap
 
     for module in (inequalities, ea):
         monkeypatch.setattr(module, "noise_operator", counted_noise)
-    monkeypatch.setattr(inequalities, "syndrome_distribution", counted_syndrome)
+    monkeypatch.setattr(inequalities, "syndrome_distributions", counted_syndromes)
     monkeypatch.setattr(inequalities, "from_code", counted_from_code)
     words = tmp_path / "words.txt"
     words.write_text("00000\n11000\n00110\n10011\n01111\n")
@@ -211,12 +214,64 @@ def test_verify_takes_one_noise_pass_per_code_and_eps(monkeypatch, tmp_path, cap
         capsys,
     )
     assert code == 0
-    assert syndrome_calls == [
-        (name, eps) for name in ("repetition(3)", "hamming74") for eps in (0.1, 0.2, 0.3)
-    ]
+    assert syndrome_calls == [(name, [0.1, 0.2, 0.3]) for name in ("repetition(3)", "hamming74")]
     assert noise_calls == [(32, 0.1), (32, 0.2), (32, 0.3)]
     # only the nonlinear code's noisy law reads its dense function
     assert f_calls == [5]
+
+
+def test_verify_gathers_subset_weights_once_per_distinct_lambda(monkeypatch, capsys):
+    # the workload's battery: 144 rows, but 29 distinct lambdas per code
+    gathers = []
+    weights = inequalities.subset_weights
+
+    def counted(n, lam):
+        gathers.append((n, lam))
+        return weights(n, lam)
+
+    monkeypatch.setattr(inequalities, "subset_weights", counted)
+    codes = ["reed_muller:1,4", "random_linear:14,7,3"]
+    eps_grid = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
+    argv = ["verify", "--code", codes[0], "--code", codes[1], "--q", "2,3", "--eta", "0.3,0.5"]
+    code, out = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert len(json.loads(out)) == 145
+    lams = {(1 - 2 * eps) ** 2 for eps in eps_grid}
+    lams |= {1 - h_q(eps, q) for eps in eps_grid for q in (2, 3)}
+    lams |= {1 - eta for eta in (0.3, 0.5)}
+    assert len(lams) == 29
+    assert sorted(gathers) == sorted((n, lam) for n in (14, 16) for lam in lams)
+
+
+def test_verify_holds_one_chunk_of_noisy_laws(monkeypatch, capsys):
+    # repetition:20 has 2^19 cosets, so a chunk of the grid holds two laws
+    cells = channels._LAW_CELLS
+    assert cells >> 19 == 2
+    chunks, held = [], []
+    law_chunks = inequalities.law_chunks
+
+    def start_peak(stats, eps_grid):
+        # measured from here: the subset statistics are built and held
+        chunks.extend(law_chunks(stats, eps_grid))
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return law_chunks(stats, eps_grid)
+
+    monkeypatch.setattr(inequalities, "law_chunks", start_peak)
+    argv = ["verify", "--code", "repetition:20", "--q", "2", "--eta", "0.3", "--format", "json"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert [len(c) for c in chunks] == [2, 2, 2, 2, 1]
+    # one chunk of laws and the pass's scratch (2 x 2^20 cells), one
+    # weight array (2^20) and 1 MiB of the rest: a second chunk of laws
+    # alive at once would add 8 MiB, the whole grid 56 MiB
+    assert peak - held[0] <= 8 * (2 * cells + (1 << 20)) + (1 << 20)
+    assert json.loads(capsys.readouterr().out)[-1]["pass"] is True
 
 
 @pytest.mark.parametrize(

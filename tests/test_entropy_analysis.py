@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanent import bitspace as bs
+from chanent import channels
 from chanent import entropy_analysis as ea
 from chanent.channels import bernoulli_words
 
@@ -15,6 +16,7 @@ from chanent.inequalities import subset_stats_of_code
 
 from conftest import (
     bayes_cond_entropy_bsc,
+    eps_grids,
     erasure_cond_entropy_bec,
     exhaustive_subset_entropy_expectation,
     exp_log_subset_weights,
@@ -336,6 +338,31 @@ def test_syndrome_distribution_rounds_as_the_oracle(code, eps):
     assert np.array_equal(ea.syndrome_distribution(code, eps), expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(code=linear_codes(), grid=eps_grids(), rows=st.integers(1, 3))
+@example(code=WEIGHT_ONE_ROW, grid=[0.0, 1.0, 0.1, 0.1], rows=1)
+@example(code=bs.full_space_code(3), grid=[0.3, 1.0, 0.0, 0.3], rows=2)
+def test_syndrome_laws_of_a_grid_are_the_one_eps_laws(code, grid, rows):
+    # one pass over the grid, or over chunks of at most `rows` eps
+    r = code.redundancy
+    delta = np.zeros(1 << r)
+    delta[0] = 1.0
+    cols = bs.syndrome_columns(code.generator, code.n)
+    laws = ea.syndrome_distributions(code, grid)
+    assert len(laws) == len(grid)
+    for p, eps in zip(laws, grid):
+        assert p.tobytes() == ea.syndrome_distribution(code, eps).tobytes()
+        assert np.array_equal(p, xor_shift_oracle(delta, cols, eps))
+    reports = ea.entropy_report(code, grid, [None])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channels, "_LAW_CELLS", rows << r)
+        chunks = channels._eps_chunks(grid, r)
+        assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
+        assert ea.entropy_report(code, grid, [None]) == reports
+    for report, eps in zip(reports, grid):
+        assert report.h_x_given_bsc == ea.cond_entropy_bsc_linear(code, eps)
+
+
 def test_oracle_examples_have_a_zero_parity_check_column():
     for code in (bs.full_space_code(3), WEIGHT_ONE_ROW):
         assert 0 in bs.syndrome_columns(code.generator, code.n)
@@ -346,6 +373,8 @@ def test_syndrome_distribution_rejects_bad_input():
         ea.syndrome_distribution(bs.single_code(3), 0.1)  # no generator
     with pytest.raises(ValueError):
         ea.syndrome_distribution(bs.hamming74_code(), 1.5)
+    with pytest.raises(ValueError):  # every eps of a grid is checked
+        ea.syndrome_distributions(bs.hamming74_code(), [0.1, -0.5])
 
 
 def test_bsc_chain_rule_identity():

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from chanent import bitspace as bs
 from chanent import boolfn, channels, inequalities as iq
 
-from conftest import conditional_expectation, linear_codes, nonlinear_codes, small_corpus
+from conftest import (
+    conditional_expectation,
+    eps_grids,
+    linear_codes,
+    nonlinear_codes,
+    small_corpus,
+    xor_shift_oracle,
+)
 
 
 def _code_inputs(code, eps, qs=()):
@@ -386,6 +393,62 @@ def test_noisy_law_of_a_nonlinear_code_is_the_dense_path():
     law = iq.noisy_law(stats, 0.2)
     assert (law.n, law.k) == (5, 0)
     assert law.p.tobytes() == iq.noisy_function(stats.f, 0.2).p.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    code=st.one_of(linear_codes(max_n=10), nonlinear_codes(max_n=6)),
+    grid=eps_grids(),
+    rows=st.integers(1, 3),
+)
+@example(code=bs.hamming74_code(), grid=[0.0, 1.0, 0.2, 0.2, 0.45], rows=2)
+@example(code=bs.Code(n=5, codewords=(0, 3, 12, 19, 30)), grid=[1.0, 0.1, 1.0, 0.0], rows=1)
+def test_noisy_laws_of_grid_chunks_are_the_one_eps_laws(code, grid, rows):
+    # verify's path: the grid cut into chunks of at most `rows` laws, one pass per chunk
+    stats = iq.subset_stats_of_code(code, ())
+    cells = code.redundancy if code.generator is not None else code.n
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channels, "_LAW_CELLS", rows << cells)
+        chunks = iq.law_chunks(stats, grid)
+        laws = [law for chunk in chunks for law in iq.noisy_laws(stats, chunk)]
+    assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
+    assert [law.eps for law in laws] == grid
+    for law, eps in zip(laws, grid):
+        one = iq.noisy_law(stats, eps)
+        assert (law.n, law.k) == (one.n, one.k)
+        assert law.p.tobytes() == one.p.tobytes()
+        assert not law.p.flags.writeable
+        if code.generator is None:
+            assert law.p.tobytes() == iq.noisy_function(stats.f, eps).p.tobytes()
+        else:
+            delta = np.zeros(1 << cells)
+            delta[0] = 1.0
+            cols = bs.syndrome_columns(code.generator, code.n)
+            assert np.array_equal(law.p, xor_shift_oracle(delta, cols, eps))
+
+
+def test_subset_expectation_is_the_weighted_row_and_keeps_one_weight_array(monkeypatch):
+    code = bs.reed_muller_code(1, 4)
+    stats = iq.subset_stats_of_code(code, (2, 3))
+    gathers = []
+
+    def counted(n, lam):
+        gathers.append(lam)
+        return weights(n, lam)
+
+    weights = iq.subset_weights
+    monkeypatch.setattr(iq, "subset_weights", counted)
+    asks = [("ent", 0.3, None), ("renyi", 0.3, 1.0), ("log_norm", 0.5, 2)]
+    asks += [("ent", 0.3, None), ("renyi", 0.5, 2), ("renyi", 0.3, 3)]
+    for row, lam, q in asks:
+        values = getattr(stats, row) if q is None else getattr(stats, row)[q]
+        expected = float(weights(code.n, lam) @ values)
+        assert stats.expectation(row, lam, q) == expected
+        # the weights of one lam at most are held
+        assert list(stats._weights) == ["lam", "w"]
+    # a gather per change of lam; the second (ent, 0.3) was remembered, so
+    # the weights of 0.5 served (renyi, 2) too
+    assert gathers == [0.3, 0.5, 0.3]
 
 
 def test_checks_reject_noisy_function_of_another_dimension():
