@@ -12,7 +12,6 @@ from .entropy_analysis import (
     EntropyReport,
     cond_entropy_bec,
     cond_entropy_bsc,
-    cond_entropy_bsc_linear,
     entropy_report,
     marginal_entropy,
     subset_entropy_expectation,
@@ -29,15 +28,12 @@ from .inequalities import (
     noisy_function,
     noisy_law,
     noisy_laws,
-    partial_entropy_bound_check,
-    subset_stats,
     subset_stats_of_code,
 )
 from .listdecode import (
     DecoderConfig,
     DecodeTrials,
     DecodeTrialStats,
-    decode,
     likely_probability,
     rs22_lower_bound,
     simulate,

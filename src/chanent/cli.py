@@ -70,6 +70,17 @@ def _int_list(s: str) -> list[int]:
     return [int(t) for t in s.split(",") if t.strip()]
 
 
+def _seed(s: str) -> int:
+    """A --seed value: numpy seeds its generators with non-negative integers only."""
+    try:
+        seed = int(s)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {s!r}")
+    return seed
+
+
 def cmd_entropy(args) -> int:
     codes = [resolve_code(s) for s in args.code]
     grids = args.eps or [None], args.eta or [None], args.q or [1.0]
@@ -86,11 +97,11 @@ def _check_law(stats, noisy, qs, eta_grid) -> list[tuple]:
     code = stats.code
     checks = [
         inequalities.check_cor_rv_entropy(stats, noisy),
-        inequalities.check_sam_entropy(stats, noisy, name=code.name),
+        inequalities.check_sam_entropy(stats, noisy),
     ]
     for q in qs:
         checks.append(inequalities.check_cor_rv(stats, noisy, q))
-        checks.append(inequalities.check_sam_norm(stats, noisy, q, name=code.name))
+        checks.append(inequalities.check_sam_norm(stats, noisy, q))
     out = [(rep, {**rep.to_dict(), "skipped": False}) for rep in checks]
     for eta in eta_grid:
         try:
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_ent, p_ver):
         p.add_argument("--eta", type=_float_list, help="comma-separated BEC eta grid")
     for p in (p_ent, p_dec):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--trials", type=int, default=10000)
 
     return parser
@@ -258,6 +269,10 @@ def _unique_grids(args) -> None:
     A repeated value would repeat its rows.
     """
     if getattr(args, "lam", None):
+        # checked here: past the fold a bad lam would be reported as an eta
+        for lam in args.lam:
+            if not 0 <= lam <= 1:
+                raise ValueError(f"lambda={lam} outside [0, 1]")
         # a subset density lam is the same configuration as erasure eta = 1 - lam
         args.eta = [*(args.eta or []), *(1 - lam for lam in args.lam)]
     for key, value in list(vars(args).items()):
@@ -268,8 +283,8 @@ def _unique_grids(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _unique_grids(args)
     try:
+        _unique_grids(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -279,25 +279,6 @@ def syndrome_distributions(code: Code, eps_grid: Sequence[float]) -> list[np.nda
     return list(_xor_shift_pass(p, r, syndrome_columns(code.generator, code.n), eps_grid))
 
 
-def syndrome_distribution(code: Code, eps: float) -> np.ndarray:
-    """Distribution of the syndrome of BSC(eps) noise Z: ``syndrome_distributions`` at one eps."""
-    return syndrome_distributions(code, [eps])[0]
-
-
-def _cond_entropy_bsc_of_law(code: Code, eps: float, law: np.ndarray) -> float:
-    """H(X|Y_BSC) = n*h(eps) - H(s(Z)), given the syndrome law of the noise."""
-    return code.n * binary_entropy(eps) - renyi_entropy(law, 1)
-
-
-def cond_entropy_bsc_linear(code: Code, eps: float) -> float:
-    """H(X|Y_BSC) = n*h(eps) - H(s(Z)) for a linear code, without 2^n arrays.
-
-    Y = X + Z is uniform on the coset of the syndrome s(Z), so
-    H(Y) = k + H(s(Z)); ``cond_entropy_bsc`` is the dense reference.
-    """
-    return _cond_entropy_bsc_of_law(code, eps, syndrome_distribution(code, eps))
-
-
 def _cond_entropy_bsc_from(code: Code, ent_noisy: float, eps: float) -> float:
     """H(X|Y_BSC) given Ent[T_eps f_X]; T_eps f_X is the distribution function of X+Z."""
     n = code.n
@@ -381,8 +362,11 @@ def entropy_report(
         h_bsc = {}
         for chunk in _eps_chunks(epss, code.redundancy):
             laws = syndrome_distributions(code, chunk)
+            # Y = X + Z is uniform on the coset of the syndrome s(Z), so
+            # H(X|Y_BSC) = n h(eps) - H(s(Z))
             h_bsc.update(
-                (eps, _cond_entropy_bsc_of_law(code, eps, law)) for eps, law in zip(chunk, laws)
+                (eps, code.n * binary_entropy(eps) - renyi_entropy(law, 1))
+                for eps, law in zip(chunk, laws)
             )
             del laws  # freed before the next chunk's pass
     orders = tuple(dict.fromkeys([*qs, 1.0]))

@@ -4,11 +4,12 @@ Each check returns a SlackReport with signed slack = RHS - LHS in
 bits; the underlying theorems guarantee slack >= 0, so any slack below
 -1e-9 indicates an implementation bug rather than a near-violation.
 
-A check reads f through its subset statistics and T_eps f through its
-noisy law (``NoisyFunction``).  For a linear code the law is the
-syndrome law of the noise on 2^(n-k) cosets (``noisy_law``), so no
-check of a linear code touches a 2^n noisy array; any other f takes
-the dense noise operator (``noisy_function``).
+A check reads f = f_C, the distribution function of X uniform on a
+code C, through its subset statistics and T_eps f through its noisy law
+(``NoisyFunction``).  For a linear code the law is the syndrome law of
+the noise on 2^(n-k) cosets (``noisy_law``), so no check of a linear
+code touches a 2^n noisy array; a nonlinear code takes the dense noise
+operator (``noisy_function``).
 """
 
 from __future__ import annotations
@@ -74,30 +75,31 @@ class SlackReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-subset statistics of a nonnegative f.  They do not depend on eps
-# (only the subset weights do), so callers build them once per function
-# and pass them down the eps grid.  For f = f_C, the distribution
-# function of X uniform on a code C, E(f|S)(x) = 2^|S| Pr[X_S = x_S],
-# so every code, linear or not, has them in closed form from its one
-# subset table of H_q(X_S) (``subset_stats_of_code``); those rows also
-# give the code checks their E_{S~lam} H_q(X_S).  The O(3^n) DP of
-# ``subset_stats`` serves a general f.
+# Per-subset statistics of f = f_C, the distribution function of X
+# uniform on a code C.  They do not depend on eps (only the subset
+# weights do), so callers build them once per code and pass them down
+# the eps grid.  E(f|S)(x) = 2^|S| Pr[X_S = x_S], so every code, linear
+# or not, has them in closed form from its one subset table of H_q(X_S)
+# (``subset_stats_of_code``); those rows also give the code checks their
+# E_{S~lam} H_q(X_S).
 
 
 @dataclass(frozen=True)
 class SubsetStats:
-    """Ent[E(f|S)] and log2 ||E(f|S)||_q of f on F_2^n, for every subset mask S."""
+    """Ent[E(f_C|S)] and log2 ||E(f_C|S)||_q of a code's f_C, for every subset mask S."""
 
-    n: int
-    f: np.ndarray | None  # read-only copy of the function; None for a linear code
+    code: Code
+    f: np.ndarray | None  # read-only f_C of a nonlinear code; None for a linear code
     ent: np.ndarray
     log_norm: dict[int, np.ndarray]  # q -> values per mask
-    # for f = f_C: the code and q -> H_q(X_S) per mask, q = 1 included
-    code: Code | None = None
-    renyi: dict[float, np.ndarray] = field(default_factory=dict)
+    renyi: dict[float, np.ndarray]  # q -> H_q(X_S) per mask, q = 1 included
     # (row, q, lam) -> E_{S~lam} of that row, and the weights of the last lam
     _expected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.code.n
 
     def expectation(self, row: str, lam: float, q: float | None = None) -> float:
         """E_{S~lam} of a per-mask row: ``ent``, or ``log_norm`` / ``renyi`` at order q.
@@ -117,43 +119,6 @@ class SubsetStats:
                 self._weights.update(lam=lam, w=subset_weights(self.n, lam))
             self._expected[key] = float(self._weights["w"] @ values)
         return self._expected[key]
-
-
-def subset_stats(f: np.ndarray, qs) -> SubsetStats:
-    """One O(3^n) pass over all subsets, for Ent and every requested q."""
-    f = validate(f).copy()
-    f.flags.writeable = False
-    qs = tuple(dict.fromkeys(_require_q(q) for q in qs))
-    n = dim_of(f)
-    norm_sums = {q: np.empty(len(f)) for q in qs}
-    ent_sums = np.empty(len(f))
-
-    # Divide and conquer on the top remaining coordinate: leaving it out
-    # of S averages the two halves, putting it in S stacks their fibers.
-    # Visits each subset once with O(3^n) total element work.
-    def visit(arr: np.ndarray, coord: int, mask: int) -> None:
-        if coord < 0:
-            vals = arr[:, 0]
-            for q in qs:
-                norm_sums[q][mask] = float(np.sum(vals**q))
-            pos = vals > 0
-            ent_sums[mask] = float(np.sum(vals[pos] * np.log2(vals[pos])))
-            return
-        half = arr.shape[1] // 2
-        a, b = arr[:, :half], arr[:, half:]
-        visit((a + b) * 0.5, coord - 1, mask)
-        visit(np.concatenate([a, b], axis=0), coord - 1, mask | (1 << coord))
-
-    visit(f.reshape(1, -1), n - 1, 0)
-
-    sizes = np.exp2(popcounts(n))
-    m = float(f.mean())
-    return SubsetStats(
-        n,
-        f,
-        ent_sums / sizes - m * math.log2(m),
-        {q: np.log2(norm_sums[q] / sizes) / q for q in qs},
-    )
 
 
 def subset_stats_of_code(code: Code, qs) -> SubsetStats:
@@ -177,7 +142,7 @@ def subset_stats_of_code(code: Code, qs) -> SubsetStats:
     log_norm = {q: np.subtract(sizes, renyi[q]) for q in qs}
     for q, free in log_norm.items():
         free *= 1 - 1 / q  # in place: no 2^n temporary per order
-    return SubsetStats(code.n, f, sizes - renyi[1.0], log_norm, code, renyi)
+    return SubsetStats(code, f, sizes - renyi[1.0], log_norm, renyi)
 
 
 def _require_q(q) -> int:
@@ -245,20 +210,19 @@ def law_chunks(stats: SubsetStats, eps_grid) -> list[list[float]]:
     the next bounds the memory of a long grid, or of laws of 2^19 cells.
     """
     code = stats.code
-    linear = code is not None and code.generator is not None
-    return _eps_chunks(eps_grid, code.redundancy if linear else stats.n)
+    return _eps_chunks(eps_grid, code.n if code.generator is None else code.redundancy)
 
 
 def noisy_laws(stats: SubsetStats, eps_grid) -> list[NoisyFunction]:
-    """The noisy law of the function behind the statistics at each eps of the grid.
+    """The noisy law of the code behind the statistics at each eps of the grid.
 
     A linear code's laws are its syndrome laws over the 2^(n-k) cosets,
     all from one XOR-shift pass, so no 2^n array is built; any other
-    function reuses ``stats.f`` on the dense path of ``noisy_function``,
-    once per eps.
+    code reuses ``stats.f`` on the dense path of ``noisy_function``, once
+    per eps.
     """
     code = stats.code
-    if code is None or code.generator is None:
+    if code.generator is None:
         return [noisy_function(stats.f, eps) for eps in eps_grid]
     laws = []
     for eps, p in zip(eps_grid, syndrome_distributions(code, eps_grid)):
@@ -268,7 +232,7 @@ def noisy_laws(stats: SubsetStats, eps_grid) -> list[NoisyFunction]:
 
 
 def noisy_law(stats: SubsetStats, eps: float) -> NoisyFunction:
-    """The noisy law of the function behind the statistics, at eps: ``noisy_laws`` at one eps."""
+    """The noisy law of the code behind the statistics, at eps: ``noisy_laws`` at one eps."""
     return noisy_laws(stats, [eps])[0]
 
 
@@ -277,9 +241,7 @@ def _require_dim(noisy: NoisyFunction, n: int) -> None:
         raise ValueError(f"noisy function has 2^{noisy.n} points, expected 2^{n}")
 
 
-def check_sam_norm(
-    stats: SubsetStats, noisy: NoisyFunction, q: int, name: str = "f"
-) -> SlackReport:
+def check_sam_norm(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackReport:
     """log2 ||T_eps f||_q <= E_{S~lam} log2 ||E(f|S)||_q, lam = 1 - h_q(eps)."""
     q = _require_q(q)
     if q not in stats.log_norm:
@@ -291,11 +253,11 @@ def check_sam_norm(
     lhs = noisy.log_norm(q)
     rhs = stats.expectation("log_norm", lam, q)
     return SlackReport(
-        "sam_norm", {"f": name, "n": n, "eps": eps, "q": q, "lambda": lam}, lhs, rhs
+        "sam_norm", {"f": stats.code.name, "n": n, "eps": eps, "q": q, "lambda": lam}, lhs, rhs
     )
 
 
-def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction, name: str = "f") -> SlackReport:
+def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction) -> SlackReport:
     """Ent[T_eps f] <= E_{S~lam} Ent[E(f|S)], lam = (1-2*eps)^2."""
     eps = noisy.eps
     lam = (1 - 2 * eps) ** 2
@@ -304,14 +266,12 @@ def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction, name: str = "f")
     lhs = noisy.ent
     rhs = stats.expectation("ent", lam)
     return SlackReport(
-        "sam_entropy", {"f": name, "n": n, "eps": eps, "lambda": lam}, lhs, rhs
+        "sam_entropy", {"f": stats.code.name, "n": n, "eps": eps, "lambda": lam}, lhs, rhs
     )
 
 
 def _code_of(stats: SubsetStats, q: float) -> Code:
     """The code behind the statistics, which must hold its row H_q(X_S)."""
-    if stats.code is None:
-        raise ValueError("the code checks need subset statistics of a code")
     if q not in stats.renyi:
         raise ValueError(f"subset statistics were built without q={q}")
     return stats.code
@@ -372,21 +332,3 @@ def check_bsc_bec(stats: SubsetStats, noisy: NoisyFunction, eta: float) -> Slack
     return SlackReport(
         "bsc_bec", {"code": code.name, "n": n, "eps": eps, "eta": eta}, lhs, rhs
     )
-
-
-def partial_entropy_bound_check(p) -> SlackReport:
-    """sum p_i log2(1/p_i) <= (sum p_i) log2 k + 1 for sub-distributions."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("p must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("p must be finite")
-    if np.any(p < 0):
-        raise ValueError("p must be nonnegative")
-    total = float(p.sum())
-    if total > 1 + 1e-12:
-        raise ValueError(f"sub-distribution sums to {total} > 1")
-    pos = p[p > 0]
-    lhs = float(-np.sum(pos * np.log2(pos)))
-    rhs = total * math.log2(len(p)) + 1
-    return SlackReport("partial_entropy", {"k": len(p), "mass": total}, lhs, rhs)

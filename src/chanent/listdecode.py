@@ -109,48 +109,10 @@ def rs22_lower_bound(rate: float, eps: float, n: int) -> tuple[float, bool]:
     return exponent, in_hypothesis
 
 
-def _require_same_n(code: Code, cfg: DecoderConfig) -> None:
-    if cfg.n != code.n:
-        raise ValueError("decoder and code dimensions differ")
-
-
-def _received(y: int, code: Code, cfg: DecoderConfig) -> int:
-    """The n-bit word y as the decoder reads it: relabeled when eps > 1/2."""
-    _require_same_n(code, cfg)
-    if not 0 <= y < 1 << code.n:
-        raise ValueError(f"received word must be in [0, 2^{code.n})")
-    return y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
-
-
-def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
-    """All codewords within the radius of y, k closest on truncation.
-
-    Output is sorted by increasing distance, ties broken
-    lexicographically; the second element flags truncation.
-    """
-    recv = _received(y, code, cfg)
-    radius = cfg.radius
-    cws = code.codeword_array()
-    dists = np.bitwise_count(cws ^ np.uint64(recv))
-    inside = dists < radius
-    hits = sorted((int(d), int(c)) for d, c in zip(dists[inside], cws[inside]))
-    cap = cfg.cap_for(code)
-    truncated = len(hits) > cap
-    return [c for _, c in hits[:cap]], truncated
-
-
 def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
     """2^((R - (1 - h(eps)) + delta) * n): the inflated target list size."""
     exponent = (code.rate - (1 - binary_entropy(cfg.effective_eps)) + cfg.delta) * cfg.n
     return 2.0**exponent
-
-
-def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
-    """Whether y has more within-radius explanations than the threshold."""
-    recv = _received(y, code, cfg)
-    dists = np.bitwise_count(code.codeword_array() ^ np.uint64(recv))
-    count = int(np.count_nonzero(dists < cfg.radius))
-    return count > likely_threshold(code, cfg), count
 
 
 def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:
@@ -182,7 +144,8 @@ def likely_probability(code: Code, cfg: DecoderConfig) -> float:
     coset weight table; other codes weigh the within-radius count of
     every received word by its probability.
     """
-    _require_same_n(code, cfg)
+    if cfg.n != code.n:
+        raise ValueError("decoder and code dimensions differ")
     threshold = likely_threshold(code, cfg)
     found = _coset_weights(code)
     if found is None:
@@ -202,21 +165,6 @@ def likely_probability(code: Code, cfg: DecoderConfig) -> float:
     in_all = np.diff(below.sum(axis=1))
     # over the rounded total: exactly 1 when every coset is likely
     return float(p_w @ in_likely / (p_w @ in_all))
-
-
-def likely_probability_mc(
-    code: Code, cfg: DecoderConfig, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo Pr[Y is delta-likely]; returns (estimate, std error).
-
-    The received words and their within-radius counts are those of
-    ``simulate`` under the same seed.
-    """
-    _require_same_n(code, cfg)
-    counts = simulate(code, cfg.eps, trials, seed).counts
-    p = int(np.count_nonzero(counts > likely_threshold(code, cfg))) / trials
-    stderr = math.sqrt(max(p * (1 - p), 0.0) / trials)
-    return p, stderr
 
 
 @dataclass(frozen=True)

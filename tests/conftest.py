@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent.bitspace import Code
-from chanent.boolfn import dim_of
+from chanent.boolfn import dim_of, h_q, validate
+from chanent.entropy_analysis import subset_weights
+from chanent.inequalities import NoisyFunction, SlackReport
+from chanent.listdecode import DecoderConfig, DecodeTrialStats, likely_threshold, simulate
 
 RANDOM_LINEAR_PARAMS = [
     (6 + i % 7, 2 + (3 * i) % 5, 100 + i) for i in range(20)
@@ -367,8 +371,6 @@ def naive_simulate(code: Code, cfg, trials: int, seed: int):
     (coordinate i of a trial is column i), with the noise drawn at the
     folded eps so that the words below are the decoder's relabeled view.
     """
-    from chanent.listdecode import DecodeTrialStats, decode
-
     rng = np.random.default_rng(seed)
     x_idx = rng.integers(0, code.size, size=trials)
     eps = cfg.eps if cfg.eps < 0.5 else 1 - cfg.eps
@@ -395,3 +397,140 @@ def naive_simulate(code: Code, cfg, trials: int, seed: int):
         list_mean=sum(sizes) / trials,
         list_max=max(sizes),
     )
+
+
+def _received(y: int, code: Code, cfg: DecoderConfig) -> int:
+    """The n-bit word y as the decoder reads it: relabeled when eps > 1/2."""
+    if cfg.n != code.n:
+        raise ValueError("decoder and code dimensions differ")
+    if not 0 <= y < 1 << code.n:
+        raise ValueError(f"received word must be in [0, 2^{code.n})")
+    return y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
+
+
+def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
+    """The radius decoder on one word: every codeword within the radius of y, k closest on truncation.
+
+    Output is sorted by increasing distance, ties broken
+    lexicographically; the second element flags truncation.
+    """
+    recv = _received(y, code, cfg)
+    cws = code.codeword_array()
+    dists = np.bitwise_count(cws ^ np.uint64(recv))
+    inside = dists < cfg.radius
+    hits = sorted((int(d), int(c)) for d, c in zip(dists[inside], cws[inside]))
+    cap = cfg.cap_for(code)
+    return [c for _, c in hits[:cap]], len(hits) > cap
+
+
+def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
+    """Whether y has more within-radius explanations than the threshold, and their count."""
+    recv = _received(y, code, cfg)
+    dists = np.bitwise_count(code.codeword_array() ^ np.uint64(recv))
+    count = int(np.count_nonzero(dists < cfg.radius))
+    return count > likely_threshold(code, cfg), count
+
+
+def likely_probability_mc(
+    code: Code, cfg: DecoderConfig, trials: int, seed: int
+) -> tuple[float, float]:
+    """Monte Carlo Pr[Y is delta-likely]: (estimate, std error).
+
+    The received words and their within-radius counts are those of
+    ``simulate`` under the same seed.
+    """
+    if cfg.n != code.n:
+        raise ValueError("decoder and code dimensions differ")
+    counts = simulate(code, cfg.eps, trials, seed).counts
+    p = int(np.count_nonzero(counts > likely_threshold(code, cfg))) / trials
+    return p, math.sqrt(max(p * (1 - p), 0.0) / trials)
+
+
+def partial_entropy_bound_check(p) -> SlackReport:
+    """sum p_i log2(1/p_i) <= (sum p_i) log2 k + 1 for sub-distributions."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or len(p) == 0:
+        raise ValueError("p must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("p must be finite")
+    if np.any(p < 0):
+        raise ValueError("p must be nonnegative")
+    total = float(p.sum())
+    if total > 1 + 1e-12:
+        raise ValueError(f"sub-distribution sums to {total} > 1")
+    pos = p[p > 0]
+    lhs = float(-np.sum(pos * np.log2(pos)))
+    rhs = total * math.log2(len(p)) + 1
+    return SlackReport("partial_entropy", {"k": len(p), "mass": total}, lhs, rhs)
+
+
+@dataclass(frozen=True)
+class DPStats:
+    """Ent[E(f|S)] and log2 ||E(f|S)||_q of a general f on F_2^n, for every subset mask S."""
+
+    n: int
+    f: np.ndarray  # read-only copy of the function
+    ent: np.ndarray
+    log_norm: dict[int, np.ndarray]  # q -> values per mask
+
+
+def subset_stats(f: np.ndarray, qs) -> DPStats:
+    """One O(3^n) pass over all subsets, for Ent and every requested integer q >= 2."""
+    f = validate(f).copy()
+    f.flags.writeable = False
+    for q in qs:
+        if not float(q).is_integer() or q < 2:
+            raise ValueError(f"the norm inequality requires integer q >= 2, got {q}")
+    qs = tuple(dict.fromkeys(int(q) for q in qs))
+    n = dim_of(f)
+    norm_sums = {q: np.empty(len(f)) for q in qs}
+    ent_sums = np.empty(len(f))
+
+    # Divide and conquer on the top remaining coordinate: leaving it out
+    # of S averages the two halves, putting it in S stacks their fibers.
+    # Visits each subset once with O(3^n) total element work.
+    def visit(arr: np.ndarray, coord: int, mask: int) -> None:
+        if coord < 0:
+            vals = arr[:, 0]
+            for q in qs:
+                norm_sums[q][mask] = float(np.sum(vals**q))
+            pos = vals > 0
+            ent_sums[mask] = float(np.sum(vals[pos] * np.log2(vals[pos])))
+            return
+        half = arr.shape[1] // 2
+        a, b = arr[:, :half], arr[:, half:]
+        visit((a + b) * 0.5, coord - 1, mask)
+        visit(np.concatenate([a, b], axis=0), coord - 1, mask | (1 << coord))
+
+    visit(f.reshape(1, -1), n - 1, 0)
+
+    sizes = np.exp2(np.bitwise_count(np.arange(len(f))).astype(float))
+    m = float(f.mean())
+    return DPStats(
+        n,
+        f,
+        ent_sums / sizes - m * math.log2(m),
+        {q: np.log2(norm_sums[q] / sizes) / q for q in qs},
+    )
+
+
+def dp_sam_norm(dp: DPStats, noisy: NoisyFunction, q: int) -> tuple[float, float]:
+    """(lhs, rhs) of SAM's norm inequality for the DP's f, lam = 1 - h_q(eps).
+
+    log2 ||T_eps f||_q from the noisy law, against E_{S~lam} log2 ||E(f|S)||_q
+    as ``subset_weights(n, lam) @ row`` of the DP's row.
+    """
+    assert noisy.n == dp.n
+    lam = 1 - h_q(noisy.eps, q)
+    return noisy.log_norm(q), float(subset_weights(dp.n, lam) @ dp.log_norm[q])
+
+
+def dp_sam_entropy(dp: DPStats, noisy: NoisyFunction) -> tuple[float, float]:
+    """(lhs, rhs) of SAM's entropy inequality for the DP's f, lam = (1-2 eps)^2.
+
+    Ent[T_eps f] from the noisy law, against E_{S~lam} Ent[E(f|S)] as
+    ``subset_weights(n, lam) @ row`` of the DP's row.
+    """
+    assert noisy.n == dp.n
+    lam = (1 - 2 * noisy.eps) ** 2
+    return noisy.ent, float(subset_weights(dp.n, lam) @ dp.ent)

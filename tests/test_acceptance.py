@@ -20,10 +20,14 @@ from chanent.cli import main as cli_main
 from conftest import (
     bayes_cond_entropy_bsc,
     conditional_expectation,
+    dp_sam_entropy,
+    dp_sam_norm,
     erasure_cond_entropy_bec,
     full_corpus,
+    likely_probability_mc,
     naive_project,
     spectral_noise_operator,
+    subset_stats,
 )
 
 EPS_GRID = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
@@ -48,15 +52,17 @@ def test_criterion_1_inequality_battery(corpus):
     worst = math.inf
     for code in corpus:
         stats = iq.subset_stats_of_code(code, QS)
-        # the SAM checks read the DP, independent of the code's subset table
-        dp = iq.subset_stats(boolfn.from_code(code), QS)
+        # the SAM sides read the DP, independent of the code's subset table
+        dp = subset_stats(boolfn.from_code(code), QS)
         for eps in EPS_GRID:
             noisy = iq.noisy_law(stats, eps)
             worst = min(worst, iq.check_cor_rv_entropy(stats, noisy).slack)
-            worst = min(worst, iq.check_sam_entropy(dp, noisy).slack)
+            lhs, rhs = dp_sam_entropy(dp, noisy)
+            worst = min(worst, rhs - lhs)
             for q in QS:
                 worst = min(worst, iq.check_cor_rv(stats, noisy, q).slack)
-                worst = min(worst, iq.check_sam_norm(dp, noisy, q).slack)
+                lhs, rhs = dp_sam_norm(dp, noisy, q)
+                worst = min(worst, rhs - lhs)
     _report(1, "inequality battery slack >= -1e-9", worst >= -1e-9,
             f"min slack {worst:.3e}")
 
@@ -156,7 +162,7 @@ def test_criterion_5_monte_carlo_consistency(corpus):
 
             cfg = ld.DecoderConfig(n=code.n, eps=0.1, delta=0.1)
             exact = ld.likely_probability(code, cfg)
-            est, se = ld.likely_probability_mc(code, cfg, 10**4, seed)
+            est, se = likely_probability_mc(code, cfg, 10**4, seed)
             ok &= abs(est - exact) <= 4 * se + 1e-9
             if se > 0:
                 worst_sigmas = max(worst_sigmas, abs(est - exact) / se)

@@ -118,7 +118,8 @@ def _forbid(monkeypatch, module, name):
 
 
 def test_verify_runs_no_dp_and_one_subset_table_per_code(monkeypatch, tmp_path, capsys):
-    _forbid(monkeypatch, inequalities, "subset_stats")
+    # the 3^n DP is a test oracle: the library has none to run
+    assert not hasattr(inequalities, "subset_stats")
     passes = []
     kernel = ea.projection_entropies
 
@@ -161,7 +162,7 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
         path = tmp_path / "words.txt"
         path.write_text("".join(format(w, "021b")[::-1] + "\n" for w in (0, 3, 1 << 20)))
         spec = f"codewords-file:{path}"
-    forbidden = ("subset_stats", "subset_stats_of_code", "noise_operator", "syndrome_distributions")
+    forbidden = ("subset_stats_of_code", "noise_operator", "syndrome_distributions")
     for name in forbidden:
         _forbid(monkeypatch, inequalities, name)
     _forbid(monkeypatch, ea, "subset_renyi_values")
@@ -407,7 +408,15 @@ def test_entropy_rejects_eta_outside_unit_interval_on_the_monte_carlo_path(flag,
     )
     captured = capsys.readouterr()
     assert code == 2
-    assert "error: eta=" in captured.err and "outside [0, 1]" in captured.err
+    # a --lambda is named as typed, not as the eta it folds into
+    name = flag.lstrip("-")
+    assert f"error: {name}=1.5 outside [0, 1]" in captured.err
+    assert captured.out == ""
+    # on the exact path too
+    code = main(["entropy", "--code", "hamming74", "--eta", "0.5", flag, "1.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {name}=1.5 outside [0, 1]\n"
     assert captured.out == ""
 
 
@@ -502,6 +511,23 @@ def test_entropy_rejects_a_single_monte_carlo_trial(capsys):
 
 def test_decode_sim_requires_seed(capsys):
     assert main(["decode-sim", "--code", "repetition:3", "--eps", "0.1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode-sim", "--code", "hamming74", "--eps", "0.1", "--trials", "100"],
+        ["entropy", "--code", "random_linear:24,12,1", "--eta", "0.5", "--trials", "100"],
+    ],
+)
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_negative_seed_is_rejected_at_parse_time_naming_the_flag(argv, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", seed])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf"])

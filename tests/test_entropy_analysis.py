@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chanent import bitspace as bs
 from chanent import channels
 from chanent import entropy_analysis as ea
+from chanent.boolfn import binary_entropy, renyi_entropy
 from chanent.channels import bernoulli_words
 
 from chanent.inequalities import subset_stats_of_code
@@ -305,7 +306,9 @@ def test_cond_entropy_bsc_matches_bayes_oracle():
 @example(code=REPEATED_ROW, eps=0.5)
 @example(code=REPEATED_ROW, eps=0.2)
 def test_syndrome_cond_entropy_matches_dense_and_bayes(code, eps):
-    h = ea.cond_entropy_bsc_linear(code, eps)
+    # a code with a generator takes the syndrome path
+    (report,) = ea.entropy_report(code, [eps], [None])
+    h = report.h_x_given_bsc
     assert h == pytest.approx(ea.cond_entropy_bsc(code, eps), abs=1e-12)
     # the Bayes oracle makes 2^n |C| steps in Python
     if code.size << code.n <= 1 << 15:
@@ -314,11 +317,12 @@ def test_syndrome_cond_entropy_matches_dense_and_bayes(code, eps):
 
 def test_syndrome_distribution_shape_and_mass():
     for code, k in ((REPEATED_ROW, 2), (bs.full_space_code(4), 4), (bs.hamming74_code(), 4)):
-        p = ea.syndrome_distribution(code, 0.2)
+        (p,) = ea.syndrome_distributions(code, [0.2])
         assert len(p) == 1 << (code.n - k)
         assert p.min() >= 0 and p.sum() == pytest.approx(1.0, abs=1e-15)
     # eps = 0: the syndrome of no noise is 0
-    assert ea.syndrome_distribution(bs.hamming74_code(), 0.0).tolist() == [1.0] + [0.0] * 7
+    (p,) = ea.syndrome_distributions(bs.hamming74_code(), [0.0])
+    assert p.tolist() == [1.0] + [0.0] * 7
 
 
 # a zero parity-check column: coordinate 0 is itself a codeword
@@ -335,7 +339,8 @@ def test_syndrome_distribution_rounds_as_the_oracle(code, eps):
     delta = np.zeros(1 << r)
     delta[0] = 1.0
     expected = xor_shift_oracle(delta, bs.syndrome_columns(code.generator, code.n), eps)
-    assert np.array_equal(ea.syndrome_distribution(code, eps), expected)
+    (p,) = ea.syndrome_distributions(code, [eps])
+    assert np.array_equal(p, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,7 +356,7 @@ def test_syndrome_laws_of_a_grid_are_the_one_eps_laws(code, grid, rows):
     laws = ea.syndrome_distributions(code, grid)
     assert len(laws) == len(grid)
     for p, eps in zip(laws, grid):
-        assert p.tobytes() == ea.syndrome_distribution(code, eps).tobytes()
+        assert p.tobytes() == ea.syndrome_distributions(code, [eps])[0].tobytes()
         assert np.array_equal(p, xor_shift_oracle(delta, cols, eps))
     reports = ea.entropy_report(code, grid, [None])
     with pytest.MonkeyPatch.context() as patch:
@@ -360,7 +365,10 @@ def test_syndrome_laws_of_a_grid_are_the_one_eps_laws(code, grid, rows):
         assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
         assert ea.entropy_report(code, grid, [None]) == reports
     for report, eps in zip(reports, grid):
-        assert report.h_x_given_bsc == ea.cond_entropy_bsc_linear(code, eps)
+        # H(X|Y_BSC) = n h(eps) - H(s(Z)), from the oracle's syndrome law
+        law = xor_shift_oracle(delta, cols, eps)
+        assert report.h_x_given_bsc == code.n * binary_entropy(eps) - renyi_entropy(law, 1)
+        assert report == ea.entropy_report(code, [eps], [None])[0]
 
 
 def test_oracle_examples_have_a_zero_parity_check_column():
@@ -370,9 +378,9 @@ def test_oracle_examples_have_a_zero_parity_check_column():
 
 def test_syndrome_distribution_rejects_bad_input():
     with pytest.raises(ValueError):
-        ea.syndrome_distribution(bs.single_code(3), 0.1)  # no generator
+        ea.syndrome_distributions(bs.single_code(3), [0.1])  # no generator
     with pytest.raises(ValueError):
-        ea.syndrome_distribution(bs.hamming74_code(), 1.5)
+        ea.syndrome_distributions(bs.hamming74_code(), [1.5])
     with pytest.raises(ValueError):  # every eps of a grid is checked
         ea.syndrome_distributions(bs.hamming74_code(), [0.1, -0.5])
 
@@ -504,7 +512,9 @@ def test_entropy_report_takes_the_syndrome_path_for_linear_codes():
     eps = 0.15
     linear = bs.hamming74_code()
     (rep,) = ea.entropy_report(linear, [eps], [None])
-    assert rep.h_x_given_bsc == ea.cond_entropy_bsc_linear(linear, eps)
+    (law,) = ea.syndrome_distributions(linear, [eps])
+    assert rep.h_x_given_bsc == linear.n * binary_entropy(eps) - renyi_entropy(law, 1)
+    assert rep.h_x_given_bsc == pytest.approx(ea.cond_entropy_bsc(linear, eps), abs=1e-12)
     nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
     (rep,) = ea.entropy_report(nonlinear, [eps], [None])
     assert rep.h_x_given_bsc == ea.cond_entropy_bsc(nonlinear, eps)

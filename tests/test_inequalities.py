@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -11,10 +12,14 @@ from chanent import boolfn, channels, inequalities as iq
 
 from conftest import (
     conditional_expectation,
+    dp_sam_entropy,
+    dp_sam_norm,
     eps_grids,
     linear_codes,
     nonlinear_codes,
+    partial_entropy_bound_check,
     small_corpus,
+    subset_stats,
     xor_shift_oracle,
 )
 
@@ -25,21 +30,26 @@ def _code_inputs(code, eps, qs=()):
     return stats, iq.noisy_law(stats, eps)
 
 
+# The SAM inequalities hold for every nonnegative f; the library checks
+# them only for f = f_C, so a general f reads its rows from the conftest DP.
+
+
 def test_sam_norm_constant_function():
     ones = np.ones(16)
-    rep = iq.check_sam_norm(iq.subset_stats(ones, (2,)), iq.noisy_function(ones, 0.2), 2)
-    assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-    assert rep.rhs == pytest.approx(0.0, abs=1e-12)
+    lhs, rhs = dp_sam_norm(subset_stats(ones, (2,)), iq.noisy_function(ones, 0.2), 2)
+    assert lhs == pytest.approx(0.0, abs=1e-12)
+    assert rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sam_norm_full_space():
     f = boolfn.from_code(bs.full_space_code(4))
-    rep = iq.check_sam_norm(iq.subset_stats(f, (3,)), iq.noisy_function(f, 0.3), 3)
-    assert abs(rep.slack) <= 1e-9
+    lhs, rhs = dp_sam_norm(subset_stats(f, (3,)), iq.noisy_function(f, 0.3), 3)
+    assert abs(rhs - lhs) <= 1e-9
 
 
 def test_sam_norm_rejects_bad_q():
-    stats = iq.subset_stats(np.ones(8), (2,))
+    # f_C of the full space is the constant 1 on F_2^3
+    stats = iq.subset_stats_of_code(bs.full_space_code(3), (2,))
     noisy = iq.noisy_function(np.ones(8), 0.2)
     with pytest.raises(ValueError):
         iq.check_sam_norm(stats, noisy, 1)
@@ -49,7 +59,7 @@ def test_sam_norm_rejects_bad_q():
         iq.check_sam_norm(stats, noisy, 3)  # valid, but not in the stats
     for q in (1, 2.5):
         with pytest.raises(ValueError):
-            iq.subset_stats(np.ones(8), (q,))
+            subset_stats(np.ones(8), (q,))
 
 
 def test_sam_norm_random_battery():
@@ -59,20 +69,20 @@ def test_sam_norm_random_battery():
         f = rng.random(1 << n) * 2
         eps = float(rng.uniform(0.05, 0.45))
         q = int(rng.choice([2, 3, 4]))
-        rep = iq.check_sam_norm(iq.subset_stats(f, (q,)), iq.noisy_function(f, eps), q)
-        assert rep.slack >= -1e-9, (n, eps, q)
+        lhs, rhs = dp_sam_norm(subset_stats(f, (q,)), iq.noisy_function(f, eps), q)
+        assert rhs - lhs >= -1e-9, (n, eps, q)
 
 
 def test_sam_entropy_constant_and_half():
     ones = np.ones(16)
-    rep = iq.check_sam_entropy(iq.subset_stats(ones, ()), iq.noisy_function(ones, 0.2))
-    assert abs(rep.slack) <= 1e-12
+    lhs, rhs = dp_sam_entropy(subset_stats(ones, ()), iq.noisy_function(ones, 0.2))
+    assert abs(rhs - lhs) <= 1e-12
     rng = np.random.default_rng(21)
     g = rng.random(16) + 0.1
-    rep = iq.check_sam_entropy(iq.subset_stats(g, ()), iq.noisy_function(g, 0.5))
+    lhs, rhs = dp_sam_entropy(subset_stats(g, ()), iq.noisy_function(g, 0.5))
     # lambda = 0: both sides equal Ent of the empty-subset conditional = 0
-    assert rep.lhs == pytest.approx(0.0, abs=1e-10)
-    assert rep.rhs == pytest.approx(0.0, abs=1e-10)
+    assert lhs == pytest.approx(0.0, abs=1e-10)
+    assert rhs == pytest.approx(0.0, abs=1e-10)
 
 
 def test_sam_entropy_random_battery():
@@ -81,8 +91,8 @@ def test_sam_entropy_random_battery():
         n = int(rng.integers(2, 7))
         f = rng.random(1 << n) * 2
         eps = float(rng.uniform(0.05, 0.45))
-        rep = iq.check_sam_entropy(iq.subset_stats(f, ()), iq.noisy_function(f, eps))
-        assert rep.slack >= -1e-9
+        lhs, rhs = dp_sam_entropy(subset_stats(f, ()), iq.noisy_function(f, eps))
+        assert rhs - lhs >= -1e-9
 
 
 def test_cor_rv_full_space_equality():
@@ -187,26 +197,26 @@ def test_h_at_least_eta_under_hypothesis():
 
 def test_partial_entropy_uniform():
     k = 8
-    rep = iq.partial_entropy_bound_check(np.full(k, 1 / k))
+    rep = partial_entropy_bound_check(np.full(k, 1 / k))
     assert rep.slack == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partial_entropy_point_mass():
-    rep = iq.partial_entropy_bound_check(np.array([1.0]))
+    rep = partial_entropy_bound_check(np.array([1.0]))
     assert rep.lhs == pytest.approx(0.0)
     assert rep.slack == pytest.approx(1.0)
 
 
 def test_partial_entropy_rejects_overweight():
     with pytest.raises(ValueError):
-        iq.partial_entropy_bound_check(np.array([0.7, 0.7]))
+        partial_entropy_bound_check(np.array([0.7, 0.7]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_partial_entropy_rejects_non_finite_entries(bad):
     # NaN passes both the sign check and the mass check
     with pytest.raises(ValueError, match="finite"):
-        iq.partial_entropy_bound_check([bad, 0.5])
+        partial_entropy_bound_check([bad, 0.5])
 
 
 @settings(max_examples=300)
@@ -216,7 +226,7 @@ def test_partial_entropy_random_subdistributions(raw):
     total = p.sum()
     if total > 1:
         p = p / total
-    assert iq.partial_entropy_bound_check(p).slack >= -1e-9
+    assert partial_entropy_bound_check(p).slack >= -1e-9
 
 
 def test_partial_entropy_random_battery():
@@ -225,7 +235,7 @@ def test_partial_entropy_random_battery():
         k = int(rng.integers(1, 30))
         p = rng.random(k)
         p *= rng.random() / p.sum()
-        assert iq.partial_entropy_bound_check(p).slack >= -1e-9
+        assert partial_entropy_bound_check(p).slack >= -1e-9
 
 
 def test_slack_report_serialization():
@@ -239,12 +249,12 @@ def test_slack_report_serialization():
 
 def test_rejects_identically_zero_function():
     with pytest.raises(ValueError, match="identically zero"):
-        iq.subset_stats(np.zeros(8), ())
+        subset_stats(np.zeros(8), ())
 
 
 def test_subset_stats_rejects_bad_length():
     with pytest.raises(ValueError, match="not a power of two"):
-        iq.subset_stats(np.ones(6), (2,))
+        subset_stats(np.ones(6), (2,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,7 +270,7 @@ def test_subset_stats_rejects_bad_length():
 def test_subset_stats_matches_definition(values):
     # every mask against Ent and the q-norm of conditional_expectation
     f = np.array(values)
-    stats = iq.subset_stats(f, (2, 3, 4))
+    stats = subset_stats(f, (2, 3, 4))
     for mask in range(len(f)):
         cond = conditional_expectation(f, mask)
         assert stats.ent[mask] == pytest.approx(boolfn.ent(cond), abs=1e-12)
@@ -271,14 +281,14 @@ def test_subset_stats_matches_definition(values):
 
 def test_subset_stats_independent_of_other_qs():
     f = np.random.default_rng(24).random(64)
-    both = iq.subset_stats(f, (2, 3)).log_norm[3]
-    alone = iq.subset_stats(f, (3,)).log_norm[3]
+    both = subset_stats(f, (2, 3)).log_norm[3]
+    alone = subset_stats(f, (3,)).log_norm[3]
     assert both.tobytes() == alone.tobytes()
 
 
 def test_subset_stats_keeps_a_read_only_copy():
     f = np.ones(8)
-    stats = iq.subset_stats(f, ())
+    stats = subset_stats(f, ())
     f[0] = 5.0
     assert np.all(stats.f == 1.0)
     with pytest.raises(ValueError):
@@ -290,7 +300,7 @@ def test_subset_stats_keeps_a_read_only_copy():
 def test_subset_stats_of_code_matches_the_dp(code):
     # the closed form against the DP on f_C, every mask and order
     closed = iq.subset_stats_of_code(code, (2, 3, 4))
-    dp = iq.subset_stats(boolfn.from_code(code), (2, 3, 4))
+    dp = subset_stats(boolfn.from_code(code), (2, 3, 4))
     assert closed.n == dp.n == code.n
     # only a nonlinear code's noisy law reads f, so only it is built
     if code.generator is None:
@@ -332,11 +342,9 @@ def test_subset_stats_of_a_linear_code_hold_no_dense_function():
     assert stats.ent.nbytes == 8 * 2**20 <= peak < 1.5 * stats.ent.nbytes
 
 
-def test_subset_stats_of_code_enforces_the_subset_cap(monkeypatch):
-    def dp(f, qs):
-        raise AssertionError("the DP ran")
-
-    monkeypatch.setattr(iq, "subset_stats", dp)
+def test_subset_stats_of_code_enforces_the_subset_cap():
+    # the library holds no DP that could run instead
+    assert not hasattr(iq, "subset_stats")
     nonlinear = bs.Code(n=21, codewords=(0, 3, 1 << 20))
     for code in (bs.repetition_code(21), nonlinear):
         with pytest.raises(ValueError, match="capped at n <= 20"):
@@ -471,14 +479,10 @@ def test_checks_reject_noisy_function_of_another_dimension():
 def test_code_checks_need_statistics_of_a_code_with_the_order():
     code = bs.hamming74_code()
     stats, noisy = _code_inputs(code, 0.3, (2,))
-    dp = iq.subset_stats(boolfn.from_code(code), (2, 3))  # no code behind it
-    for check in (
-        lambda: iq.check_cor_rv(dp, noisy, 2),
-        lambda: iq.check_cor_rv_entropy(dp, noisy),
-        lambda: iq.check_bsc_bec(dp, noisy, 0.5),
-    ):
-        with pytest.raises(ValueError, match="statistics of a code"):
-            check()
+    # statistics always have a code behind them, and the SAM rows name it
+    assert inspect.signature(iq.SubsetStats).parameters["code"].default is inspect.Parameter.empty
+    assert iq.check_sam_entropy(stats, noisy).params["f"] == code.name == "hamming74"
+    assert iq.check_sam_norm(stats, noisy, 2).params["f"] == code.name
     with pytest.raises(ValueError, match="q=3"):
         iq.check_cor_rv(stats, noisy, 3)  # valid, but not in the stats
     # the code's statistics always hold q = 1 and their own orders

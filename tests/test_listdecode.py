@@ -21,7 +21,10 @@ from chanent.channels import noise_operator
 from conftest import (
     bit_loop_syndromes,
     coset_weight_histogram,
+    decode,
     exhaustive_decode_scan,
+    is_delta_likely,
+    likely_probability_mc,
     linear_codes,
     naive_simulate,
     nonlinear_codes,
@@ -50,7 +53,7 @@ def test_decode_repetition3():
     c = bs.repetition_code(3)
     cfg = ld.DecoderConfig(n=3, eps=0.1, list_cap=4)
     # radius ~ 2.58: 111 at distance 3 is excluded
-    listed, trunc = ld.decode(0b000, c, cfg)
+    listed, trunc = decode(0b000, c, cfg)
     assert listed == [0] and not trunc
 
 
@@ -58,7 +61,7 @@ def test_decode_zero_noise_returns_codeword_first():
     c = bs.hamming74_code()
     cfg = ld.DecoderConfig(n=7, eps=0.0, list_cap=16)
     for y in c.codewords[:5]:
-        listed, _ = ld.decode(y, c, cfg)
+        listed, _ = decode(y, c, cfg)
         assert listed and listed[0] == y
 
 
@@ -66,7 +69,7 @@ def test_decode_matches_exhaustive_scan():
     c = bs.hamming74_code()
     cfg = ld.DecoderConfig(n=7, eps=0.1, list_cap=16)
     for y in range(1 << 7):
-        listed, trunc = ld.decode(y, c, cfg)
+        listed, trunc = decode(y, c, cfg)
         expect = exhaustive_decode_scan(y, c, cfg.radius)
         assert not trunc
         assert sorted(listed) == sorted(expect)
@@ -79,7 +82,7 @@ def test_decode_truncation_keeps_closest():
     c = bs.parity_code(5)
     cfg = ld.DecoderConfig(n=5, eps=0.4, list_cap=3)
     y = 0b00001
-    listed, trunc = ld.decode(y, c, cfg)
+    listed, trunc = decode(y, c, cfg)
     assert trunc and len(listed) == 3
     full = sorted((bin(x ^ y).count("1"), x) for x in exhaustive_decode_scan(y, c, cfg.radius))
     assert listed == [x for _, x in full[:3]]
@@ -92,15 +95,15 @@ def test_likely_probability_rejects_a_decoder_of_another_length():
 
 def test_likely_probability_mc_rejects_a_decoder_of_another_length():
     with pytest.raises(ValueError, match="dimensions differ"):
-        ld.likely_probability_mc(bs.hamming74_code(), ld.DecoderConfig(n=5, eps=0.1), 100, 0)
+        likely_probability_mc(bs.hamming74_code(), ld.DecoderConfig(n=5, eps=0.1), 100, 0)
 
 
 def test_is_delta_likely_rejects_a_decoder_of_another_length():
     with pytest.raises(ValueError, match="dimensions differ"):
-        ld.is_delta_likely(0, bs.hamming74_code(), ld.DecoderConfig(n=5, eps=0.1))
+        is_delta_likely(0, bs.hamming74_code(), ld.DecoderConfig(n=5, eps=0.1))
 
 
-@pytest.mark.parametrize("fn", [ld.decode, ld.is_delta_likely])
+@pytest.mark.parametrize("fn", [decode, is_delta_likely])
 @pytest.mark.parametrize("y", [1 << 7, -1])
 def test_received_word_outside_the_space_is_rejected(fn, y):
     # 1 << 7 would decode as y = 0 with every distance one too large
@@ -113,8 +116,8 @@ def test_decode_eps_above_half_relabels():
     cfg_hi = ld.DecoderConfig(n=3, eps=0.9, list_cap=4)
     cfg_lo = ld.DecoderConfig(n=3, eps=0.1, list_cap=4)
     for y in range(8):
-        hi, _ = ld.decode(y, c, cfg_hi)
-        lo, _ = ld.decode(y ^ 0b111, c, cfg_lo)
+        hi, _ = decode(y, c, cfg_hi)
+        lo, _ = decode(y ^ 0b111, c, cfg_lo)
         assert hi == lo
 
 
@@ -172,7 +175,7 @@ def test_is_delta_likely_single_code():
     cfg = ld.DecoderConfig(n=6, eps=0.1, delta=0.6)
     assert ld.likely_threshold(c, cfg) >= 1
     for y in (0, 0b111111, 0b1010):
-        likely, count = ld.is_delta_likely(y, c, cfg)
+        likely, count = is_delta_likely(y, c, cfg)
         assert count in (0, 1)
         assert not likely
 
@@ -184,7 +187,7 @@ def test_is_delta_likely_matches_brute_force():
     for c, eps in itertools.product(codes, (0.1, 0.9)):
         cfg = ld.DecoderConfig(n=7, eps=eps, delta=0.01)
         for y in range(1 << 7):
-            _, count = ld.is_delta_likely(y, c, cfg)
+            _, count = is_delta_likely(y, c, cfg)
             recv = y if eps < 0.5 else y ^ 0b1111111
             assert count == len(exhaustive_decode_scan(recv, c, cfg.radius))
 
@@ -219,7 +222,7 @@ def test_likely_probability_exact_vs_mc():
     c = bs.repetition_code(5)
     cfg = ld.DecoderConfig(n=5, eps=0.1, delta=0.1)
     exact = ld.likely_probability(c, cfg)
-    est, stderr = ld.likely_probability_mc(c, cfg, trials=10**4, seed=3)
+    est, stderr = likely_probability_mc(c, cfg, trials=10**4, seed=3)
     assert abs(est - exact) <= 4 * stderr + 1e-9
 
 
@@ -694,7 +697,7 @@ def test_simulate_list_contains_all_in_radius_when_untouched():
     cfg = ld.DecoderConfig(n=8, eps=0.2, list_cap=16)
     for _ in range(200):
         y = int(rng.integers(0, 1 << 8))
-        listed, trunc = ld.decode(y, c, cfg)
+        listed, trunc = decode(y, c, cfg)
         if not trunc:
             assert sorted(listed) == sorted(exhaustive_decode_scan(y, c, cfg.radius))
 
