@@ -14,6 +14,9 @@ mean of an inner loop of at least 100 ms, the same number of runs in
 both trees (``inner_loops`` in FILE).  The cases:
 
 * ``subset_weights`` at n = 16 and n = 18, ten densities per repeat;
+* ``bitspace.make_code`` on random_linear:24,16,1 and random_linear:24,20,1,
+  up to the code's uint64 array of codewords (a tree that keeps the
+  codewords as ints pays its ``codeword_array()`` as well);
 * the subset Monte Carlo rows of ``entropy_report`` on random_linear:24,12
   at 2000 trials, two etas and orders 1 and 2 (through ``entropy_report``,
   whose signature is stable, so that any tree can be timed);
@@ -138,6 +141,14 @@ def cases(work_dir: Path) -> dict:
 
         return run
 
+    def build(spec):
+        def run():
+            code = bitspace.make_code(spec)
+            as_array = getattr(code, "codeword_array", None)
+            return code.codewords if as_array is None else as_array()
+
+        return run
+
     def mc():
         reports = entropy_analysis.entropy_report(
             mc_code, [None], MC_ETAS, MC_ORDERS, MC_TRIALS, inputs.mc_seed
@@ -199,6 +210,8 @@ def cases(work_dir: Path) -> dict:
     return {
         "subset_weights.n16": weights(16),
         "subset_weights.n18": weights(18),
+        "make_code.24_16": build("random_linear:24,16,1"),
+        "make_code.24_20": build("random_linear:24,20,1"),
         "entropy_report.mc.24_12": mc,
         "cli.verify": cli(workloads.build_ops("verify", inputs, work_dir)),
         "cli.entropy": cli(workloads.build_ops("entropy", inputs, work_dir)),

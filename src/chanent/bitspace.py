@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* A vector in F_2^n is a Python int in [0, 2^n); coordinate i is bit i
-  of the integer.
+* A vector in F_2^n is an int in [0, 2^n); coordinate i is bit i of the
+  integer.  A code holds its vectors as one uint64 array.
 * A subset S of {0, ..., n-1} is likewise an int mask; coordinate i is
   in S iff bit i of the mask is set.
 * Dense (exhaustive) operations are capped at n <= 24.
@@ -11,8 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import combinations
 import math
 
@@ -101,8 +100,8 @@ def syndrome_columns(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
     return cols
 
 
-def span(rows: list[int] | tuple[int, ...]) -> list[int]:
-    """All vectors in the row span, sorted.
+def span(rows: list[int] | tuple[int, ...]) -> np.ndarray:
+    """All vectors in the row span, sorted, as a uint64 array.
 
     The span doubles once per row of the reduced echelon form, in
     increasing order of pivot, and comes out sorted with no sort.  The
@@ -111,45 +110,63 @@ def span(rows: list[int] | tuple[int, ...]) -> list[int]:
     which holds the new row's pivot, exceeds every old word, and the
     new row, zero at the old pivots, keeps the old words' order.
     """
-    words = [0]
-    for _, row in sorted(_reduced_echelon(rows).items()):
-        words += [w ^ row for w in words]
+    basis = sorted(_reduced_echelon(rows).items())
+    words = np.zeros(1 << len(basis), dtype=np.uint64)
+    for i, (_, row) in enumerate(basis):
+        np.bitwise_xor(words[: 1 << i], np.uint64(row), out=words[1 << i : 2 << i])
     return words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Code:
-    """A finite set of codewords in F_2^n.
+    """A finite set of codewords in F_2^n, held once as a read-only uint64 array.
 
-    ``codewords`` is a sorted, duplicate-free tuple of int-encoded
-    vectors.  ``generator`` (optional) stores generator-matrix rows as
-    bitmasks; when present, the codewords are exactly its row span, and
-    ``codewords=None`` lets the code take that span without checking it
-    against a second copy.
+    ``codewords`` are given sorted and duplicate-free.  ``generator``
+    (optional) stores generator-matrix rows as bitmasks; the codewords
+    are then exactly its row span, which a code given no codewords
+    takes without a check.  Equality and the hash read n and the
+    generator and, without a generator, the codewords; never the name.
     """
 
     n: int
-    codewords: tuple[int, ...] | None
+    codewords: np.ndarray | None = None
     generator: tuple[int, ...] | None = None
-    name: str = field(default="", compare=False)
+    name: str = ""
 
     def __post_init__(self) -> None:
         _check_dim(self.n)
-        if self.generator is not None:
-            if any(not 0 <= g < (1 << self.n) for g in self.generator):
-                raise ValueError("generator row out of range for n")
-            if self.codewords is None:
-                # the span is sorted and duplicate-free by construction
-                object.__setattr__(self, "codewords", tuple(span(self.generator)))
-                return
-        if not self.codewords:
-            raise ValueError("code must contain at least one codeword")
-        if list(self.codewords) != sorted(set(self.codewords)):
-            raise ValueError("codewords must be sorted and duplicate-free")
-        if self.codewords[0] < 0 or self.codewords[-1] >= (1 << self.n):
-            raise ValueError("codeword out of range for n")
-        if self.generator is not None and tuple(span(self.generator)) != self.codewords:
-            raise ValueError("codewords do not match generator row span")
+        rows = self.generator
+        if rows is not None and any(not 0 <= g < (1 << self.n) for g in rows):
+            raise ValueError("generator row out of range for n")
+        if self.codewords is None and rows is not None:
+            words = span(rows)  # sorted and duplicate-free by construction
+        else:
+            words = np.array(() if self.codewords is None else self.codewords)
+            if len(words) == 0:
+                raise ValueError("code must contain at least one codeword")
+            if not np.all(words[1:] > words[:-1]):
+                raise ValueError("codewords must be sorted and duplicate-free")
+            # checked before the uint64 conversion, which cannot hold a negative word
+            if words[0] < 0 or words[-1] >= (1 << self.n):
+                raise ValueError("codeword out of range for n")
+            words = words.astype(np.uint64)
+            if rows is not None and not np.array_equal(span(rows), words):
+                raise ValueError("codewords do not match generator row span")
+        words.flags.writeable = False
+        object.__setattr__(self, "codewords", words)
+        # hashed once: a linear code by its generator, any other by its words
+        key = None if rows is not None else words.tobytes()
+        object.__setattr__(self, "_hash", hash((self.n, rows, key)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Code):
+            return NotImplemented
+        return (self.n, self.generator) == (other.n, other.generator) and (
+            self.generator is not None or np.array_equal(self.codewords, other.codewords)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -170,28 +187,14 @@ class Code:
         """Normalized rate log2|C| / n."""
         return self.log_size / self.n
 
-    def codeword_array(self) -> np.ndarray:
-        """The codewords as a read-only uint64 array, converted once per code."""
-        return self._codeword_array
-
-    @cached_property
-    def _codeword_array(self) -> np.ndarray:
-        words = np.array(self.codewords, dtype=np.uint64)
-        words.flags.writeable = False
-        return words
-
     def __repr__(self) -> str:
         label = self.name or f"{self.size} codewords"
         return f"Code(n={self.n}, {label})"
 
 
-def _linear_code(rows: list[int], n: int, name: str) -> Code:
-    return Code(n=n, codewords=None, generator=tuple(rows), name=name)
-
-
 def repetition_code(n: int) -> Code:
     _check_dim(n)
-    return _linear_code([(1 << n) - 1], n, f"repetition({n})")
+    return Code(n=n, generator=((1 << n) - 1,), name=f"repetition({n})")
 
 
 def parity_code(n: int) -> Code:
@@ -200,7 +203,7 @@ def parity_code(n: int) -> Code:
         raise ValueError("parity code needs n >= 2")
     _check_dim(n)
     rows = [(1 << i) | (1 << (n - 1)) for i in range(n - 1)]
-    return _linear_code(rows, n, f"parity({n})")
+    return Code(n=n, generator=tuple(rows), name=f"parity({n})")
 
 
 def hamming74_code() -> Code:
@@ -212,7 +215,7 @@ def hamming74_code() -> Code:
         "0001111",
     ]
     rows = [int(r[::-1], 2) for r in rows_bits]
-    return _linear_code(rows, 7, "hamming74")
+    return Code(n=7, generator=tuple(rows), name="hamming74")
 
 
 def reed_muller_code(r: int, m: int) -> Code:
@@ -232,7 +235,7 @@ def reed_muller_code(r: int, m: int) -> Code:
                     val &= (x >> i) & 1
                 row |= val << x
             rows.append(row)
-    return _linear_code(rows, n, f"reed_muller({r},{m})")
+    return Code(n=n, generator=tuple(rows), name=f"reed_muller({r},{m})")
 
 
 def random_linear_code(n: int, k: int, seed: int) -> Code:
@@ -248,18 +251,18 @@ def random_linear_code(n: int, k: int, seed: int) -> Code:
     while True:
         rows = [int(rng.integers(0, 1 << n)) for _ in range(k)]
         if rank_gf2(rows) == k:
-            return _linear_code(rows, n, f"random_linear({n},{k},{seed})")
+            return Code(n=n, generator=tuple(rows), name=f"random_linear({n},{k},{seed})")
 
 
 def full_space_code(n: int) -> Code:
     _check_dim(n)
     rows = [1 << i for i in range(n)]
-    return _linear_code(rows, n, f"full_space({n})")
+    return Code(n=n, generator=tuple(rows), name=f"full_space({n})")
 
 
 def single_code(n: int) -> Code:
     _check_dim(n)
-    return Code(n=n, codewords=(0,), name=f"single({n})")
+    return Code(n=n, codewords=[0], name=f"single({n})")
 
 
 def _parse_bit_lines(text: str, kind: str, unit: str) -> tuple[int, list[int]]:
@@ -283,15 +286,13 @@ def parse_generator_file(text: str, name: str = "file") -> Code:
     Bit order: the first character of a line is coordinate 0.
     """
     n, rows = _parse_bit_lines(text, "generator", "row")
-    return _linear_code(rows, n, name)
+    return Code(n=n, generator=tuple(rows), name=name)
 
 
 def parse_codeword_file(text: str, name: str = "file") -> Code:
     """Parse an explicit codeword list, one codeword per line."""
     n, words = _parse_bit_lines(text, "codeword", "line")
-    if len(set(words)) != len(words):
-        raise ValueError("duplicate codeword")
-    return Code(n=n, codewords=tuple(sorted(words)), name=name)
+    return Code(n=n, codewords=sorted(words), name=name)
 
 
 def make_code(spec: str) -> Code:

@@ -42,7 +42,7 @@ def validate(f: np.ndarray) -> np.ndarray:
 def from_code(code: Code) -> np.ndarray:
     """Distribution function of X uniform over the code."""
     f = np.zeros(1 << code.n)
-    f[list(code.codewords)] = (1 << code.n) / code.size
+    f[code.codewords] = (1 << code.n) / code.size
     return f
 
 

@@ -95,8 +95,7 @@ def marginal_entropy(code: Code, mask: int, q: float) -> float:
     """
     if mask == 0:
         return 0.0
-    cws = code.codeword_array()
-    _, counts = np.unique(cws & np.uint64(mask), return_counts=True)
+    _, counts = np.unique(code.codewords & np.uint64(mask), return_counts=True)
     return renyi_entropy_from_counts(counts, q)
 
 
@@ -121,7 +120,7 @@ def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> 
     _require_orders(qs)
     size = code.size
     dtype = np.uint16 if code.n <= 16 else np.uint32
-    cws = code.codeword_array().astype(dtype)
+    cws = code.codewords.astype(dtype)
     masks = np.asarray(masks, dtype=np.uint64).astype(dtype)
     out = np.empty((len(qs), len(masks)))
     finite = [q for q in qs if not math.isinf(q)]
@@ -187,7 +186,7 @@ def subset_renyi_values(code: Code, qs: tuple[float, ...]) -> np.ndarray:
         # log2|C| - log2 #{c : c & S = 0}; that count is the sum over the
         # supersets of S of the indicator of the complemented codewords.
         out = np.zeros(1 << n)
-        out[code.codeword_array() ^ np.uint64((1 << n) - 1)] = 1
+        out[code.codewords ^ np.uint64((1 << n) - 1)] = 1
         for lo, hi in _axis_pairs(out):
             # a narrow axis adds column by column, each one long strided
             # loop; the counts are integers, so any order is exact

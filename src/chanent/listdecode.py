@@ -128,7 +128,7 @@ def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:
         raise ValueError(f"exact enumeration capped at n <= {EXACT_CAP}")
     within = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)) < cfg.radius
     indicator = np.zeros(1 << n, dtype=np.int64)
-    indicator[code.codeword_array()] = 1
+    indicator[code.codewords] = 1
     spectrum = _walsh_hadamard(within.astype(np.int64)) * _walsh_hadamard(indicator)
     counts = _walsh_hadamard(spectrum) >> n
     if cfg.eps > 0.5:
@@ -462,7 +462,7 @@ def simulate_grid(
     cfgs = [DecoderConfig(n=code.n, eps=eps) for eps in eps_grid]
     rng = np.random.default_rng(seed)
     # n <= 24, so words fit in uint32 and distances in uint8
-    cws = code.codeword_array().astype(np.uint32)
+    cws = code.codewords.astype(np.uint32)
     x = cws[rng.integers(0, code.size, size=trials)]
     zs = bernoulli_words(trials, code.n, [cfg.effective_eps for cfg in cfgs], rng)
     found = _coset_weights(code) if _table_pays(code, trials) else None

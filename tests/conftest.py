@@ -13,7 +13,7 @@ from chanent import bitspace as bs
 from chanent.bitspace import Code
 from chanent.boolfn import dim_of, h_q, validate
 from chanent.entropy_analysis import subset_weights
-from chanent.inequalities import NoisyFunction, SlackReport
+from chanent.inequalities import NoisyFunction
 from chanent.listdecode import DecoderConfig, DecodeTrialStats, likely_threshold, simulate
 
 RANDOM_LINEAR_PARAMS = [
@@ -45,7 +45,7 @@ def linear_codes(draw, max_n=12):
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n))
     if draw(st.booleans()):
         rows.append(rows[0])  # the rank is then below the row count
-    return bs.Code(n=n, codewords=tuple(bs.span(rows)), generator=tuple(rows))
+    return bs.Code(n=n, codewords=bs.span(rows), generator=tuple(rows))
 
 
 @st.composite
@@ -55,7 +55,7 @@ def nonlinear_codes(draw, max_n=10):
     words = draw(
         st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 300))
     )
-    return bs.Code(n=n, codewords=tuple(sorted(words)))
+    return bs.Code(n=n, codewords=sorted(words))
 
 
 def eps_grids(max_size=6):
@@ -69,6 +69,11 @@ def eps_grids(max_size=6):
 # ---------------------------------------------------------------------------
 # Independent oracles (deliberately naive; never share code paths with
 # the implementations they check).
+
+
+def codeword_ints(code: Code) -> list[int]:
+    """The codewords of the code as Python ints, in increasing order."""
+    return code.codewords.tolist()
 
 
 def multiply_sum_bernoulli_words(
@@ -209,7 +214,7 @@ def uint64_projection_entropies(code: Code, masks: np.ndarray, qs) -> np.ndarray
     arrays, sorts them, and evaluates log2 or the power of every run of
     equal words, order by order.
     """
-    cws = code.codeword_array()
+    cws = code.codewords
     size = code.size
     masks = np.asarray(masks, dtype=np.uint64)
     out = np.empty((len(qs), len(masks)))
@@ -244,7 +249,7 @@ def bayes_cond_entropy_bsc(code: Code, eps: float) -> float:
     total = 0.0
     for y in range(1 << n):
         joint = []
-        for x in code.codewords:
+        for x in codeword_ints(code):
             d = bin(x ^ y).count("1")
             joint.append((1 / code.size) * eps**d * (1 - eps) ** (n - d))
         py = sum(joint)
@@ -269,7 +274,7 @@ def erasure_cond_entropy_bec(code: Code, eta: float) -> float:
         if p_mask == 0:
             continue
         groups: dict[int, int] = {}
-        for x in code.codewords:
+        for x in codeword_ints(code):
             groups[x & mask] = groups.get(x & mask, 0) + 1
         h = 0.0
         for cnt in groups.values():
@@ -289,7 +294,7 @@ def exhaustive_subset_entropy_expectation(code: Code, lam: float, q: float) -> f
         if w == 0:
             continue
         counts: dict[int, int] = {}
-        for x in code.codewords:
+        for x in codeword_ints(code):
             pr = naive_project(x, mask, n)
             counts[pr] = counts.get(pr, 0) + 1
         probs = np.array(list(counts.values()), dtype=float) / code.size
@@ -349,7 +354,7 @@ def row_by_row_prefix_tables(cols: list[int], r: int):
 
 def exhaustive_decode_scan(y: int, code: Code, radius: float) -> list[int]:
     """All codewords strictly within radius of y, unsorted set semantics."""
-    return [x for x in code.codewords if bin(x ^ y).count("1") < radius]
+    return [x for x in codeword_ints(code) if bin(x ^ y).count("1") < radius]
 
 
 def single_eps_draws(code: Code, eps: float, trials: int, seed: int):
@@ -359,7 +364,7 @@ def single_eps_draws(code: Code, eps: float, trials: int, seed: int):
     at once, compared with the folded eps and packed by a multiply-and-sum.
     """
     rng = np.random.default_rng(seed)
-    x = code.codeword_array()[rng.integers(0, code.size, size=trials)]
+    x = code.codewords[rng.integers(0, code.size, size=trials)]
     z = multiply_sum_bernoulli_words(trials, code.n, min(eps, 1 - eps), rng)
     return x.astype(np.uint32), z.astype(np.uint32)
 
@@ -376,10 +381,11 @@ def naive_simulate(code: Code, cfg, trials: int, seed: int):
     eps = cfg.eps if cfg.eps < 0.5 else 1 - cfg.eps
     bits = rng.random((trials, code.n)) < eps
     ones = (1 << code.n) - 1
+    cws = codeword_ints(code)
     successes = truncations = heavy = 0
     sizes = []
     for t in range(trials):
-        x = code.codewords[int(x_idx[t])]
+        x = cws[int(x_idx[t])]
         z = sum(1 << i for i in range(code.n) if bits[t, i])
         # the channel flips with probability cfg.eps: z, or its complement
         y = x ^ (z if cfg.eps < 0.5 else z ^ ones)
@@ -415,7 +421,7 @@ def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
     lexicographically; the second element flags truncation.
     """
     recv = _received(y, code, cfg)
-    cws = code.codeword_array()
+    cws = code.codewords
     dists = np.bitwise_count(cws ^ np.uint64(recv))
     inside = dists < cfg.radius
     hits = sorted((int(d), int(c)) for d, c in zip(dists[inside], cws[inside]))
@@ -426,7 +432,7 @@ def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
 def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
     """Whether y has more within-radius explanations than the threshold, and their count."""
     recv = _received(y, code, cfg)
-    dists = np.bitwise_count(code.codeword_array() ^ np.uint64(recv))
+    dists = np.bitwise_count(code.codewords ^ np.uint64(recv))
     count = int(np.count_nonzero(dists < cfg.radius))
     return count > likely_threshold(code, cfg), count
 
@@ -444,24 +450,6 @@ def likely_probability_mc(
     counts = simulate(code, cfg.eps, trials, seed).counts
     p = int(np.count_nonzero(counts > likely_threshold(code, cfg))) / trials
     return p, math.sqrt(max(p * (1 - p), 0.0) / trials)
-
-
-def partial_entropy_bound_check(p) -> SlackReport:
-    """sum p_i log2(1/p_i) <= (sum p_i) log2 k + 1 for sub-distributions."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("p must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("p must be finite")
-    if np.any(p < 0):
-        raise ValueError("p must be nonnegative")
-    total = float(p.sum())
-    if total > 1 + 1e-12:
-        raise ValueError(f"sub-distribution sums to {total} > 1")
-    pos = p[p > 0]
-    lhs = float(-np.sum(pos * np.log2(pos)))
-    rhs = total * math.log2(len(p)) + 1
-    return SlackReport("partial_entropy", {"k": len(p), "mass": total}, lhs, rhs)
 
 
 @dataclass(frozen=True)

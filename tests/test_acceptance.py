@@ -19,6 +19,7 @@ from chanent.cli import main as cli_main
 
 from conftest import (
     bayes_cond_entropy_bsc,
+    codeword_ints,
     conditional_expectation,
     dp_sam_entropy,
     dp_sam_norm,
@@ -106,7 +107,7 @@ def test_criterion_3_operator_identities(corpus):
         probs = np.zeros(1 << n)
         weights = [eps**w * (1 - eps) ** (n - w)
                    for w in range(n + 1)]
-        for x in code.codewords:
+        for x in codeword_ints(code):
             for z in range(1 << n):
                 probs[x ^ z] += weights[bin(z).count("1")] / code.size
         f_noisy = channels.noise_operator(boolfn.from_code(code), eps)
@@ -117,7 +118,7 @@ def test_criterion_3_operator_identities(corpus):
             cond = conditional_expectation(f, mask)
             k = bin(mask).count("1")
             marg = np.zeros(1 << k)
-            for x in code.codewords:
+            for x in codeword_ints(code):
                 marg[naive_project(x, mask, n)] += 1 / code.size
             ok &= np.max(np.abs(cond - marg * (1 << k))) < 1e-10
     # semigroup composition

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chanent import bitspace as bs
 from chanent import boolfn, channels
 
-from conftest import array_per_step_renyi, gathered_ent, small_corpus
+from conftest import array_per_step_renyi, codeword_ints, gathered_ent, small_corpus
 
 
 def test_from_code_point_mass():
@@ -89,7 +89,7 @@ def test_norm_entropy_identity_on_corpus():
     for code in small_corpus():
         f = boolfn.from_code(code)
         p = np.full(1 << code.n, 0.0)
-        p[list(code.codewords)] = 1 / code.size
+        p[codeword_ints(code)] = 1 / code.size
         for q in (2, 3, 4):
             lhs = math.log2(boolfn.norm_q(f, q))
             rhs = (q - 1) / q * (code.n - boolfn.renyi_entropy(p, q))

@@ -11,6 +11,7 @@ from chanent import bitspace as bs
 from chanent import boolfn, channels
 
 from conftest import (
+    codeword_ints,
     conditional_expectation,
     eps_grids,
     multiply_sum_bernoulli_words,
@@ -167,7 +168,7 @@ def test_noisy_code_function_is_xz_distribution():
         n = code.n
         eps = 0.2
         probs = np.zeros(1 << n)
-        for x in code.codewords:
+        for x in codeword_ints(code):
             for z in range(1 << n):
                 w = bin(z).count("1")
                 probs[x ^ z] += (1 / code.size) * eps**w * (1 - eps) ** (n - w)
@@ -182,7 +183,7 @@ def test_noisy_distribution_matches_sampler_histogram():
     f_noisy = channels.noise_operator(boolfn.from_code(code), eps)
     model = f_noisy / (1 << n)
     rng = np.random.default_rng(6)
-    xs = np.array(code.codewords, dtype=np.uint64)[rng.integers(0, code.size, trials)]
+    xs = code.codewords[rng.integers(0, code.size, trials)]
     flips = rng.random((trials, n)) < eps
     powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
     zs = (flips.astype(np.uint64) * powers).sum(axis=1, dtype=np.uint64)
@@ -227,7 +228,7 @@ def test_conditional_expectation_of_code_function_is_marginal():
             out = conditional_expectation(f, mask)
             k = bin(mask).count("1")
             marg = np.zeros(1 << k)
-            for x in code.codewords:
+            for x in codeword_ints(code):
                 marg[naive_project(x, mask, code.n)] += 1 / code.size
             assert np.allclose(out, marg * (1 << k), atol=1e-12)
 

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,34 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+HIGH_RATE = "random_linear:24,20,1"  # 2^20 codewords
+
+
+@pytest.mark.parametrize(
+    "args, pinned",
+    [
+        (
+            ["entropy", "--code", HIGH_RATE, "--eps", "0.1", "--eta", "0.5",
+             "--trials", "2000", "--seed", "1", "--format", "json"],
+            "entropy_24_20.json",
+        ),
+        (
+            ["decode-sim", "--code", HIGH_RATE, "--eps", "0.1", "--trials", "2000", "--seed", "1"],
+            "decode_24_20.csv",
+        ),
+    ],
+    ids=["entropy", "decode-sim"],
+)
+def test_high_rate_code_outputs_are_pinned(args, pinned, tmp_path):
+    # a code of 2^20 words, built from its generator, through the CLI:
+    # the output must not change by a single byte
+    out = tmp_path / pinned
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / pinned).read_bytes()
 
 
 def test_entropy_command_matches_library(tmp_path):

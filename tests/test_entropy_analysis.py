@@ -29,7 +29,7 @@ from conftest import (
 )
 
 
-REPEATED_ROW = bs.Code(n=5, codewords=tuple(bs.span([3, 3, 12])), generator=(3, 3, 12))
+REPEATED_ROW = bs.Code(n=5, codewords=bs.span([3, 3, 12]), generator=(3, 3, 12))
 
 
 def test_marginal_entropy_empty_subset():
@@ -326,7 +326,7 @@ def test_syndrome_distribution_shape_and_mass():
 
 
 # a zero parity-check column: coordinate 0 is itself a codeword
-WEIGHT_ONE_ROW = bs.Code(n=4, codewords=tuple(bs.span([1, 6])), generator=(1, 6))
+WEIGHT_ONE_ROW = bs.Code(n=4, codewords=bs.span([1, 6]), generator=(1, 6))
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,6 @@ from conftest import (
     eps_grids,
     linear_codes,
     nonlinear_codes,
-    partial_entropy_bound_check,
     small_corpus,
     subset_stats,
     xor_shift_oracle,
@@ -193,49 +192,6 @@ def test_h_at_least_eta_under_hypothesis():
         for eta in np.linspace(0, 1, 21):
             if 4 * eps * (1 - eps) >= eta:
                 assert boolfn.binary_entropy(float(eps)) >= eta - 1e-12
-
-
-def test_partial_entropy_uniform():
-    k = 8
-    rep = partial_entropy_bound_check(np.full(k, 1 / k))
-    assert rep.slack == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_entropy_point_mass():
-    rep = partial_entropy_bound_check(np.array([1.0]))
-    assert rep.lhs == pytest.approx(0.0)
-    assert rep.slack == pytest.approx(1.0)
-
-
-def test_partial_entropy_rejects_overweight():
-    with pytest.raises(ValueError):
-        partial_entropy_bound_check(np.array([0.7, 0.7]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_partial_entropy_rejects_non_finite_entries(bad):
-    # NaN passes both the sign check and the mass check
-    with pytest.raises(ValueError, match="finite"):
-        partial_entropy_bound_check([bad, 0.5])
-
-
-@settings(max_examples=300)
-@given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=20))
-def test_partial_entropy_random_subdistributions(raw):
-    p = np.array(raw)
-    total = p.sum()
-    if total > 1:
-        p = p / total
-    assert partial_entropy_bound_check(p).slack >= -1e-9
-
-
-def test_partial_entropy_random_battery():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        k = int(rng.integers(1, 30))
-        p = rng.random(k)
-        p *= rng.random() / p.sum()
-        assert partial_entropy_bound_check(p).slack >= -1e-9
 
 
 def test_slack_report_serialization():

@@ -20,6 +20,7 @@ from chanent.channels import noise_operator
 
 from conftest import (
     bit_loop_syndromes,
+    codeword_ints,
     coset_weight_histogram,
     decode,
     exhaustive_decode_scan,
@@ -60,7 +61,7 @@ def test_decode_repetition3():
 def test_decode_zero_noise_returns_codeword_first():
     c = bs.hamming74_code()
     cfg = ld.DecoderConfig(n=7, eps=0.0, list_cap=16)
-    for y in c.codewords[:5]:
+    for y in codeword_ints(c)[:5]:
         listed, _ = decode(y, c, cfg)
         assert listed and listed[0] == y
 
@@ -235,7 +236,7 @@ def test_likely_probability_exact_by_enumeration():
     for y in range(1 << 5):
         p_y = sum(
             (1 / c.size) * eps ** bin(x ^ y).count("1") * (1 - eps) ** (5 - bin(x ^ y).count("1"))
-            for x in c.codewords
+            for x in codeword_ints(c)
         )
         if len(exhaustive_decode_scan(y, c, cfg.radius)) > threshold:
             total += p_y
@@ -262,7 +263,7 @@ def test_likely_probability_matches_per_codeword_count(spec, eps, delta):
     ys = np.arange(1 << n, dtype=np.uint64)
     recv = ys if eps < 0.5 else ys ^ np.uint64((1 << n) - 1)
     counts = np.zeros(1 << n, dtype=np.int64)
-    for x in c.codeword_array():
+    for x in c.codewords:
         counts += np.bitwise_count(recv ^ x) < cfg.radius
     # the dense path's counts, which the closed form replaces for linear codes
     assert np.array_equal(counts, ld._radius_counts(c, cfg))
@@ -330,7 +331,7 @@ def test_coset_weights_match_brute_force_histogram(code):
     table = np.diff(below, axis=0)
     assert np.array_equal(table, coset_weight_histogram(code))
     assert table.sum(axis=1).tolist() == [math.comb(n, w) for w in range(n + 1)]
-    enumerator = np.bincount([bin(c).count("1") for c in code.codewords], minlength=n + 1)
+    enumerator = np.bincount([bin(c).count("1") for c in codeword_ints(code)], minlength=n + 1)
     assert table[:, 0].tolist() == enumerator.tolist()
 
 
@@ -375,7 +376,7 @@ def test_coset_counts_match_pair_kernel_on_every_pair(spec):
     # 2^27, more than memory holds
     code = bs.make_code(spec)
     n = code.n
-    cws = code.codeword_array().astype(np.uint32)
+    cws = code.codewords.astype(np.uint32)
     x = np.repeat(cws, 1 << n)
     z = np.tile(np.arange(1 << n, dtype=np.uint32), code.size)
     wz = np.bitwise_count(z)
@@ -440,7 +441,7 @@ def test_grid_pass_matches_single_eps_passes(code, grid, trials, seed, table, bl
     ):
         passes = list(ld.simulate_grid(code, grid, trials, seed))
         singles = [ld.simulate(code, eps, trials, seed) for eps in grid]
-    cws = code.codeword_array().astype(np.uint32)
+    cws = code.codewords.astype(np.uint32)
     assert len(passes) == len(grid)
     for eps, got, single in zip(grid, passes, singles):
         x, z = single_eps_draws(code, eps, trials, seed)
@@ -597,14 +598,15 @@ def test_simulate_matches_exhaustive_error_probability():
     cap = cfg.cap_for(c)
     radius = cfg.radius
     exact = 0.0
-    for x in c.codewords:
+    words = codeword_ints(c)
+    for x in words:
         for z in range(1 << n):
             w = bin(z).count("1")
             pz = eps**w * (1 - eps) ** (n - w) / c.size
             y = x ^ z
             hits = sorted(
                 (bin(cw ^ y).count("1"), cw)
-                for cw in c.codewords
+                for cw in words
                 if bin(cw ^ y).count("1") < radius
             )
             if x not in [cw for _, cw in hits[:cap]]:
