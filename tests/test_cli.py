@@ -48,6 +48,32 @@ def test_high_rate_code_outputs_are_pinned(args, pinned, tmp_path):
     assert out.read_bytes() == (DATA / pinned).read_bytes()
 
 
+NONLINEAR14 = f"codewords-file:{DATA / 'nonlinear14.txt'}"  # n = 14, 200 words, no generator
+
+
+@pytest.mark.parametrize(
+    "args, pinned",
+    [
+        (
+            ["verify", "--code", NONLINEAR14, "--q", "2,3", "--eta", "0.3,0.5", "--format", "json"],
+            "verify_nonlinear14.json",
+        ),
+        (
+            ["entropy", "--code", NONLINEAR14, "--eps", "0.1,0.2", "--eta", "0.25,0.5",
+             "--q", "1,2", "--format", "json"],
+            "entropy_nonlinear14.json",
+        ),
+    ],
+    ids=["verify", "entropy"],
+)
+def test_nonlinear_code_outputs_are_pinned(args, pinned, tmp_path):
+    # a code given only by its codewords: the output, the summary argmin
+    # included, must not change by a single byte
+    out = tmp_path / pinned
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / pinned).read_bytes()
+
+
 def test_entropy_command_matches_library(tmp_path):
     out = tmp_path / "rows.json"
     code = main(
