@@ -3,8 +3,9 @@
 The noise operator convolves a function on F_2^n with the i.i.d.
 Bernoulli(eps) flip distribution; it maps the distribution function of
 X to that of X + Z.  It is one XOR-shift pass along the unit columns;
-the same pass along a linear code's parity-check columns gives the
-syndrome distribution of the noise.
+the same pass gives the law of X + Z for X uniform on a code over its
+cells: the cells are the cosets of the code's kernel, which is C when
+the code has a generator and {0} otherwise (``noise_laws``).
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ def _xor_shift_pass(
         np.copyto(scratch, np.flip(cube, axes))  # a ufunc on the flip would buffer 64 KiB
         # Keep this rounding: verify's summary argmin breaks ties between
         # slacks that are equal in exact arithmetic by their last bits, and
-        # verify reads this pass as the noise operator of a nonlinear code
-        # and as the syndrome law of a linear one.
+        # verify reads this pass as the law of X+Z of every code.
         scratch *= eps
         cube *= keep
         cube += scratch

@@ -1,11 +1,10 @@
 """Exact and Monte Carlo conditional entropies for codes over BSC/BEC.
 
 H(X|Y_BSC) is computed through the chain rule
-H(X) + n*h(eps) - H(X+Z).  For a linear [n, k] code X+Z is uniform on
-the coset of the syndrome of Z, so H(X+Z) = k + H(s(Z)) and only the
-syndrome distribution, of length 2^(n-k), is needed: the noise
-operator's XOR-shift pass along the parity-check columns.  For other
-codes X+Z comes from the noise operator on all of F_2^n.
+H(X) + n*h(eps) - H(X+Z), from the law p of X+Z over 2^m cells
+(``noise_laws``): the cells are the cosets of the code's kernel, which
+is C when the code has a generator and {0} otherwise.  X+Z is uniform
+within a cell of 2^(n-m) points, so H(X+Z) = (n-m) + H(p).
 H(X|Y_BEC) comes from the subset identity
 E_{S~lam} H(X_S) = H(X) - H(X|Y_BEC) with lam = 1 - eta.  The subset
 weight depends only on |S|, so ``subset_weights`` computes n+1 values.
@@ -252,37 +251,49 @@ def subset_entropy_expectation_mc(
 
 
 def cond_entropy_bsc(code: Code, eps: float) -> float:
-    """H(X|Y_BSC) = H(X) + n*h(eps) - H(X+Z), all in bits."""
-    return _cond_entropy_bsc_from(code, ent(noise_operator(from_code(code), eps)), eps)
+    """H(X|Y_BSC) = H(X) + n*h(eps) - H(X+Z), all in bits, from the dense noise operator."""
+    h_xz = code.n - ent(noise_operator(from_code(code), eps))
+    return code.log_size + code.n * binary_entropy(eps) - h_xz
 
 
-def syndrome_distributions(code: Code, eps_grid: Sequence[float]) -> list[np.ndarray]:
-    """Distribution of the syndrome of BSC(eps) noise Z at each eps, for a linear code.
+def law_cells(code: Code) -> int:
+    """Exponent m of the 2^m cells of ``noise_laws``: n - k with a generator, n otherwise."""
+    return code.n if code.generator is None else code.redundancy
 
-    Each has length 2^(n-k).  Coordinate i of Z flips with probability
-    eps and then moves the syndrome by its column h_i, so this is the
-    noise operator's XOR-shift pass along the columns h_i, started from
-    the point mass at syndrome 0: one pass for the whole grid, whose
-    rows are bit for bit the passes at each eps alone.  The laws are
-    the rows of one array, so a caller bounds its memory by the grid it
-    passes (``channels._eps_chunks``).
+
+def noise_laws(code: Code, eps_grid: Sequence[float]) -> list[np.ndarray]:
+    """The law of X+Z, X uniform on the code, over its 2^m cells (``law_cells``) at each eps.
+
+    The cells are the cosets of the code's kernel, which is C when the
+    code has a generator and {0} otherwise.  Coordinate i of Z moves the
+    cell of X+Z by its column h_i: one XOR-shift pass for the grid along
+    the syndrome columns from the point mass at 0, or along the unit
+    columns from 1/|C| on each codeword, each row bit for bit the pass
+    at its eps alone.  The laws are the read-only rows of one array, so
+    a caller bounds its memory by its grid (``channels._eps_chunks``).
     """
-    if code.generator is None:
-        raise ValueError("the syndrome distribution needs a linear code")
     for eps in eps_grid:
         if not 0 <= eps <= 1:
             raise ValueError("eps must be in [0, 1]")
-    r = code.redundancy
-    p = np.zeros((len(eps_grid), 1 << r))
-    p[:, 0] = 1.0
-    return list(_xor_shift_pass(p, r, syndrome_columns(code.generator, code.n), eps_grid))
+    m = law_cells(code)
+    p = np.zeros((len(eps_grid), 1 << m))
+    if code.generator is None:
+        p[:, code.codewords] = 1 / code.size
+        columns = [1 << i for i in range(m)]
+    else:
+        p[:, 0] = 1.0
+        columns = syndrome_columns(code.generator, code.n)
+    _xor_shift_pass(p, m, columns, eps_grid)
+    p.flags.writeable = False
+    return list(p)
 
 
-def _cond_entropy_bsc_from(code: Code, ent_noisy: float, eps: float) -> float:
-    """H(X|Y_BSC) given Ent[T_eps f_X]; T_eps f_X is the distribution function of X+Z."""
-    n = code.n
-    h_xz = n - ent_noisy
-    return code.log_size + n * binary_entropy(eps) - h_xz
+def cond_entropy_bsc_of_law(code: Code, eps: float, k_cells: int, h_law: float) -> float:
+    """H(X|Y_BSC) from H(p), p the law of X+Z over cells of 2^k_cells points each.
+
+    X+Z is uniform within a cell, so H(X+Z) = k_cells + H(p).  The bracket is 0 for a linear code.
+    """
+    return (code.log_size - k_cells) + code.n * binary_entropy(eps) - h_law
 
 
 def cond_entropy_bec(code: Code, eta: float) -> float:
@@ -336,9 +347,8 @@ def entropy_report(
 ) -> list[EntropyReport]:
     """The code's entropy records over a grid, one per (eps, eta, q) in that order.
 
-    H(X|Y_BSC) is computed once per eps, exactly for every n: for a code
-    with a generator from its syndrome laws, one pass per chunk of the
-    eps grid, and from the dense noise operator otherwise.
+    H(X|Y_BSC) is computed once per eps, exactly for every n, from the
+    laws of X+Z (``noise_laws``), one pass per chunk of the eps grid.
     E_{S~1-eta} H_q(X_S) is read for every q
     and for q = 1, which gives H(X|Y_BEC): from one subset table per code
     when n allows exact enumeration, otherwise from one Monte Carlo draw
@@ -355,19 +365,15 @@ def entropy_report(
         raise ValueError("monte_carlo mode requires trials and seed")
 
     epss = [eps for eps in dict.fromkeys(eps_grid) if eps is not None]
-    if code.generator is None:
-        h_bsc = {eps: cond_entropy_bsc(code, eps) for eps in epss}
-    else:  # every syndrome law from one pass per chunk of the grid
-        h_bsc = {}
-        for chunk in _eps_chunks(epss, code.redundancy):
-            laws = syndrome_distributions(code, chunk)
-            # Y = X + Z is uniform on the coset of the syndrome s(Z), so
-            # H(X|Y_BSC) = n h(eps) - H(s(Z))
-            h_bsc.update(
-                (eps, code.n * binary_entropy(eps) - renyi_entropy(law, 1))
-                for eps, law in zip(chunk, laws)
-            )
-            del laws  # freed before the next chunk's pass
+    m = law_cells(code)
+    h_bsc = {}
+    for chunk in _eps_chunks(epss, m):
+        laws = noise_laws(code, chunk)
+        h_bsc.update(
+            (eps, cond_entropy_bsc_of_law(code, eps, code.n - m, renyi_entropy(law, 1)))
+            for eps, law in zip(chunk, laws)
+        )
+        del laws  # freed before the next chunk's pass
     orders = tuple(dict.fromkeys([*qs, 1.0]))
     table = subset_rows(code, orders) if etas and not sampled else None
     # (eta, q) -> (E_{S~1-eta} H_q(X_S), stderr); q = 1 gives H(X|Y_BEC)

@@ -6,10 +6,9 @@ bits; the underlying theorems guarantee slack >= 0, so any slack below
 
 A check reads f = f_C, the distribution function of X uniform on a
 code C, through its subset statistics and T_eps f through its noisy law
-(``NoisyFunction``).  For a linear code the law is the syndrome law of
-the noise on 2^(n-k) cosets (``noisy_law``), so no check of a linear
-code touches a 2^n noisy array; a nonlinear code takes the dense noise
-operator (``noisy_function``).
+(``NoisyFunction``): the law of X+Z over cells that are the cosets of
+the code's kernel, which is C when the code has a generator and {0}
+otherwise (``noisy_law``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .bitspace import Code
 from .boolfn import (
     binary_entropy,
     dim_of,
-    from_code,
     h_q,
     renyi_entropy,
     renyi_entropy_from_counts,
@@ -32,12 +30,13 @@ from .boolfn import (
 )
 from .channels import _eps_chunks, noise_operator
 from .entropy_analysis import (
-    _cond_entropy_bsc_from,
+    cond_entropy_bsc_of_law,
+    law_cells,
+    noise_laws,
     popcounts,
     require_subset_cap,
     subset_rows,
     subset_weights,
-    syndrome_distributions,
 )
 
 TOLERANCE = 1e-9
@@ -86,10 +85,13 @@ class SlackReport:
 
 @dataclass(frozen=True)
 class SubsetStats:
-    """Ent[E(f_C|S)] and log2 ||E(f_C|S)||_q of a code's f_C, for every subset mask S."""
+    """Ent[E(f_C|S)] and log2 ||E(f_C|S)||_q of a code's f_C, for every subset mask S.
+
+    They hold no copy of f_C: the noisy law's cells are the cosets of the
+    code's kernel, which is C when the code has a generator and {0} otherwise.
+    """
 
     code: Code
-    f: np.ndarray | None  # read-only f_C of a nonlinear code; None for a linear code
     ent: np.ndarray
     log_norm: dict[int, np.ndarray]  # q -> values per mask
     renyi: dict[float, np.ndarray]  # q -> H_q(X_S) per mask, q = 1 included
@@ -127,22 +129,16 @@ def subset_stats_of_code(code: Code, qs) -> SubsetStats:
     E(f|S) is 2^|S| times the law of X_S, so Ent[E(f|S)] = |S| - H(X_S)
     and log2 ||E(f|S)||_q = (|S| - H_q(X_S)) (1 - 1/q), with H_q(X_S)
     read from the code's one subset table for the orders {1} and qs.
-    Only a nonlinear code's noisy law reads f, so only such a code
-    builds it: a linear code's stats hold no 2^n copy of f.
     """
     require_subset_cap(code.n)
     qs = tuple(dict.fromkeys(_require_q(q) for q in qs))
-    f = None
-    if code.generator is None:
-        f = from_code(code)
-        f.flags.writeable = False
     orders = (1.0, *qs)
     renyi = dict(zip(orders, subset_rows(code, orders)))
     sizes = popcounts(code.n)
     log_norm = {q: np.subtract(sizes, renyi[q]) for q in qs}
     for q, free in log_norm.items():
         free *= 1 - 1 / q  # in place: no 2^n temporary per order
-    return SubsetStats(code, f, sizes - renyi[1.0], log_norm, renyi)
+    return SubsetStats(code, sizes - renyi[1.0], log_norm, renyi)
 
 
 def _require_q(q) -> int:
@@ -163,9 +159,9 @@ class NoisyFunction:
     """The noisy law of f: T_eps f as 2^(n-k) cells of 2^k points each.
 
     ``p`` is the read-only probability of each cell, and T_eps f is
-    2^(n-k) p(cell) on every point of a cell.  For a linear [n, k] code
-    the cells are the cosets and p is the syndrome law of the noise:
-    T_eps f_C(y) = 2^(n-k) P(s(y)).  For any other f, k = 0 and
+    2^(n-k) p(cell) on every point of a cell.  For f_C (``noisy_laws``) p is
+    the law of X+Z: the cells are the cosets of the code's kernel, which is
+    C when the code has a generator and {0} otherwise.  For any other f, k = 0 and
     p = T_eps f / 2^n, which sums to the mean of f.  With m = sum p:
 
     * log2 ||T_eps f||_q = (n-k)(1 - 1/q) + log2(sum p^q) / q;
@@ -179,10 +175,15 @@ class NoisyFunction:
     p: np.ndarray  # read-only probability of each cell
 
     @cached_property
+    def cell_entropy(self) -> float:
+        """H(p / sum p), taken once: ``ent`` and every eta of ``check_bsc_bec`` read it."""
+        return renyi_entropy_from_counts(self.p, 1)
+
+    @cached_property
     def ent(self) -> float:
         """Ent[T_eps f], taken once and read by every check at this eps."""
         m = float(self.p.sum())
-        return m * (self.n - self.k - renyi_entropy_from_counts(self.p, 1))
+        return m * (self.n - self.k - self.cell_entropy)
 
     def log_norm(self, q: float) -> float:
         """log2 ||T_eps f||_q."""
@@ -205,30 +206,21 @@ def noisy_function(f: np.ndarray, eps: float) -> NoisyFunction:
 def law_chunks(stats: SubsetStats, eps_grid) -> list[list[float]]:
     """The eps grid in order, in chunks whose noisy laws hold at most 2^20 cells together.
 
-    A linear code's law has 2^(n-k) cells, any other 2^n.  A caller that
-    builds the laws of one chunk (``noisy_laws``) and drops them before
-    the next bounds the memory of a long grid, or of laws of 2^19 cells.
+    A code's law has 2^m cells (``law_cells``).  A caller that builds the
+    laws of one chunk (``noisy_laws``) and drops them before the next
+    bounds the memory of a long grid, or of laws of 2^19 cells.
     """
-    code = stats.code
-    return _eps_chunks(eps_grid, code.n if code.generator is None else code.redundancy)
+    return _eps_chunks(eps_grid, law_cells(stats.code))
 
 
 def noisy_laws(stats: SubsetStats, eps_grid) -> list[NoisyFunction]:
     """The noisy law of the code behind the statistics at each eps of the grid.
 
-    A linear code's laws are its syndrome laws over the 2^(n-k) cosets,
-    all from one XOR-shift pass, so no 2^n array is built; any other
-    code reuses ``stats.f`` on the dense path of ``noisy_function``, once
-    per eps.
+    The laws of X+Z from one XOR-shift pass (``noise_laws``), so no copy of f_C is built.
     """
-    code = stats.code
-    if code.generator is None:
-        return [noisy_function(stats.f, eps) for eps in eps_grid]
-    laws = []
-    for eps, p in zip(eps_grid, syndrome_distributions(code, eps_grid)):
-        p.flags.writeable = False
-        laws.append(NoisyFunction(eps, code.n, code.n - code.redundancy, p))
-    return laws
+    code, k = stats.code, stats.n - law_cells(stats.code)
+    laws = noise_laws(code, eps_grid)
+    return [NoisyFunction(eps, code.n, k, p) for eps, p in zip(eps_grid, laws)]
 
 
 def noisy_law(stats: SubsetStats, eps: float) -> NoisyFunction:
@@ -325,7 +317,7 @@ def check_bsc_bec(stats: SubsetStats, noisy: NoisyFunction, eta: float) -> Slack
         )
     n = code.n
     _require_dim(noisy, n)
-    lhs = _cond_entropy_bsc_from(code, noisy.ent, eps)
+    lhs = cond_entropy_bsc_of_law(code, eps, noisy.k, noisy.cell_entropy)
     # H(X) - E H(X_S); the expectation does not depend on eps
     h_bec = code.log_size - stats.expectation("renyi", 1 - eta, 1.0)
     rhs = (binary_entropy(eps) - eta) * n + h_bec

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import chanent
 from chanent import bitspace as bs
 from chanent import entropy_analysis as ea
-from chanent import channels, inequalities, listdecode
+from chanent import boolfn, channels, cli, inequalities, listdecode
 from chanent.boolfn import h_q
 from chanent.cli import main
 
@@ -217,7 +218,7 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
         path = tmp_path / "words.txt"
         path.write_text("".join(format(w, "021b")[::-1] + "\n" for w in (0, 3, 1 << 20)))
         spec = f"codewords-file:{path}"
-    forbidden = ("subset_stats_of_code", "noise_operator", "syndrome_distributions")
+    forbidden = ("subset_stats_of_code", "noise_operator", "noise_laws")
     for name in forbidden:
         _forbid(monkeypatch, inequalities, name)
     _forbid(monkeypatch, ea, "subset_renyi_values")
@@ -227,36 +228,39 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
     assert "capped at n <= 20" in capsys.readouterr().err
 
 
-def test_verify_takes_one_syndrome_pass_per_linear_code(monkeypatch, tmp_path, capsys):
-    # a linear code: one syndrome pass for its whole eps grid, no 2^n noise
-    # operator; a nonlinear code: one dense pass per eps on the f of its
-    # subset statistics, the only f built
-    noise_calls, syndrome_calls, f_calls = [], [], []
-    apply, syndromes, from_code = (
-        inequalities.noise_operator,
-        inequalities.syndrome_distributions,
-        inequalities.from_code,
-    )
+def _forbid_dense(monkeypatch):
+    """Make the dense noise operator, f_C and the dense H(X|Y_BSC) fail wherever chanent holds them."""
+    modules = [chanent, bs, boolfn, channels, ea, inequalities, listdecode, cli]
+    for name in ("noise_operator", "from_code", "cond_entropy_bsc"):
+        for module in modules:
+            if hasattr(module, name):
+                _forbid(monkeypatch, module, name)
 
-    def counted_noise(f, eps):
-        noise_calls.append((len(f), eps))
-        return apply(f, eps)
 
-    def counted_syndromes(code, eps_grid):
-        syndrome_calls.append((code.name, list(eps_grid)))
-        return syndromes(code, eps_grid)
+def _count_law_passes(monkeypatch, module) -> list:
+    """Record (code name, eps grid) of every ``noise_laws`` pass made through the module."""
+    passes = []
+    laws = module.noise_laws
 
-    def counted_from_code(code):
-        f_calls.append(code.n)
-        return from_code(code)
+    def counted(code, eps_grid):
+        passes.append((code.name, list(eps_grid)))
+        return laws(code, eps_grid)
 
-    for module in (inequalities, ea):
-        monkeypatch.setattr(module, "noise_operator", counted_noise)
-    monkeypatch.setattr(inequalities, "syndrome_distributions", counted_syndromes)
-    monkeypatch.setattr(inequalities, "from_code", counted_from_code)
+    monkeypatch.setattr(module, "noise_laws", counted)
+    return passes
+
+
+def test_verify_takes_one_law_pass_per_chunk_per_code(monkeypatch, tmp_path, capsys):
+    # every code, linear or not: one pass of the law of X+Z per chunk of
+    # its eps grid, and no dense noise operator, f_C or dense H(X|Y_BSC)
+    _forbid_dense(monkeypatch)
+    passes = _count_law_passes(monkeypatch, inequalities)
+    # two laws of 2^5 cells a chunk: the nonlinear n = 5 code's grid is cut
+    # in two, the linear codes' 2^2 and 2^3 cosets take it in one
+    monkeypatch.setattr(channels, "_LAW_CELLS", 2 << 5)
     words = tmp_path / "words.txt"
     words.write_text("00000\n11000\n00110\n10011\n01111\n")
-    code, _ = run(
+    code, out = run(
         [
             "verify",
             "--code", "repetition:3",
@@ -270,10 +274,13 @@ def test_verify_takes_one_syndrome_pass_per_linear_code(monkeypatch, tmp_path, c
         capsys,
     )
     assert code == 0
-    assert syndrome_calls == [(name, [0.1, 0.2, 0.3]) for name in ("repetition(3)", "hamming74")]
-    assert noise_calls == [(32, 0.1), (32, 0.2), (32, 0.3)]
-    # only the nonlinear code's noisy law reads its dense function
-    assert f_calls == [5]
+    assert passes == [
+        ("repetition(3)", [0.1, 0.2, 0.3]),
+        ("words.txt", [0.1, 0.2]),
+        ("words.txt", [0.3]),
+        ("hamming74", [0.1, 0.2, 0.3]),
+    ]
+    assert json.loads(out)[-1]["pass"] is True
 
 
 def test_verify_gathers_subset_weights_once_per_distinct_lambda(monkeypatch, capsys):
@@ -486,18 +493,15 @@ def test_entropy_rows_without_subsets_are_exact_for_large_n(capsys):
 
 
 def test_entropy_computes_once_per_code(monkeypatch, tmp_path, capsys):
-    noise_calls, report_calls = [], []
-    apply, report = ea.noise_operator, ea.entropy_report
-
-    def counted_noise(f, eps):
-        noise_calls.append(eps)
-        return apply(f, eps)
+    report_calls = []
+    report = ea.entropy_report
 
     def counted_report(code, *args, **kwargs):
         report_calls.append(code.n)
         return report(code, *args, **kwargs)
 
-    monkeypatch.setattr(ea, "noise_operator", counted_noise)
+    _forbid_dense(monkeypatch)
+    passes = _count_law_passes(monkeypatch, ea)
     monkeypatch.setattr(ea, "entropy_report", counted_report)
     words = tmp_path / "words.txt"
     words.write_text("00000\n11000\n00110\n10011\n01111\n")
@@ -515,8 +519,8 @@ def test_entropy_computes_once_per_code(monkeypatch, tmp_path, capsys):
     )
     assert code == 0
     assert len(json.loads(out)) == 16
-    # the dense pass is the nonlinear code's, once per eps
-    assert noise_calls == [0.1, 0.2]
+    # one pass of the law of X+Z per code for its whole eps grid
+    assert passes == [("words.txt", [0.1, 0.2]), ("hamming74", [0.1, 0.2])]
     assert report_calls == [5, 7]
 
 

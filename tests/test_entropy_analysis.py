@@ -297,16 +297,34 @@ def test_cond_entropy_bsc_matches_bayes_oracle():
             )
 
 
+# a nonlinear code whose kernel is {0}: its law has a cell per point
+NONLINEAR5 = bs.Code(n=5, codewords=(0, 3, 12, 19, 30))
+
+
+def _oracle_law(code, eps):
+    """The law of X+Z by the oracle's pass: syndrome columns from the point
+    mass at 0 for a code with a generator, unit columns from 1/|C| on each
+    codeword otherwise."""
+    if code.generator is None:
+        start = np.zeros(1 << code.n)
+        start[code.codewords] = 1 / code.size
+        return xor_shift_oracle(start, [1 << i for i in range(code.n)], eps)
+    start = np.zeros(1 << code.redundancy)
+    start[0] = 1.0
+    return xor_shift_oracle(start, bs.syndrome_columns(code.generator, code.n), eps)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    code=linear_codes(),
+    code=st.one_of(linear_codes(), nonlinear_codes()),
     eps=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
 )
 @example(code=bs.full_space_code(6), eps=0.3)
 @example(code=REPEATED_ROW, eps=0.5)
 @example(code=REPEATED_ROW, eps=0.2)
-def test_syndrome_cond_entropy_matches_dense_and_bayes(code, eps):
-    # a code with a generator takes the syndrome path
+@example(code=NONLINEAR5, eps=0.2)
+def test_noise_law_cond_entropy_matches_dense_and_bayes(code, eps):
+    # every code takes the law of X+Z over the cosets of its kernel
     (report,) = ea.entropy_report(code, [eps], [None])
     h = report.h_x_given_bsc
     assert h == pytest.approx(ea.cond_entropy_bsc(code, eps), abs=1e-12)
@@ -315,14 +333,23 @@ def test_syndrome_cond_entropy_matches_dense_and_bayes(code, eps):
         assert h == pytest.approx(bayes_cond_entropy_bsc(code, eps), abs=1e-12)
 
 
-def test_syndrome_distribution_shape_and_mass():
-    for code, k in ((REPEATED_ROW, 2), (bs.full_space_code(4), 4), (bs.hamming74_code(), 4)):
-        (p,) = ea.syndrome_distributions(code, [0.2])
-        assert len(p) == 1 << (code.n - k)
+@settings(max_examples=40, deadline=None)
+@given(linear=linear_codes(), nonlinear=nonlinear_codes(), eps=st.floats(0, 1))
+@example(linear=REPEATED_ROW, nonlinear=NONLINEAR5, eps=0.2)
+@example(linear=bs.full_space_code(4), nonlinear=bs.single_code(3), eps=0.2)
+def test_noise_law_shape_and_mass(linear, nonlinear, eps):
+    # 2^(n-k) cosets of C for a code with a generator, 2^n points otherwise
+    for code, m in ((linear, linear.redundancy), (nonlinear, nonlinear.n)):
+        assert ea.law_cells(code) == m
+        (p,) = ea.noise_laws(code, [eps])
+        assert len(p) == 1 << m
         assert p.min() >= 0 and p.sum() == pytest.approx(1.0, abs=1e-15)
-    # eps = 0: the syndrome of no noise is 0
-    (p,) = ea.syndrome_distributions(bs.hamming74_code(), [0.0])
+    # eps = 0: the law of X itself, the syndrome 0 or 1/|C| on each codeword
+    (p,) = ea.noise_laws(bs.hamming74_code(), [0.0])
     assert p.tolist() == [1.0] + [0.0] * 7
+    (p,) = ea.noise_laws(NONLINEAR5, [0.0])
+    assert np.flatnonzero(p).tolist() == NONLINEAR5.codewords.tolist()
+    assert set(p[NONLINEAR5.codewords].tolist()) == {1 / 5}
 
 
 # a zero parity-check column: coordinate 0 is itself a codeword
@@ -330,45 +357,43 @@ WEIGHT_ONE_ROW = bs.Code(n=4, codewords=bs.span([1, 6]), generator=(1, 6))
 
 
 @settings(max_examples=60, deadline=None)
-@given(code=linear_codes(), eps=st.floats(0, 1))
-@example(code=bs.full_space_code(3), eps=0.3)
-@example(code=WEIGHT_ONE_ROW, eps=0.1)
-@example(code=WEIGHT_ONE_ROW, eps=0.3)
-def test_syndrome_distribution_rounds_as_the_oracle(code, eps):
-    r = code.n - (code.size.bit_length() - 1)
-    delta = np.zeros(1 << r)
-    delta[0] = 1.0
-    expected = xor_shift_oracle(delta, bs.syndrome_columns(code.generator, code.n), eps)
-    (p,) = ea.syndrome_distributions(code, [eps])
-    assert np.array_equal(p, expected)
+@given(linear=linear_codes(), nonlinear=nonlinear_codes(), eps=st.floats(0, 1))
+@example(linear=bs.full_space_code(3), nonlinear=NONLINEAR5, eps=0.3)
+@example(linear=WEIGHT_ONE_ROW, nonlinear=NONLINEAR5, eps=0.1)
+@example(linear=WEIGHT_ONE_ROW, nonlinear=bs.single_code(2), eps=0.3)
+def test_noise_law_rounds_as_the_oracle(linear, nonlinear, eps):
+    for code in (linear, nonlinear):
+        (p,) = ea.noise_laws(code, [eps])
+        assert np.array_equal(p, _oracle_law(code, eps))
 
 
 @settings(max_examples=60, deadline=None)
-@given(code=linear_codes(), grid=eps_grids(), rows=st.integers(1, 3))
-@example(code=WEIGHT_ONE_ROW, grid=[0.0, 1.0, 0.1, 0.1], rows=1)
-@example(code=bs.full_space_code(3), grid=[0.3, 1.0, 0.0, 0.3], rows=2)
-def test_syndrome_laws_of_a_grid_are_the_one_eps_laws(code, grid, rows):
+@given(linear=linear_codes(), nonlinear=nonlinear_codes(), grid=eps_grids(), rows=st.integers(1, 3))
+@example(linear=WEIGHT_ONE_ROW, nonlinear=NONLINEAR5, grid=[0.0, 1.0, 0.1, 0.1], rows=1)
+@example(linear=bs.full_space_code(3), nonlinear=NONLINEAR5, grid=[0.3, 1.0, 0.0, 0.3], rows=2)
+def test_noise_laws_of_a_grid_are_the_one_eps_laws(linear, nonlinear, grid, rows):
     # one pass over the grid, or over chunks of at most `rows` eps
-    r = code.redundancy
-    delta = np.zeros(1 << r)
-    delta[0] = 1.0
-    cols = bs.syndrome_columns(code.generator, code.n)
-    laws = ea.syndrome_distributions(code, grid)
-    assert len(laws) == len(grid)
-    for p, eps in zip(laws, grid):
-        assert p.tobytes() == ea.syndrome_distributions(code, [eps])[0].tobytes()
-        assert np.array_equal(p, xor_shift_oracle(delta, cols, eps))
-    reports = ea.entropy_report(code, grid, [None])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(channels, "_LAW_CELLS", rows << r)
-        chunks = channels._eps_chunks(grid, r)
-        assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
-        assert ea.entropy_report(code, grid, [None]) == reports
-    for report, eps in zip(reports, grid):
-        # H(X|Y_BSC) = n h(eps) - H(s(Z)), from the oracle's syndrome law
-        law = xor_shift_oracle(delta, cols, eps)
-        assert report.h_x_given_bsc == code.n * binary_entropy(eps) - renyi_entropy(law, 1)
-        assert report == ea.entropy_report(code, [eps], [None])[0]
+    for code in (linear, nonlinear):
+        m = ea.law_cells(code)
+        laws = ea.noise_laws(code, grid)
+        assert len(laws) == len(grid)
+        for p, eps in zip(laws, grid):
+            assert p.tobytes() == ea.noise_laws(code, [eps])[0].tobytes()
+            assert np.array_equal(p, _oracle_law(code, eps))
+        reports = ea.entropy_report(code, grid, [None])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(channels, "_LAW_CELLS", rows << m)
+            chunks = channels._eps_chunks(grid, m)
+            assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
+            assert ea.entropy_report(code, grid, [None]) == reports
+        for report, eps in zip(reports, grid):
+            # H(X|Y_BSC) = (log2|C| - (n-m)) + n h(eps) - H(p), from the oracle's law
+            h_law = renyi_entropy(_oracle_law(code, eps), 1)
+            expected = (code.log_size - (code.n - m)) + code.n * binary_entropy(eps) - h_law
+            assert report.h_x_given_bsc == expected
+            if code.generator is not None:  # the bracket is exactly 0
+                assert report.h_x_given_bsc == code.n * binary_entropy(eps) - h_law
+            assert report == ea.entropy_report(code, [eps], [None])[0]
 
 
 def test_oracle_examples_have_a_zero_parity_check_column():
@@ -376,13 +401,33 @@ def test_oracle_examples_have_a_zero_parity_check_column():
         assert 0 in bs.syndrome_columns(code.generator, code.n)
 
 
-def test_syndrome_distribution_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ea.syndrome_distributions(bs.single_code(3), [0.1])  # no generator
-    with pytest.raises(ValueError):
-        ea.syndrome_distributions(bs.hamming74_code(), [1.5])
-    with pytest.raises(ValueError):  # every eps of a grid is checked
-        ea.syndrome_distributions(bs.hamming74_code(), [0.1, -0.5])
+@settings(max_examples=20, deadline=None)
+@given(
+    linear=linear_codes(),
+    nonlinear=nonlinear_codes(),
+    bad=st.one_of(st.floats(max_value=0, exclude_max=True), st.floats(min_value=1, exclude_min=True)),
+)
+def test_noise_laws_reject_a_bad_eps(linear, nonlinear, bad):
+    for code in (linear, nonlinear):
+        for grid in ([bad], [0.1, bad], [math.nan]):  # every eps of a grid is checked
+            with pytest.raises(ValueError, match="eps"):
+                ea.noise_laws(code, grid)
+
+
+def test_noise_law_memory_is_two_arrays():
+    # a nonlinear code's law at n = 16, a whole chunk of the grid: p and
+    # the pass's scratch, and small objects; no copy of f_C is made
+    words = np.sort(np.random.default_rng(3).choice(1 << 16, 1000, replace=False))
+    code = bs.Code(n=16, codewords=words)
+    (chunk, _) = channels._eps_chunks([0.05 * i for i in range(1, 20)], ea.law_cells(code))
+    assert len(chunk) == channels._LAW_CELLS >> 16
+    tracemalloc.start()
+    try:
+        ea.noise_laws(code, chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * (len(chunk) << 16) + 64 * 2**10
 
 
 def test_bsc_chain_rule_identity():
@@ -508,16 +553,23 @@ def test_entropy_report_roundtrip():
     assert d["method"] == "exact"
 
 
-def test_entropy_report_takes_the_syndrome_path_for_linear_codes():
+def test_entropy_report_takes_the_noise_law_path_for_every_code():
     eps = 0.15
     linear = bs.hamming74_code()
     (rep,) = ea.entropy_report(linear, [eps], [None])
-    (law,) = ea.syndrome_distributions(linear, [eps])
+    (law,) = ea.noise_laws(linear, [eps])
+    # the syndrome law of the noise: H(X|Y_BSC) = n h(eps) - H(s(Z))
     assert rep.h_x_given_bsc == linear.n * binary_entropy(eps) - renyi_entropy(law, 1)
     assert rep.h_x_given_bsc == pytest.approx(ea.cond_entropy_bsc(linear, eps), abs=1e-12)
     nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
     (rep,) = ea.entropy_report(nonlinear, [eps], [None])
-    assert rep.h_x_given_bsc == ea.cond_entropy_bsc(nonlinear, eps)
+    (law,) = ea.noise_laws(nonlinear, [eps])
+    # the law of X+Z on every point: H(X|Y_BSC) = log2|C| + n h(eps) - H(X+Z)
+    assert len(law) == 1 << nonlinear.n
+    h = nonlinear.log_size + nonlinear.n * binary_entropy(eps) - renyi_entropy(law, 1)
+    assert rep.h_x_given_bsc == h
+    assert rep.h_x_given_bsc == pytest.approx(ea.cond_entropy_bsc(nonlinear, eps), abs=1e-12)
+    assert rep.h_x_given_bsc == pytest.approx(bayes_cond_entropy_bsc(nonlinear, eps), abs=1e-12)
 
 
 def test_entropy_report_bsc_memory_is_bounded():
@@ -563,29 +615,34 @@ def test_monte_carlo_report_draws_subsets_once_per_eta_for_every_order(code, mon
 
 def test_entropy_report_computes_each_quantity_once_over_its_grid(monkeypatch):
     bsc, passes = [], []
-    dense, kernel = ea.cond_entropy_bsc, ea.projection_entropies
+    dense, laws, kernel = ea.cond_entropy_bsc, ea.noise_laws, ea.projection_entropies
 
-    def dense_counted(code, eps):
-        bsc.append(eps)
-        return dense(code, eps)
+    def dense_run(code, eps):
+        raise AssertionError("cond_entropy_bsc ran")
+
+    def laws_counted(code, eps_grid):
+        bsc.append(list(eps_grid))
+        return laws(code, eps_grid)
 
     def kernel_counted(code, masks, qs):
         passes.append(tuple(qs))
         return kernel(code, masks, qs)
 
-    monkeypatch.setattr(ea, "cond_entropy_bsc", dense_counted)
+    monkeypatch.setattr(ea, "cond_entropy_bsc", dense_run)
+    monkeypatch.setattr(ea, "noise_laws", laws_counted)
     monkeypatch.setattr(ea, "projection_entropies", kernel_counted)
     ea.subset_renyi_values.cache_clear()
     code = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
     reports = ea.entropy_report(code, [0.1, 0.2], [0.25, 0.5], [2, 3])
-    assert bsc == [0.1, 0.2]
+    # one pass of the law of X+Z for the eps grid
+    assert bsc == [[0.1, 0.2]]
     # one projection pass for every order and eta, with q = 1 for H(X|Y_BEC)
     assert passes == [(2, 3, 1.0)]
     assert [(r.eps, r.eta, r.q) for r in reports] == [
         (eps, eta, q) for eps in (0.1, 0.2) for eta in (0.25, 0.5) for q in (2, 3)
     ]
     for r in reports:
-        assert r.h_x_given_bsc == dense(code, r.eps)
+        assert r.h_x_given_bsc == pytest.approx(dense(code, r.eps), abs=1e-12)
         assert r.h_x_given_bec == ea.cond_entropy_bec(code, r.eta)
         assert r.e_s_hq_xs == ea.subset_entropy_expectation(code, 1 - r.eta, r.q)
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent import boolfn, channels, inequalities as iq
+from chanent import entropy_analysis as ea
 
 from conftest import (
+    bayes_cond_entropy_bsc,
     conditional_expectation,
     dp_sam_entropy,
     dp_sam_norm,
@@ -258,29 +260,19 @@ def test_subset_stats_of_code_matches_the_dp(code):
     closed = iq.subset_stats_of_code(code, (2, 3, 4))
     dp = subset_stats(boolfn.from_code(code), (2, 3, 4))
     assert closed.n == dp.n == code.n
-    # only a nonlinear code's noisy law reads f, so only it is built
-    if code.generator is None:
-        assert closed.f.tobytes() == dp.f.tobytes()
-    else:
-        assert closed.f is None
     assert np.max(np.abs(closed.ent - dp.ent)) <= 1e-12
     for q in (2, 3, 4):
         assert np.max(np.abs(closed.log_norm[q] - dp.log_norm[q])) <= 1e-12
 
 
-def test_subset_stats_of_code_checks_orders_and_keeps_a_read_only_function():
+def test_subset_stats_of_code_checks_orders():
     code = bs.hamming74_code()
     for q in (1, 2.5, 0):
         with pytest.raises(ValueError, match="integer q >= 2"):
             iq.subset_stats_of_code(code, (2, q))
     stats = iq.subset_stats_of_code(code, (3, 2, 3.0))
     assert list(stats.log_norm) == [3, 2]
-    assert (stats.n, stats.f) == (7, None)  # a linear code holds no copy of f
-    nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 19, 30))
-    stats = iq.subset_stats_of_code(nonlinear, (2,))
-    assert stats.f.tobytes() == boolfn.from_code(nonlinear).tobytes()
-    with pytest.raises(ValueError):
-        stats.f[0] = 5.0
+    assert stats.n == 7
 
 
 def test_subset_stats_of_a_linear_code_hold_no_dense_function():
@@ -293,7 +285,7 @@ def test_subset_stats_of_a_linear_code_hold_no_dense_function():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (stats.n, stats.f) == (20, None)
+    assert stats.n == 20
     # one 2^20 float array is the Ent row; f_C would be a second
     assert stats.ent.nbytes == 8 * 2**20 <= peak < 1.5 * stats.ent.nbytes
 
@@ -351,44 +343,102 @@ def test_noisy_law_of_a_linear_code_matches_the_dense_path(code, eps):
     assert dense.ent == pytest.approx(boolfn.ent(dense.p * 2**code.n), abs=1e-12)
 
 
-def test_noisy_law_of_a_nonlinear_code_is_the_dense_path():
-    code = bs.Code(n=5, codewords=(0, 3, 12, 19, 30))
-    stats = iq.subset_stats_of_code(code, ())
-    law = iq.noisy_law(stats, 0.2)
-    assert (law.n, law.k) == (5, 0)
-    assert law.p.tobytes() == iq.noisy_function(stats.f, 0.2).p.tobytes()
+def _assert_is_the_dense_law(p, code, eps):
+    """p is the dense path's T_eps f_C / 2^n, byte for byte while the pass stays normal.
+
+    The two passes differ by the factor 2^n alone, which commutes with
+    every rounding unless a product falls below the smallest normal
+    float; a nonzero entry of the pass is at least min(eps, 1-eps)^n / |C|.
+    Below that range they agree to within a subnormal.
+    """
+    dense = iq.noisy_function(boolfn.from_code(code), eps).p
+    tiny = np.finfo(float).smallest_normal
+    if eps in (0.0, 1.0) or min(eps, 1 - eps) ** code.n / code.size >= tiny:
+        assert p.tobytes() == dense.tobytes()
+    else:
+        assert np.max(np.abs(p - dense)) < tiny
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=nonlinear_codes(), eps=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)))
+@example(code=bs.Code(n=5, codewords=(0, 3, 12, 19, 30)), eps=0.2)
+@example(code=bs.Code(n=7, codewords=(0, 3, 12, 19, 30, 101)), eps=1e-310)  # subnormal
+def test_noisy_law_of_a_nonlinear_code_is_the_dense_path(code, eps):
+    # a cell per point, from 1/|C| on each codeword: the dense T_eps f_C / 2^n
+    law = iq.noisy_law(iq.subset_stats_of_code(code, ()), eps)
+    assert (law.n, law.k) == (code.n, 0)
+    _assert_is_the_dense_law(law.p, code, eps)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    code=st.one_of(linear_codes(max_n=10), nonlinear_codes(max_n=6)),
+    linear=linear_codes(max_n=10),
+    nonlinear=nonlinear_codes(max_n=6),
     grid=eps_grids(),
     rows=st.integers(1, 3),
 )
-@example(code=bs.hamming74_code(), grid=[0.0, 1.0, 0.2, 0.2, 0.45], rows=2)
-@example(code=bs.Code(n=5, codewords=(0, 3, 12, 19, 30)), grid=[1.0, 0.1, 1.0, 0.0], rows=1)
-def test_noisy_laws_of_grid_chunks_are_the_one_eps_laws(code, grid, rows):
+@example(
+    linear=bs.hamming74_code(),
+    nonlinear=bs.Code(n=5, codewords=(0, 3, 12, 19, 30)),
+    grid=[0.0, 1.0, 0.2, 0.2, 0.45],
+    rows=2,
+)
+@example(
+    linear=bs.full_space_code(3),
+    nonlinear=bs.Code(n=5, codewords=(0, 3, 12, 19, 30)),
+    grid=[1.0, 0.1, 1.0, 0.0],
+    rows=1,
+)
+def test_noisy_laws_of_grid_chunks_are_the_one_eps_laws(linear, nonlinear, grid, rows):
     # verify's path: the grid cut into chunks of at most `rows` laws, one pass per chunk
-    stats = iq.subset_stats_of_code(code, ())
-    cells = code.redundancy if code.generator is not None else code.n
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(channels, "_LAW_CELLS", rows << cells)
-        chunks = iq.law_chunks(stats, grid)
-        laws = [law for chunk in chunks for law in iq.noisy_laws(stats, chunk)]
-    assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
-    assert [law.eps for law in laws] == grid
-    for law, eps in zip(laws, grid):
-        one = iq.noisy_law(stats, eps)
-        assert (law.n, law.k) == (one.n, one.k)
-        assert law.p.tobytes() == one.p.tobytes()
-        assert not law.p.flags.writeable
-        if code.generator is None:
-            assert law.p.tobytes() == iq.noisy_function(stats.f, eps).p.tobytes()
-        else:
-            delta = np.zeros(1 << cells)
-            delta[0] = 1.0
-            cols = bs.syndrome_columns(code.generator, code.n)
-            assert np.array_equal(law.p, xor_shift_oracle(delta, cols, eps))
+    for code in (linear, nonlinear):
+        stats = iq.subset_stats_of_code(code, ())
+        cells = code.redundancy if code.generator is not None else code.n
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(channels, "_LAW_CELLS", rows << cells)
+            chunks = iq.law_chunks(stats, grid)
+            laws = [law for chunk in chunks for law in iq.noisy_laws(stats, chunk)]
+        assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
+        assert [law.eps for law in laws] == grid
+        for law, eps in zip(laws, grid):
+            one = iq.noisy_law(stats, eps)
+            assert (law.n, law.k) == (one.n, one.k) == (code.n, code.n - cells)
+            assert law.p.tobytes() == one.p.tobytes()
+            assert not law.p.flags.writeable
+            if code.generator is None:
+                _assert_is_the_dense_law(law.p, code, eps)
+            else:
+                delta = np.zeros(1 << cells)
+                delta[0] = 1.0
+                cols = bs.syndrome_columns(code.generator, code.n)
+                assert np.array_equal(law.p, xor_shift_oracle(delta, cols, eps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=linear_codes(max_n=9), eps=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)))
+@example(code=bs.hamming74_code(), eps=0.3)
+@example(code=bs.reed_muller_code(1, 3), eps=0.15)
+def test_a_linear_code_and_its_words_without_the_generator_agree(code, eps):
+    # the same code on both paths: 2^(n-k) cosets of C, or 2^n points
+    words = bs.Code(n=code.n, codewords=code.codewords)
+    qs, etas = (2, 3), (0.3, 0.5)
+    h_bsc, slacks = [], []
+    for c in (code, words):
+        (report,) = ea.entropy_report(c, [eps], [None])
+        stats = iq.subset_stats_of_code(c, qs)
+        noisy = iq.noisy_law(stats, eps)
+        checks = [iq.check_cor_rv_entropy(stats, noisy), iq.check_sam_entropy(stats, noisy)]
+        for q in qs:
+            checks += [iq.check_cor_rv(stats, noisy, q), iq.check_sam_norm(stats, noisy, q)]
+        bsc_bec = [iq.check_bsc_bec(stats, noisy, eta) for eta in etas if 4 * eps * (1 - eps) >= eta]
+        h_bsc.append([report.h_x_given_bsc] + [rep.lhs for rep in bsc_bec])
+        slacks.append([rep.slack for rep in checks + bsc_bec])
+    assert np.max(np.abs(np.subtract(*h_bsc))) <= 1e-12
+    assert np.max(np.abs(np.subtract(*slacks))) <= 1e-12
+    # the Bayes oracle makes 2^n |C| steps in Python
+    if code.size << code.n <= 1 << 14:
+        bayes = bayes_cond_entropy_bsc(code, eps)
+        assert np.max(np.abs(np.subtract(h_bsc, bayes))) <= 1e-12
 
 
 def test_subset_expectation_is_the_weighted_row_and_keeps_one_weight_array(monkeypatch):
