@@ -218,7 +218,8 @@ def noisy_laws(stats: SubsetStats, eps_grid) -> list[NoisyFunction]:
 
     The laws of X+Z from one XOR-shift pass (``noise_laws``), so no copy of f_C is built.
     """
-    code, k = stats.code, stats.n - law_cells(stats.code)
+    code = stats.code
+    k = code.n - law_cells(code)
     laws = noise_laws(code, eps_grid)
     return [NoisyFunction(eps, code.n, k, p) for eps, p in zip(eps_grid, laws)]
 
