@@ -40,7 +40,10 @@ both trees (``inner_loops`` in FILE).  The cases:
   ``cli.main`` and the ``likely_probability`` library calls;
 * those ``likely_probability`` calls on their own: seed 1's
   random_linear:18,8 at the workload's four (eps, delta) pairs, one
-  coset table build and four reads.
+  coset table build and four reads;
+* ``numpy.sort`` of 2^20 seeded uint32 words (``calibration.sort``),
+  which runs no chanent code: it times the machine, not a tree, so
+  files recorded at different times can be compared through it.
 
 Every lru cache of the package is cleared before each run, so a run
 pays what a fresh CLI process pays.  The CLI cases also record
@@ -72,6 +75,7 @@ MC_ETAS = [0.25, 0.5]
 MC_ORDERS = [1.0, 2.0]
 DENSITIES = [i / 10 for i in range(10)]
 KERNEL_WORDS = 1000  # codewords of the n = 16 projection case
+CALIBRATION_WORDS = 1 << 20  # uint32 words of the calibration sort
 SHORT_CASE_S = 0.02  # a case faster than this is timed in an inner loop
 MIN_SAMPLE_S = 0.1  # of at least this long per sample
 
@@ -175,6 +179,10 @@ def cases(work_dir: Path) -> dict:
         for eps, delta in workloads.LIKELY_GRID
     ]
 
+    calibration_words = np.random.default_rng(SEED).integers(
+        0, 1 << 32, CALIBRATION_WORDS, dtype=np.uint32
+    )
+
     def likely():
         values = [listdecode.likely_probability(likely_code, cfg) for cfg in likely_cfgs]
         return repr(values).encode()
@@ -224,6 +232,7 @@ def cases(work_dir: Path) -> dict:
         "simulate.rm2_4": simulate(bitspace.make_code("reed_muller:2,4"), 0.3),
         "cli.decode": cli(workloads.build_ops("decode", inputs, work_dir)),
         "likely_probability.18_8": likely,
+        "calibration.sort": lambda: np.sort(calibration_words),
     }
 
 

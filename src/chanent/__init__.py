@@ -10,15 +10,18 @@ from .boolfn import binary_entropy, ent, from_code, h_q, norm_q, renyi_entropy
 from .channels import noise_operator
 from .entropy_analysis import (
     EntropyReport,
+    NoisyFunction,
     cond_entropy_bec,
     cond_entropy_bsc,
     entropy_report,
     marginal_entropy,
+    noisy_law,
+    noisy_laws,
     subset_entropy_expectation,
+    subset_stats_of_code,
 )
 from .inequalities import (
     HypothesisViolation,
-    NoisyFunction,
     SlackReport,
     check_bsc_bec,
     check_cor_rv,
@@ -26,9 +29,6 @@ from .inequalities import (
     check_sam_entropy,
     check_sam_norm,
     noisy_function,
-    noisy_law,
-    noisy_laws,
-    subset_stats_of_code,
 )
 from .listdecode import (
     DecoderConfig,

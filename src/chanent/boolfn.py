@@ -18,6 +18,9 @@ from .bitspace import Code
 
 _SUM_TOL = 1e-12
 
+# entries per block of H(p)'s in-place v log2 v: its scratch stays at 576 KiB
+_XLOG_BLOCK = 1 << 16
+
 
 def dim_of(f: np.ndarray) -> int:
     """Dimension n with len(f) == 2^n; rejects non-power-of-two lengths."""
@@ -99,7 +102,18 @@ def _renyi_from_probs(p: np.ndarray, q: float) -> float:
     if not q >= 1:
         raise ValueError("order must be >= 1")
     if q == 1:
-        return float(-np.sum(_xlog2x(p)))
+        # v log2 v written over p a block at a time through one reused buffer,
+        # then summed whole: the terms and the sum are those of _xlog2x(p)
+        flat = p.reshape(-1)
+        log = np.empty(min(flat.size, _XLOG_BLOCK))
+        pos = np.empty(log.size, dtype=bool)
+        for start in range(0, flat.size, _XLOG_BLOCK):
+            v = flat[start : start + _XLOG_BLOCK]
+            v_log, v_pos = log[: v.size], pos[: v.size]
+            np.greater(v, 0, out=v_pos)
+            np.log2(v, out=v_log, where=v_pos)
+            np.multiply(v, v_log, out=v, where=v_pos)
+        return float(-np.sum(flat))
     if math.isinf(q):
         return float(-math.log2(p.max()))
     p **= q  # in place: the same power (or square) as p**q, without a second array

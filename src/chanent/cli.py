@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import bitspace, entropy_analysis, inequalities, listdecode
@@ -81,6 +82,17 @@ def _seed(s: str) -> int:
     return seed
 
 
+def _orders(s: str) -> list[int]:
+    """A verify --q value: the norm inequality takes integer orders q >= 2 only."""
+    try:
+        qs = _int_list(s)
+    except ValueError:
+        qs = None
+    if qs is None or any(q < 2 for q in qs):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 2, got {s!r}")
+    return qs
+
+
 def cmd_entropy(args) -> int:
     codes = [resolve_code(s) for s in args.code]
     grids = args.eps or [None], args.eta or [None], args.q or [1.0]
@@ -92,7 +104,7 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def _check_law(stats, noisy, qs, eta_grid) -> list[tuple]:
+def _check_law(stats, qs, eta_grid, noisy) -> list[tuple]:
     """Every check of a code at one eps, as (report, row); a skipped bsc_bec has no report."""
     code = stats.code
     checks = [
@@ -135,12 +147,11 @@ def cmd_verify(args) -> int:
         entropy_analysis.require_subset_cap(code.n)
     checked = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
-        stats = inequalities.subset_stats_of_code(code, qs)
-        for chunk in inequalities.law_chunks(stats, eps_grid):
-            # one pass builds the noisy laws of a chunk of the eps grid
-            laws = inequalities.noisy_laws(stats, chunk)
-            checked += [c for noisy in laws for c in _check_law(stats, noisy, qs, eta_grid)]
-            del laws  # freed before the next chunk's pass
+        stats = entropy_analysis.subset_stats_of_code(code, qs)
+        laws = entropy_analysis.noisy_laws(code, eps_grid)
+        # map keeps no law past its checks, so each chunk of laws is freed before the next pass
+        for checks in map(partial(_check_law, stats, qs, eta_grid), laws):
+            checked += checks
     reports = [rep for rep, _ in checked if rep is not None]
     rows = [row for _, row in checked]
     worst = min(reports, key=lambda r: r.slack) if reports else None
@@ -239,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="inequality battery")
     common(p_ver)
-    p_ver.add_argument("--q", type=_int_list, help="comma-separated integer orders >= 2")
+    p_ver.add_argument("--q", type=_orders, help="comma-separated integer orders >= 2")
     p_ver.set_defaults(func=cmd_verify)
 
     p_dec = sub.add_parser(

@@ -1,23 +1,30 @@
 """Exact and Monte Carlo conditional entropies for codes over BSC/BEC.
 
-H(X|Y_BSC) is computed through the chain rule
-H(X) + n*h(eps) - H(X+Z), from the law p of X+Z over 2^m cells
-(``noise_laws``): the cells are the cosets of the code's kernel, which
-is C when the code has a generator and {0} otherwise.  X+Z is uniform
-within a cell of 2^(n-m) points, so H(X+Z) = (n-m) + H(p).
-H(X|Y_BEC) comes from the subset identity
-E_{S~lam} H(X_S) = H(X) - H(X|Y_BEC) with lam = 1 - eta.  The subset
-weight depends only on |S|, so ``subset_weights`` computes n+1 values.
-For a linear code H_q(X_S) is the GF(2) rank r(S) of the generator
-restricted to S, for every q: the exact table is a superset sum over
-the codewords, and the Monte Carlo sampler ranks each distinct drawn
-mask (``bitspace.masked_ranks``).  The entropies H_q(X_S) of a nonlinear
-code come from one blocked projection kernel, ``projection_entropies``:
-it projects into reused 16- or 32-bit word buffers, sorts the projected
-words once for every order, and reads the term of each run of equal
-words at each order from a table indexed by the run's length.  So the
-subset table of a code and a Monte Carlo draw of subsets serve all
-orders.
+A code is read through two objects, which ``entropy`` and ``verify``
+share:
+
+* the noise side, ``noisy_laws(code, eps_grid)``: the law p of X+Z at
+  each eps (``NoisyFunction``), one XOR-shift pass per chunk of the grid
+  (``noise_laws``).  Its 2^m cells are the cosets of the code's kernel,
+  which is C when the code has a generator and {0} otherwise.  X+Z is
+  uniform within a cell of 2^(n-m) points, so H(X+Z) = (n-m) + H(p), and
+  H(X|Y_BSC) = H(X) + n*h(eps) - H(X+Z) (``cond_entropy_bsc_of_law``);
+* the subset side, ``SubsetStats``: H_q(X_S) for every subset S from the
+  code's one subset table, and E_{S~lam} of each row, computed once.
+  H(X|Y_BEC) comes from the subset identity
+  E_{S~lam} H(X_S) = H(X) - H(X|Y_BEC) with lam = 1 - eta.
+
+The subset weight depends only on |S|, so ``subset_weights`` computes
+n+1 values.  For a linear code H_q(X_S) is the GF(2) rank r(S) of the
+generator restricted to S, for every q: the exact table is a superset
+sum over the codewords, and the Monte Carlo sampler ranks each distinct
+drawn mask (``bitspace.masked_ranks``).  The entropies H_q(X_S) of a
+nonlinear code come from one blocked projection kernel,
+``projection_entropies``: it projects into reused 16- or 32-bit word
+buffers, sorts the projected words once for every order, and reads the
+term of each run of equal words at each order from a table indexed by
+the run's length.  So the subset table of a code and a Monte Carlo draw
+of subsets serve all orders.
 Independent Bayes-rule / erasure-pattern oracles live in the test suite.
 """
 
@@ -25,20 +32,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .bitspace import Code, masked_ranks, syndrome_columns
-from .boolfn import (
-    binary_entropy,
-    ent,
-    from_code,
-    renyi_entropy,
-    renyi_entropy_from_counts,
-)
+from .boolfn import binary_entropy, ent, from_code, renyi_entropy, renyi_entropy_from_counts
 from .channels import (
     _axis_pairs,
     _eps_chunks,
@@ -216,10 +217,75 @@ def _check_subset_law(lam: float, qs: Sequence[float]) -> None:
     _require_orders(qs)
 
 
+@dataclass(frozen=True, eq=False)
+class SubsetStats:
+    """A code's per-subset rows and their expectations E_{S~lam}.
+
+    ``renyi`` maps each order q (1 included) to H_q(X_S) for every
+    subset mask S: read-only views of the code's one cached subset table
+    (``subset_rows``).  The rows of f = f_C, the distribution function of
+    X uniform on the code, follow from them, since E(f|S) is 2^|S| times
+    the law of X_S: ``ent`` is Ent[E(f|S)] = |S| - H(X_S), and
+    ``log_norm`` at q is log2 ||E(f|S)||_q = (|S| - H_q(X_S)) (1 - 1/q).
+    Each is built on its first use and kept.
+    """
+
+    code: Code
+    renyi: dict[float, np.ndarray]  # q -> H_q(X_S) per mask, q = 1 included
+    # (row, q) -> a derived row; (row, q, lam) -> E_{S~lam} of that row;
+    # and the weights of the last lam
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
+    _expected: dict = field(default_factory=dict, init=False, repr=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.code.n
+
+    def row(self, name: str, q: float = 1.0) -> np.ndarray:
+        """The read-only per-mask row ``renyi``, ``ent`` (which has no order) or ``log_norm`` at q."""
+        if name == "renyi":
+            return self.renyi[q]
+        if name not in ("ent", "log_norm"):
+            raise ValueError(f"unknown subset row {name!r}")
+        key = (name, 1.0 if name == "ent" else q)
+        if key not in self._rows:
+            free = np.subtract(popcounts(self.n), self.renyi[key[1]])  # |S| - H_q(X_S)
+            if name == "log_norm":
+                free *= 1 - 1 / q  # in place: no second 2^n array
+            free.flags.writeable = False
+            self._rows[key] = free
+        return self._rows[key]
+
+    def expectation(self, name: str, lam: float, q: float = 1.0) -> float:
+        """E_{S~lam} of the row ``name`` at order q: ``subset_weights(n, lam) @ row``, computed once.
+
+        The weights of the last lam are kept, so checks that ask for
+        several rows at one lam in turn share one gather; they are
+        dropped before the next lam's weights are built, so at most one
+        2^n weight array is alive.
+        """
+        key = (name, q, lam)
+        if key not in self._expected:
+            values = self.row(name, q)
+            if self._weights.get("lam") != lam:
+                self._weights.clear()
+                self._weights.update(lam=lam, w=subset_weights(self.n, lam))
+            self._expected[key] = float(self._weights["w"] @ values)
+        return self._expected[key]
+
+
+def subset_stats_of_code(code: Code, qs: Sequence[float] = ()) -> SubsetStats:
+    """The subset statistics of a code at the orders 1 and qs, from its one subset table."""
+    require_subset_cap(code.n)
+    orders = tuple(dict.fromkeys((1.0, *qs)))
+    return SubsetStats(code, dict(zip(orders, subset_rows(code, orders))))
+
+
 def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
     """Exact E_{S~lam} H_q(X_S) by enumerating all 2^n subsets."""
     _check_subset_law(lam, (q,))
-    return float(subset_weights(code.n, lam) @ subset_rows(code, (q,))[0])
+    return subset_stats_of_code(code, (q,)).expectation("renyi", lam, q)
 
 
 def subset_entropy_expectation_mc(
@@ -256,6 +322,12 @@ def cond_entropy_bsc(code: Code, eps: float) -> float:
     return code.log_size + code.n * binary_entropy(eps) - h_xz
 
 
+def _require_eps(eps_grid: Sequence[float]) -> None:
+    for eps in eps_grid:
+        if not 0 <= eps <= 1:
+            raise ValueError("eps must be in [0, 1]")
+
+
 def law_cells(code: Code) -> int:
     """Exponent m of the 2^m cells of ``noise_laws``: n - k with a generator, n otherwise."""
     return code.n if code.generator is None else code.redundancy
@@ -269,12 +341,10 @@ def noise_laws(code: Code, eps_grid: Sequence[float]) -> list[np.ndarray]:
     cell of X+Z by its column h_i: one XOR-shift pass for the grid along
     the syndrome columns from the point mass at 0, or along the unit
     columns from 1/|C| on each codeword, each row bit for bit the pass
-    at its eps alone.  The laws are the read-only rows of one array, so
-    a caller bounds its memory by its grid (``channels._eps_chunks``).
+    at its eps alone.  The laws are the read-only rows of one array;
+    ``noisy_laws`` bounds it by passing one chunk of its grid at a time.
     """
-    for eps in eps_grid:
-        if not 0 <= eps <= 1:
-            raise ValueError("eps must be in [0, 1]")
+    _require_eps(eps_grid)
     m = law_cells(code)
     p = np.zeros((len(eps_grid), 1 << m))
     if code.generator is None:
@@ -288,12 +358,80 @@ def noise_laws(code: Code, eps_grid: Sequence[float]) -> list[np.ndarray]:
     return list(p)
 
 
-def cond_entropy_bsc_of_law(code: Code, eps: float, k_cells: int, h_law: float) -> float:
-    """H(X|Y_BSC) from H(p), p the law of X+Z over cells of 2^k_cells points each.
+@dataclass(frozen=True, eq=False)
+class NoisyFunction:
+    """The noisy law of f: T_eps f as 2^(n-k) cells of 2^k points each.
 
-    X+Z is uniform within a cell, so H(X+Z) = k_cells + H(p).  The bracket is 0 for a linear code.
+    ``p`` is the read-only probability of each cell, and T_eps f is
+    2^(n-k) p(cell) on every point of a cell.  For f_C (``noisy_laws``) p is
+    the law of X+Z: the cells are the cosets of the code's kernel, which is
+    C when the code has a generator and {0} otherwise.  For any other f, k = 0 and
+    p = T_eps f / 2^n, which sums to the mean of f.  With m = sum p:
+
+    * log2 ||T_eps f||_q = (n-k)(1 - 1/q) + log2(sum p^q) / q;
+    * Ent[T_eps f] = m ((n-k) - H(p / m)), so (n-k) - H(p) for a distribution;
+    * H_q(X+Z) = k + H_q(p) when T_eps f is the distribution function of X+Z.
     """
-    return (code.log_size - k_cells) + code.n * binary_entropy(eps) - h_law
+
+    eps: float
+    n: int
+    k: int  # cell exponent: each cell holds 2^k points
+    p: np.ndarray  # read-only probability of each cell
+
+    @cached_property
+    def cell_entropy(self) -> float:
+        """H(p / sum p), taken once: ``ent`` and every H(X|Y_BSC) read it."""
+        return renyi_entropy_from_counts(self.p, 1)
+
+    @cached_property
+    def ent(self) -> float:
+        """Ent[T_eps f], taken once and read by every check at this eps."""
+        m = float(self.p.sum())
+        return m * (self.n - self.k - self.cell_entropy)
+
+    def log_norm(self, q: float) -> float:
+        """log2 ||T_eps f||_q."""
+        return (self.n - self.k) * (1 - 1 / q) + math.log2(float(np.sum(self.p**q))) / q
+
+    def renyi(self, q: float) -> float:
+        """H_q of the X whose distribution function is T_eps f."""
+        return self.k + renyi_entropy(self.p, q)
+
+
+def noisy_laws(code: Code, eps_grid: Sequence[float]) -> Iterator[NoisyFunction]:
+    """The noisy law of f_C at each eps of the grid, in grid order; every eps is checked first.
+
+    Each chunk of the grid (``channels._eps_chunks``: at most 2^20 cells
+    of laws together) takes one ``noise_laws`` pass.  The stream drops a
+    chunk once its last law is handed out, so a caller that keeps no law
+    past its use holds one chunk at a time.
+    """
+    eps_grid = list(eps_grid)
+    _require_eps(eps_grid)
+    return _law_stream(code, eps_grid)
+
+
+def _law_stream(code: Code, eps_grid: list[float]) -> Iterator[NoisyFunction]:
+    m = law_cells(code)
+    for chunk in _eps_chunks(eps_grid, m):
+        # only the list's iterator holds the chunk, and it lets go when exhausted
+        yield from [
+            NoisyFunction(eps, code.n, code.n - m, p)
+            for eps, p in zip(chunk, noise_laws(code, chunk))
+        ]
+
+
+def noisy_law(code: Code, eps: float) -> NoisyFunction:
+    """The noisy law of f_C at eps: ``noisy_laws`` at one eps."""
+    return next(noisy_laws(code, [eps]))
+
+
+def cond_entropy_bsc_of_law(code: Code, law: NoisyFunction) -> float:
+    """H(X|Y_BSC) from the law of X+Z over cells of 2^k points each (``noisy_laws``).
+
+    X+Z is uniform within a cell, so H(X+Z) = k + H(p).  The bracket is 0 for a linear code.
+    """
+    return (code.log_size - law.k) + code.n * binary_entropy(law.eps) - law.cell_entropy
 
 
 def cond_entropy_bec(code: Code, eta: float) -> float:
@@ -348,12 +486,13 @@ def entropy_report(
     """The code's entropy records over a grid, one per (eps, eta, q) in that order.
 
     H(X|Y_BSC) is computed once per eps, exactly for every n, from the
-    laws of X+Z (``noise_laws``), one pass per chunk of the eps grid.
-    E_{S~1-eta} H_q(X_S) is read for every q
-    and for q = 1, which gives H(X|Y_BEC): from one subset table per code
-    when n allows exact enumeration, otherwise from one Monte Carlo draw
-    per eta (requires trials and seed).  A None eps or eta leaves its
-    quantities out.  Every q and eta is checked before any work.
+    stream of noisy laws (``noisy_laws``) by ``cond_entropy_bsc_of_law``,
+    as ``verify``'s bsc_bec check takes it.  E_{S~1-eta} H_q(X_S) is read
+    for every q and for q = 1, which gives H(X|Y_BEC): from the code's
+    ``SubsetStats`` when n allows exact enumeration, otherwise from one
+    Monte Carlo draw per eta (requires trials and seed).  A None eps or
+    eta leaves its quantities out.  Every q, eta and eps is checked
+    before any work.
     """
     _require_orders(qs)
     etas = [eta for eta in dict.fromkeys(eta_grid) if eta is not None]
@@ -365,29 +504,17 @@ def entropy_report(
         raise ValueError("monte_carlo mode requires trials and seed")
 
     epss = [eps for eps in dict.fromkeys(eps_grid) if eps is not None]
-    m = law_cells(code)
-    h_bsc = {}
-    for chunk in _eps_chunks(epss, m):
-        laws = noise_laws(code, chunk)
-        h_bsc.update(
-            (eps, cond_entropy_bsc_of_law(code, eps, code.n - m, renyi_entropy(law, 1)))
-            for eps, law in zip(chunk, laws)
-        )
-        del laws  # freed before the next chunk's pass
-    orders = tuple(dict.fromkeys([*qs, 1.0]))
-    table = subset_rows(code, orders) if etas and not sampled else None
+    # map keeps no law past its call, so each chunk of laws is freed before the next pass
+    h_bsc = dict(zip(epss, map(partial(cond_entropy_bsc_of_law, code), noisy_laws(code, epss))))
+    orders = tuple(dict.fromkeys([1.0, *qs]))
+    stats = subset_stats_of_code(code, orders) if etas and not sampled else None
     # (eta, q) -> (E_{S~1-eta} H_q(X_S), stderr); q = 1 gives H(X|Y_BEC)
     subset = {}
     for eta in etas:
         if sampled:
             values = subset_entropy_expectation_mc(code, 1 - eta, orders, trials, seed)
         else:
-            w = subset_weights(code.n, 1 - eta)
-            if code.generator is not None:  # one row serves every order: one dot
-                values = [(float(w @ table[0]), None)] * len(orders)
-            else:
-                values = [(float(w @ row), None) for row in table]
-            del w  # freed before the next eta's weights are built
+            values = [(stats.expectation("renyi", 1 - eta, q), None) for q in orders]
         subset.update(((eta, q), v) for q, v in zip(orders, values))
 
     reports = []

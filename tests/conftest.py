@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from chanent import bitspace as bs
 from chanent.bitspace import Code
 from chanent.boolfn import dim_of, h_q, validate
-from chanent.entropy_analysis import subset_weights
-from chanent.inequalities import NoisyFunction
+from chanent.entropy_analysis import NoisyFunction, subset_weights
 from chanent.listdecode import DecoderConfig, DecodeTrialStats, likely_threshold, simulate
 
 RANDOM_LINEAR_PARAMS = [
@@ -181,6 +180,17 @@ def array_per_step_renyi(p: np.ndarray, q: float) -> float:
     if math.isinf(q):
         return float(-math.log2(p.max()))
     return float(-math.log2(np.sum(p**q)) / (q - 1))
+
+
+def copying_shannon(counts: np.ndarray) -> float:
+    """H of counts / sum(counts) with v log2 v written into a second, zeroed law-sized array."""
+    p = np.asarray(counts, dtype=float)
+    p = p / p.sum()
+    out = np.zeros_like(p)
+    pos = p > 0
+    np.log2(p, out=out, where=pos)
+    np.multiply(out, p, out=out, where=pos)
+    return float(-np.sum(out))
 
 
 def naive_project(v: int, mask: int, n: int) -> int:

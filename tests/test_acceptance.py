@@ -52,11 +52,11 @@ def corpus():
 def test_criterion_1_inequality_battery(corpus):
     worst = math.inf
     for code in corpus:
-        stats = iq.subset_stats_of_code(code, QS)
+        stats = ea.subset_stats_of_code(code, QS)
         # the SAM sides read the DP, independent of the code's subset table
         dp = subset_stats(boolfn.from_code(code), QS)
         for eps in EPS_GRID:
-            noisy = iq.noisy_law(stats, eps)
+            noisy = ea.noisy_law(code, eps)
             worst = min(worst, iq.check_cor_rv_entropy(stats, noisy).slack)
             lhs, rhs = dp_sam_entropy(dp, noisy)
             worst = min(worst, rhs - lhs)
@@ -72,9 +72,9 @@ def test_criterion_2_theorem1_battery(corpus):
     worst = math.inf
     checked = 0
     for code in corpus:
-        stats = iq.subset_stats_of_code(code, ())
+        stats = ea.subset_stats_of_code(code, ())
         for eps in EPS_GRID:
-            noisy = iq.noisy_law(stats, eps)
+            noisy = ea.noisy_law(code, eps)
             for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
                 if 4 * eps * (1 - eps) < eta:
                     continue
@@ -82,8 +82,8 @@ def test_criterion_2_theorem1_battery(corpus):
                 checked += 1
     equality_ok = True
     for n in (2, 3, 4):
-        stats = iq.subset_stats_of_code(bs.full_space_code(n), ())
-        rep = iq.check_bsc_bec(stats, iq.noisy_law(stats, 0.3), 0.5)
+        code = bs.full_space_code(n)
+        rep = iq.check_bsc_bec(ea.subset_stats_of_code(code, ()), ea.noisy_law(code, 0.3), 0.5)
         equality_ok &= abs(rep.slack) <= 1e-9
     _report(2, "BSC-BEC comparison slack >= -1e-9, equality at full space",
             worst >= -1e-9 and equality_ok and checked > 0,

@@ -3,13 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent import boolfn, channels
+from chanent import entropy_analysis as ea
 
-from conftest import array_per_step_renyi, codeword_ints, gathered_ent, small_corpus
+from conftest import (
+    array_per_step_renyi,
+    codeword_ints,
+    copying_shannon,
+    gathered_ent,
+    linear_codes,
+    nonlinear_codes,
+    small_corpus,
+)
 
 
 def test_from_code_point_mass():
@@ -248,3 +257,57 @@ def test_entropy_of_a_function_holds_one_temporary_of_its_size():
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * f.nbytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 200),
+    zeros=st.floats(0, 1),
+    block=st.sampled_from([1, 3, 7, 64, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=(1 << 16) + 1, zeros=0.3, block=1 << 16, seed=1)
+@example(size=3 << 16, zeros=0.0, block=1 << 16, seed=2)
+def test_shannon_entropy_in_blocks_equals_the_copying_form(size, zeros, block, seed):
+    # v log2 v is written over the fresh normalized copy a block at a time:
+    # the same terms, summed whole, as a second zeroed array gives
+    rng = np.random.default_rng(seed)
+    counts = rng.random(size) * (rng.random(size) >= zeros)
+    counts[rng.integers(size)] += 1.0
+    kept = counts.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boolfn, "_XLOG_BLOCK", block)
+        assert boolfn.renyi_entropy_from_counts(counts, 1) == copying_shannon(counts)
+        p = counts / counts.sum()
+        assert boolfn.renyi_entropy(p, 1) == copying_shannon(p)
+    assert counts.tobytes() == kept.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    code=st.one_of(linear_codes(max_n=12), nonlinear_codes(max_n=10)),
+    eps=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+)
+@example(code=bs.make_code("random_linear:20,4,1"), eps=0.05)
+@example(code=bs.repetition_code(21), eps=0.3)
+def test_law_entropy_in_blocks_equals_the_copying_form(code, eps):
+    law = ea.noisy_law(code, eps)
+    assert law.cell_entropy == copying_shannon(law.p)
+
+
+def test_law_entropy_holds_one_copy_of_the_law():
+    # repetition:21 has 2^20 cosets: the law is 8 MiB, its normalized copy
+    # another 8 MiB, and the blocked v log2 v adds 576 KiB
+    law = ea.noisy_law(bs.repetition_code(21), 0.2)
+    tracemalloc.start()
+    try:
+        law.cell_entropy
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert law.p.nbytes <= peak <= 1.1 * law.p.nbytes
+    # ent reads the same H(p) and never writes to its argument
+    f = channels.noise_operator(boolfn.from_code(bs.hamming74_code()), 0.2)
+    kept = f.copy()
+    boolfn.ent(f)
+    assert f.tobytes() == kept.tobytes()

@@ -144,13 +144,13 @@ def test_verify_small_battery_passes(capsys):
 
 def test_verify_builds_subset_stats_once_per_code(monkeypatch, capsys):
     calls = []
-    build = inequalities.subset_stats_of_code
+    build = ea.subset_stats_of_code
 
     def counted(code, qs):
         calls.append(tuple(qs))
         return build(code, qs)
 
-    monkeypatch.setattr(inequalities, "subset_stats_of_code", counted)
+    monkeypatch.setattr(ea, "subset_stats_of_code", counted)
     code, _ = run(
         [
             "verify",
@@ -218,10 +218,9 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
         path = tmp_path / "words.txt"
         path.write_text("".join(format(w, "021b")[::-1] + "\n" for w in (0, 3, 1 << 20)))
         spec = f"codewords-file:{path}"
-    forbidden = ("subset_stats_of_code", "noise_operator", "noise_laws")
-    for name in forbidden:
-        _forbid(monkeypatch, inequalities, name)
-    _forbid(monkeypatch, ea, "subset_renyi_values")
+    for name in ("subset_stats_of_code", "noisy_laws", "noise_laws", "subset_renyi_values"):
+        _forbid(monkeypatch, ea, name)
+    _forbid(monkeypatch, inequalities, "noise_operator")
     # the small code sorts first, so its work would start before the cap check
     code = main(["verify", "--code", "repetition:3", "--code", spec, "--eps", "0.1", "--q", "2"])
     assert code == 2
@@ -254,7 +253,7 @@ def test_verify_takes_one_law_pass_per_chunk_per_code(monkeypatch, tmp_path, cap
     # every code, linear or not: one pass of the law of X+Z per chunk of
     # its eps grid, and no dense noise operator, f_C or dense H(X|Y_BSC)
     _forbid_dense(monkeypatch)
-    passes = _count_law_passes(monkeypatch, inequalities)
+    passes = _count_law_passes(monkeypatch, ea)
     # two laws of 2^5 cells a chunk: the nonlinear n = 5 code's grid is cut
     # in two, the linear codes' 2^2 and 2^3 cosets take it in one
     monkeypatch.setattr(channels, "_LAW_CELLS", 2 << 5)
@@ -286,13 +285,13 @@ def test_verify_takes_one_law_pass_per_chunk_per_code(monkeypatch, tmp_path, cap
 def test_verify_gathers_subset_weights_once_per_distinct_lambda(monkeypatch, capsys):
     # the workload's battery: 144 rows, but 29 distinct lambdas per code
     gathers = []
-    weights = inequalities.subset_weights
+    weights = ea.subset_weights
 
     def counted(n, lam):
         gathers.append((n, lam))
         return weights(n, lam)
 
-    monkeypatch.setattr(inequalities, "subset_weights", counted)
+    monkeypatch.setattr(ea, "subset_weights", counted)
     codes = ["reed_muller:1,4", "random_linear:14,7,3"]
     eps_grid = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
     argv = ["verify", "--code", codes[0], "--code", codes[1], "--q", "2,3", "--eta", "0.3,0.5"]
@@ -311,16 +310,25 @@ def test_verify_holds_one_chunk_of_noisy_laws(monkeypatch, capsys):
     cells = channels._LAW_CELLS
     assert cells >> 19 == 2
     chunks, held = [], []
-    law_chunks = inequalities.law_chunks
+    build, laws = ea.subset_stats_of_code, ea.noisy_laws
 
-    def start_peak(stats, eps_grid):
+    def built_rows(code, qs):
+        # the rows the checks read are built here, outside the measured span
+        stats = build(code, qs)
+        for q in qs:
+            stats.row("log_norm", q)
+        stats.row("ent")
+        return stats
+
+    def start_peak(code, eps_grid):
         # measured from here: the subset statistics are built and held
-        chunks.extend(law_chunks(stats, eps_grid))
+        chunks.extend(channels._eps_chunks(eps_grid, ea.law_cells(code)))
         held.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
-        return law_chunks(stats, eps_grid)
+        return laws(code, eps_grid)
 
-    monkeypatch.setattr(inequalities, "law_chunks", start_peak)
+    monkeypatch.setattr(ea, "subset_stats_of_code", built_rows)
+    monkeypatch.setattr(ea, "noisy_laws", start_peak)
     argv = ["verify", "--code", "repetition:20", "--q", "2", "--eta", "0.3", "--format", "json"]
     tracemalloc.start()
     try:
@@ -526,15 +534,15 @@ def test_entropy_computes_once_per_code(monkeypatch, tmp_path, capsys):
 
 def test_verify_takes_one_ent_per_code_and_eps(monkeypatch, tmp_path, capsys):
     calls = []
-    ent = inequalities.NoisyFunction.ent.func
+    ent = ea.NoisyFunction.ent.func
 
     def counted(noisy):
         calls.append((noisy.n, noisy.k, len(noisy.p)))
         return ent(noisy)
 
     counted_ent = functools.cached_property(counted)
-    counted_ent.__set_name__(inequalities.NoisyFunction, "ent")
-    monkeypatch.setattr(inequalities.NoisyFunction, "ent", counted_ent)
+    counted_ent.__set_name__(ea.NoisyFunction, "ent")
+    monkeypatch.setattr(ea.NoisyFunction, "ent", counted_ent)
     words = tmp_path / "words.txt"
     words.write_text("00000\n11000\n00110\n10011\n01111\n")
     code, out = run(
@@ -711,6 +719,18 @@ def test_generator_file_input(tmp_path, capsys):
     rows = json.loads(out)
     assert rows[0]["n"] == 7
     assert rows[0]["H_X"] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("q", ["1", "0", "2,1", "2.5"])
+def test_verify_rejects_an_order_below_2_at_parse_time(q, monkeypatch, capsys):
+    # the subset statistics take any order >= 1; the norm checks need integers >= 2
+    _forbid(monkeypatch, ea, "subset_renyi_values")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--code", "hamming74", "--eps", "0.1", "--q", q])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument --q: expected comma-separated integers >= 2, got '{q}'" in captured.err
+    assert captured.out == ""
 
 
 def test_usage_error_exit_code():

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from chanent import bitspace as bs
 from chanent import channels
 from chanent import entropy_analysis as ea
+from chanent import inequalities as iq
 from chanent.boolfn import binary_entropy, renyi_entropy
 from chanent.channels import bernoulli_words
-
-from chanent.inequalities import subset_stats_of_code
+from chanent.entropy_analysis import subset_stats_of_code
 
 from conftest import (
     bayes_cond_entropy_bsc,
@@ -572,6 +572,22 @@ def test_entropy_report_takes_the_noise_law_path_for_every_code():
     assert rep.h_x_given_bsc == pytest.approx(bayes_cond_entropy_bsc(nonlinear, eps), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "code",
+    [bs.reed_muller_code(1, 4), bs.Code(n=9, codewords=(0, 3, 12, 25, 30, 101, 257, 300, 511))],
+    ids=["linear", "nonlinear"],
+)
+def test_entropy_and_verify_read_the_same_two_objects(code):
+    # entropy's H(X|Y_BSC) and H(X|Y_BEC) are, bit for bit, the values verify's checks use
+    stats = ea.subset_stats_of_code(code, (2,))
+    for eps, eta in ((0.3, 0.5), (0.1, 0.2), (0.45, 0.9)):
+        (rep,) = ea.entropy_report(code, [eps], [eta], [2])
+        law = ea.noisy_law(code, eps)
+        assert rep.h_x_given_bsc == iq.check_bsc_bec(stats, law, eta).lhs
+        assert rep.h_x_given_bec == code.log_size - stats.expectation("renyi", 1 - eta)
+        assert rep.e_s_hq_xs == stats.expectation("renyi", 1 - eta, 2)
+
+
 def test_entropy_report_bsc_memory_is_bounded():
     # the dense path's 2^24 floats are 128 MiB an array
     code = bs.random_linear_code(24, 12, 1)
@@ -582,6 +598,23 @@ def test_entropy_report_bsc_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_entropy_report_holds_one_chunk_of_noisy_laws():
+    # repetition:21 has 2^20 cosets, so each eps is a chunk of its own
+    code = bs.repetition_code(21)
+    law_bytes = 8 << code.redundancy
+    assert channels._LAW_CELLS >> code.redundancy == 1
+    tracemalloc.start()
+    try:
+        reports = ea.entropy_report(code, [0.05, 0.1, 0.2], [None])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.eps for r in reports] == [0.05, 0.1, 0.2]
+    # a law and its pass's scratch, or a law and the copy its H(p) takes;
+    # the previous eps's law alive during a pass would add 8 MiB
+    assert peak <= 2 * law_bytes + (1 << 20)
 
 
 @pytest.mark.parametrize(
@@ -637,7 +670,7 @@ def test_entropy_report_computes_each_quantity_once_over_its_grid(monkeypatch):
     # one pass of the law of X+Z for the eps grid
     assert bsc == [[0.1, 0.2]]
     # one projection pass for every order and eta, with q = 1 for H(X|Y_BEC)
-    assert passes == [(2, 3, 1.0)]
+    assert passes == [(1.0, 2, 3)]
     assert [(r.eps, r.eta, r.q) for r in reports] == [
         (eps, eta, q) for eps in (0.1, 0.2) for eta in (0.25, 0.5) for q in (2, 3)
     ]

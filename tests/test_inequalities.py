@@ -27,8 +27,7 @@ from conftest import (
 
 def _code_inputs(code, eps, qs=()):
     """The code's subset statistics and noisy law, as ``verify`` gives them to the checks."""
-    stats = iq.subset_stats_of_code(code, qs)
-    return stats, iq.noisy_law(stats, eps)
+    return ea.subset_stats_of_code(code, qs), ea.noisy_law(code, eps)
 
 
 # The SAM inequalities hold for every nonnegative f; the library checks
@@ -50,7 +49,7 @@ def test_sam_norm_full_space():
 
 def test_sam_norm_rejects_bad_q():
     # f_C of the full space is the constant 1 on F_2^3
-    stats = iq.subset_stats_of_code(bs.full_space_code(3), (2,))
+    stats = ea.subset_stats_of_code(bs.full_space_code(3), (2,))
     noisy = iq.noisy_function(np.ones(8), 0.2)
     with pytest.raises(ValueError):
         iq.check_sam_norm(stats, noisy, 1)
@@ -257,46 +256,62 @@ def test_subset_stats_keeps_a_read_only_copy():
 @given(code=st.one_of(linear_codes(max_n=9), nonlinear_codes(max_n=8)))
 def test_subset_stats_of_code_matches_the_dp(code):
     # the closed form against the DP on f_C, every mask and order
-    closed = iq.subset_stats_of_code(code, (2, 3, 4))
+    closed = ea.subset_stats_of_code(code, (2, 3, 4))
     dp = subset_stats(boolfn.from_code(code), (2, 3, 4))
     assert closed.n == dp.n == code.n
-    assert np.max(np.abs(closed.ent - dp.ent)) <= 1e-12
+    assert np.max(np.abs(closed.row("ent") - dp.ent)) <= 1e-12
     for q in (2, 3, 4):
-        assert np.max(np.abs(closed.log_norm[q] - dp.log_norm[q])) <= 1e-12
+        assert np.max(np.abs(closed.row("log_norm", q) - dp.log_norm[q])) <= 1e-12
 
 
 def test_subset_stats_of_code_checks_orders():
+    # the statistics hold H_q(X_S) at any order q >= 1; the norm checks
+    # take integer orders >= 2 only, and say so
     code = bs.hamming74_code()
-    for q in (1, 2.5, 0):
-        with pytest.raises(ValueError, match="integer q >= 2"):
-            iq.subset_stats_of_code(code, (2, q))
-    stats = iq.subset_stats_of_code(code, (3, 2, 3.0))
-    assert list(stats.log_norm) == [3, 2]
+    for q in (0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ea.subset_stats_of_code(code, (2, q))
+    stats = ea.subset_stats_of_code(code, (3, 2, 3.0, 2.5, 1))
+    assert list(stats.renyi) == [1.0, 3, 2, 2.5]
     assert stats.n == 7
+    noisy = ea.noisy_law(code, 0.2)
+    for q in (1, 2.5):
+        with pytest.raises(ValueError, match="integer q >= 2"):
+            iq.check_sam_norm(stats, noisy, q)
 
 
-def test_subset_stats_of_a_linear_code_hold_no_dense_function():
+def test_subset_stats_of_a_linear_code_build_one_row_on_first_use():
     # f_C of [20, 10] is 2^20 floats; the checks of a linear code read only its n
     code = bs.make_code("random_linear:20,10,1")
-    iq.subset_stats_of_code(code, ())  # the cached subset table and popcounts
+    # the cached subset table, the popcounts and the weights' small tables
+    ea.subset_stats_of_code(code, ()).expectation("ent", 0.5)
     tracemalloc.start()
     try:
-        stats = iq.subset_stats_of_code(code, ())
-        _, peak = tracemalloc.get_traced_memory()
+        stats = ea.subset_stats_of_code(code, ())
+        held, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        stats.expectation("ent", 0.5)
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stats.n == 20
-    # one 2^20 float array is the Ent row; f_C would be a second
-    assert stats.ent.nbytes == 8 * 2**20 <= peak < 1.5 * stats.ent.nbytes
+    row = stats.row("ent")
+    assert stats.n == 20 and row.nbytes == 8 * 2**20
+    # building the statistics allocates no 2^n row: f_C or a derived row would be one
+    assert built < row.nbytes / 8
+    # the first Ent expectation builds its row and one weight array, and keeps
+    # both; a second row would be a third 2^20 array
+    assert 2 * row.nbytes <= peak - held < 2.5 * row.nbytes
+    assert 2 * row.nbytes <= current - held < 2.5 * row.nbytes
+    assert stats.row("ent") is row and not row.flags.writeable
 
 
 def test_subset_stats_of_code_enforces_the_subset_cap():
     # the library holds no DP that could run instead
-    assert not hasattr(iq, "subset_stats")
+    assert not hasattr(iq, "subset_stats") and not hasattr(ea, "subset_stats")
     nonlinear = bs.Code(n=21, codewords=(0, 3, 1 << 20))
     for code in (bs.repetition_code(21), nonlinear):
         with pytest.raises(ValueError, match="capped at n <= 20"):
-            iq.subset_stats_of_code(code, (2,))
+            ea.subset_stats_of_code(code, (2,))
 
 
 def test_noisy_function_is_read_only_and_keeps_eps():
@@ -309,7 +324,7 @@ def test_noisy_function_is_read_only_and_keeps_eps():
         noisy.p[0] = 5.0
     with pytest.raises(AttributeError):
         noisy.eps = 0.3
-    law = iq.noisy_law(iq.subset_stats_of_code(bs.hamming74_code(), ()), 0.2)
+    law = ea.noisy_law(bs.hamming74_code(), 0.2)
     with pytest.raises(ValueError):
         law.p[0] = 5.0
 
@@ -328,7 +343,7 @@ def test_noisy_function_matches_noise_operator():
 @example(code=bs.reed_muller_code(1, 4), eps=0.1)
 @example(code=bs.make_code("random_linear:20,10,1"), eps=0.3)
 def test_noisy_law_of_a_linear_code_matches_the_dense_path(code, eps):
-    law = iq.noisy_law(iq.subset_stats_of_code(code, ()), eps)
+    law = ea.noisy_law(code, eps)
     dense = iq.noisy_function(boolfn.from_code(code), eps)
     # one cell per coset: 2^(n-k) of them, 2^k points each
     assert (law.n, law.k, len(law.p)) == (code.n, code.n - code.redundancy, 1 << code.redundancy)
@@ -365,7 +380,7 @@ def _assert_is_the_dense_law(p, code, eps):
 @example(code=bs.Code(n=7, codewords=(0, 3, 12, 19, 30, 101)), eps=1e-310)  # subnormal
 def test_noisy_law_of_a_nonlinear_code_is_the_dense_path(code, eps):
     # a cell per point, from 1/|C| on each codeword: the dense T_eps f_C / 2^n
-    law = iq.noisy_law(iq.subset_stats_of_code(code, ()), eps)
+    law = ea.noisy_law(code, eps)
     assert (law.n, law.k) == (code.n, 0)
     _assert_is_the_dense_law(law.p, code, eps)
 
@@ -392,16 +407,22 @@ def test_noisy_law_of_a_nonlinear_code_is_the_dense_path(code, eps):
 def test_noisy_laws_of_grid_chunks_are_the_one_eps_laws(linear, nonlinear, grid, rows):
     # verify's path: the grid cut into chunks of at most `rows` laws, one pass per chunk
     for code in (linear, nonlinear):
-        stats = iq.subset_stats_of_code(code, ())
         cells = code.redundancy if code.generator is not None else code.n
+        chunks = []
+        noise_laws = ea.noise_laws
+
+        def counted(code, eps_grid):
+            chunks.append(list(eps_grid))
+            return noise_laws(code, eps_grid)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(channels, "_LAW_CELLS", rows << cells)
-            chunks = iq.law_chunks(stats, grid)
-            laws = [law for chunk in chunks for law in iq.noisy_laws(stats, chunk)]
+            patch.setattr(ea, "noise_laws", counted)
+            laws = list(ea.noisy_laws(code, grid))
         assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
         assert [law.eps for law in laws] == grid
         for law, eps in zip(laws, grid):
-            one = iq.noisy_law(stats, eps)
+            one = ea.noisy_law(code, eps)
             assert (law.n, law.k) == (one.n, one.k) == (code.n, code.n - cells)
             assert law.p.tobytes() == one.p.tobytes()
             assert not law.p.flags.writeable
@@ -425,8 +446,8 @@ def test_a_linear_code_and_its_words_without_the_generator_agree(code, eps):
     h_bsc, slacks = [], []
     for c in (code, words):
         (report,) = ea.entropy_report(c, [eps], [None])
-        stats = iq.subset_stats_of_code(c, qs)
-        noisy = iq.noisy_law(stats, eps)
+        stats = ea.subset_stats_of_code(c, qs)
+        noisy = ea.noisy_law(c, eps)
         checks = [iq.check_cor_rv_entropy(stats, noisy), iq.check_sam_entropy(stats, noisy)]
         for q in qs:
             checks += [iq.check_cor_rv(stats, noisy, q), iq.check_sam_norm(stats, noisy, q)]
@@ -443,20 +464,19 @@ def test_a_linear_code_and_its_words_without_the_generator_agree(code, eps):
 
 def test_subset_expectation_is_the_weighted_row_and_keeps_one_weight_array(monkeypatch):
     code = bs.reed_muller_code(1, 4)
-    stats = iq.subset_stats_of_code(code, (2, 3))
+    stats = ea.subset_stats_of_code(code, (2, 3))
     gathers = []
 
     def counted(n, lam):
         gathers.append(lam)
         return weights(n, lam)
 
-    weights = iq.subset_weights
-    monkeypatch.setattr(iq, "subset_weights", counted)
-    asks = [("ent", 0.3, None), ("renyi", 0.3, 1.0), ("log_norm", 0.5, 2)]
-    asks += [("ent", 0.3, None), ("renyi", 0.5, 2), ("renyi", 0.3, 3)]
+    weights = ea.subset_weights
+    monkeypatch.setattr(ea, "subset_weights", counted)
+    asks = [("ent", 0.3, 1.0), ("renyi", 0.3, 1.0), ("log_norm", 0.5, 2)]
+    asks += [("ent", 0.3, 1.0), ("renyi", 0.5, 2), ("renyi", 0.3, 3)]
     for row, lam, q in asks:
-        values = getattr(stats, row) if q is None else getattr(stats, row)[q]
-        expected = float(weights(code.n, lam) @ values)
+        expected = float(weights(code.n, lam) @ stats.row(row, q))
         assert stats.expectation(row, lam, q) == expected
         # the weights of one lam at most are held
         assert list(stats._weights) == ["lam", "w"]
@@ -466,10 +486,10 @@ def test_subset_expectation_is_the_weighted_row_and_keeps_one_weight_array(monke
 
 
 def test_checks_reject_noisy_function_of_another_dimension():
-    stats = iq.subset_stats_of_code(bs.repetition_code(3), (2,))
+    stats = ea.subset_stats_of_code(bs.repetition_code(3), (2,))
     for noisy in (
         iq.noisy_function(np.ones(16), 0.2),
-        iq.noisy_law(iq.subset_stats_of_code(bs.hamming74_code(), ()), 0.2),
+        ea.noisy_law(bs.hamming74_code(), 0.2),
     ):
         for check in (
             lambda: iq.check_sam_norm(stats, noisy, 2),
@@ -486,7 +506,7 @@ def test_code_checks_need_statistics_of_a_code_with_the_order():
     code = bs.hamming74_code()
     stats, noisy = _code_inputs(code, 0.3, (2,))
     # statistics always have a code behind them, and the SAM rows name it
-    assert inspect.signature(iq.SubsetStats).parameters["code"].default is inspect.Parameter.empty
+    assert inspect.signature(ea.SubsetStats).parameters["code"].default is inspect.Parameter.empty
     assert iq.check_sam_entropy(stats, noisy).params["f"] == code.name == "hamming74"
     assert iq.check_sam_norm(stats, noisy, 2).params["f"] == code.name
     with pytest.raises(ValueError, match="q=3"):
