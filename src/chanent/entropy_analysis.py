@@ -275,7 +275,7 @@ class SubsetStats:
         return self._expected[key]
 
 
-def subset_stats_of_code(code: Code, qs: Sequence[float] = ()) -> SubsetStats:
+def subset_stats_of_code(code: Code, qs: Sequence[float]) -> SubsetStats:
     """The subset statistics of a code at the orders 1 and qs, from its one subset table."""
     require_subset_cap(code.n)
     orders = tuple(dict.fromkeys((1.0, *qs)))
@@ -506,8 +506,8 @@ def entropy_report(
     epss = [eps for eps in dict.fromkeys(eps_grid) if eps is not None]
     # map keeps no law past its call, so each chunk of laws is freed before the next pass
     h_bsc = dict(zip(epss, map(partial(cond_entropy_bsc_of_law, code), noisy_laws(code, epss))))
-    orders = tuple(dict.fromkeys([1.0, *qs]))
-    stats = subset_stats_of_code(code, orders) if etas and not sampled else None
+    orders = tuple(dict.fromkeys([*qs, 1.0]))
+    stats = subset_stats_of_code(code, qs) if etas and not sampled else None
     # (eta, q) -> (E_{S~1-eta} H_q(X_S), stderr); q = 1 gives H(X|Y_BEC)
     subset = {}
     for eta in etas:
