@@ -36,6 +36,12 @@ both trees (``inner_loops`` in FILE).  The cases:
 * ``listdecode.simulate`` on seed 1's random_linear:24,12 at eps 0.2 and
   on reed_muller:2,4 at eps 0.3, each at the ``decode`` workload's 50000
   trials, under its Monte Carlo seed;
+* ``listdecode.simulate`` at eps 0.2 on one small run each side of
+  ``_table_pays``: random_linear:24,9,1 at 100 trials, where the pair
+  kernel it takes is the faster path, and random_linear:20,10,1 at 500
+  trials, where it takes the pair kernel although the coset table is as
+  fast or faster (the one run of the rule's fit that it routes to the
+  slower path);
 * the ``decode`` workload's operations: ``decode-sim`` through
   ``cli.main`` and the ``likely_probability`` library calls;
 * those ``likely_probability`` calls on their own: seed 1's
@@ -166,9 +172,9 @@ def cases(work_dir: Path) -> dict:
         # the array itself is hashed through its buffer: no 8 MB copy in the timing
         return channels.noise_operator(f20, 0.2)
 
-    def simulate(code, eps):
+    def simulate(code, eps, trials=workloads.DECODE_SIM_TRIALS):
         def run():
-            sim = listdecode.simulate(code, eps, workloads.DECODE_SIM_TRIALS, inputs.mc_seed)
+            sim = listdecode.simulate(code, eps, trials, inputs.mc_seed)
             return b"".join(a.tobytes() for a in (sim.counts, sim.rank, sim.inside))
 
         return run
@@ -230,6 +236,8 @@ def cases(work_dir: Path) -> dict:
         "noise_operator.n20": noise20,
         "simulate.24_12": simulate(mc_code, 0.2),
         "simulate.rm2_4": simulate(bitspace.make_code("reed_muller:2,4"), 0.3),
+        "simulate.24_9_100": simulate(bitspace.make_code("random_linear:24,9,1"), 0.2, 100),
+        "simulate.20_10_500": simulate(linear20, 0.2, 500),
         "cli.decode": cli(workloads.build_ops("decode", inputs, work_dir)),
         "likely_probability.18_8": likely,
         "calibration.sort": lambda: np.sort(calibration_words),

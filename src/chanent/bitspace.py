@@ -295,36 +295,31 @@ def parse_codeword_file(text: str, name: str = "file") -> Code:
     return Code(n=n, codewords=sorted(words), name=name)
 
 
+# a spec's code family -> its constructor, ``<family>_code``, which takes the spec's integers
+_FAMILIES = {
+    build.__name__.removesuffix("_code"): build
+    for build in (repetition_code, parity_code, hamming74_code, reed_muller_code,
+                  random_linear_code, full_space_code, single_code)
+}
+
+
 def make_code(spec: str) -> Code:
-    """Build a code from a compact textual spec.
+    """Build a code from a compact textual spec: its family, then exactly the family's integers.
 
     Examples: ``repetition:3``, ``parity:5``, ``hamming74``,
     ``reed_muller:1,3``, ``random_linear:12,4,7``, ``full_space:2``,
-    ``single:5``.
+    ``single:5``.  A missing, extra or non-integer argument, or one the
+    family rejects, raises ``ValueError`` naming the spec.
     """
     kind, _, argstr = spec.partition(":")
-    args = [int(a) for a in argstr.split(",")] if argstr else []
+    build = _FAMILIES.get(kind)
+    if build is None:
+        raise ValueError(f"unknown code family {kind!r}")
     try:
-        if kind == "repetition":
-            (n,) = args
-            return repetition_code(n)
-        if kind == "parity":
-            (n,) = args
-            return parity_code(n)
-        if kind == "hamming74":
-            return hamming74_code()
-        if kind == "reed_muller":
-            r, m = args
-            return reed_muller_code(r, m)
-        if kind == "random_linear":
-            n, k, seed = args
-            return random_linear_code(n, k, seed)
-        if kind == "full_space":
-            (n,) = args
-            return full_space_code(n)
-        if kind == "single":
-            (n,) = args
-            return single_code(n)
+        args = [int(a) for a in argstr.split(",")] if argstr else []
+        arity = build.__code__.co_argcount  # each constructor takes only positional integers
+        if len(args) != arity:
+            raise ValueError(f"{kind} takes {arity} integer argument(s), got {len(args)}")
+        return build(*args)
     except ValueError as exc:
         raise ValueError(f"bad code spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown code family {kind!r}")

@@ -18,7 +18,8 @@ from .bitspace import Code
 
 _SUM_TOL = 1e-12
 
-# entries per block of H(p)'s in-place v log2 v: its scratch stays at 576 KiB
+# entries per block of the in-place v log2 v, and at most an eighth of the
+# array: its scratch stays within 576 KiB and 9/64 of the array's bytes
 _XLOG_BLOCK = 1 << 16
 
 
@@ -57,20 +58,29 @@ def norm_q(f: np.ndarray, q: float) -> float:
     return float(np.mean(f**q) ** (1 / q))
 
 
-def _xlog2x(v: np.ndarray) -> np.ndarray:
-    """v log2 v where v > 0, else 0, with one temporary of v's size."""
-    out = np.zeros_like(v)
-    pos = v > 0
-    np.log2(v, out=out, where=pos)
-    np.multiply(out, v, out=out, where=pos)
-    return out
+def _sum_xlog2x(v: np.ndarray) -> float:
+    """Sum of v log2 v over v > 0, the terms written over the fresh array v a block at a time.
+
+    The terms are summed whole, so the sum is that of a second, zeroed array of the terms.
+    """
+    flat = v.reshape(-1)
+    block = max(1, min(_XLOG_BLOCK, flat.size // 8))
+    log = np.empty(block)
+    pos = np.empty(block, dtype=bool)
+    for start in range(0, flat.size, block):
+        v = flat[start : start + block]
+        v_log, v_pos = log[: v.size], pos[: v.size]
+        np.greater(v, 0, out=v_pos)
+        np.log2(v, out=v_log, where=v_pos)
+        np.multiply(v, v_log, out=v, where=v_pos)
+    return float(np.sum(flat))
 
 
 def ent(f: np.ndarray) -> float:
-    """E f log f - (E f) log (E f), in bits."""
-    f = np.asarray(f, dtype=float)
+    """E f log f - (E f) log (E f), in bits, for a nonnegative f; f is not written."""
+    f = np.array(f, dtype=float)  # a copy: the terms are written over it
     m = float(np.mean(f))
-    term = float(np.mean(_xlog2x(f)))
+    term = _sum_xlog2x(f) / f.size
     if m > 0:
         term -= m * math.log2(m)
     return term
@@ -102,18 +112,7 @@ def _renyi_from_probs(p: np.ndarray, q: float) -> float:
     if not q >= 1:
         raise ValueError("order must be >= 1")
     if q == 1:
-        # v log2 v written over p a block at a time through one reused buffer,
-        # then summed whole: the terms and the sum are those of _xlog2x(p)
-        flat = p.reshape(-1)
-        log = np.empty(min(flat.size, _XLOG_BLOCK))
-        pos = np.empty(log.size, dtype=bool)
-        for start in range(0, flat.size, _XLOG_BLOCK):
-            v = flat[start : start + _XLOG_BLOCK]
-            v_log, v_pos = log[: v.size], pos[: v.size]
-            np.greater(v, 0, out=v_pos)
-            np.log2(v, out=v_log, where=v_pos)
-            np.multiply(v, v_log, out=v, where=v_pos)
-        return float(-np.sum(flat))
+        return -_sum_xlog2x(p)
     if math.isinf(q):
         return float(-math.log2(p.max()))
     p **= q  # in place: the same power (or square) as p**q, without a second array

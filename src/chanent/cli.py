@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -142,9 +143,11 @@ def cmd_verify(args) -> int:
     eps_grid = args.eps or [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
     eta_grid = args.eta or []
     qs = args.q or [2, 3, 4]
-    # every check enumerates all subsets: refuse an oversized code before any work
+    # every check enumerates all subsets: refuse an oversized code or a bad grid before any work
     for code in codes:
         entropy_analysis.require_subset_cap(code.n)
+    entropy_analysis.require_unit_interval("eps", eps_grid)
+    entropy_analysis.require_unit_interval("eta", eta_grid)
     checked = []
     for code in sorted(codes, key=lambda c: (c.n, c.name)):
         stats = entropy_analysis.subset_stats_of_code(code, qs)
@@ -171,30 +174,33 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+def _decoder(
+    code: bitspace.Code, eps: float, delta: float, list_cap: int | None
+) -> tuple[DecoderConfig, int]:
+    """A decoder with its list cap set (by default the theoretical list size), and that size."""
+    cfg = DecoderConfig(n=code.n, eps=eps, delta=delta, list_cap=list_cap)
+    k_theory = listdecode.theoretical_list_size(code.rate, cfg.effective_eps, delta, code.n)
+    return replace(cfg, list_cap=k_theory if list_cap is None else list_cap), k_theory
+
+
 def cmd_decode_sim(args) -> int:
     if args.seed is None:
         print("error: decode-sim requires --seed", file=sys.stderr)
         return 2
-    codes = [resolve_code(s) for s in args.code]
+    codes = sorted(map(resolve_code, args.code), key=lambda c: (c.n, c.name))
     eps_grid = args.eps or [0.1]
     deltas = args.delta or [0.0]
+    # validate every decoder, and take its list size once, before the first pass
+    grids = [
+        [[_decoder(code, eps, delta, args.list_cap) for delta in deltas] for eps in eps_grid]
+        for code in codes
+    ]
     rows = []
-    for code in sorted(codes, key=lambda c: (c.n, c.name)):
-        # validate every decoder before the pass they share
-        decoders = [
-            [
-                DecoderConfig(n=code.n, eps=eps, delta=delta, list_cap=args.list_cap)
-                for delta in deltas
-            ]
-            for eps in eps_grid
-        ]
+    for code, decoders in zip(codes, grids):
         passes = listdecode.simulate_grid(code, eps_grid, args.trials, args.seed)
         for eps, cfgs, decoded in zip(eps_grid, decoders, passes):
-            for cfg in cfgs:
+            for cfg, k_theory in cfgs:
                 stats = decoded.stats(cfg)
-                k_theory = listdecode.theoretical_list_size(
-                    code.rate, cfg.effective_eps, cfg.delta, code.n
-                )
                 rs_exp, rs_in_hyp = listdecode.rs22_lower_bound(
                     code.rate, cfg.effective_eps, code.n
                 )
@@ -204,7 +210,7 @@ def cmd_decode_sim(args) -> int:
                         "n": code.n,
                         "eps": eps,
                         "delta": cfg.delta,
-                        "k": cfg.cap_for(code),
+                        "k": cfg.list_cap,
                         "k_theoretical": k_theory,
                         "rs22_log2_lower_bound": rs_exp,
                         "rs22_in_hypothesis": rs_in_hyp,
@@ -281,9 +287,7 @@ def _unique_grids(args) -> None:
     """
     if getattr(args, "lam", None):
         # checked here: past the fold a bad lam would be reported as an eta
-        for lam in args.lam:
-            if not 0 <= lam <= 1:
-                raise ValueError(f"lambda={lam} outside [0, 1]")
+        entropy_analysis.require_unit_interval("lambda", args.lam)
         # a subset density lam is the same configuration as erasure eta = 1 - lam
         args.eta = [*(args.eta or []), *(1 - lam for lam in args.lam)]
     for key, value in list(vars(args).items()):

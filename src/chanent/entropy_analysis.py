@@ -200,30 +200,14 @@ def subset_renyi_values(code: Code, qs: tuple[float, ...]) -> np.ndarray:
     return out
 
 
-def subset_rows(code: Code, qs: Sequence[float]) -> np.ndarray:
-    """H_q(X_S) for every subset, read-only: row i at order qs[i], from one cached table.
-
-    A linear code's one table serves every order, so it is cached under
-    (1.0,) whatever the orders; a nonlinear code's is keyed by qs.
-    """
-    _require_orders(qs)
-    key = (1.0,) if code.generator is not None else tuple(qs)
-    return np.broadcast_to(subset_renyi_values(code, key), (len(qs), 1 << code.n))
-
-
-def _check_subset_law(lam: float, qs: Sequence[float]) -> None:
-    if not 0 <= lam <= 1:
-        raise ValueError("lam must be in [0, 1]")
-    _require_orders(qs)
-
-
 @dataclass(frozen=True, eq=False)
 class SubsetStats:
     """A code's per-subset rows and their expectations E_{S~lam}.
 
     ``renyi`` maps each order q (1 included) to H_q(X_S) for every
-    subset mask S: read-only views of the code's one cached subset table
-    (``subset_rows``).  The rows of f = f_C, the distribution function of
+    subset mask S: read-only rows of the code's one cached subset table
+    (``subset_renyi_values``), one row object for every order of a
+    linear code.  The rows of f = f_C, the distribution function of
     X uniform on the code, follow from them, since E(f|S) is 2^|S| times
     the law of X_S: ``ent`` is Ent[E(f|S)] = |S| - H(X_S), and
     ``log_norm`` at q is log2 ||E(f|S)||_q = (|S| - H_q(X_S)) (1 - 1/q).
@@ -232,7 +216,7 @@ class SubsetStats:
 
     code: Code
     renyi: dict[float, np.ndarray]  # q -> H_q(X_S) per mask, q = 1 included
-    # (row, q) -> a derived row; (row, q, lam) -> E_{S~lam} of that row;
+    # (row, q) -> a derived row; (id of a row, lam) -> E_{S~lam} of that row;
     # and the weights of the last lam
     _rows: dict = field(default_factory=dict, init=False, repr=False)
     _expected: dict = field(default_factory=dict, init=False, repr=False)
@@ -258,16 +242,17 @@ class SubsetStats:
         return self._rows[key]
 
     def expectation(self, name: str, lam: float, q: float = 1.0) -> float:
-        """E_{S~lam} of the row ``name`` at order q: ``subset_weights(n, lam) @ row``, computed once.
+        """E_{S~lam} of the row ``name`` at order q: ``subset_weights(n, lam) @ row``.
 
-        The weights of the last lam are kept, so checks that ask for
-        several rows at one lam in turn share one gather; they are
-        dropped before the next lam's weights are built, so at most one
-        2^n weight array is alive.
+        It is computed once per row object and lam: one dot for every
+        order of a linear code's ``renyi`` row.  The weights of the last
+        lam are kept, so checks that ask for several rows at one lam in
+        turn share one gather; they are dropped before the next lam's
+        weights are built, so at most one 2^n weight array is alive.
         """
-        key = (name, q, lam)
+        values = self.row(name, q)
+        key = (id(values), lam)  # the stats hold the row, so its id is never reused
         if key not in self._expected:
-            values = self.row(name, q)
             if self._weights.get("lam") != lam:
                 self._weights.clear()
                 self._weights.update(lam=lam, w=subset_weights(self.n, lam))
@@ -276,15 +261,21 @@ class SubsetStats:
 
 
 def subset_stats_of_code(code: Code, qs: Sequence[float]) -> SubsetStats:
-    """The subset statistics of a code at the orders 1 and qs, from its one subset table."""
+    """The subset statistics of a code at the orders 1 and qs, from its one subset table.
+
+    A linear code's one row, cached under (1.0,), serves every order.
+    """
+    _require_orders(qs)
     require_subset_cap(code.n)
     orders = tuple(dict.fromkeys((1.0, *qs)))
-    return SubsetStats(code, dict(zip(orders, subset_rows(code, orders))))
+    if code.generator is not None:
+        return SubsetStats(code, dict.fromkeys(orders, subset_renyi_values(code, (1.0,))[0]))
+    return SubsetStats(code, dict(zip(orders, subset_renyi_values(code, orders))))
 
 
 def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
     """Exact E_{S~lam} H_q(X_S) by enumerating all 2^n subsets."""
-    _check_subset_law(lam, (q,))
+    require_unit_interval("lam", [lam])
     return subset_stats_of_code(code, (q,)).expectation("renyi", lam, q)
 
 
@@ -298,7 +289,8 @@ def subset_entropy_expectation_mc(
     it for a linear code (H_q(X_S) = r(S) for every q), by one projection
     pass for all orders otherwise.
     """
-    _check_subset_law(lam, qs)
+    require_unit_interval("lam", [lam])
+    _require_orders(qs)
     if trials < 2:
         raise ValueError("trials must be >= 2: a standard error needs two samples")
     rng = np.random.default_rng(seed)
@@ -322,10 +314,11 @@ def cond_entropy_bsc(code: Code, eps: float) -> float:
     return code.log_size + code.n * binary_entropy(eps) - h_xz
 
 
-def _require_eps(eps_grid: Sequence[float]) -> None:
-    for eps in eps_grid:
-        if not 0 <= eps <= 1:
-            raise ValueError("eps must be in [0, 1]")
+def require_unit_interval(name: str, values: Sequence[float | None]) -> None:
+    """Reject a value outside [0, 1], NaN included, as ``name``; a None is left out."""
+    for value in values:
+        if value is not None and not 0 <= value <= 1:
+            raise ValueError(f"{name}={value} outside [0, 1]")
 
 
 def law_cells(code: Code) -> int:
@@ -344,7 +337,7 @@ def noise_laws(code: Code, eps_grid: Sequence[float]) -> list[np.ndarray]:
     at its eps alone.  The laws are the read-only rows of one array;
     ``noisy_laws`` bounds it by passing one chunk of its grid at a time.
     """
-    _require_eps(eps_grid)
+    require_unit_interval("eps", eps_grid)
     m = law_cells(code)
     p = np.zeros((len(eps_grid), 1 << m))
     if code.generator is None:
@@ -407,7 +400,7 @@ def noisy_laws(code: Code, eps_grid: Sequence[float]) -> Iterator[NoisyFunction]
     past its use holds one chunk at a time.
     """
     eps_grid = list(eps_grid)
-    _require_eps(eps_grid)
+    require_unit_interval("eps", eps_grid)
     return _law_stream(code, eps_grid)
 
 
@@ -436,8 +429,7 @@ def cond_entropy_bsc_of_law(code: Code, law: NoisyFunction) -> float:
 
 def cond_entropy_bec(code: Code, eta: float) -> float:
     """H(X|Y_BEC) = H(X) - E_{S~(1-eta)} H(X_S), exact."""
-    if not 0 <= eta <= 1:
-        raise ValueError("eta must be in [0, 1]")
+    require_unit_interval("eta", [eta])
     return code.log_size - subset_entropy_expectation(code, 1 - eta, 1.0)
 
 
@@ -495,10 +487,8 @@ def entropy_report(
     before any work.
     """
     _require_orders(qs)
+    require_unit_interval("eta", eta_grid)
     etas = [eta for eta in dict.fromkeys(eta_grid) if eta is not None]
-    for eta in etas:
-        if not 0 <= eta <= 1:
-            raise ValueError(f"eta={eta} outside [0, 1]")
     sampled = bool(etas) and code.n > EXACT_SUBSET_CAP
     if sampled and (trials is None or seed is None):
         raise ValueError("monte_carlo mode requires trials and seed")

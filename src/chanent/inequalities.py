@@ -21,6 +21,7 @@ from .bitspace import Code
 from .boolfn import binary_entropy, dim_of, h_q, validate
 from .channels import noise_operator
 from .entropy_analysis import NoisyFunction, SubsetStats, cond_entropy_bsc_of_law
+from .entropy_analysis import require_unit_interval
 
 TOLERANCE = 1e-9
 
@@ -152,8 +153,7 @@ def check_bsc_bec(stats: SubsetStats, noisy: NoisyFunction, eta: float) -> Slack
     """H(X|Y_BSC) <= (h(eps)-eta)*n + H(X|Y_BEC), for 4*eps*(1-eps) >= eta."""
     code = _code_of(stats, 1.0)
     eps = noisy.eps
-    if not 0 <= eta <= 1:
-        raise ValueError(f"eta={eta} outside [0, 1]")
+    require_unit_interval("eta", [eta])
     if 4 * eps * (1 - eps) < eta:
         raise HypothesisViolation(
             f"hypothesis 4*eps*(1-eps) >= eta fails: eps={eps}, eta={eta}"

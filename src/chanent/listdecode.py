@@ -88,12 +88,20 @@ class DecoderConfig:
         return theoretical_list_size(code.rate, self.effective_eps, self.delta, self.n)
 
 
+def _list_size(rate: float, eps: float, delta: float, n: int) -> float:
+    """2^((R - (1 - h(eps)) + delta) * n), inf when it overflows a float."""
+    try:
+        return 2.0 ** ((rate - (1 - binary_entropy(eps)) + delta) * n)
+    except OverflowError:
+        return math.inf
+
+
 def theoretical_list_size(rate: float, eps: float, delta: float, n: int) -> int:
-    """ceil(2^((R - (1 - h(eps)) + delta) * n)), at least 1."""
-    exponent = (rate - (1 - binary_entropy(eps)) + delta) * n
-    if exponent <= 0:
-        return 1
-    return max(1, math.ceil(2.0**exponent))
+    """ceil(2^((R - (1 - h(eps)) + delta) * n)), at least 1; a float overflow is rejected."""
+    size = _list_size(rate, eps, delta, n)
+    if math.isinf(size):
+        raise ValueError(f"delta={delta} gives a list size past the float range at n={n}")
+    return max(1, math.ceil(size))
 
 
 def rs22_lower_bound(rate: float, eps: float, n: int) -> tuple[float, bool]:
@@ -110,9 +118,8 @@ def rs22_lower_bound(rate: float, eps: float, n: int) -> tuple[float, bool]:
 
 
 def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
-    """2^((R - (1 - h(eps)) + delta) * n): the inflated target list size."""
-    exponent = (code.rate - (1 - binary_entropy(cfg.effective_eps)) + cfg.delta) * cfg.n
-    return 2.0**exponent
+    """2^((R - (1 - h(eps)) + delta) * n): the inflated target list size (inf past a float)."""
+    return _list_size(code.rate, cfg.effective_eps, cfg.delta, cfg.n)
 
 
 def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:

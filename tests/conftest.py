@@ -182,15 +182,29 @@ def array_per_step_renyi(p: np.ndarray, q: float) -> float:
     return float(-math.log2(np.sum(p**q)) / (q - 1))
 
 
+def zeroed_xlog2x(v: np.ndarray) -> np.ndarray:
+    """v log2 v where v > 0, else 0, written into a second, zeroed array of v's size."""
+    out = np.zeros_like(v)
+    pos = v > 0
+    np.log2(v, out=out, where=pos)
+    np.multiply(out, v, out=out, where=pos)
+    return out
+
+
+def zeroed_ent(f: np.ndarray) -> float:
+    """Ent[f] in bits, E f log2 f - (E f) log2 (E f), over ``zeroed_xlog2x``."""
+    f = np.asarray(f, dtype=float)
+    m = float(np.mean(f))
+    term = float(np.mean(zeroed_xlog2x(f)))
+    if m > 0:
+        term -= m * math.log2(m)
+    return term
+
+
 def copying_shannon(counts: np.ndarray) -> float:
-    """H of counts / sum(counts) with v log2 v written into a second, zeroed law-sized array."""
+    """H of counts / sum(counts) over ``zeroed_xlog2x``: a second, zeroed law-sized array."""
     p = np.asarray(counts, dtype=float)
-    p = p / p.sum()
-    out = np.zeros_like(p)
-    pos = p > 0
-    np.log2(p, out=out, where=pos)
-    np.multiply(out, p, out=out, where=pos)
-    return float(-np.sum(out))
+    return float(-np.sum(zeroed_xlog2x(p / p.sum())))
 
 
 def naive_project(v: int, mask: int, n: int) -> int:

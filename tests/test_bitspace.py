@@ -148,6 +148,20 @@ def test_make_code_specs():
         bs.make_code("nonsense:1")
     with pytest.raises(ValueError):
         bs.make_code("repetition:0")
+    # a spec takes exactly its family's integer arguments
+    for spec in ("hamming74:5", "repetition:3,4", "single:", "repetition:x", "repetition:0"):
+        with pytest.raises(ValueError, match=f"^bad code spec '{spec}': "):
+            bs.make_code(spec)
+    assert bs.make_code("hamming74:") == bs.make_code("hamming74")
+
+
+def test_make_code_passes_on_a_type_error_inside_a_constructor(monkeypatch):
+    def broken(n):
+        raise TypeError("inside the constructor")
+
+    monkeypatch.setitem(bs._FAMILIES, "repetition", broken)
+    with pytest.raises(TypeError, match="inside the constructor"):
+        bs.make_code("repetition:3")
 
 
 def test_generator_file_roundtrip():

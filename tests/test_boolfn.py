@@ -18,6 +18,7 @@ from conftest import (
     linear_codes,
     nonlinear_codes,
     small_corpus,
+    zeroed_ent,
 )
 
 
@@ -281,6 +282,29 @@ def test_shannon_entropy_in_blocks_equals_the_copying_form(size, zeros, block, s
         p = counts / counts.sum()
         assert boolfn.renyi_entropy(p, 1) == copying_shannon(p)
     assert counts.tobytes() == kept.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 20),
+    zeros=st.floats(0, 1),
+    block=st.sampled_from([1, 5, 1 << 10, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=20, zeros=0.5, block=1 << 16, seed=3)
+@example(n=3, zeros=0.0, block=1 << 16, seed=4)
+def test_ent_and_shannon_entropy_equal_the_zeroed_array_form_across_blocks(n, zeros, block, seed):
+    # ent and H(p) write v log2 v over one copy, in blocks of at most an
+    # eighth of it; the terms and their sum are those of a second zeroed array
+    rng = np.random.default_rng(seed)
+    f = (1 << n) * rng.random(1 << n) * (rng.random(1 << n) >= zeros)
+    f[rng.integers(1 << n)] += 1.0
+    kept = f.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boolfn, "_XLOG_BLOCK", block)
+        assert boolfn.ent(f) == zeroed_ent(f)
+        assert boolfn.renyi_entropy_from_counts(f, 1) == copying_shannon(f)
+    assert f.tobytes() == kept.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

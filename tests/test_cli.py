@@ -417,6 +417,18 @@ def test_decode_sim_runs_one_shared_pass_per_code(monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("grid", [["--eps", "1.5"], ["--eta", "1.5"], ["--eta", "0.5,-0.1"]])
+def test_verify_checks_its_grids_before_any_subset_table(grid, monkeypatch, capsys):
+    for name in ("subset_stats_of_code", "subset_renyi_values", "noise_laws"):
+        _forbid(monkeypatch, ea, name)
+    # the small code sorts first, so its table would be built before the large one's
+    code = main(["verify", "--code", "random_linear:20,10,1", "--code", "repetition:3", *grid])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {grid[0][2:]}")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("eta", ["1.5", "-0.1"])
 def test_verify_rejects_eta_outside_unit_interval(eta, capsys):
     code = main(
@@ -604,6 +616,26 @@ def test_decode_sim_rejects_non_finite_delta(delta, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: delta must be finite and >= 0\n"
+    assert captured.out == ""
+
+
+def test_decode_sim_rejects_a_list_size_past_the_float_range_before_any_draw(monkeypatch, capsys):
+    _forbid(monkeypatch, listdecode, "simulate_grid")
+    # the first code's decoders are fine: the second's delta is checked before its pass
+    argv = ["decode-sim", "--code", "hamming74", "--code", "repetition:3", "--delta", "0,200"]
+    code = main(argv + ["--trials", "100", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: delta=200.0 ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["hamming74:5", "repetition:3,4", "single:", "repetition:x"])
+def test_a_code_spec_with_the_wrong_arguments_is_a_usage_error(spec, capsys):
+    code = main(["entropy", "--code", spec, "--eps", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: bad code spec '{spec}': ")
     assert captured.out == ""
 
 

@@ -94,7 +94,7 @@ def test_equal_codes_hash_equal_and_share_one_cache_entry(same):
     ea.subset_renyi_values.cache_clear()
     ld._coset_weights.cache_clear()
     for code in (a, b):
-        ea.subset_rows(code, (2.0,))
+        ea.subset_stats_of_code(code, (2.0,))
         ld._coset_weights(code)
     for cached in (ea.subset_renyi_values, ld._coset_weights):
         info = cached.cache_info()

@@ -528,9 +528,11 @@ def test_subset_expectation_builds_one_linear_table_for_every_order():
     linear = bs.hamming74_code()
     for q in (1, 2, 3, math.inf):
         ea.subset_entropy_expectation(linear, 0.5, q)
-    subset_stats_of_code(linear, (2, 3))
+    stats = subset_stats_of_code(linear, (2, 3))
     ea.cond_entropy_bec(linear, 0.3)
     assert cache.cache_info().misses == 1
+    # every order maps to the one row object
+    assert stats.renyi[1.0] is stats.renyi[2] is stats.renyi[3]
     # a nonlinear code's table is keyed by its orders
     nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
     for q in (1, 2, 2.0, 1):
@@ -678,6 +680,25 @@ def test_entropy_report_computes_each_quantity_once_over_its_grid(monkeypatch):
         assert r.h_x_given_bsc == pytest.approx(dense(code, r.eps), abs=1e-12)
         assert r.h_x_given_bec == ea.cond_entropy_bec(code, r.eta)
         assert r.e_s_hq_xs == ea.subset_entropy_expectation(code, 1 - r.eta, r.q)
+
+
+def test_entropy_report_takes_one_dot_per_eta_for_every_order_of_a_linear_code(monkeypatch):
+    dots = []
+
+    class Weights(np.ndarray):
+        def __matmul__(self, row):
+            dots.append(len(row))
+            return np.asarray(self) @ row
+
+    weights = ea.subset_weights
+    monkeypatch.setattr(ea, "subset_weights", lambda n, lam: weights(n, lam).view(Weights))
+    code = bs.reed_muller_code(1, 4)
+    reports = ea.entropy_report(code, [None], [0.25, 0.5], [1, 2])
+    # every order of a linear code reads one row, so each eta takes one 2^n dot
+    assert dots == [1 << code.n] * 2
+    (row,) = ea.subset_renyi_values(code, (1.0,))
+    for r in reports:
+        assert r.e_s_hq_xs == float(weights(code.n, 1 - r.eta) @ row)
 
 
 @pytest.mark.parametrize(

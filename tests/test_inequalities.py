@@ -481,8 +481,9 @@ def test_subset_expectation_is_the_weighted_row_and_keeps_one_weight_array(monke
         # the weights of one lam at most are held
         assert list(stats._weights) == ["lam", "w"]
     # a gather per change of lam; the second (ent, 0.3) was remembered, so
-    # the weights of 0.5 served (renyi, 2) too
-    assert gathers == [0.3, 0.5, 0.3]
+    # the weights of 0.5 served (renyi, 2) too, and a linear code's renyi
+    # row is one row at every order, so (renyi, 0.3, 3) was remembered too
+    assert gathers == [0.3, 0.5]
 
 
 def test_checks_reject_noisy_function_of_another_dimension():

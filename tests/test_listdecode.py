@@ -151,6 +151,22 @@ def test_theoretical_list_size_monotone():
         )
 
 
+def test_a_list_size_past_the_float_range_is_infinite_and_no_word_is_likely():
+    code = bs.make_code("random_linear:18,8,1")
+    cfg = ld.DecoderConfig(n=18, eps=0.1, delta=100.0)
+    assert ld.likely_threshold(code, cfg) == math.inf
+    # no count passes an infinite threshold, on the coset path and the dense one
+    assert ld.likely_probability(code, cfg) == 0.0
+    nonlinear = bs.Code(n=7, codewords=bs.hamming74_code().codewords)
+    assert ld.likely_probability(nonlinear, ld.DecoderConfig(n=7, eps=0.1, delta=200.0)) == 0.0
+    with pytest.raises(ValueError, match="delta=100.0"):
+        ld.theoretical_list_size(code.rate, 0.1, 100.0, 18)
+    with pytest.raises(ValueError, match="delta=100.0"):
+        cfg.cap_for(code)
+    # a list cap needs no theoretical size
+    assert ld.DecoderConfig(n=18, eps=0.1, delta=100.0, list_cap=4).cap_for(code) == 4
+
+
 def test_rs22_lower_bound_at_capacity_rate():
     eps, n = 0.3, 128
     h = -eps * math.log2(eps) - (1 - eps) * math.log2(1 - eps)
