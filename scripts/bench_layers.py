@@ -54,7 +54,11 @@ both trees (``inner_loops`` in FILE).  The cases:
 Every lru cache of the package is cleared before each run, so a run
 pays what a fresh CLI process pays.  The CLI cases also record
 the SHA-256 of their output (``repr`` of a library call's value), so
-two trees can be compared row for row.
+two trees can be compared row for row.  Two values of each tree are
+not timed: ``src_lines`` in ``machine``, the lines of its ``chanent/*.py``,
+and ``workload_sha256``, the SHA-256 of the exit code and output of every
+operation of the benchmark workloads (``perfbench/workloads.py``) on each
+of their input sets, so that "fewer lines, same bytes" reads from one file.
 Each tree's run is stored in FILE under its NAME (default ``run`` for
 a single tree); other runs already in FILE are kept.
 """
@@ -110,6 +114,11 @@ def src_digest(src: Path) -> str:
     return digest.hexdigest()
 
 
+def src_lines(src: Path) -> int:
+    """Lines of the package's top-level modules, as ``cat chanent/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "chanent").glob("*.py"))
+
+
 def machine(src: Path) -> dict:
     import numpy
 
@@ -123,6 +132,7 @@ def machine(src: Path) -> dict:
         # uncommitted changes under --src: the timings are of the working tree
         "git_dirty": bool(git(src, "status", "--porcelain", "--", ".")),
         "src_sha256": src_digest(src),
+        "src_lines": src_lines(src),
     }
 
 
@@ -132,6 +142,29 @@ def clear_caches() -> None:
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+def ops_output(ops) -> bytes:
+    """The exit code and output of each workload operation, run in turn."""
+    out = []
+    for op in ops:
+        code, value = op.run()
+        text = value if op.kind == "cli" else repr(value)
+        out.append(str(code).encode() + b"\0" + text.encode())
+    return b"".join(out)
+
+
+def workload_digest(work_dir: Path) -> str:
+    """SHA-256 of every benchmark workload operation's output on every input set, untimed."""
+    import workloads
+
+    digest = hashlib.sha256()
+    for input_set in range(workloads.INPUT_SETS):
+        inputs = workloads.make_inputs(input_set)
+        for workload in workloads.OPS:
+            clear_caches()
+            digest.update(ops_output(workloads.build_ops(workload, inputs, work_dir)))
+    return digest.hexdigest()
 
 
 def cases(work_dir: Path) -> dict:
@@ -194,15 +227,7 @@ def cases(work_dir: Path) -> dict:
         return repr(values).encode()
 
     def cli(ops):
-        def run():
-            out = []
-            for op in ops:
-                code, value = op.run()
-                text = value if op.kind == "cli" else repr(value)
-                out.append(str(code).encode() + b"\0" + text.encode())
-            return b"".join(out)
-
-        return run
+        return lambda: ops_output(ops)
 
     nonlinear = work_dir / "verify_nonlinear14.txt"
     nonlinear.write_text(
@@ -247,14 +272,16 @@ def cases(work_dir: Path) -> dict:
 def worker(src: Path) -> int:
     """Time the cases of one tree.
 
-    Each stdin line is a case name and a run count; the reply, one JSON
-    line, holds the mean time of those runs, each with fresh caches.
+    The first reply, one JSON line, holds the case names and the tree's
+    ``workload_sha256``.  Each stdin line is then a case name and a run
+    count; the reply holds the mean time of those runs, each with fresh caches.
     """
     sys.path.insert(0, str(src))
     reply, sys.stdout = sys.stdout, sys.stderr  # the cases print nothing into the replies
     with tempfile.TemporaryDirectory() as tmp:
         table = cases(Path(tmp))
-        print(json.dumps(list(table)), file=reply, flush=True)
+        hello = {"cases": list(table), "workload_sha256": workload_digest(Path(tmp))}
+        print(json.dumps(hello), file=reply, flush=True)
         for line in sys.stdin:
             name, runs = line.split()
             fn = table[name]
@@ -310,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
     ]
     try:
         # every worker runs this file's cases, so each lists the same names
-        names = [json.loads(proc.stdout.readline()) for proc in procs][0]
+        hellos = [json.loads(proc.stdout.readline()) for proc in procs]
+        names = hellos[0]["cases"]
         samples = {label: {} for label in labels}
         digests = {label: {} for label in labels}
         loops = {}
@@ -333,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
             proc.wait()
 
     stored = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    for src, label in zip(srcs, labels):
+    for src, label, hello in zip(srcs, labels, hellos):
         results = {}
         for name, times in samples[label].items():
             results[name] = {**quartiles(times), "inner_loops": loops[name]}
@@ -344,6 +372,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": SEED,
             "repeats": args.repeats,
             "alternated_with": [other for other in labels if other != label],
+            "workload_sha256": hello["workload_sha256"],
             "cases": results,
         }
     args.out.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")

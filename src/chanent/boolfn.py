@@ -11,6 +11,7 @@ All entropies are in bits and 0*log(0) is taken to be 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -21,6 +22,20 @@ _SUM_TOL = 1e-12
 # entries per block of the in-place v log2 v, and at most an eighth of the
 # array: its scratch stays within 576 KiB and 9/64 of the array's bytes
 _XLOG_BLOCK = 1 << 16
+
+
+def _require_unit_interval(name: str, values: Sequence[float | None]) -> None:
+    """Reject a value outside [0, 1], NaN included, as ``name``; a None is left out."""
+    for value in values:
+        if value is not None and not 0 <= value <= 1:
+            raise ValueError(f"{name}={value} outside [0, 1]")
+
+
+def _require_orders(qs: Sequence[float]) -> None:
+    """Reject a Renyi order below 1, NaN included."""
+    for q in qs:
+        if not q >= 1:
+            raise ValueError(f"order q={q} must be >= 1")
 
 
 def dim_of(f: np.ndarray) -> int:
@@ -109,8 +124,7 @@ def _probability_total(p: np.ndarray) -> float:
 
 def _renyi_from_probs(p: np.ndarray, q: float) -> float:
     """H_q of the probability vector p, which every caller makes fresh: it is overwritten."""
-    if not q >= 1:
-        raise ValueError("order must be >= 1")
+    _require_orders([q])
     if q == 1:
         return -_sum_xlog2x(p)
     if math.isinf(q):
@@ -139,10 +153,8 @@ def h_q(eps: float, q: float) -> float:
 
     h_1 is the binary entropy function h; h_inf = -log2 max(eps, 1-eps).
     """
-    if not 0 <= eps <= 1:
-        raise ValueError("eps must be in [0, 1]")
-    if not q >= 1:
-        raise ValueError("order must be >= 1")
+    _require_unit_interval("eps", [eps])
+    _require_orders([q])
     if eps in (0.0, 1.0):
         return 0.0
     if q == 1:

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .boolfn import dim_of
+from .boolfn import _require_unit_interval, dim_of
 
 
 def _axis_pairs(f: np.ndarray):
@@ -79,8 +79,7 @@ def noise_operator(f: np.ndarray, eps: float) -> np.ndarray:
     The XOR-shift pass along the unit columns: mixing f with its flip on
     each coordinate multiplies out to the eps^{|y|} (1-eps)^{n-|y|} kernel.
     """
-    if not 0 <= eps <= 1:
-        raise ValueError("eps must be in [0, 1]")
+    _require_unit_interval("eps", [eps])
     n = dim_of(f)
     p = np.array(f, dtype=float).reshape(1, -1)
     return _xor_shift_pass(p, n, [1 << i for i in range(n)], [eps])[0]

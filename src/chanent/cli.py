@@ -13,11 +13,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 from . import bitspace, entropy_analysis, inequalities, listdecode
+from .boolfn import _require_unit_interval
 from .listdecode import DecoderConfig
 
 
@@ -94,19 +94,18 @@ def _orders(s: str) -> list[int]:
     return qs
 
 
-def cmd_entropy(args) -> int:
-    codes = [resolve_code(s) for s in args.code]
+def cmd_entropy(args, codes: list[bitspace.Code]) -> int:
     grids = args.eps or [None], args.eta or [None], args.q or [1.0]
     rows = []
-    for code in sorted(codes, key=lambda c: (c.n, c.name)):
+    for code in codes:
         reports = entropy_analysis.entropy_report(code, *grids, args.trials, args.seed)
         rows += [report.to_dict() for report in reports]
     emit(rows, args)
     return 0
 
 
-def _check_law(stats, qs, eta_grid, noisy) -> list[tuple]:
-    """Every check of a code at one eps, as (report, row); a skipped bsc_bec has no report."""
+def _check_law(stats, qs, eta_grid, noisy) -> list[dict]:
+    """The row of every check of a code at one eps; a skipped bsc_bec row has no slack."""
     code = stats.code
     checks = [
         inequalities.check_cor_rv_entropy(stats, noisy),
@@ -115,7 +114,7 @@ def _check_law(stats, qs, eta_grid, noisy) -> list[tuple]:
     for q in qs:
         checks.append(inequalities.check_cor_rv(stats, noisy, q))
         checks.append(inequalities.check_sam_norm(stats, noisy, q))
-    out = [(rep, {**rep.to_dict(), "skipped": False}) for rep in checks]
+    rows = [{**rep.to_dict(), "skipped": False} for rep in checks]
     for eta in eta_grid:
         try:
             rep = inequalities.check_bsc_bec(stats, noisy, eta)
@@ -132,43 +131,40 @@ def _check_law(stats, qs, eta_grid, noisy) -> list[tuple]:
                 "pass": True,
                 "skipped": True,
             }
-            out.append((None, skipped))
+            rows.append(skipped)
         else:
-            out.append((rep, {**rep.to_dict(), "skipped": False}))
-    return out
+            rows.append({**rep.to_dict(), "skipped": False})
+    return rows
 
 
-def cmd_verify(args) -> int:
-    codes = [resolve_code(s) for s in args.code]
+def cmd_verify(args, codes: list[bitspace.Code]) -> int:
     eps_grid = args.eps or [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
     eta_grid = args.eta or []
     qs = args.q or [2, 3, 4]
     # every check enumerates all subsets: refuse an oversized code or a bad grid before any work
     for code in codes:
         entropy_analysis.require_subset_cap(code.n)
-    entropy_analysis.require_unit_interval("eps", eps_grid)
-    entropy_analysis.require_unit_interval("eta", eta_grid)
-    checked = []
-    for code in sorted(codes, key=lambda c: (c.n, c.name)):
+    _require_unit_interval("eps", eps_grid)
+    _require_unit_interval("eta", eta_grid)
+    rows = []
+    for code in codes:
         stats = entropy_analysis.subset_stats_of_code(code, qs)
         laws = entropy_analysis.noisy_laws(code, eps_grid)
         # map keeps no law past its checks, so each chunk of laws is freed before the next pass
-        for checks in map(partial(_check_law, stats, qs, eta_grid), laws):
-            checked += checks
-    reports = [rep for rep, _ in checked if rep is not None]
-    rows = [row for _, row in checked]
-    worst = min(reports, key=lambda r: r.slack) if reports else None
-    all_pass = all(r.passed for r in reports)
+        for checked in map(partial(_check_law, stats, qs, eta_grid), laws):
+            rows += checked
+    # every eps gives a cor_rv_entropy and a sam_entropy row, so some row was not skipped
+    done = [row for row in rows if not row["skipped"]]
+    worst = min(done, key=lambda row: row["slack"])
+    all_pass = all(row["pass"] for row in done)
     summary = {
         "inequality": "summary",
         "pass": all_pass,
         "skipped": False,
+        "slack": worst["slack"],
+        "code": worst.get("code") or worst.get("f"),
+        "argmin": worst["inequality"],
     }
-    if worst is not None:
-        summary.update(
-            {"slack": worst.slack, "code": worst.params.get("code") or worst.params.get("f")}
-        )
-        summary["argmin"] = worst.inequality
     rows.append(summary)
     emit(rows, args)
     return 0 if all_pass else 1
@@ -176,18 +172,17 @@ def cmd_verify(args) -> int:
 
 def _decoder(
     code: bitspace.Code, eps: float, delta: float, list_cap: int | None
-) -> tuple[DecoderConfig, int]:
-    """A decoder with its list cap set (by default the theoretical list size), and that size."""
+) -> tuple[DecoderConfig, int, int]:
+    """A decoder, the list cap it applies to the code and the theoretical list size."""
     cfg = DecoderConfig(n=code.n, eps=eps, delta=delta, list_cap=list_cap)
     k_theory = listdecode.theoretical_list_size(code.rate, cfg.effective_eps, delta, code.n)
-    return replace(cfg, list_cap=k_theory if list_cap is None else list_cap), k_theory
+    return cfg, cfg.cap_for(code), k_theory
 
 
-def cmd_decode_sim(args) -> int:
+def cmd_decode_sim(args, codes: list[bitspace.Code]) -> int:
     if args.seed is None:
         print("error: decode-sim requires --seed", file=sys.stderr)
         return 2
-    codes = sorted(map(resolve_code, args.code), key=lambda c: (c.n, c.name))
     eps_grid = args.eps or [0.1]
     deltas = args.delta or [0.0]
     # validate every decoder, and take its list size once, before the first pass
@@ -199,7 +194,7 @@ def cmd_decode_sim(args) -> int:
     for code, decoders in zip(codes, grids):
         passes = listdecode.simulate_grid(code, eps_grid, args.trials, args.seed)
         for eps, cfgs, decoded in zip(eps_grid, decoders, passes):
-            for cfg, k_theory in cfgs:
+            for cfg, cap, k_theory in cfgs:
                 stats = decoded.stats(cfg)
                 rs_exp, rs_in_hyp = listdecode.rs22_lower_bound(
                     code.rate, cfg.effective_eps, code.n
@@ -210,7 +205,7 @@ def cmd_decode_sim(args) -> int:
                         "n": code.n,
                         "eps": eps,
                         "delta": cfg.delta,
-                        "k": cfg.list_cap,
+                        "k": cap,
                         "k_theoretical": k_theory,
                         "rs22_log2_lower_bound": rs_exp,
                         "rs22_in_hypothesis": rs_in_hyp,
@@ -287,7 +282,7 @@ def _unique_grids(args) -> None:
     """
     if getattr(args, "lam", None):
         # checked here: past the fold a bad lam would be reported as an eta
-        entropy_analysis.require_unit_interval("lambda", args.lam)
+        _require_unit_interval("lambda", args.lam)
         # a subset density lam is the same configuration as erasure eta = 1 - lam
         args.eta = [*(args.eta or []), *(1 - lam for lam in args.lam)]
     for key, value in list(vars(args).items()):
@@ -300,7 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _unique_grids(args)
-        return args.func(args)
+        codes = sorted(map(resolve_code, args.code), key=lambda c: (c.n, c.name))
+        return args.func(args, codes)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,8 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .bitspace import Code, masked_ranks, syndrome_columns
-from .boolfn import binary_entropy, ent, from_code, renyi_entropy, renyi_entropy_from_counts
+from .boolfn import _require_orders, _require_unit_interval, binary_entropy, ent, from_code
+from .boolfn import renyi_entropy, renyi_entropy_from_counts
 from .channels import (
     _axis_pairs,
     _eps_chunks,
@@ -97,12 +98,6 @@ def marginal_entropy(code: Code, mask: int, q: float) -> float:
         return 0.0
     _, counts = np.unique(code.codewords & np.uint64(mask), return_counts=True)
     return renyi_entropy_from_counts(counts, q)
-
-
-def _require_orders(qs: Sequence[float]) -> None:
-    for q in qs:
-        if not q >= 1:
-            raise ValueError(f"order q={q} must be >= 1")
 
 
 def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> np.ndarray:
@@ -275,7 +270,7 @@ def subset_stats_of_code(code: Code, qs: Sequence[float]) -> SubsetStats:
 
 def subset_entropy_expectation(code: Code, lam: float, q: float) -> float:
     """Exact E_{S~lam} H_q(X_S) by enumerating all 2^n subsets."""
-    require_unit_interval("lam", [lam])
+    _require_unit_interval("lam", [lam])
     return subset_stats_of_code(code, (q,)).expectation("renyi", lam, q)
 
 
@@ -289,7 +284,7 @@ def subset_entropy_expectation_mc(
     it for a linear code (H_q(X_S) = r(S) for every q), by one projection
     pass for all orders otherwise.
     """
-    require_unit_interval("lam", [lam])
+    _require_unit_interval("lam", [lam])
     _require_orders(qs)
     if trials < 2:
         raise ValueError("trials must be >= 2: a standard error needs two samples")
@@ -314,13 +309,6 @@ def cond_entropy_bsc(code: Code, eps: float) -> float:
     return code.log_size + code.n * binary_entropy(eps) - h_xz
 
 
-def require_unit_interval(name: str, values: Sequence[float | None]) -> None:
-    """Reject a value outside [0, 1], NaN included, as ``name``; a None is left out."""
-    for value in values:
-        if value is not None and not 0 <= value <= 1:
-            raise ValueError(f"{name}={value} outside [0, 1]")
-
-
 def law_cells(code: Code) -> int:
     """Exponent m of the 2^m cells of ``noise_laws``: n - k with a generator, n otherwise."""
     return code.n if code.generator is None else code.redundancy
@@ -337,7 +325,7 @@ def noise_laws(code: Code, eps_grid: Sequence[float]) -> list[np.ndarray]:
     at its eps alone.  The laws are the read-only rows of one array;
     ``noisy_laws`` bounds it by passing one chunk of its grid at a time.
     """
-    require_unit_interval("eps", eps_grid)
+    _require_unit_interval("eps", eps_grid)
     m = law_cells(code)
     p = np.zeros((len(eps_grid), 1 << m))
     if code.generator is None:
@@ -400,7 +388,7 @@ def noisy_laws(code: Code, eps_grid: Sequence[float]) -> Iterator[NoisyFunction]
     past its use holds one chunk at a time.
     """
     eps_grid = list(eps_grid)
-    require_unit_interval("eps", eps_grid)
+    _require_unit_interval("eps", eps_grid)
     return _law_stream(code, eps_grid)
 
 
@@ -429,7 +417,7 @@ def cond_entropy_bsc_of_law(code: Code, law: NoisyFunction) -> float:
 
 def cond_entropy_bec(code: Code, eta: float) -> float:
     """H(X|Y_BEC) = H(X) - E_{S~(1-eta)} H(X_S), exact."""
-    require_unit_interval("eta", [eta])
+    _require_unit_interval("eta", [eta])
     return code.log_size - subset_entropy_expectation(code, 1 - eta, 1.0)
 
 
@@ -487,7 +475,7 @@ def entropy_report(
     before any work.
     """
     _require_orders(qs)
-    require_unit_interval("eta", eta_grid)
+    _require_unit_interval("eta", eta_grid)
     etas = [eta for eta in dict.fromkeys(eta_grid) if eta is not None]
     sampled = bool(etas) and code.n > EXACT_SUBSET_CAP
     if sampled and (trials is None or seed is None):

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitspace import Code
-from .boolfn import binary_entropy, dim_of, h_q, validate
+from .boolfn import _require_unit_interval, binary_entropy, dim_of, h_q, validate
 from .channels import noise_operator
 from .entropy_analysis import NoisyFunction, SubsetStats, cond_entropy_bsc_of_law
-from .entropy_analysis import require_unit_interval
 
 TOLERANCE = 1e-9
 
@@ -72,55 +71,50 @@ def noisy_function(f: np.ndarray, eps: float) -> NoisyFunction:
     return NoisyFunction(eps, n, 0, noisy)
 
 
-def _require_dim(noisy: NoisyFunction, n: int) -> None:
-    if noisy.n != n:
-        raise ValueError(f"noisy function has 2^{noisy.n} points, expected 2^{n}")
+def _code_of(stats: SubsetStats, noisy: NoisyFunction, q: float = 1.0) -> Code:
+    """The code behind the statistics, which must hold its row H_q(X_S) and share the law's n."""
+    if q not in stats.renyi:
+        raise ValueError(f"subset statistics were built without q={q}")
+    code = stats.code
+    if noisy.n != code.n:
+        raise ValueError(f"noisy function has 2^{noisy.n} points, expected 2^{code.n}")
+    return code
 
 
 def check_sam_norm(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackReport:
     """log2 ||T_eps f||_q <= E_{S~lam} log2 ||E(f|S)||_q, lam = 1 - h_q(eps)."""
     q = _require_q(q)
-    if q not in stats.renyi:
-        raise ValueError(f"subset statistics were built without q={q}")
+    code = _code_of(stats, noisy, q)
     eps = noisy.eps
     lam = 1 - h_q(eps, q)
-    n = stats.n
-    _require_dim(noisy, n)
+    n = code.n
     lhs = noisy.log_norm(q)
     rhs = stats.expectation("log_norm", lam, q)
     return SlackReport(
-        "sam_norm", {"f": stats.code.name, "n": n, "eps": eps, "q": q, "lambda": lam}, lhs, rhs
+        "sam_norm", {"f": code.name, "n": n, "eps": eps, "q": q, "lambda": lam}, lhs, rhs
     )
 
 
 def check_sam_entropy(stats: SubsetStats, noisy: NoisyFunction) -> SlackReport:
     """Ent[T_eps f] <= E_{S~lam} Ent[E(f|S)], lam = (1-2*eps)^2."""
+    code = _code_of(stats, noisy)
     eps = noisy.eps
     lam = (1 - 2 * eps) ** 2
-    n = stats.n
-    _require_dim(noisy, n)
+    n = code.n
     lhs = noisy.ent
     rhs = stats.expectation("ent", lam)
     return SlackReport(
-        "sam_entropy", {"f": stats.code.name, "n": n, "eps": eps, "lambda": lam}, lhs, rhs
+        "sam_entropy", {"f": code.name, "n": n, "eps": eps, "lambda": lam}, lhs, rhs
     )
-
-
-def _code_of(stats: SubsetStats, q: float) -> Code:
-    """The code behind the statistics, which must hold its row H_q(X_S)."""
-    if q not in stats.renyi:
-        raise ValueError(f"subset statistics were built without q={q}")
-    return stats.code
 
 
 def check_cor_rv(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackReport:
     """H_q(X+Z) >= (1-lam)*n + E_{S~lam} H_q(X_S), lam = 1 - h_q(eps)."""
     q = _require_q(q)
-    code = _code_of(stats, q)
+    code = _code_of(stats, noisy, q)
     eps = noisy.eps
     lam = 1 - h_q(eps, q)
     n = code.n
-    _require_dim(noisy, n)
     lhs_side = noisy.renyi(q)
     rhs_side = (1 - lam) * n + stats.expectation("renyi", lam, q)
     # slack = H_q(X+Z) - lower bound
@@ -134,11 +128,10 @@ def check_cor_rv(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackRepor
 
 def check_cor_rv_entropy(stats: SubsetStats, noisy: NoisyFunction) -> SlackReport:
     """H(X+Z) >= (1-lam)*n + E_{S~lam} H(X_S), lam = (1-2*eps)^2."""
-    code = _code_of(stats, 1.0)
+    code = _code_of(stats, noisy)
     eps = noisy.eps
     lam = (1 - 2 * eps) ** 2
     n = code.n
-    _require_dim(noisy, n)
     h_xz = n - noisy.ent
     bound = (1 - lam) * n + stats.expectation("renyi", lam)
     return SlackReport(
@@ -151,15 +144,14 @@ def check_cor_rv_entropy(stats: SubsetStats, noisy: NoisyFunction) -> SlackRepor
 
 def check_bsc_bec(stats: SubsetStats, noisy: NoisyFunction, eta: float) -> SlackReport:
     """H(X|Y_BSC) <= (h(eps)-eta)*n + H(X|Y_BEC), for 4*eps*(1-eps) >= eta."""
-    code = _code_of(stats, 1.0)
+    code = _code_of(stats, noisy)
     eps = noisy.eps
-    require_unit_interval("eta", [eta])
+    _require_unit_interval("eta", [eta])
     if 4 * eps * (1 - eps) < eta:
         raise HypothesisViolation(
             f"hypothesis 4*eps*(1-eps) >= eta fails: eps={eps}, eta={eta}"
         )
     n = code.n
-    _require_dim(noisy, n)
     lhs = cond_entropy_bsc_of_law(code, noisy)
     # H(X) - E H(X_S); the expectation does not depend on eps
     h_bec = code.log_size - stats.expectation("renyi", 1 - eta)

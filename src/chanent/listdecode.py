@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .bitspace import Code, syndrome_columns
-from .boolfn import binary_entropy, from_code
+from .boolfn import _require_unit_interval, binary_entropy, from_code
 from .channels import _walsh_hadamard, bernoulli_words, noise_operator
 
 EXACT_CAP = 20
@@ -64,8 +64,7 @@ class DecoderConfig:
     list_cap: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.eps <= 1:
-            raise ValueError("eps must be in [0, 1]")
+        _require_unit_interval("eps", [self.eps])
         if self.eps == 0.5:
             raise ValueError("eps = 1/2 is rejected: the radius covers everything")
         if not (math.isfinite(self.delta) and self.delta >= 0):
@@ -83,9 +82,14 @@ class DecoderConfig:
         return decoding_radius(self.effective_eps, self.n)
 
     def cap_for(self, code: Code) -> int:
-        if self.list_cap is not None:
-            return self.list_cap
-        return theoretical_list_size(code.rate, self.effective_eps, self.delta, self.n)
+        """The list cap applied: ``list_cap``, else the theoretical list size; at most |C|.
+
+        No list exceeds |C|, so a larger cap acts as |C| (and fits any dtype).
+        """
+        cap = self.list_cap
+        if cap is None:
+            cap = theoretical_list_size(code.rate, self.effective_eps, self.delta, self.n)
+        return min(cap, code.size)
 
 
 def _list_size(rate: float, eps: float, delta: float, n: int) -> float:
@@ -241,8 +245,7 @@ class DecodeTrials:
         """
         if cfg.n != self.code.n or cfg.eps != self.eps:
             raise ValueError("decoder n and eps differ from the decode pass")
-        # no list exceeds |C|, so a larger cap acts as |C| (and fits any dtype)
-        cap = min(cfg.cap_for(self.code), self.code.size)
+        cap = cfg.cap_for(self.code)
         sizes = np.minimum(self.counts, cap)
         trunc = self.counts > cap
         # X makes the list iff it is within the radius and fewer than cap

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from chanent import bitspace as bs
 from chanent import boolfn, channels
 from chanent import entropy_analysis as ea
+from chanent import inequalities as iq
+from chanent import listdecode as ld
 
 from conftest import (
     array_per_step_renyi,
@@ -148,6 +151,61 @@ def test_renyi_rejects_nan_order():
 def test_h_q_rejects_nan_order():
     with pytest.raises(ValueError, match="order"):
         boolfn.h_q(0.1, math.nan)
+
+
+def _bsc_bec_at_eta(eta):
+    code = bs.hamming74_code()
+    iq.check_bsc_bec(ea.subset_stats_of_code(code, ()), ea.noisy_law(code, 0.3), eta)
+
+
+# entry point taking one probability v -> the name its error gives v
+UNIT_INTERVAL_ENTRY_POINTS = {
+    "h_q": ("eps", lambda v: boolfn.h_q(v, 1)),
+    "noise_operator": ("eps", lambda v: channels.noise_operator(np.ones(8), v)),
+    "DecoderConfig": ("eps", lambda v: ld.DecoderConfig(n=7, eps=v)),
+    "noise_laws": ("eps", lambda v: ea.noise_laws(bs.hamming74_code(), [0.1, v])),
+    "noisy_laws": ("eps", lambda v: ea.noisy_laws(bs.hamming74_code(), [0.1, v])),
+    "subset_entropy_expectation": (
+        "lam", lambda v: ea.subset_entropy_expectation(bs.hamming74_code(), v, 1.0)
+    ),
+    "subset_entropy_expectation_mc": (
+        "lam", lambda v: ea.subset_entropy_expectation_mc(bs.hamming74_code(), v, (1.0,), 100, 1)
+    ),
+    "cond_entropy_bec": ("eta", lambda v: ea.cond_entropy_bec(bs.hamming74_code(), v)),
+    "check_bsc_bec": ("eta", _bsc_bec_at_eta),
+    "entropy_report.eps": ("eps", lambda v: ea.entropy_report(bs.hamming74_code(), [v], [None])),
+    "entropy_report.eta": ("eta", lambda v: ea.entropy_report(bs.hamming74_code(), [None], [v])),
+}
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("entry", list(UNIT_INTERVAL_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_probability_outside_unit_interval_in_one_message(
+    entry, value
+):
+    name, call = UNIT_INTERVAL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name}={value} outside [0, 1]')}$"):
+        call(value)
+
+
+# entry point taking one Renyi order q
+ORDER_ENTRY_POINTS = {
+    "h_q": lambda q: boolfn.h_q(0.1, q),
+    "renyi_entropy": lambda q: boolfn.renyi_entropy(np.array([0.5, 0.5]), q),
+    "renyi_entropy_from_counts": lambda q: boolfn.renyi_entropy_from_counts(np.array([1, 1]), q),
+    "projection_entropies": lambda q: ea.projection_entropies(
+        bs.hamming74_code(), np.arange(4, dtype=np.uint64), (1.0, q)
+    ),
+    "subset_stats_of_code": lambda q: ea.subset_stats_of_code(bs.hamming74_code(), (q,)),
+    "entropy_report": lambda q: ea.entropy_report(bs.hamming74_code(), [None], [0.5], (q,)),
+}
+
+
+@pytest.mark.parametrize("q", [0.5, math.nan])
+@pytest.mark.parametrize("entry", list(ORDER_ENTRY_POINTS))
+def test_every_entry_point_rejects_an_order_below_one_in_one_message(entry, q):
+    with pytest.raises(ValueError, match=f"^order q={q} must be >= 1$"):
+        ORDER_ENTRY_POINTS[entry](q)
 
 
 @settings(max_examples=200)

@@ -639,6 +639,33 @@ def test_a_code_spec_with_the_wrong_arguments_is_a_usage_error(spec, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["entropy", "verify", "decode-sim"])
+def test_every_subcommand_rejects_an_eps_outside_unit_interval_in_one_message(command, capsys):
+    argv = [command, "--code", "hamming74", "--eps", "1.5"]
+    if command == "decode-sim":
+        argv += ["--trials", "100", "--seed", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: eps=1.5 outside [0, 1]\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "cap_args, delta", [(["--delta", "100"], 100.0), (["--list-cap", "100"], 0.0)]
+)
+def test_decode_sim_prints_the_applied_list_cap_at_most_the_code_size(cap_args, delta, capsys):
+    argv = ["decode-sim", "--code", "hamming74", *cap_args, "--trials", "100", "--seed", "1"]
+    code, out = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    (row,) = json.loads(out)
+    hamming74 = bs.hamming74_code()
+    assert row["k"] == hamming74.size == 16
+    # k_theoretical keeps the formula's value, past |C| at delta 100
+    assert row["k_theoretical"] == listdecode.theoretical_list_size(hamming74.rate, 0.1, delta, 7)
+    assert row["list_max"] <= row["k"]
+
+
 def test_decode_sim_zero_eps(capsys):
     code, out = run(
         [

@@ -510,8 +510,9 @@ def test_code_checks_need_statistics_of_a_code_with_the_order():
     assert inspect.signature(ea.SubsetStats).parameters["code"].default is inspect.Parameter.empty
     assert iq.check_sam_entropy(stats, noisy).params["f"] == code.name == "hamming74"
     assert iq.check_sam_norm(stats, noisy, 2).params["f"] == code.name
-    with pytest.raises(ValueError, match="q=3"):
-        iq.check_cor_rv(stats, noisy, 3)  # valid, but not in the stats
+    for check in (iq.check_cor_rv, iq.check_sam_norm):
+        with pytest.raises(ValueError, match="^subset statistics were built without q=3$"):
+            check(stats, noisy, 3)  # valid, but not in the stats
     # the code's statistics always hold q = 1 and their own orders
     assert list(stats.renyi) == [1.0, 2] and stats.code is code
     iq.check_cor_rv(stats, noisy, 2)

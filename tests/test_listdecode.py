@@ -167,6 +167,15 @@ def test_a_list_size_past_the_float_range_is_infinite_and_no_word_is_likely():
     assert ld.DecoderConfig(n=18, eps=0.1, delta=100.0, list_cap=4).cap_for(code) == 4
 
 
+def test_the_applied_list_cap_is_at_most_the_code_size():
+    code = bs.hamming74_code()
+    assert ld.DecoderConfig(n=7, eps=0.1, list_cap=100).cap_for(code) == code.size == 16
+    # a theoretical size far past |C|, still finite as a float
+    cfg = ld.DecoderConfig(n=7, eps=0.1, delta=100.0)
+    assert ld.theoretical_list_size(code.rate, 0.1, 100.0, 7) > 2**700
+    assert cfg.cap_for(code) == 16
+
+
 def test_rs22_lower_bound_at_capacity_rate():
     eps, n = 0.3, 128
     h = -eps * math.log2(eps) - (1 - eps) * math.log2(1 - eps)
