@@ -31,6 +31,9 @@ both trees (``inner_loops`` in FILE).  The cases:
 * ``entropy_analysis.projection_entropies`` over all masks on seed 1's
   nonlinear n = 14, 200-word code at orders 1 and 2, and on 1,000
   seeded random words of length 16 at orders 1 to 4;
+* ``entropy_analysis.subset_renyi_values`` on seed 1's
+  random_linear:18,8: the exact subset table of a linear code
+  (``subset_table.linear18``);
 * ``channels.noise_operator`` on the distribution function of
   random_linear:20,10,1 at eps 0.2: one dense operator at n = 20;
 * ``listdecode.simulate`` on seed 1's random_linear:24,12 at eps 0.2 and
@@ -212,9 +215,9 @@ def cases(work_dir: Path) -> dict:
 
         return run
 
-    likely_code = bitspace.make_code(f"random_linear:18,8,{inputs.code_seed}")
+    linear18 = bitspace.make_code(f"random_linear:18,8,{inputs.code_seed}")
     likely_cfgs = [
-        listdecode.DecoderConfig(n=likely_code.n, eps=eps, delta=delta)
+        listdecode.DecoderConfig(n=linear18.n, eps=eps, delta=delta)
         for eps, delta in workloads.LIKELY_GRID
     ]
 
@@ -223,7 +226,7 @@ def cases(work_dir: Path) -> dict:
     )
 
     def likely():
-        values = [listdecode.likely_probability(likely_code, cfg) for cfg in likely_cfgs]
+        values = [listdecode.likely_probability(linear18, cfg) for cfg in likely_cfgs]
         return repr(values).encode()
 
     def cli(ops):
@@ -258,6 +261,7 @@ def cases(work_dir: Path) -> dict:
         "cli.verify.linear20": cli([workloads._cli_op("verify.linear20", verify_linear20)]),
         "projection_entropies.nonlinear14": projection(nonlinear14, (1.0, 2.0)),
         "projection_entropies.n16_1000": projection(code16, (1.0, 2.0, 3.0, 4.0)),
+        "subset_table.linear18": lambda: entropy_analysis.subset_renyi_values(linear18, (1.0,))[0],
         "noise_operator.n20": noise20,
         "simulate.24_12": simulate(mc_code, 0.2),
         "simulate.rm2_4": simulate(bitspace.make_code("reed_muller:2,4"), 0.3),

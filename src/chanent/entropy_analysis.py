@@ -16,15 +16,17 @@ share:
 
 The subset weight depends only on |S|, so ``subset_weights`` computes
 n+1 values.  For a linear code H_q(X_S) is the GF(2) rank r(S) of the
-generator restricted to S, for every q: the exact table is a superset
-sum over the codewords, and the Monte Carlo sampler ranks each distinct
-drawn mask (``bitspace.masked_ranks``).  The entropies H_q(X_S) of a
-nonlinear code come from one blocked projection kernel,
+generator restricted to S, for every q: the exact table is an integer
+superset sum over the codewords, whose count 2^(k - r(S)) gives
+r(S) = k - popcount(count - 1), and the Monte Carlo sampler ranks each
+distinct drawn mask (``bitspace.masked_ranks``).  The entropies H_q(X_S)
+of a nonlinear code come from one blocked projection kernel,
 ``projection_entropies``: it projects into reused 16- or 32-bit word
-buffers, sorts the projected words once for every order, and reads the
-term of each run of equal words at each order from a table indexed by
-the run's length.  So the subset table of a code and a Monte Carlo draw
-of subsets serve all orders.
+buffers, sorts the projected words once for every order, takes the term
+of each run of equal words at each order from a table indexed by the
+run's length, and sums each mask's terms by one ``np.add.reduceat`` per
+order.  So the subset table of a code and a Monte Carlo draw of subsets
+serve all orders.
 Independent Bayes-rule / erasure-pattern oracles live in the test suite.
 """
 
@@ -51,8 +53,8 @@ from .channels import (
 
 EXACT_SUBSET_CAP = 20
 
-# (mask, codeword) pairs per block of the projection kernel, divided
-# among its finite orders: no array of a block holds more entries
+# (mask, codeword) pairs per block of the projection kernel: no array of
+# a block holds more entries
 _PAIR_BLOCK = 1 << 16
 
 
@@ -106,11 +108,12 @@ def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> 
     A block of masks projects every codeword at once into reused buffers
     of 16-bit words (32-bit above n = 16), and is sorted once.  The
     runs of each sorted row are the multiplicities c of its projected
-    words.  A finite order reads the term of a run from a table indexed
-    by c, (c/|C|) log2 c at q = 1 and (c/|C|)^q otherwise, and sums each
-    row's terms in run order by one bincount shared by the finite orders;
-    q = inf reads each row's longest run.  The terms and their order are
-    those of an evaluation run by run, so every value is too, bit for bit.
+    words.  A finite order takes the term of each run from a table
+    indexed by c, (c/|C|) log2 c at q = 1 and (c/|C|)^q otherwise, and
+    sums each row's terms by one ``np.add.reduceat`` over the rows' first
+    runs; q = inf reads each row's longest run the same way.  A row's
+    value depends only on its own runs, not on the block or the other
+    orders.
     """
     _require_orders(qs)
     size = code.size
@@ -118,21 +121,17 @@ def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> 
     cws = code.codewords.astype(dtype)
     masks = np.asarray(masks, dtype=np.uint64).astype(dtype)
     out = np.empty((len(qs), len(masks)))
-    finite = [q for q in qs if not math.isinf(q)]
-    block = max(1, _PAIR_BLOCK // (size * max(1, len(finite))))
+    block = max(1, _PAIR_BLOCK // size)
     rows = min(block, len(masks))
     c = np.arange(1, size + 1)
     p = c / size
-    terms = np.zeros((size + 1, len(finite)))  # row c: a run's term at each finite order
-    for j, q in enumerate(finite):
-        terms[1:, j] = p * np.log2(c) if q == 1 else p**q
-    # bin of row r at the j-th finite order; the orders interleave, so the
-    # adds into one row's sum are not back to back
-    bins = np.arange(rows)[:, None] + rows * np.arange(len(finite))
+    # finite order -> entry c: the term of a run of c equal words
+    terms = {q: np.append(0.0, p * np.log2(c) if q == 1 else p**q) for q in qs if not math.isinf(q)}
     words = np.empty((rows, size), dtype=dtype)
     first = np.empty(words.shape, dtype=bool)  # a run starts here
     first[:, 0] = True
     run_counts = np.empty(words.size, dtype=np.intp)
+    row_starts = np.arange(0, words.size, size)
     for start in range(0, len(masks), block):
         m = min(block, len(masks) - start)
         w, f = words[:m], first[:m]
@@ -143,18 +142,14 @@ def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> 
         counts = run_counts[: len(starts)]
         np.subtract(starts[1:], starts[:-1], out=counts[:-1])
         counts[-1] = f.size - starts[-1]
-        row_first = np.searchsorted(starts, np.arange(0, f.size, size))  # each row's first run
-        run_bins = np.repeat(bins[:m], np.diff(row_first, append=len(counts)), axis=0)
-        weights = np.take(terms, counts, axis=0)
-        sums = iter(np.bincount(run_bins.ravel(), weights.ravel(), bins.size).reshape(-1, rows))
+        row_first = np.searchsorted(starts, row_starts[:m])  # each row's first run
         for i, q in enumerate(qs):
-            if q == 1:
-                # log2|C| - E log2(count): exact when every count is 1, or one is |C|
-                vals = math.log2(size) - next(sums)[:m]
-            elif math.isinf(q):
+            if math.isinf(q):
                 vals = -np.log2(np.maximum.reduceat(counts, row_first) / size)
             else:
-                vals = -np.log2(next(sums)[:m]) / (q - 1)
+                sums = np.add.reduceat(terms[q].take(counts), row_first)
+                # q = 1: log2|C| - E log2(count), exact when every count is 1, or one is |C|
+                vals = math.log2(size) - sums if q == 1 else -np.log2(sums) / (q - 1)
             out[i, start : start + m] = vals
     return out
 
@@ -170,25 +165,26 @@ def subset_renyi_values(code: Code, qs: tuple[float, ...]) -> np.ndarray:
     """H_q(X_S) for every order and subset, read-only: row i at order qs[i], column S.
 
     A nonlinear code's rows come from one projection pass.  A linear
-    code's rows are one array for every q, so the orders only key the
-    cache: callers that share its table pass the same tuple.
+    code's rows are one array for every q, the exact integers r(S) from
+    a uint32 superset sum, so the orders only key the cache: callers
+    that share its table pass the same tuple.
     """
     _require_orders(qs)
     n = code.n
     require_subset_cap(n)
     if code.generator is not None:
-        # X_S is uniform on a subspace for every q, so H_q(X_S) is
-        # log2|C| - log2 #{c : c & S = 0}; that count is the sum over the
-        # supersets of S of the indicator of the complemented codewords.
-        out = np.zeros(1 << n)
-        out[code.codewords ^ np.uint64((1 << n) - 1)] = 1
-        for lo, hi in _axis_pairs(out):
-            # a narrow axis adds column by column, each one long strided
-            # loop; the counts are integers, so any order is exact
+        # X_S is uniform on a subspace for every q, so H_q(X_S) is r(S) =
+        # k - log2 #{c : c & S = 0}; that count, 2^(k - r(S)), is the sum
+        # over the supersets of S of the indicator of the complemented
+        # codewords, and its log2 is the popcount of count - 1
+        count = np.zeros(1 << n, dtype=np.uint32)
+        count[code.codewords ^ np.uint64((1 << n) - 1)] = 1
+        for lo, hi in _axis_pairs(count):
+            # a narrow axis adds column by column, each one long strided loop
             for j in range(lo.shape[1]) if lo.shape[1] < 16 else [slice(None)]:
                 lo[:, j] += hi[:, j]
-        np.log2(out, out=out)
-        np.subtract(code.log_size, out, out=out)
+        count -= 1
+        out = np.subtract(code.log_size, np.bitwise_count(count))  # exact integers
         return np.broadcast_to(out, (len(qs), len(out)))  # read-only, no copy
     out = projection_entropies(code, np.arange(1 << n, dtype=np.uint64), qs)
     out.setflags(write=False)

@@ -234,15 +234,16 @@ def conditional_expectation(f: np.ndarray, mask: int) -> np.ndarray:
 def uint64_projection_entropies(code: Code, masks: np.ndarray, qs) -> np.ndarray:
     """H_q(X_S) per order (row) and mask (column), run by run in uint64 words.
 
-    Each block of masks projects every codeword into fresh uint64
-    arrays, sorts them, and evaluates log2 or the power of every run of
-    equal words, order by order.
+    Each block of masks, 2^15 (mask, codeword) pairs, projects every
+    codeword into fresh uint64 arrays, sorts them, evaluates log2 or the
+    power of every run of equal words, order by order, and sums each
+    row's terms by ``np.add.reduceat`` over its first runs.
     """
     cws = code.codewords
     size = code.size
     masks = np.asarray(masks, dtype=np.uint64)
     out = np.empty((len(qs), len(masks)))
-    block = max(1, (1 << 16) // size)
+    block = max(1, (1 << 15) // size)
     for start in range(0, len(masks), block):
         words = masks[start : start + block, None] & cws
         words.sort(axis=1)
@@ -253,18 +254,47 @@ def uint64_projection_entropies(code: Code, masks: np.ndarray, qs) -> np.ndarray
         starts = np.flatnonzero(first)
         counts = np.diff(starts, append=first.size)
         p = counts / size
-        row = starts // size
+        row_first = np.flatnonzero(starts % size == 0)
         for i, q in enumerate(qs):
             if q == 1:
                 # log2|C| - E log2(count): exact when every count is 1, or one is |C|
-                e_log_c = np.bincount(row, weights=p * np.log2(counts), minlength=m)
+                e_log_c = np.add.reduceat(p * np.log2(counts), row_first)
                 vals = math.log2(size) - e_log_c
             elif math.isinf(q):
-                vals = -np.log2(np.maximum.reduceat(p, np.flatnonzero(starts % size == 0)))
+                vals = -np.log2(np.maximum.reduceat(p, row_first))
             else:
-                vals = -np.log2(np.bincount(row, weights=p**q, minlength=m)) / (q - 1)
+                vals = -np.log2(np.add.reduceat(p**q, row_first)) / (q - 1)
             out[i, start : start + m] = vals
     return out
+
+
+def collision_renyi2(code: Code) -> np.ndarray:
+    """H_2(X_S) for every mask S from the code's difference spectrum, in int64.
+
+    sum_y Pr[X_S = y]^2 = N(S) / |C|^2, where N(S) counts the pairs
+    (c, c') whose difference d = c ^ c' has no one in S.  The number of
+    pairs with difference d is mult(d) = 2^-n WHT(WHT(1_C)^2)(d), so
+    N(S) is the sum of mult over the subsets of the complement of S, and
+    H_2(X_S) = 2 log2|C| - log2 N(S).  No projection is made.
+    """
+    n = code.n
+
+    def walsh_hadamard(g: np.ndarray) -> np.ndarray:
+        for i in range(n):
+            t = g.reshape(-1, 2, 1 << i)
+            a, b = t[:, 0, :].copy(), t[:, 1, :].copy()
+            t[:, 0, :], t[:, 1, :] = a + b, a - b
+        return g
+
+    ind = np.zeros(1 << n, dtype=np.int64)
+    ind[code.codewords.astype(np.int64)] = 1
+    spectrum = walsh_hadamard(ind)
+    mult = walsh_hadamard(spectrum * spectrum) >> n  # each entry a multiple of 2^n
+    for i in range(n):  # subset sums: entry T becomes the sum of mult over d within T
+        t = mult.reshape(-1, 2, 1 << i)
+        t[:, 1, :] += t[:, 0, :]
+    pairs = mult[::-1]  # entry S reads the complement (2^n - 1) - S
+    return 2 * math.log2(code.size) - np.log2(pairs.astype(float))
 
 
 def bayes_cond_entropy_bsc(code: Code, eps: float) -> float:

@@ -346,14 +346,18 @@ def test_shannon_entropy_in_blocks_equals_the_copying_form(size, zeros, block, s
 @given(
     n=st.integers(0, 20),
     zeros=st.floats(0, 1),
-    block=st.sampled_from([1, 5, 1 << 10, 1 << 16]),
+    blocks=st.integers(1, 4096),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=20, zeros=0.5, block=1 << 16, seed=3)
-@example(n=3, zeros=0.0, block=1 << 16, seed=4)
-def test_ent_and_shannon_entropy_equal_the_zeroed_array_form_across_blocks(n, zeros, block, seed):
+@example(n=20, zeros=0.5, blocks=16, seed=3)  # the default block of 2^16
+@example(n=3, zeros=0.0, blocks=16, seed=4)
+@example(n=12, zeros=0.5, blocks=4096, seed=5)  # one-element blocks
+@example(n=20, zeros=0.5, blocks=4095, seed=6)  # 257-element blocks: the last holds 16
+def test_ent_and_shannon_entropy_equal_the_zeroed_array_form_across_blocks(n, zeros, blocks, seed):
     # ent and H(p) write v log2 v over one copy, in blocks of at most an
-    # eighth of it; the terms and their sum are those of a second zeroed array
+    # eighth of it; the terms and their sum are those of a second zeroed array.
+    # The block is a fraction of 2^n, so an example runs at most 4,096 blocks.
+    block = -(-(1 << n) // blocks)
     rng = np.random.default_rng(seed)
     f = (1 << n) * rng.random(1 << n) * (rng.random(1 << n) >= zeros)
     f[rng.integers(1 << n)] += 1.0

@@ -17,6 +17,7 @@ from chanent.entropy_analysis import subset_stats_of_code
 
 from conftest import (
     bayes_cond_entropy_bsc,
+    collision_renyi2,
     eps_grids,
     erasure_cond_entropy_bec,
     exhaustive_subset_entropy_expectation,
@@ -119,7 +120,7 @@ def _fixed_inputs(n, size, seed, mask_count=None):
 @example(inputs=_fixed_inputs(24, 300, 3, mask_count=500))
 @example(inputs=_fixed_inputs(5, 1, 4))  # one word: every run is the whole code
 @example(inputs=(bs.full_space_code(4), np.arange(16, dtype=np.uint64), ORDERS))
-@example(inputs=_fixed_inputs(12, 300, 5))  # 54-mask blocks at 4 finite orders: the last holds 46
+@example(inputs=_fixed_inputs(12, 300, 5))  # 218-mask blocks: the last holds 172
 def test_projection_kernel_equals_the_uint64_oracle(inputs):
     code, masks, qs = inputs
     table = ea.projection_entropies(code, masks, qs)
@@ -138,6 +139,35 @@ def test_nonlinear_subset_table_spans_several_blocks():
     for q, row in zip(qs, ea.subset_renyi_values(code, qs)):
         ref = [ea.marginal_entropy(code, mask, q) for mask in range(1 << code.n)]
         assert np.max(np.abs(row - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, size, seed", [(18, 1000, 6), (19, 300, 7), (20, 1000, 8)])
+def test_kernel_q2_row_equals_the_collision_counts_at_the_cap(n, size, seed):
+    # 2,000 seeded masks, all ones and the empty mask, against N(S) from the difference spectrum
+    code, masks, _ = _fixed_inputs(n, size, seed, mask_count=2000)
+    masks = np.append(masks, np.uint64(0))
+    row = ea.projection_entropies(code, masks, (2.0,))[0]
+    ref = collision_renyi2(code)[masks.astype(np.int64)]
+    assert np.max(np.abs(row - ref)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=st.one_of(nonlinear_codes(), linear_codes(max_n=10)))
+def test_subset_table_q2_row_equals_the_collision_counts(code):
+    row = ea.subset_renyi_values(code, (2.0,))[0]
+    assert np.max(np.abs(row - collision_renyi2(code))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=linear_codes())
+@example(code=bs.make_code("random_linear:16,8,1"))
+@example(code=REPEATED_ROW)
+def test_linear_subset_table_is_the_masked_rank_of_every_mask(code):
+    # exact integers, not approximately: the verify argmin reads their last bits
+    row = ea.subset_renyi_values(code, (1.0,))[0]
+    ranks = bs.masked_ranks(code.generator, np.arange(1 << code.n, dtype=np.uint64))
+    assert row.dtype == np.float64
+    assert (row == ranks).all()
 
 
 def test_projection_kernel_rejects_orders_below_one():
