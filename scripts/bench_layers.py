@@ -15,8 +15,7 @@ both trees (``inner_loops`` in FILE).  The cases:
 
 * ``subset_weights`` at n = 16 and n = 18, ten densities per repeat;
 * ``bitspace.make_code`` on random_linear:24,16,1 and random_linear:24,20,1,
-  up to the code's uint64 array of codewords (a tree that keeps the
-  codewords as ints pays its ``codeword_array()`` as well);
+  up to the code's uint64 array of codewords;
 * the subset Monte Carlo rows of ``entropy_report`` on random_linear:24,12
   at 2000 trials, two etas and orders 1 and 2 (through ``entropy_report``,
   whose signature is stable, so that any tree can be timed);
@@ -189,9 +188,7 @@ def cases(work_dir: Path) -> dict:
 
     def build(spec):
         def run():
-            code = bitspace.make_code(spec)
-            as_array = getattr(code, "codeword_array", None)
-            return code.codewords if as_array is None else as_array()
+            return bitspace.make_code(spec).codewords
 
         return run
 

@@ -290,8 +290,12 @@ def parse_generator_file(text: str, name: str = "file") -> Code:
 
 
 def parse_codeword_file(text: str, name: str = "file") -> Code:
-    """Parse an explicit codeword list, one codeword per line."""
+    """Parse an explicit codeword list, one codeword per line, in any order but without repeats."""
     n, words = _parse_bit_lines(text, "codeword", "line")
+    first = {}  # codeword -> the line that holds it
+    for idx, word in enumerate(words):
+        if first.setdefault(word, idx) != idx:
+            raise ValueError(f"line {idx}: duplicate codeword")
     return Code(n=n, codewords=sorted(words), name=name)
 
 

@@ -5,7 +5,8 @@ Bernoulli(eps) flip distribution; it maps the distribution function of
 X to that of X + Z.  It is one XOR-shift pass along the unit columns;
 the same pass gives the law of X + Z for X uniform on a code over its
 cells: the cells are the cosets of the code's kernel, which is C when
-the code has a generator and {0} otherwise (``noise_laws``).
+the code has a generator and {0} otherwise
+(``entropy_analysis.noisy_laws``).
 """
 
 from __future__ import annotations
@@ -31,18 +32,6 @@ def _axis_pairs(f: np.ndarray):
     for i in range(n):
         t = f.reshape(1 << (n - 1 - i), 2, 1 << i)
         yield t[:, 0, :], t[:, 1, :]
-
-
-# noisy-law cells that one chunk of an eps grid holds (8 MiB of floats);
-# its XOR-shift pass adds one scratch array of the chunk's size
-_LAW_CELLS = 1 << 20
-
-
-def _eps_chunks(eps_grid: Sequence[float], m: int) -> list[list[float]]:
-    """The eps grid in order, cut into chunks of at most _LAW_CELLS // 2^m values (one at least)."""
-    rows = max(1, _LAW_CELLS >> m)
-    eps_grid = list(eps_grid)
-    return [eps_grid[i : i + rows] for i in range(0, len(eps_grid), rows)]
 
 
 def _xor_shift_pass(

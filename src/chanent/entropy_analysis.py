@@ -4,8 +4,8 @@ A code is read through two objects, which ``entropy`` and ``verify``
 share:
 
 * the noise side, ``noisy_laws(code, eps_grid)``: the law p of X+Z at
-  each eps (``NoisyFunction``), one XOR-shift pass per chunk of the grid
-  (``noise_laws``).  Its 2^m cells are the cosets of the code's kernel,
+  each eps (``NoisyFunction``), one XOR-shift pass per chunk of the
+  grid.  Its 2^m cells are the cosets of the code's kernel,
   which is C when the code has a generator and {0} otherwise.  X+Z is
   uniform within a cell of 2^(n-m) points, so H(X+Z) = (n-m) + H(p), and
   H(X|Y_BSC) = H(X) + n*h(eps) - H(X+Z) (``cond_entropy_bsc_of_law``);
@@ -43,13 +43,7 @@ import numpy as np
 from .bitspace import Code, masked_ranks, syndrome_columns
 from .boolfn import _require_orders, _require_unit_interval, binary_entropy, ent, from_code
 from .boolfn import renyi_entropy, renyi_entropy_from_counts
-from .channels import (
-    _axis_pairs,
-    _eps_chunks,
-    _xor_shift_pass,
-    bernoulli_words,
-    noise_operator,
-)
+from .channels import _axis_pairs, _xor_shift_pass, bernoulli_words, noise_operator
 
 EXACT_SUBSET_CAP = 20
 
@@ -305,36 +299,6 @@ def cond_entropy_bsc(code: Code, eps: float) -> float:
     return code.log_size + code.n * binary_entropy(eps) - h_xz
 
 
-def law_cells(code: Code) -> int:
-    """Exponent m of the 2^m cells of ``noise_laws``: n - k with a generator, n otherwise."""
-    return code.n if code.generator is None else code.redundancy
-
-
-def noise_laws(code: Code, eps_grid: Sequence[float]) -> list[np.ndarray]:
-    """The law of X+Z, X uniform on the code, over its 2^m cells (``law_cells``) at each eps.
-
-    The cells are the cosets of the code's kernel, which is C when the
-    code has a generator and {0} otherwise.  Coordinate i of Z moves the
-    cell of X+Z by its column h_i: one XOR-shift pass for the grid along
-    the syndrome columns from the point mass at 0, or along the unit
-    columns from 1/|C| on each codeword, each row bit for bit the pass
-    at its eps alone.  The laws are the read-only rows of one array;
-    ``noisy_laws`` bounds it by passing one chunk of its grid at a time.
-    """
-    _require_unit_interval("eps", eps_grid)
-    m = law_cells(code)
-    p = np.zeros((len(eps_grid), 1 << m))
-    if code.generator is None:
-        p[:, code.codewords] = 1 / code.size
-        columns = [1 << i for i in range(m)]
-    else:
-        p[:, 0] = 1.0
-        columns = syndrome_columns(code.generator, code.n)
-    _xor_shift_pass(p, m, columns, eps_grid)
-    p.flags.writeable = False
-    return list(p)
-
-
 @dataclass(frozen=True, eq=False)
 class NoisyFunction:
     """The noisy law of f: T_eps f as 2^(n-k) cells of 2^k points each.
@@ -375,27 +339,49 @@ class NoisyFunction:
         return self.k + renyi_entropy(self.p, q)
 
 
+# noisy-law cells that one chunk of an eps grid holds (8 MiB of floats);
+# its XOR-shift pass adds one scratch array of the chunk's size
+_LAW_CELLS = 1 << 20
+
+
 def noisy_laws(code: Code, eps_grid: Sequence[float]) -> Iterator[NoisyFunction]:
     """The noisy law of f_C at each eps of the grid, in grid order; every eps is checked first.
 
-    Each chunk of the grid (``channels._eps_chunks``: at most 2^20 cells
-    of laws together) takes one ``noise_laws`` pass.  The stream drops a
-    chunk once its last law is handed out, so a caller that keeps no law
-    past its use holds one chunk at a time.
+    The law of X+Z, X uniform on the code, lives on 2^m cells, the
+    cosets of the code's kernel: C, m = n - k, when the code has a
+    generator, and {0}, m = n, otherwise.  Coordinate i of Z moves the
+    cell of X+Z by its column h_i: the syndrome column from the point
+    mass at 0, or the unit column from 1/|C| on each codeword.  The grid
+    is cut into chunks of at most ``_LAW_CELLS`` cells of laws (one eps
+    at least), and each chunk takes one XOR-shift pass, each row bit for
+    bit the pass at its eps alone.  The stream drops a chunk once its
+    last law is handed out, so a caller that keeps no law past its use
+    holds one chunk at a time.
     """
     eps_grid = list(eps_grid)
     _require_unit_interval("eps", eps_grid)
-    return _law_stream(code, eps_grid)
+    if code.generator is None:
+        m, columns = code.n, [1 << i for i in range(code.n)]
+    else:
+        m, columns = code.redundancy, syndrome_columns(code.generator, code.n)
+    rows = max(1, _LAW_CELLS >> m)
+    # chain holds only the iterator of the chunk it hands out, which lets go when exhausted
+    return itertools.chain.from_iterable(
+        _chunk_laws(code, m, columns, eps_grid[i : i + rows])
+        for i in range(0, len(eps_grid), rows)
+    )
 
 
-def _law_stream(code: Code, eps_grid: list[float]) -> Iterator[NoisyFunction]:
-    m = law_cells(code)
-    for chunk in _eps_chunks(eps_grid, m):
-        # only the list's iterator holds the chunk, and it lets go when exhausted
-        yield from [
-            NoisyFunction(eps, code.n, code.n - m, p)
-            for eps, p in zip(chunk, noise_laws(code, chunk))
-        ]
+def _chunk_laws(code: Code, m: int, columns: list[int], chunk: list[float]) -> list[NoisyFunction]:
+    """The noisy laws of one chunk of the grid: the read-only rows of one XOR-shift pass."""
+    p = np.zeros((len(chunk), 1 << m))
+    if code.generator is None:
+        p[:, code.codewords] = 1 / code.size
+    else:
+        p[:, 0] = 1.0
+    _xor_shift_pass(p, m, columns, chunk)
+    p.flags.writeable = False
+    return [NoisyFunction(eps, code.n, code.n - m, row) for eps, row in zip(chunk, p)]
 
 
 def noisy_law(code: Code, eps: float) -> NoisyFunction:

@@ -50,10 +50,6 @@ from .channels import _walsh_hadamard, bernoulli_words, noise_operator
 EXACT_CAP = 20
 
 
-def decoding_radius(eps: float, n: int) -> float:
-    return eps * n + n**0.75
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
     """Channel parameter, slack delta, and list cap for one decoder."""
@@ -79,7 +75,7 @@ class DecoderConfig:
 
     @property
     def radius(self) -> float:
-        return decoding_radius(self.effective_eps, self.n)
+        return self.effective_eps * self.n + self.n**0.75
 
     def cap_for(self, code: Code) -> int:
         """The list cap applied: ``list_cap``, else the theoretical list size; at most |C|.
@@ -121,11 +117,6 @@ def rs22_lower_bound(rate: float, eps: float, n: int) -> tuple[float, bool]:
     return exponent, in_hypothesis
 
 
-def likely_threshold(code: Code, cfg: DecoderConfig) -> float:
-    """2^((R - (1 - h(eps)) + delta) * n): the inflated target list size (inf past a float)."""
-    return _list_size(code.rate, cfg.effective_eps, cfg.delta, cfg.n)
-
-
 def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:
     """Codewords within the radius of every received word y, indexed by y.
 
@@ -157,7 +148,8 @@ def likely_probability(code: Code, cfg: DecoderConfig) -> float:
     """
     if cfg.n != code.n:
         raise ValueError("decoder and code dimensions differ")
-    threshold = likely_threshold(code, cfg)
+    # Y is delta-likely when more codewords than the inflated list size lie within the radius
+    threshold = _list_size(code.rate, cfg.effective_eps, cfg.delta, cfg.n)
     found = _coset_weights(code)
     if found is None:
         counts = _radius_counts(code, cfg)

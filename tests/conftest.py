@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from chanent import bitspace as bs
 from chanent.bitspace import Code
-from chanent.boolfn import dim_of, h_q, validate
+from chanent.boolfn import dim_of, from_code, h_q, validate
 from chanent.entropy_analysis import NoisyFunction, subset_weights
-from chanent.listdecode import DecoderConfig, DecodeTrialStats, likely_threshold, simulate
+from chanent.inequalities import noisy_function
+from chanent.listdecode import DecoderConfig, DecodeTrialStats, simulate
 
 RANDOM_LINEAR_PARAMS = [
     (6 + i % 7, 2 + (3 * i) % 5, 100 + i) for i in range(20)
@@ -63,6 +64,22 @@ def eps_grids(max_size=6):
     return st.lists(eps, min_size=1, max_size=max_size).flatmap(
         lambda grid: st.sampled_from([grid, grid + grid[:1]])
     )
+
+
+def assert_is_the_dense_law(p, code, eps):
+    """p is the dense path's T_eps f_C / 2^n, byte for byte while the pass stays normal.
+
+    The two passes differ by the factor 2^n alone, which commutes with
+    every rounding unless a product falls below the smallest normal
+    float; a nonzero entry of the pass is at least min(eps, 1-eps)^n / |C|.
+    Below that range they agree to within a subnormal.
+    """
+    dense = noisy_function(from_code(code), eps).p
+    tiny = np.finfo(float).smallest_normal
+    if eps in (0.0, 1.0) or min(eps, 1 - eps) ** code.n / code.size >= tiny:
+        assert p.tobytes() == dense.tobytes()
+    else:
+        assert np.max(np.abs(p - dense)) < tiny
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +500,25 @@ def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
     return [c for _, c in hits[:cap]], len(hits) > cap
 
 
+def delta_likely_threshold(code: Code, cfg: DecoderConfig) -> float:
+    """2^((R - (1 - h(eps)) + delta) * n) at the folded eps, inf past a float: a y is likely above it.
+
+    Written out here, apart from the library's list-size helper.
+    """
+    e = min(cfg.eps, 1 - cfg.eps)
+    h = 0.0 if e == 0 else -e * math.log2(e) - (1 - e) * math.log2(1 - e)
+    try:
+        return 2.0 ** ((code.rate - (1 - h) + cfg.delta) * cfg.n)
+    except OverflowError:
+        return math.inf
+
+
 def is_delta_likely(y: int, code: Code, cfg: DecoderConfig) -> tuple[bool, int]:
     """Whether y has more within-radius explanations than the threshold, and their count."""
     recv = _received(y, code, cfg)
     dists = np.bitwise_count(code.codewords ^ np.uint64(recv))
     count = int(np.count_nonzero(dists < cfg.radius))
-    return count > likely_threshold(code, cfg), count
+    return count > delta_likely_threshold(code, cfg), count
 
 
 def likely_probability_mc(
@@ -502,7 +532,7 @@ def likely_probability_mc(
     if cfg.n != code.n:
         raise ValueError("decoder and code dimensions differ")
     counts = simulate(code, cfg.eps, trials, seed).counts
-    p = int(np.count_nonzero(counts > likely_threshold(code, cfg))) / trials
+    p = int(np.count_nonzero(counts > delta_likely_threshold(code, cfg))) / trials
     return p, math.sqrt(max(p * (1 - p), 0.0) / trials)
 
 

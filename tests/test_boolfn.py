@@ -163,7 +163,6 @@ UNIT_INTERVAL_ENTRY_POINTS = {
     "h_q": ("eps", lambda v: boolfn.h_q(v, 1)),
     "noise_operator": ("eps", lambda v: channels.noise_operator(np.ones(8), v)),
     "DecoderConfig": ("eps", lambda v: ld.DecoderConfig(n=7, eps=v)),
-    "noise_laws": ("eps", lambda v: ea.noise_laws(bs.hamming74_code(), [0.1, v])),
     "noisy_laws": ("eps", lambda v: ea.noisy_laws(bs.hamming74_code(), [0.1, v])),
     "subset_entropy_expectation": (
         "lam", lambda v: ea.subset_entropy_expectation(bs.hamming74_code(), v, 1.0)

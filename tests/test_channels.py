@@ -96,16 +96,6 @@ def test_grid_pass_rows_are_the_one_eps_noise_operator(n, grid, seed):
         assert np.array_equal(row, xor_shift_oracle(f, units, eps))
 
 
-def test_eps_chunks_cut_the_grid_by_cells(monkeypatch):
-    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
-    assert channels._eps_chunks(grid, 19) == [[0.1, 0.2], [0.3, 0.4], [0.5]]
-    assert channels._eps_chunks(grid, 24) == [[eps] for eps in grid]  # one eps at least
-    assert channels._eps_chunks(grid, 4) == [grid]
-    assert channels._eps_chunks([], 4) == []
-    monkeypatch.setattr(channels, "_LAW_CELLS", 3 << 4)
-    assert channels._eps_chunks(grid, 4) == [[0.1, 0.2, 0.3], [0.4, 0.5]]
-
-
 def test_noise_operator_memory_is_two_arrays():
     # the output and one scratch array of 2^16 floats each, and small objects
     f = np.random.default_rng(3).random(1 << 16)

@@ -119,6 +119,16 @@ def test_entropy_bad_code_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_entropy_names_the_repeated_line_of_a_code_file(tmp_path, capsys):
+    # an unsorted file is read as its set of lines: only the repeat is wrong
+    words = tmp_path / "words.txt"
+    words.write_text("110\n011\n110\n")
+    assert main(["entropy", "--code", f"codewords-file:{words}", "--eta", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: line 2: duplicate codeword\n"
+    words.write_text("110\n011\n")
+    assert main(["entropy", "--code", f"codewords-file:{words}", "--eta", "0.5"]) == 0
+
+
 def test_verify_small_battery_passes(capsys):
     code, out = run(
         [
@@ -218,7 +228,7 @@ def test_verify_rejects_codes_above_the_subset_cap_before_any_work(
         path = tmp_path / "words.txt"
         path.write_text("".join(format(w, "021b")[::-1] + "\n" for w in (0, 3, 1 << 20)))
         spec = f"codewords-file:{path}"
-    for name in ("subset_stats_of_code", "noisy_laws", "noise_laws", "subset_renyi_values"):
+    for name in ("subset_stats_of_code", "noisy_laws", "_xor_shift_pass", "subset_renyi_values"):
         _forbid(monkeypatch, ea, name)
     _forbid(monkeypatch, inequalities, "noise_operator")
     # the small code sorts first, so its work would start before the cap check
@@ -236,16 +246,16 @@ def _forbid_dense(monkeypatch):
                 _forbid(monkeypatch, module, name)
 
 
-def _count_law_passes(monkeypatch, module) -> list:
-    """Record (code name, eps grid) of every ``noise_laws`` pass made through the module."""
+def _count_law_passes(monkeypatch) -> list:
+    """Record (cell exponent m, eps grid) of every XOR-shift pass that builds noisy laws."""
     passes = []
-    laws = module.noise_laws
+    xor_shift_pass = ea._xor_shift_pass
 
-    def counted(code, eps_grid):
-        passes.append((code.name, list(eps_grid)))
-        return laws(code, eps_grid)
+    def counted(p, m, columns, eps_grid):
+        passes.append((m, list(eps_grid)))
+        return xor_shift_pass(p, m, columns, eps_grid)
 
-    monkeypatch.setattr(module, "noise_laws", counted)
+    monkeypatch.setattr(ea, "_xor_shift_pass", counted)
     return passes
 
 
@@ -253,10 +263,10 @@ def test_verify_takes_one_law_pass_per_chunk_per_code(monkeypatch, tmp_path, cap
     # every code, linear or not: one pass of the law of X+Z per chunk of
     # its eps grid, and no dense noise operator, f_C or dense H(X|Y_BSC)
     _forbid_dense(monkeypatch)
-    passes = _count_law_passes(monkeypatch, ea)
+    passes = _count_law_passes(monkeypatch)
     # two laws of 2^5 cells a chunk: the nonlinear n = 5 code's grid is cut
     # in two, the linear codes' 2^2 and 2^3 cosets take it in one
-    monkeypatch.setattr(channels, "_LAW_CELLS", 2 << 5)
+    monkeypatch.setattr(ea, "_LAW_CELLS", 2 << 5)
     words = tmp_path / "words.txt"
     words.write_text("00000\n11000\n00110\n10011\n01111\n")
     code, out = run(
@@ -273,11 +283,12 @@ def test_verify_takes_one_law_pass_per_chunk_per_code(monkeypatch, tmp_path, cap
         capsys,
     )
     assert code == 0
+    # in code order: repetition(3), words.txt, hamming74
     assert passes == [
-        ("repetition(3)", [0.1, 0.2, 0.3]),
-        ("words.txt", [0.1, 0.2]),
-        ("words.txt", [0.3]),
-        ("hamming74", [0.1, 0.2, 0.3]),
+        (2, [0.1, 0.2, 0.3]),
+        (5, [0.1, 0.2]),
+        (5, [0.3]),
+        (3, [0.1, 0.2, 0.3]),
     ]
     assert json.loads(out)[-1]["pass"] is True
 
@@ -307,9 +318,10 @@ def test_verify_gathers_subset_weights_once_per_distinct_lambda(monkeypatch, cap
 
 def test_verify_holds_one_chunk_of_noisy_laws(monkeypatch, capsys):
     # repetition:20 has 2^19 cosets, so a chunk of the grid holds two laws
-    cells = channels._LAW_CELLS
+    cells = ea._LAW_CELLS
     assert cells >> 19 == 2
-    chunks, held = [], []
+    chunks = _count_law_passes(monkeypatch)
+    held = []
     build, laws = ea.subset_stats_of_code, ea.noisy_laws
 
     def built_rows(code, qs):
@@ -322,7 +334,6 @@ def test_verify_holds_one_chunk_of_noisy_laws(monkeypatch, capsys):
 
     def start_peak(code, eps_grid):
         # measured from here: the subset statistics are built and held
-        chunks.extend(channels._eps_chunks(eps_grid, ea.law_cells(code)))
         held.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return laws(code, eps_grid)
@@ -337,7 +348,7 @@ def test_verify_holds_one_chunk_of_noisy_laws(monkeypatch, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert [len(c) for c in chunks] == [2, 2, 2, 2, 1]
+    assert [len(grid) for _, grid in chunks] == [2, 2, 2, 2, 1]
     # one chunk of laws and the pass's scratch (2 x 2^20 cells), one
     # weight array (2^20) and 1 MiB of the rest: a second chunk of laws
     # alive at once would add 8 MiB, the whole grid 56 MiB
@@ -419,7 +430,7 @@ def test_decode_sim_runs_one_shared_pass_per_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize("grid", [["--eps", "1.5"], ["--eta", "1.5"], ["--eta", "0.5,-0.1"]])
 def test_verify_checks_its_grids_before_any_subset_table(grid, monkeypatch, capsys):
-    for name in ("subset_stats_of_code", "subset_renyi_values", "noise_laws"):
+    for name in ("subset_stats_of_code", "subset_renyi_values", "_xor_shift_pass"):
         _forbid(monkeypatch, ea, name)
     # the small code sorts first, so its table would be built before the large one's
     code = main(["verify", "--code", "random_linear:20,10,1", "--code", "repetition:3", *grid])
@@ -521,7 +532,7 @@ def test_entropy_computes_once_per_code(monkeypatch, tmp_path, capsys):
         return report(code, *args, **kwargs)
 
     _forbid_dense(monkeypatch)
-    passes = _count_law_passes(monkeypatch, ea)
+    passes = _count_law_passes(monkeypatch)
     monkeypatch.setattr(ea, "entropy_report", counted_report)
     words = tmp_path / "words.txt"
     words.write_text("00000\n11000\n00110\n10011\n01111\n")
@@ -539,8 +550,9 @@ def test_entropy_computes_once_per_code(monkeypatch, tmp_path, capsys):
     )
     assert code == 0
     assert len(json.loads(out)) == 16
-    # one pass of the law of X+Z per code for its whole eps grid
-    assert passes == [("words.txt", [0.1, 0.2]), ("hamming74", [0.1, 0.2])]
+    # one pass of the law of X+Z per code for its whole eps grid: the
+    # nonlinear words.txt on 2^5 points, then hamming74 on 2^3 cosets
+    assert passes == [(5, [0.1, 0.2]), (3, [0.1, 0.2])]
     assert report_calls == [5, 7]
 
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanent import bitspace as bs
-from chanent import channels
 from chanent import entropy_analysis as ea
 from chanent import inequalities as iq
 from chanent.boolfn import binary_entropy, renyi_entropy
@@ -16,6 +15,7 @@ from chanent.channels import bernoulli_words
 from chanent.entropy_analysis import subset_stats_of_code
 
 from conftest import (
+    assert_is_the_dense_law,
     bayes_cond_entropy_bsc,
     collision_renyi2,
     eps_grids,
@@ -370,14 +370,15 @@ def test_noise_law_cond_entropy_matches_dense_and_bayes(code, eps):
 def test_noise_law_shape_and_mass(linear, nonlinear, eps):
     # 2^(n-k) cosets of C for a code with a generator, 2^n points otherwise
     for code, m in ((linear, linear.redundancy), (nonlinear, nonlinear.n)):
-        assert ea.law_cells(code) == m
-        (p,) = ea.noise_laws(code, [eps])
+        law = ea.noisy_law(code, eps)
+        assert law.n - law.k == m
+        p = law.p
         assert len(p) == 1 << m
         assert p.min() >= 0 and p.sum() == pytest.approx(1.0, abs=1e-15)
     # eps = 0: the law of X itself, the syndrome 0 or 1/|C| on each codeword
-    (p,) = ea.noise_laws(bs.hamming74_code(), [0.0])
+    p = ea.noisy_law(bs.hamming74_code(), 0.0).p
     assert p.tolist() == [1.0] + [0.0] * 7
-    (p,) = ea.noise_laws(NONLINEAR5, [0.0])
+    p = ea.noisy_law(NONLINEAR5, 0.0).p
     assert np.flatnonzero(p).tolist() == NONLINEAR5.codewords.tolist()
     assert set(p[NONLINEAR5.codewords].tolist()) == {1 / 5}
 
@@ -393,29 +394,61 @@ WEIGHT_ONE_ROW = bs.Code(n=4, codewords=bs.span([1, 6]), generator=(1, 6))
 @example(linear=WEIGHT_ONE_ROW, nonlinear=bs.single_code(2), eps=0.3)
 def test_noise_law_rounds_as_the_oracle(linear, nonlinear, eps):
     for code in (linear, nonlinear):
-        (p,) = ea.noise_laws(code, [eps])
+        p = ea.noisy_law(code, eps).p
         assert np.array_equal(p, _oracle_law(code, eps))
 
 
+# the cut of one five-eps grid: two laws a chunk, one at least, all in one, three
+FIVE_EPS = [0.1, 0.2, 0.3, 0.4, 0.5]
+
+
 @settings(max_examples=60, deadline=None)
-@given(linear=linear_codes(), nonlinear=nonlinear_codes(), grid=eps_grids(), rows=st.integers(1, 3))
+@given(linear=linear_codes(), nonlinear=nonlinear_codes(), grid=eps_grids(), rows=st.integers(0, 3))
 @example(linear=WEIGHT_ONE_ROW, nonlinear=NONLINEAR5, grid=[0.0, 1.0, 0.1, 0.1], rows=1)
 @example(linear=bs.full_space_code(3), nonlinear=NONLINEAR5, grid=[0.3, 1.0, 0.0, 0.3], rows=2)
-def test_noise_laws_of_a_grid_are_the_one_eps_laws(linear, nonlinear, grid, rows):
-    # one pass over the grid, or over chunks of at most `rows` eps
+@example(linear=bs.hamming74_code(), nonlinear=NONLINEAR5, grid=[0.0, 1.0, 0.2, 0.2, 0.45], rows=2)
+@example(linear=bs.full_space_code(3), nonlinear=NONLINEAR5, grid=[1.0, 0.1, 1.0, 0.0], rows=1)
+@example(linear=bs.repetition_code(5), nonlinear=NONLINEAR5, grid=FIVE_EPS, rows=2)
+@example(linear=bs.repetition_code(5), nonlinear=NONLINEAR5, grid=FIVE_EPS, rows=0)
+@example(linear=bs.repetition_code(5), nonlinear=NONLINEAR5, grid=FIVE_EPS, rows=5)
+@example(linear=bs.repetition_code(5), nonlinear=NONLINEAR5, grid=FIVE_EPS, rows=3)
+def test_noisy_laws_of_grid_chunks_are_the_one_eps_laws(linear, nonlinear, grid, rows):
+    # one pass over the grid, or one per chunk of max(1, rows) laws, the
+    # last chunk the rest: the cells are one short of rows + 1 laws
+    per_chunk = max(1, rows)
     for code in (linear, nonlinear):
-        m = ea.law_cells(code)
-        laws = ea.noise_laws(code, grid)
-        assert len(laws) == len(grid)
-        for p, eps in zip(laws, grid):
-            assert p.tobytes() == ea.noise_laws(code, [eps])[0].tobytes()
-            assert np.array_equal(p, _oracle_law(code, eps))
-        reports = ea.entropy_report(code, grid, [None])
+        m = code.redundancy if code.generator is not None else code.n
+        passes = []
+        xor_shift_pass = ea._xor_shift_pass
+
+        def counted(p, m, columns, eps_grid):
+            passes.append(list(eps_grid))
+            return xor_shift_pass(p, m, columns, eps_grid)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(channels, "_LAW_CELLS", rows << m)
-            chunks = channels._eps_chunks(grid, m)
-            assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
+            patch.setattr(ea, "_xor_shift_pass", counted)
+            assert list(ea.noisy_laws(code, [])) == [] and passes == []
+            whole = list(ea.noisy_laws(code, grid))
+            assert passes == [grid]
+            reports = ea.entropy_report(code, grid, [None])
+            patch.setattr(ea, "_LAW_CELLS", ((rows + 1) << m) - 1)
+            passes.clear()
+            chunked = list(ea.noisy_laws(code, grid))
+            chunks = list(passes)
             assert ea.entropy_report(code, grid, [None]) == reports
+        assert sum(chunks, []) == grid
+        assert all(len(chunk) == per_chunk for chunk in chunks[:-1])
+        assert 1 <= len(chunks[-1]) <= per_chunk
+        for laws in (whole, chunked):
+            assert [law.eps for law in laws] == grid
+            for law, eps in zip(laws, grid):
+                one = ea.noisy_law(code, eps)
+                assert (law.n, law.k) == (one.n, one.k) == (code.n, code.n - m)
+                assert law.p.tobytes() == one.p.tobytes()
+                assert not law.p.flags.writeable
+                assert np.array_equal(law.p, _oracle_law(code, eps))
+                if code.generator is None:
+                    assert_is_the_dense_law(law.p, code, eps)
         for report, eps in zip(reports, grid):
             # H(X|Y_BSC) = (log2|C| - (n-m)) + n h(eps) - H(p), from the oracle's law
             h_law = renyi_entropy(_oracle_law(code, eps), 1)
@@ -437,11 +470,11 @@ def test_oracle_examples_have_a_zero_parity_check_column():
     nonlinear=nonlinear_codes(),
     bad=st.one_of(st.floats(max_value=0, exclude_max=True), st.floats(min_value=1, exclude_min=True)),
 )
-def test_noise_laws_reject_a_bad_eps(linear, nonlinear, bad):
+def test_noisy_laws_reject_a_bad_eps(linear, nonlinear, bad):
     for code in (linear, nonlinear):
         for grid in ([bad], [0.1, bad], [math.nan]):  # every eps of a grid is checked
             with pytest.raises(ValueError, match="eps"):
-                ea.noise_laws(code, grid)
+                ea.noisy_laws(code, grid)
 
 
 def test_noise_law_memory_is_two_arrays():
@@ -449,11 +482,11 @@ def test_noise_law_memory_is_two_arrays():
     # the pass's scratch, and small objects; no copy of f_C is made
     words = np.sort(np.random.default_rng(3).choice(1 << 16, 1000, replace=False))
     code = bs.Code(n=16, codewords=words)
-    (chunk, _) = channels._eps_chunks([0.05 * i for i in range(1, 20)], ea.law_cells(code))
-    assert len(chunk) == channels._LAW_CELLS >> 16
+    chunk = [0.05 * i for i in range(1, 20)][: ea._LAW_CELLS >> 16]
+    assert len(chunk) == ea._LAW_CELLS >> 16
     tracemalloc.start()
     try:
-        ea.noise_laws(code, chunk)
+        list(ea.noisy_laws(code, chunk))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -589,13 +622,13 @@ def test_entropy_report_takes_the_noise_law_path_for_every_code():
     eps = 0.15
     linear = bs.hamming74_code()
     (rep,) = ea.entropy_report(linear, [eps], [None])
-    (law,) = ea.noise_laws(linear, [eps])
+    law = ea.noisy_law(linear, eps).p
     # the syndrome law of the noise: H(X|Y_BSC) = n h(eps) - H(s(Z))
     assert rep.h_x_given_bsc == linear.n * binary_entropy(eps) - renyi_entropy(law, 1)
     assert rep.h_x_given_bsc == pytest.approx(ea.cond_entropy_bsc(linear, eps), abs=1e-12)
     nonlinear = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))
     (rep,) = ea.entropy_report(nonlinear, [eps], [None])
-    (law,) = ea.noise_laws(nonlinear, [eps])
+    law = ea.noisy_law(nonlinear, eps).p
     # the law of X+Z on every point: H(X|Y_BSC) = log2|C| + n h(eps) - H(X+Z)
     assert len(law) == 1 << nonlinear.n
     h = nonlinear.log_size + nonlinear.n * binary_entropy(eps) - renyi_entropy(law, 1)
@@ -636,7 +669,7 @@ def test_entropy_report_holds_one_chunk_of_noisy_laws():
     # repetition:21 has 2^20 cosets, so each eps is a chunk of its own
     code = bs.repetition_code(21)
     law_bytes = 8 << code.redundancy
-    assert channels._LAW_CELLS >> code.redundancy == 1
+    assert ea._LAW_CELLS >> code.redundancy == 1
     tracemalloc.start()
     try:
         reports = ea.entropy_report(code, [0.05, 0.1, 0.2], [None])
@@ -680,21 +713,21 @@ def test_monte_carlo_report_draws_subsets_once_per_eta_for_every_order(code, mon
 
 def test_entropy_report_computes_each_quantity_once_over_its_grid(monkeypatch):
     bsc, passes = [], []
-    dense, laws, kernel = ea.cond_entropy_bsc, ea.noise_laws, ea.projection_entropies
+    dense, xor_shift_pass, kernel = ea.cond_entropy_bsc, ea._xor_shift_pass, ea.projection_entropies
 
     def dense_run(code, eps):
         raise AssertionError("cond_entropy_bsc ran")
 
-    def laws_counted(code, eps_grid):
+    def pass_counted(p, m, columns, eps_grid):
         bsc.append(list(eps_grid))
-        return laws(code, eps_grid)
+        return xor_shift_pass(p, m, columns, eps_grid)
 
     def kernel_counted(code, masks, qs):
         passes.append(tuple(qs))
         return kernel(code, masks, qs)
 
     monkeypatch.setattr(ea, "cond_entropy_bsc", dense_run)
-    monkeypatch.setattr(ea, "noise_laws", laws_counted)
+    monkeypatch.setattr(ea, "_xor_shift_pass", pass_counted)
     monkeypatch.setattr(ea, "projection_entropies", kernel_counted)
     ea.subset_renyi_values.cache_clear()
     code = bs.Code(n=5, codewords=(0, 3, 12, 25, 30))

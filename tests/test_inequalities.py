@@ -12,16 +12,15 @@ from chanent import boolfn, channels, inequalities as iq
 from chanent import entropy_analysis as ea
 
 from conftest import (
+    assert_is_the_dense_law,
     bayes_cond_entropy_bsc,
     conditional_expectation,
     dp_sam_entropy,
     dp_sam_norm,
-    eps_grids,
     linear_codes,
     nonlinear_codes,
     small_corpus,
     subset_stats,
-    xor_shift_oracle,
 )
 
 
@@ -358,22 +357,6 @@ def test_noisy_law_of_a_linear_code_matches_the_dense_path(code, eps):
     assert dense.ent == pytest.approx(boolfn.ent(dense.p * 2**code.n), abs=1e-12)
 
 
-def _assert_is_the_dense_law(p, code, eps):
-    """p is the dense path's T_eps f_C / 2^n, byte for byte while the pass stays normal.
-
-    The two passes differ by the factor 2^n alone, which commutes with
-    every rounding unless a product falls below the smallest normal
-    float; a nonzero entry of the pass is at least min(eps, 1-eps)^n / |C|.
-    Below that range they agree to within a subnormal.
-    """
-    dense = iq.noisy_function(boolfn.from_code(code), eps).p
-    tiny = np.finfo(float).smallest_normal
-    if eps in (0.0, 1.0) or min(eps, 1 - eps) ** code.n / code.size >= tiny:
-        assert p.tobytes() == dense.tobytes()
-    else:
-        assert np.max(np.abs(p - dense)) < tiny
-
-
 @settings(max_examples=60, deadline=None)
 @given(code=nonlinear_codes(), eps=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)))
 @example(code=bs.Code(n=5, codewords=(0, 3, 12, 19, 30)), eps=0.2)
@@ -382,57 +365,7 @@ def test_noisy_law_of_a_nonlinear_code_is_the_dense_path(code, eps):
     # a cell per point, from 1/|C| on each codeword: the dense T_eps f_C / 2^n
     law = ea.noisy_law(code, eps)
     assert (law.n, law.k) == (code.n, 0)
-    _assert_is_the_dense_law(law.p, code, eps)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    linear=linear_codes(max_n=10),
-    nonlinear=nonlinear_codes(max_n=6),
-    grid=eps_grids(),
-    rows=st.integers(1, 3),
-)
-@example(
-    linear=bs.hamming74_code(),
-    nonlinear=bs.Code(n=5, codewords=(0, 3, 12, 19, 30)),
-    grid=[0.0, 1.0, 0.2, 0.2, 0.45],
-    rows=2,
-)
-@example(
-    linear=bs.full_space_code(3),
-    nonlinear=bs.Code(n=5, codewords=(0, 3, 12, 19, 30)),
-    grid=[1.0, 0.1, 1.0, 0.0],
-    rows=1,
-)
-def test_noisy_laws_of_grid_chunks_are_the_one_eps_laws(linear, nonlinear, grid, rows):
-    # verify's path: the grid cut into chunks of at most `rows` laws, one pass per chunk
-    for code in (linear, nonlinear):
-        cells = code.redundancy if code.generator is not None else code.n
-        chunks = []
-        noise_laws = ea.noise_laws
-
-        def counted(code, eps_grid):
-            chunks.append(list(eps_grid))
-            return noise_laws(code, eps_grid)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(channels, "_LAW_CELLS", rows << cells)
-            patch.setattr(ea, "noise_laws", counted)
-            laws = list(ea.noisy_laws(code, grid))
-        assert sum(chunks, []) == grid and max(map(len, chunks)) <= rows
-        assert [law.eps for law in laws] == grid
-        for law, eps in zip(laws, grid):
-            one = ea.noisy_law(code, eps)
-            assert (law.n, law.k) == (one.n, one.k) == (code.n, code.n - cells)
-            assert law.p.tobytes() == one.p.tobytes()
-            assert not law.p.flags.writeable
-            if code.generator is None:
-                _assert_is_the_dense_law(law.p, code, eps)
-            else:
-                delta = np.zeros(1 << cells)
-                delta[0] = 1.0
-                cols = bs.syndrome_columns(code.generator, code.n)
-                assert np.array_equal(law.p, xor_shift_oracle(delta, cols, eps))
+    assert_is_the_dense_law(law.p, code, eps)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,6 +23,7 @@ from conftest import (
     codeword_ints,
     coset_weight_histogram,
     decode,
+    delta_likely_threshold,
     exhaustive_decode_scan,
     is_delta_likely,
     likely_probability_mc,
@@ -154,7 +155,8 @@ def test_theoretical_list_size_monotone():
 def test_a_list_size_past_the_float_range_is_infinite_and_no_word_is_likely():
     code = bs.make_code("random_linear:18,8,1")
     cfg = ld.DecoderConfig(n=18, eps=0.1, delta=100.0)
-    assert ld.likely_threshold(code, cfg) == math.inf
+    assert ld._list_size(code.rate, cfg.effective_eps, cfg.delta, 18) == math.inf
+    assert delta_likely_threshold(code, cfg) == math.inf
     # no count passes an infinite threshold, on the coset path and the dense one
     assert ld.likely_probability(code, cfg) == 0.0
     nonlinear = bs.Code(n=7, codewords=bs.hamming74_code().codewords)
@@ -199,7 +201,7 @@ def test_rs22_out_of_hypothesis_flagged():
 def test_is_delta_likely_single_code():
     c = bs.single_code(6)
     cfg = ld.DecoderConfig(n=6, eps=0.1, delta=0.6)
-    assert ld.likely_threshold(c, cfg) >= 1
+    assert delta_likely_threshold(c, cfg) >= 1
     for y in (0, 0b111111, 0b1010):
         likely, count = is_delta_likely(y, c, cfg)
         assert count in (0, 1)
@@ -225,7 +227,7 @@ def test_likely_probability_extremes():
     assert ld.likely_probability(c, cfg) == 0.0
     # eps = 0 with threshold < 1: Y = X qualifies itself, always likely
     cfg0 = ld.DecoderConfig(n=3, eps=0.0, delta=0.0)
-    if ld.likely_threshold(c, cfg0) < 1:
+    if delta_likely_threshold(c, cfg0) < 1:
         assert ld.likely_probability(c, cfg0) == pytest.approx(1.0)
 
 
@@ -236,7 +238,7 @@ def test_likely_probability_never_exceeds_one():
     c = bs.random_linear_code(12, 6, 1)
     for eps in (0.1, 0.2):
         cfg = ld.DecoderConfig(n=12, eps=eps)
-        assert (ld._radius_counts(c, cfg) > ld.likely_threshold(c, cfg)).all()
+        assert (ld._radius_counts(c, cfg) > delta_likely_threshold(c, cfg)).all()
         for code in (c, bs.Code(n=12, codewords=c.codewords)):
             assert ld.likely_probability(code, cfg) == 1.0
     for code in small_corpus(10):
@@ -255,7 +257,7 @@ def test_likely_probability_exact_vs_mc():
 def test_likely_probability_exact_by_enumeration():
     c = bs.repetition_code(5)
     cfg = ld.DecoderConfig(n=5, eps=0.1, delta=0.1)
-    threshold = ld.likely_threshold(c, cfg)
+    threshold = delta_likely_threshold(c, cfg)
     eps = 0.1
     total = 0.0
     for y in range(1 << 5):
@@ -293,7 +295,7 @@ def test_likely_probability_matches_per_codeword_count(spec, eps, delta):
     # the dense path's counts, which the closed form replaces for linear codes
     assert np.array_equal(counts, ld._radius_counts(c, cfg))
     p_y = noise_operator(from_code(c), cfg.eps) / (1 << n)
-    expected = float(p_y[counts > ld.likely_threshold(c, cfg)].sum())
+    expected = float(p_y[counts > delta_likely_threshold(c, cfg)].sum())
     assert 0 < expected < 1
     assert ld.likely_probability(c, cfg) == pytest.approx(expected, abs=1e-12)
 
