@@ -182,14 +182,19 @@ def test_generator_file_rejects_bad_rows():
 def test_codeword_file():
     c = bs.parse_codeword_file("000\n111\n")
     assert codeword_ints(c) == [0, 7]
+    with pytest.raises(ValueError):
+        bs.parse_codeword_file("000\n000\n")
+    with pytest.raises(ValueError):
+        bs.parse_codeword_file("01\n012\n")
+
+
+def test_codeword_file_names_the_repeated_line():
     # the lines are sorted here, so only a repeat is an error, named by its line
     assert codeword_ints(bs.parse_codeword_file("111\n\n000\n")) == [0, 7]
     with pytest.raises(ValueError, match="^line 1: duplicate codeword$"):
         bs.parse_codeword_file("000\n000\n")
     with pytest.raises(ValueError, match="^line 2: duplicate codeword$"):
         bs.parse_codeword_file("011\n110\n011\n")
-    with pytest.raises(ValueError):
-        bs.parse_codeword_file("01\n012\n")
 
 
 def test_rate_bounds():

@@ -164,6 +164,7 @@ UNIT_INTERVAL_ENTRY_POINTS = {
     "noise_operator": ("eps", lambda v: channels.noise_operator(np.ones(8), v)),
     "DecoderConfig": ("eps", lambda v: ld.DecoderConfig(n=7, eps=v)),
     "noisy_laws": ("eps", lambda v: ea.noisy_laws(bs.hamming74_code(), [0.1, v])),
+    "noisy_law": ("eps", lambda v: ea.noisy_law(bs.hamming74_code(), v)),
     "subset_entropy_expectation": (
         "lam", lambda v: ea.subset_entropy_expectation(bs.hamming74_code(), v, 1.0)
     ),
