@@ -26,6 +26,7 @@ from .inequalities import (
     check_bsc_bec,
     check_cor_rv,
     check_cor_rv_entropy,
+    check_law,
     check_sam_entropy,
     check_sam_norm,
     noisy_function,

@@ -265,19 +265,19 @@ def single_code(n: int) -> Code:
     return Code(n=n, codewords=[0], name=f"single({n})")
 
 
-def _parse_bit_lines(text: str, kind: str, unit: str) -> tuple[int, list[int]]:
-    """Length n and int values of the nonblank '0'/'1' lines of a code file."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+def _parse_bit_lines(text: str, kind: str) -> tuple[int, dict[int, int]]:
+    """Length n and value of each nonblank '0'/'1' line of a code file, keyed by its number from 1."""
+    lines = {i: ln.strip() for i, ln in enumerate(text.splitlines(), 1) if ln.strip()}
     if not lines:
         raise ValueError(f"empty {kind} file")
-    n = len(lines[0])
-    for idx, ln in enumerate(lines):
+    n = len(next(iter(lines.values())))
+    for i, ln in lines.items():
         if len(ln) != n:
-            raise ValueError(f"{unit} {idx}: length {len(ln)} != {n}")
+            raise ValueError(f"line {i}: length {len(ln)} != {n}")
         if set(ln) - {"0", "1"}:
-            raise ValueError(f"{unit} {idx}: invalid character")
+            raise ValueError(f"line {i}: invalid character")
     _check_dim(n)
-    return n, [int(ln[::-1], 2) for ln in lines]
+    return n, {i: int(ln[::-1], 2) for i, ln in lines.items()}
 
 
 def parse_generator_file(text: str, name: str = "file") -> Code:
@@ -285,18 +285,18 @@ def parse_generator_file(text: str, name: str = "file") -> Code:
 
     Bit order: the first character of a line is coordinate 0.
     """
-    n, rows = _parse_bit_lines(text, "generator", "row")
-    return Code(n=n, generator=tuple(rows), name=name)
+    n, rows = _parse_bit_lines(text, "generator")
+    return Code(n=n, generator=tuple(rows.values()), name=name)
 
 
 def parse_codeword_file(text: str, name: str = "file") -> Code:
     """Parse an explicit codeword list, one codeword per line, in any order but without repeats."""
-    n, words = _parse_bit_lines(text, "codeword", "line")
+    n, words = _parse_bit_lines(text, "codeword")
     first = {}  # codeword -> the line that holds it
-    for idx, word in enumerate(words):
-        if first.setdefault(word, idx) != idx:
-            raise ValueError(f"line {idx}: duplicate codeword")
-    return Code(n=n, codewords=sorted(words), name=name)
+    for i, word in words.items():
+        if first.setdefault(word, i) != i:
+            raise ValueError(f"line {i}: duplicate codeword")
+    return Code(n=n, codewords=sorted(words.values()), name=name)
 
 
 # a spec's code family -> its constructor, ``<family>_code``, which takes the spec's integers

@@ -104,39 +104,6 @@ def cmd_entropy(args, codes: list[bitspace.Code]) -> int:
     return 0
 
 
-def _check_law(stats, qs, eta_grid, noisy) -> list[dict]:
-    """The row of every check of a code at one eps; a skipped bsc_bec row has no slack."""
-    code = stats.code
-    checks = [
-        inequalities.check_cor_rv_entropy(stats, noisy),
-        inequalities.check_sam_entropy(stats, noisy),
-    ]
-    for q in qs:
-        checks.append(inequalities.check_cor_rv(stats, noisy, q))
-        checks.append(inequalities.check_sam_norm(stats, noisy, q))
-    rows = [{**rep.to_dict(), "skipped": False} for rep in checks]
-    for eta in eta_grid:
-        try:
-            rep = inequalities.check_bsc_bec(stats, noisy, eta)
-        except inequalities.HypothesisViolation:
-            skipped = {
-                "inequality": "bsc_bec",
-                "code": code.name,
-                "n": code.n,
-                "eps": noisy.eps,
-                "eta": eta,
-                "lhs": None,
-                "rhs": None,
-                "slack": None,
-                "pass": True,
-                "skipped": True,
-            }
-            rows.append(skipped)
-        else:
-            rows.append({**rep.to_dict(), "skipped": False})
-    return rows
-
-
 def cmd_verify(args, codes: list[bitspace.Code]) -> int:
     eps_grid = args.eps or [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
     eta_grid = args.eta or []
@@ -146,26 +113,20 @@ def cmd_verify(args, codes: list[bitspace.Code]) -> int:
         entropy_analysis.require_subset_cap(code.n)
     _require_unit_interval("eps", eps_grid)
     _require_unit_interval("eta", eta_grid)
-    rows = []
+    reports = []
     for code in codes:
         stats = entropy_analysis.subset_stats_of_code(code, qs)
         laws = entropy_analysis.noisy_laws(code, eps_grid)
         # map keeps no law past its checks, so each chunk of laws is freed before the next pass
-        for checked in map(partial(_check_law, stats, qs, eta_grid), laws):
-            rows += checked
+        for checked in map(partial(inequalities.check_law, stats, qs=qs, etas=eta_grid), laws):
+            reports += checked
     # every eps gives a cor_rv_entropy and a sam_entropy row, so some row was not skipped
-    done = [row for row in rows if not row["skipped"]]
-    worst = min(done, key=lambda row: row["slack"])
-    all_pass = all(row["pass"] for row in done)
-    summary = {
-        "inequality": "summary",
-        "pass": all_pass,
-        "skipped": False,
-        "slack": worst["slack"],
-        "code": worst.get("code") or worst.get("f"),
-        "argmin": worst["inequality"],
-    }
-    rows.append(summary)
+    worst = min((rep for rep in reports if not rep.skipped), key=lambda rep: rep.slack)
+    all_pass = all(rep.passed for rep in reports)
+    name = worst.params.get("code") or worst.params.get("f")
+    summary = {"inequality": "summary", "pass": all_pass, "skipped": False,
+               "slack": worst.slack, "code": name, "argmin": worst.inequality}
+    rows = [*(rep.to_dict() for rep in reports), summary]
     emit(rows, args)
     return 0 if all_pass else 1
 

@@ -154,7 +154,9 @@ def require_subset_cap(n: int) -> None:
         raise ValueError(f"exact subset enumeration capped at n <= {EXACT_SUBSET_CAP}")
 
 
-@lru_cache(maxsize=64)
+# 8 * 2^n bytes an order, 8 MB at n = 20 (a linear code's table is one row), so
+# the cache holds at most two tables: verify and entropy read each once
+@lru_cache(maxsize=2)
 def subset_renyi_values(code: Code, qs: tuple[float, ...]) -> np.ndarray:
     """H_q(X_S) for every order and subset, read-only: row i at order qs[i], column S.
 

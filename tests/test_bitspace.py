@@ -173,6 +173,11 @@ def test_generator_file_roundtrip():
 def test_generator_file_rejects_bad_rows():
     with pytest.raises(ValueError):
         bs.parse_generator_file("101\n10\n")
+    # a row is named by its line in the file, blank lines included
+    with pytest.raises(ValueError, match="^line 3: length 2 != 3$"):
+        bs.parse_generator_file("101\n\n10\n")
+    with pytest.raises(ValueError, match="^line 4: invalid character$"):
+        bs.parse_generator_file("\n101\n\n1x1\n")
     with pytest.raises(ValueError):
         bs.parse_generator_file("10x\n")
     with pytest.raises(ValueError):
@@ -191,10 +196,20 @@ def test_codeword_file():
 def test_codeword_file_names_the_repeated_line():
     # the lines are sorted here, so only a repeat is an error, named by its line
     assert codeword_ints(bs.parse_codeword_file("111\n\n000\n")) == [0, 7]
-    with pytest.raises(ValueError, match="^line 1: duplicate codeword$"):
-        bs.parse_codeword_file("000\n000\n")
     with pytest.raises(ValueError, match="^line 2: duplicate codeword$"):
+        bs.parse_codeword_file("000\n000\n")
+    with pytest.raises(ValueError, match="^line 3: duplicate codeword$"):
         bs.parse_codeword_file("011\n110\n011\n")
+
+
+def test_codeword_file_errors_count_blank_lines():
+    # lines are numbered from 1, as in an editor
+    with pytest.raises(ValueError, match="^line 3: duplicate codeword$"):
+        bs.parse_codeword_file("000\n\n000\n")
+    with pytest.raises(ValueError, match="^line 3: length 2 != 3$"):
+        bs.parse_codeword_file("000\n\n00\n")
+    with pytest.raises(ValueError, match="^line 4: invalid character$"):
+        bs.parse_codeword_file("000\n \n\n0x0\n")
 
 
 def test_rate_bounds():

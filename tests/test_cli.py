@@ -124,7 +124,11 @@ def test_entropy_names_the_repeated_line_of_a_code_file(tmp_path, capsys):
     words = tmp_path / "words.txt"
     words.write_text("110\n011\n110\n")
     assert main(["entropy", "--code", f"codewords-file:{words}", "--eta", "0.5"]) == 2
-    assert capsys.readouterr().err == "error: line 2: duplicate codeword\n"
+    assert capsys.readouterr().err == "error: line 3: duplicate codeword\n"
+    # lines are numbered from 1, as in an editor, blank lines included
+    words.write_text("110\n\n011\n\n110\n")
+    assert main(["entropy", "--code", f"codewords-file:{words}", "--eta", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: line 5: duplicate codeword\n"
     words.write_text("110\n011\n")
     assert main(["entropy", "--code", f"codewords-file:{words}", "--eta", "0.5"]) == 0
 
@@ -174,6 +178,27 @@ def test_verify_builds_subset_stats_once_per_code(monkeypatch, capsys):
     )
     assert code == 0
     assert calls == [(2, 3, 4), (2, 3, 4)]
+
+
+def test_verify_over_several_codes_keeps_at_most_two_subset_tables(tmp_path):
+    # the CLI reads each code's table once; five [16, 8] tables of 512 KiB
+    # each would stay alive in a cache that kept them all
+    codes = [arg for seed in range(1, 6) for arg in ("--code", f"random_linear:16,8,{seed}")]
+    argv = ["verify", *codes, "--eps", "0.1", "--q", "2", "--eta", "0.3"]
+    argv += ["--out", str(tmp_path / "verify.csv")]
+    assert main(argv) == 0  # warms popcounts and the other small caches
+    ea.subset_renyi_values.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    table = 8 << 16
+    info = ea.subset_renyi_values.cache_info()
+    assert (info.misses, info.currsize) == (5, 2)
+    assert held < 2.5 * table
 
 
 def _forbid(monkeypatch, module, name):

@@ -201,6 +201,44 @@ def test_slack_report_serialization():
     assert d["inequality"] == "bsc_bec"
     assert d["pass"] is True
     assert d["slack"] == pytest.approx(rep.rhs - rep.lhs)
+    assert d["skipped"] is rep.skipped is False
+
+
+def test_check_law_is_every_check_in_verify_order():
+    code = bs.hamming74_code()
+    stats, noisy = _code_inputs(code, 0.1, (2, 3))
+    reports = iq.check_law(stats, noisy, (2, 3), (0.3, 0.5))
+    checks = [iq.check_cor_rv_entropy(stats, noisy), iq.check_sam_entropy(stats, noisy)]
+    for q in (2, 3):
+        checks += [iq.check_cor_rv(stats, noisy, q), iq.check_sam_norm(stats, noisy, q)]
+    checks.append(iq.check_bsc_bec(stats, noisy, 0.3))  # 4 eps (1-eps) = 0.36
+    assert [rep.to_dict() for rep in reports[:-1]] == [rep.to_dict() for rep in checks]
+    assert [rep.skipped for rep in reports] == [False] * 7 + [True]
+
+
+def test_a_skipped_report_is_a_bsc_bec_row_without_sides():
+    code = bs.repetition_code(3)
+    stats, noisy = _code_inputs(code, 0.3)
+    done, skipped = iq.check_law(stats, noisy, (), (0.5, 0.9))[-2:]
+    row, empty = done.to_dict(), skipped.to_dict()
+    assert list(empty) == list(row)
+    assert empty == {**row, "eta": 0.9, "lhs": None, "rhs": None, "slack": None, "skipped": True}
+    assert skipped.passed and skipped.slack is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    code=st.one_of(linear_codes(max_n=9), nonlinear_codes(max_n=8)),
+    eps=st.floats(min_value=0.0, max_value=0.5),
+)
+@example(code=bs.reed_muller_code(1, 4), eps=0.45)
+def test_bsc_bec_at_eta_4eps_1_minus_eps_is_cor_rv_entropy(code, eps):
+    # at eta = 4 eps (1-eps), 1 - eta = (1-2 eps)^2 is cor_rv_entropy's lam,
+    # and H(X|Y_BSC) = H(X) + n h(eps) - H(X+Z) makes the two slacks one
+    eta = 4 * eps * (1 - eps)
+    reports = iq.check_law(*_code_inputs(code, eps), (), (eta,))
+    assert [rep.inequality for rep in reports] == ["cor_rv_entropy", "sam_entropy", "bsc_bec"]
+    assert reports[-1].slack == pytest.approx(reports[0].slack, abs=1e-12)
 
 
 def test_rejects_identically_zero_function():
