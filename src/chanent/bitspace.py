@@ -6,7 +6,7 @@ Conventions used throughout the package:
   integer.  A code holds its vectors as one uint64 array.
 * A subset S of {0, ..., n-1} is likewise an int mask; coordinate i is
   in S iff bit i of the mask is set.
-* Dense (exhaustive) operations are capped at n <= 24.
+* Caps: n <= 24 for dense operations (``DENSE_CAP``), n <= 20 for enumeration (``EXACT_CAP``).
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import math
 import numpy as np
 
 DENSE_CAP = 24
+EXACT_CAP = 20
 
-# (mask, row) pairs per block of ``masked_ranks``
-_RANK_BLOCK = 1 << 16
+# entries of the largest array that one block of a blocked loop allocates; each
+# loop (masked_ranks, v log2 v, the projection and pair kernels) reads it at call time
+_BLOCK = 1 << 16
 
 
 def _check_dim(n: int) -> None:
@@ -67,7 +69,7 @@ def masked_ranks(rows: list[int] | tuple[int, ...], masks: np.ndarray) -> np.nda
     masks = np.asarray(masks, dtype=np.uint64)
     out = np.zeros(len(masks), dtype=np.int64)
     top = int(np.bitwise_or.reduce(rows, initial=np.uint64(0))).bit_length()
-    block = max(1, _RANK_BLOCK // max(1, len(rows)))
+    block = max(1, _BLOCK // max(1, len(rows)))
     for start in range(0, len(masks), block):
         words = masks[start : start + block, None] & rows
         ranks = out[start : start + len(words)]
@@ -100,21 +102,25 @@ def syndrome_columns(rows: list[int] | tuple[int, ...], n: int) -> list[int]:
     return cols
 
 
+def _xor_table(vectors: list[int] | tuple[int, ...], dtype) -> np.ndarray:
+    """Entry v is the XOR of the vectors at the ones of v, filled by doubling over v's bits."""
+    table = np.zeros(1 << len(vectors), dtype=dtype)
+    for i, h in enumerate(vectors):
+        np.bitwise_xor(table[: 1 << i], dtype(h), out=table[1 << i : 2 << i])
+    return table
+
+
 def span(rows: list[int] | tuple[int, ...]) -> np.ndarray:
     """All vectors in the row span, sorted, as a uint64 array.
 
-    The span doubles once per row of the reduced echelon form, in
-    increasing order of pivot, and comes out sorted with no sort.  The
-    rows are independent, so no word repeats.  Two words first differ
-    at a pivot, where only that pivot's row has a one: so a new word,
-    which holds the new row's pivot, exceeds every old word, and the
-    new row, zero at the old pivots, keeps the old words' order.
+    The XOR table of the reduced echelon rows, in increasing order of
+    pivot, comes out sorted with no sort.  The rows are independent, so
+    no word repeats.  Two words first differ at a pivot, where only that
+    pivot's row has a one: so each doubling's new words, which hold the
+    new row's pivot, exceed every old word, and the new row, zero at the
+    old pivots, keeps the old words' order.
     """
-    basis = sorted(_reduced_echelon(rows).items())
-    words = np.zeros(1 << len(basis), dtype=np.uint64)
-    for i, (_, row) in enumerate(basis):
-        np.bitwise_xor(words[: 1 << i], np.uint64(row), out=words[1 << i : 2 << i])
-    return words
+    return _xor_table([row for _, row in sorted(_reduced_echelon(rows).items())], np.uint64)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,13 +15,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import bitspace
 from .bitspace import Code
 
 _SUM_TOL = 1e-12
-
-# entries per block of the in-place v log2 v, and at most an eighth of the
-# array: its scratch stays within 576 KiB and 9/64 of the array's bytes
-_XLOG_BLOCK = 1 << 16
 
 
 def _require_unit_interval(name: str, values: Sequence[float | None]) -> None:
@@ -79,7 +76,8 @@ def _sum_xlog2x(v: np.ndarray) -> float:
     The terms are summed whole, so the sum is that of a second, zeroed array of the terms.
     """
     flat = v.reshape(-1)
-    block = max(1, min(_XLOG_BLOCK, flat.size // 8))
+    # at most an eighth of the array: the scratch stays within 576 KiB and 9/64 of its bytes
+    block = max(1, min(bitspace._BLOCK, flat.size // 8))
     log = np.empty(block)
     pos = np.empty(block, dtype=bool)
     for start in range(0, flat.size, block):

@@ -99,27 +99,26 @@ _DRAW_BLOCK = 1 << 12
 def bernoulli_words(
     trials: int, n: int, ps: Sequence[float], rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """For each p in ps, ``trials`` words in F_2^n, n <= 64, of i.i.d. Bernoulli(p) coordinates.
+    """For each p in ps, ``trials`` uint32 words in F_2^n of i.i.d. Bernoulli(p) coordinates.
 
     Serves as BSC noise (p = eps) and as the revealed mask of a BEC or a
     random subset (p = lam).  Coordinate i of a trial is bit i of its
-    word, set when the trial's i-th uniform is below p; words are uint32
-    for n <= 32 and uint64 otherwise.  Every p reads the same uniforms
+    word, set when the trial's i-th uniform is below p; n <= 24
+    (``DENSE_CAP``) fits a word.  Every p reads the same uniforms
     (common random numbers), so each p's words are those of a draw at
     that p alone.  The uniforms are drawn a block of trials at a time
     into one reused buffer, the same stream as one draw, and each p
-    packs the block's bits by an integer dot with the powers of two.
+    packs the block's bits, zero-padded to 32 columns, by ``np.packbits``.
     """
-    dtype = np.uint32 if n <= 32 else np.uint64
-    words = [np.empty(trials, dtype=dtype) for _ in ps]
+    words = [np.empty(trials, dtype=np.uint32) for _ in ps]
     block = min(trials, _DRAW_BLOCK)
     draw = np.empty((block, n))
-    bits = np.empty((block, n), dtype=bool)
-    powers = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
+    bits = np.zeros((block, 32), dtype=bool)
     for start in range(0, trials, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, trials)
         u = rng.random(out=draw[: stop - start])
         for p, w in zip(ps, words):
-            hit = np.less(u, p, out=bits[: stop - start])
-            np.matmul(hit.view(np.uint8), powers, out=w[start:stop])
+            np.less(u, p, out=bits[: stop - start, :n])
+            packed = np.packbits(bits[: stop - start], axis=1, bitorder="little")
+            w[start:stop] = packed.view("<u4")[:, 0]
     return words

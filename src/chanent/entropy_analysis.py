@@ -40,16 +40,11 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .bitspace import Code, masked_ranks, syndrome_columns
+from . import bitspace
+from .bitspace import EXACT_CAP, Code, masked_ranks, syndrome_columns
 from .boolfn import _require_orders, _require_unit_interval, binary_entropy, ent, from_code
 from .boolfn import renyi_entropy, renyi_entropy_from_counts
 from .channels import _axis_pairs, _xor_shift_pass, bernoulli_words, noise_operator
-
-EXACT_SUBSET_CAP = 20
-
-# (mask, codeword) pairs per block of the projection kernel: no array of
-# a block holds more entries
-_PAIR_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=32)
@@ -115,7 +110,7 @@ def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> 
     cws = code.codewords.astype(dtype)
     masks = np.asarray(masks, dtype=np.uint64).astype(dtype)
     out = np.empty((len(qs), len(masks)))
-    block = max(1, _PAIR_BLOCK // size)
+    block = max(1, bitspace._BLOCK // size)  # (mask, codeword) pairs
     rows = min(block, len(masks))
     c = np.arange(1, size + 1)
     p = c / size
@@ -150,8 +145,8 @@ def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> 
 
 def require_subset_cap(n: int) -> None:
     """Reject a dimension above the exact all-subsets cap."""
-    if n > EXACT_SUBSET_CAP:
-        raise ValueError(f"exact subset enumeration capped at n <= {EXACT_SUBSET_CAP}")
+    if n > EXACT_CAP:
+        raise ValueError(f"exact subset enumeration capped at n <= {EXACT_CAP}")
 
 
 # 8 * 2^n bytes an order, 8 MB at n = 20 (a linear code's table is one row), so
@@ -461,7 +456,7 @@ def entropy_report(
     _require_orders(qs)
     _require_unit_interval("eta", eta_grid)
     etas = [eta for eta in dict.fromkeys(eta_grid) if eta is not None]
-    sampled = bool(etas) and code.n > EXACT_SUBSET_CAP
+    sampled = bool(etas) and code.n > EXACT_CAP
     if sampled and (trials is None or seed is None):
         raise ValueError("monte_carlo mode requires trials and seed")
 

@@ -80,7 +80,7 @@ def _fields(stats: SubsetStats, noisy: NoisyFunction, q: float = 1.0, label: str
         raise ValueError(f"subset statistics were built without q={q}")
     if noisy.n != stats.n:
         raise ValueError(f"noisy function has 2^{noisy.n} points, expected 2^{stats.n}")
-    return {label: stats.code.name, "n": stats.n, "eps": noisy.eps}
+    return {label: stats.code.name or "code", "n": stats.n, "eps": noisy.eps}
 
 
 def check_sam_norm(stats: SubsetStats, noisy: NoisyFunction, q: int) -> SlackReport:

@@ -43,11 +43,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .bitspace import Code, syndrome_columns
+from . import bitspace
+from .bitspace import EXACT_CAP, Code, _xor_table, syndrome_columns
 from .boolfn import _require_unit_interval, binary_entropy, from_code
 from .channels import _walsh_hadamard, bernoulli_words, noise_operator
-
-EXACT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -256,11 +255,6 @@ class DecodeTrials:
         )
 
 
-# (received word, codeword) pairs per block: the block's scratch, 7 bytes
-# a pair, stays in a core's L2 cache
-_PAIR_BLOCK = 1 << 16
-
-
 def _pair_counts(y, x, wz, radius: int, cws):
     """Compare every received word y[t] with every codeword.
 
@@ -271,7 +265,8 @@ def _pair_counts(y, x, wz, radius: int, cws):
     trials, size = len(y), len(cws)
     within = np.empty(trials, dtype=np.uint32)
     ahead = np.empty(trials, dtype=np.uint32)
-    block = max(1, min(trials, _PAIR_BLOCK // size))
+    # (received word, codeword) pairs: the block's scratch, 7 bytes a pair, stays in L2
+    block = max(1, min(trials, bitspace._BLOCK // size))
     words = np.empty((block, size), dtype=np.uint32)
     dists = np.empty((block, size), dtype=np.uint8)
     limits = np.empty((block, size), dtype=np.uint8)
@@ -378,20 +373,17 @@ def _table_pays(code: Code, trials: int) -> bool:
 
 
 def _syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
-    """The syndrome of every word of z (uint32), read a byte at a time.
+    """The syndrome of every word of z (uint32, in F_2^n), read a byte at a time.
 
-    Row j of the byte table maps a byte v to the syndrome of v << 8j,
-    the XOR of the columns of v's ones, filled by doubling over v's
-    bits; byte j of every little-endian word is every fourth byte from j.
+    Table j maps a byte v to the syndrome of v << 8j, the XOR table of
+    columns 8j..8j+7; byte j of every little-endian word is every fourth
+    byte from j.
     """
-    table = np.zeros(((len(cols) + 7) // 8, 256), dtype=np.uint32)
-    for i, h in enumerate(cols):
-        row, bit = table[i // 8], i % 8
-        np.bitwise_xor(row[: 1 << bit], h, out=row[1 << bit : 2 << bit])
+    tables = [_xor_table(cols[j : j + 8], np.uint32) for j in range(0, len(cols), 8)]
     data = np.ascontiguousarray(z, dtype="<u4").view(np.uint8)
-    s = table[0].take(data[0::4])
-    for j in range(1, len(table)):
-        s ^= table[j].take(data[j::4])
+    s = tables[0].take(data[0::4])
+    for j in range(1, len(tables)):
+        s ^= tables[j].take(data[j::4])
     return s
 
 

@@ -32,7 +32,7 @@ def test_masked_ranks_match_rank_gf2_of_each_restriction(data):
     masks = [0, (1 << n) - 1, *data.draw(st.lists(word, max_size=40))]
     # blocks of pair_block // len(rows) masks, so most examples cross a boundary
     pair_block = data.draw(st.integers(1, 64))
-    with mock.patch.object(bs, "_RANK_BLOCK", pair_block):
+    with mock.patch.object(bs, "_BLOCK", pair_block):
         got = bs.masked_ranks(rows, np.array(masks, dtype=np.uint64))
     assert got.tolist() == [bs.rank_gf2([r & m for r in rows]) for m in masks]
 

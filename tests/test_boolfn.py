@@ -335,7 +335,7 @@ def test_shannon_entropy_in_blocks_equals_the_copying_form(size, zeros, block, s
     counts[rng.integers(size)] += 1.0
     kept = counts.copy()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(boolfn, "_XLOG_BLOCK", block)
+        patch.setattr(bs, "_BLOCK", block)
         assert boolfn.renyi_entropy_from_counts(counts, 1) == copying_shannon(counts)
         p = counts / counts.sum()
         assert boolfn.renyi_entropy(p, 1) == copying_shannon(p)
@@ -363,7 +363,7 @@ def test_ent_and_shannon_entropy_equal_the_zeroed_array_form_across_blocks(n, ze
     f[rng.integers(1 << n)] += 1.0
     kept = f.copy()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(boolfn, "_XLOG_BLOCK", block)
+        patch.setattr(bs, "_BLOCK", block)
         assert boolfn.ent(f) == zeroed_ent(f)
         assert boolfn.renyi_entropy_from_counts(f, 1) == copying_shannon(f)
     assert f.tobytes() == kept.tobytes()

@@ -283,7 +283,7 @@ def test_samplers_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 24, 63, 64])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_bernoulli_words_pack_bits_as_a_multiply_and_sum(n, p):
     # coordinate i of a row is bit i of its word, the same draws bit for
@@ -291,8 +291,7 @@ def test_bernoulli_words_pack_bits_as_a_multiply_and_sum(n, p):
     # alone; blocks of 7 trials split the draw, the last block partial
     with mock.patch.object(channels, "_DRAW_BLOCK", 7):
         words = channels.bernoulli_words(50, n, [p, 0.5], np.random.default_rng(n))
-    dtype = np.uint32 if n <= 32 else np.uint64
     for q, got in zip([p, 0.5], words, strict=True):
         ref = multiply_sum_bernoulli_words(50, n, q, np.random.default_rng(n))
-        assert got.dtype == dtype and got.shape == (50,)
+        assert got.dtype == np.uint32 and got.shape == (50,)
         assert np.array_equal(got, ref), q

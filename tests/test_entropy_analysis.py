@@ -76,7 +76,7 @@ def test_projection_kernel_matches_marginal_entropy(code, qs, pairs):
     # blocks of pairs // |C| masks (at least one), so most examples cross
     # a block boundary
     masks = np.arange(1 << code.n, dtype=np.uint64)
-    with mock.patch.object(ea, "_PAIR_BLOCK", pairs):
+    with mock.patch.object(bs, "_BLOCK", pairs):
         table = ea.projection_entropies(code, masks, qs)
     assert table.shape == (len(qs), len(masks))
     for q, row in zip(qs, table):
@@ -134,7 +134,7 @@ def test_nonlinear_subset_table_spans_several_blocks():
     rng = np.random.default_rng(4)
     words = tuple(sorted(rng.choice(1 << 10, size=300, replace=False).tolist()))
     code = bs.Code(n=10, codewords=words)
-    assert 1 << code.n > ea._PAIR_BLOCK // code.size
+    assert 1 << code.n > bs._BLOCK // code.size
     qs = (1, 2, math.inf)
     for q, row in zip(qs, ea.subset_renyi_values(code, qs)):
         ref = [ea.marginal_entropy(code, mask, q) for mask in range(1 << code.n)]
@@ -685,8 +685,8 @@ def test_entropy_report_holds_one_chunk_of_noisy_laws():
 @pytest.mark.parametrize(
     "code",
     [
-        bs.repetition_code(ea.EXACT_SUBSET_CAP + 1),
-        bs.Code(n=ea.EXACT_SUBSET_CAP + 1, codewords=(0, 3, 12, 25, 30, 1 << 20)),
+        bs.repetition_code(bs.EXACT_CAP + 1),
+        bs.Code(n=bs.EXACT_CAP + 1, codewords=(0, 3, 12, 25, 30, 1 << 20)),
     ],
     ids=["linear", "nonlinear"],
 )

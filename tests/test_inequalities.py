@@ -226,6 +226,15 @@ def test_a_skipped_report_is_a_bsc_bec_row_without_sides():
     assert skipped.passed and skipped.slack is None
 
 
+def test_an_unnamed_code_is_labelled_code_as_in_its_entropy_report():
+    code = bs.Code(n=4, codewords=[0, 3, 5, 14])
+    [report] = ea.entropy_report(code, [0.1], [0.5])
+    reports = iq.check_law(*_code_inputs(code, 0.1, (2,)), (2,), (0.3, 0.9))
+    assert [rep.skipped for rep in reports] == [False] * 5 + [True]
+    labels = [rep.params.get("code", rep.params.get("f")) for rep in reports]
+    assert labels == [report.code] * len(reports) == ["code"] * 6
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     code=st.one_of(linear_codes(max_n=9), nonlinear_codes(max_n=8)),
