@@ -41,9 +41,7 @@ both trees (``inner_loops`` in FILE).  The cases:
 * ``listdecode.simulate`` at eps 0.2 on one small run each side of
   ``_table_pays``: random_linear:24,9,1 at 100 trials, where the pair
   kernel it takes is the faster path, and random_linear:20,10,1 at 500
-  trials, where it takes the pair kernel although the coset table is as
-  fast or faster (the one run of the rule's fit that it routes to the
-  slower path);
+  trials, where it takes the coset table, the faster path there;
 * the ``decode`` workload's operations: ``decode-sim`` through
   ``cli.main`` and the ``likely_probability`` library calls;
 * those ``likely_probability`` calls on their own: seed 1's

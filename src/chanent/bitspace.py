@@ -30,6 +30,12 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be in [1, {DENSE_CAP}], got {n}")
 
 
+def require_exact_cap(n: int) -> None:
+    """Reject a dimension above the cap of exact enumeration over all 2^n subsets or words."""
+    if n > EXACT_CAP:
+        raise ValueError(f"exact enumeration capped at n <= {EXACT_CAP}")
+
+
 def _reduced_echelon(rows: list[int] | tuple[int, ...]) -> dict[int, int]:
     """Reduced row echelon form of the rows over GF(2), as pivot -> row.
 

@@ -43,15 +43,10 @@ def format_rows(rows: list[dict], fmt: str) -> str:
         return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        fields: list[str] = []
-        for row in rows:
-            for k in row:
-                if k not in fields:
-                    fields.append(k)
+        fields = dict.fromkeys(k for row in rows for k in row)
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        writer.writerows(rows)
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -110,7 +105,7 @@ def cmd_verify(args, codes: list[bitspace.Code]) -> int:
     qs = args.q or [2, 3, 4]
     # every check enumerates all subsets: refuse an oversized code or a bad grid before any work
     for code in codes:
-        entropy_analysis.require_subset_cap(code.n)
+        bitspace.require_exact_cap(code.n)
     _require_unit_interval("eps", eps_grid)
     _require_unit_interval("eta", eta_grid)
     reports = []

@@ -143,12 +143,6 @@ def projection_entropies(code: Code, masks: np.ndarray, qs: Sequence[float]) -> 
     return out
 
 
-def require_subset_cap(n: int) -> None:
-    """Reject a dimension above the exact all-subsets cap."""
-    if n > EXACT_CAP:
-        raise ValueError(f"exact subset enumeration capped at n <= {EXACT_CAP}")
-
-
 # 8 * 2^n bytes an order, 8 MB at n = 20 (a linear code's table is one row), so
 # the cache holds at most two tables: verify and entropy read each once
 @lru_cache(maxsize=2)
@@ -162,7 +156,7 @@ def subset_renyi_values(code: Code, qs: tuple[float, ...]) -> np.ndarray:
     """
     _require_orders(qs)
     n = code.n
-    require_subset_cap(n)
+    bitspace.require_exact_cap(n)
     if code.generator is not None:
         # X_S is uniform on a subspace for every q, so H_q(X_S) is r(S) =
         # k - log2 #{c : c & S = 0}; that count, 2^(k - r(S)), is the sum
@@ -248,7 +242,6 @@ def subset_stats_of_code(code: Code, qs: Sequence[float]) -> SubsetStats:
     A linear code's one row, cached under (1.0,), serves every order.
     """
     _require_orders(qs)
-    require_subset_cap(code.n)
     orders = tuple(dict.fromkeys((1.0, *qs)))
     if code.generator is not None:
         return SubsetStats(code, dict.fromkeys(orders, subset_renyi_values(code, (1.0,))[0]))

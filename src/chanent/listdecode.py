@@ -26,12 +26,12 @@ one lookup there gives the codewords of top bit b tied with X, so
 ``simulate`` walks the recursion once per eps, one gather per
 coordinate, and a tied trial needs at most n lookups.
 The table is built only when it holds at most 2^min(n, 20) entries, and
-``simulate`` reads it only when building and reading it, numpy call
-overhead included, cost less than comparing every trial with every
-codeword.  Otherwise, and for nonlinear codes, ``simulate`` runs the
-pair kernel (every trial against every codeword) and
-``likely_probability`` the Walsh–Hadamard count over all 2^n received
-words (n <= 20).
+``simulate`` reads it when the n (n + 2) 2^(n - k) adds of its build
+and walk are at most the trials |C| pair distances of comparing every
+trial with every codeword.  Otherwise, and for nonlinear codes,
+``simulate`` runs the pair kernel (every trial against every codeword)
+and ``likely_probability`` the Walsh–Hadamard count over all 2^n
+received words (n <= 20).
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:
     n <= EXACT_CAP, so the counts are exact.
     """
     n = code.n
-    if n > EXACT_CAP:
-        raise ValueError(f"exact enumeration capped at n <= {EXACT_CAP}")
+    bitspace.require_exact_cap(n)
     within = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)) < cfg.radius
     indicator = np.zeros(1 << n, dtype=np.int64)
     indicator[code.codewords] = 1
@@ -340,36 +339,18 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     return below, cols
 
 
-# The table path's costs, in pair distances of ``_pair_counts`` (about
-# 1.7 ns each), fitted to both paths of ``simulate`` with a fresh cache
-# on codes from [7, 4] to [24, 16] at 30 to 10^4 trials, the fastest of
-# 15 runs each, on a 2-core x86 box: each coordinate costs about 12000
-# in the call overhead of its numpy steps (one step of the build, one
-# of the prefix walk and the tie lookups), and the syndrome pass and
-# tie lookups about 1 per trial and coordinate beyond the pair kernel's
-# own per-trial work.  This routes 145 of the 146 timed runs, in two
-# recordings, to the faster path; the other, [20, 10] at 500 trials,
-# loses 0.15 ms
-_STEP_PAIRS = 12000
-_TRIAL_BIT_PAIRS = 1
-
-
 def _table_pays(code: Code, trials: int) -> bool:
     """Whether ``simulate`` reads the coset table rather than the pair kernel.
 
-    The table path costs one cached build and one prefix walk per eps,
-    together about n (n + 2) 2^(n - k) integer adds in about 2n numpy
-    steps, then a syndrome pass and at most n lookups per trial; the
-    pair kernel costs trials |C| pair distances.  A low-rate code with
-    few trials, such as [24, 5] at 1000 trials, keeps the pair kernel,
-    and so does a small run, such as [16, 8] at 500 trials, whose table
-    path is mostly numpy call overhead.
+    The table path's leading cost is the n (n + 2) 2^(n - k) integer
+    adds of its cached build and of one prefix walk; the pair kernel's
+    is trials |C| pair distances.  The table is read when the first is
+    at most the second.  A low-rate code with few trials, such as
+    [24, 5] at 1000 trials, keeps the pair kernel, and so does a small
+    run such as [16, 8] at 100 trials.
     """
-    if code.generator is None:
-        return False
     n = code.n
-    fixed = n * (n + 2) * (1 << code.redundancy) + _STEP_PAIRS * n
-    return fixed + _TRIAL_BIT_PAIRS * n * trials <= trials * code.size
+    return code.generator is not None and n * (n + 2) << code.redundancy <= trials * code.size
 
 
 def _syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
@@ -447,9 +428,9 @@ def simulate_grid(
     grid order, counting each eps when it is reached.  One pass serves
     every list cap and delta: ``DecodeTrials.stats`` turns it into the
     outcomes of a given decoder.  A linear code reads its coset weight
-    table when that is cheaper than the pair kernel (``_table_pays``);
-    otherwise every trial meets every codeword.  Both paths give the
-    same arrays.
+    table when its adds are at most the pair kernel's pair distances
+    (``_table_pays``); otherwise every trial meets every codeword.  Both
+    paths give the same arrays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -148,8 +148,9 @@ def test_make_code_specs():
         bs.make_code("nonsense:1")
     with pytest.raises(ValueError):
         bs.make_code("repetition:0")
-    # a spec takes exactly its family's integer arguments
-    for spec in ("hamming74:5", "repetition:3,4", "single:", "repetition:x", "repetition:0"):
+    # a spec takes exactly its family's integer arguments, each in the family's range
+    for spec in ("hamming74:5", "repetition:3,4", "single:", "repetition:x", "repetition:0",
+                 "parity:1", "reed_muller:3,2", "random_linear:8,9,1"):
         with pytest.raises(ValueError, match=f"^bad code spec '{spec}': "):
             bs.make_code(spec)
     assert bs.make_code("hamming74:") == bs.make_code("hamming74")

@@ -538,6 +538,14 @@ def test_entropy_rejects_eta_outside_unit_interval_on_the_monte_carlo_path(flag,
     assert captured.out == ""
 
 
+def test_entropy_past_the_exact_cap_without_a_seed_is_a_usage_error(capsys):
+    code = main(["entropy", "--code", "random_linear:24,12,1", "--eta", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: monte_carlo mode requires trials and seed\n"
+    assert captured.out == ""
+
+
 def test_entropy_rows_without_subsets_are_exact_for_large_n(capsys):
     # H(X|Y_BSC) is exact for every n; nothing is sampled without an eta
     code, out = run(
@@ -802,6 +810,11 @@ def test_csv_json_roundtrip_same_values(tmp_path):
                 assert math.isclose(float(cv), jv, rel_tol=1e-12, abs_tol=1e-15)
             else:
                 assert str(jv) == cv
+
+
+def test_format_rows_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        cli.format_rows([{"a": 1}], "xml")
 
 
 def test_generator_file_input(tmp_path, capsys):

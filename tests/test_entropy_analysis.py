@@ -618,6 +618,15 @@ def test_entropy_report_roundtrip():
     assert d["method"] == "exact"
 
 
+@pytest.mark.parametrize("trials", [None, 100])
+def test_entropy_report_past_the_exact_cap_needs_trials_and_seed(trials, monkeypatch):
+    # the subset rows of n > 20 are sampled: no seed is refused before any law is built
+    monkeypatch.setattr(ea, "noisy_laws", mock.Mock(side_effect=AssertionError("law built")))
+    code = bs.random_linear_code(24, 12, 1)
+    with pytest.raises(ValueError, match="^monte_carlo mode requires trials and seed$"):
+        ea.entropy_report(code, [0.1], [0.5], trials=trials)
+
+
 def test_entropy_report_takes_the_noise_law_path_for_every_code():
     eps = 0.15
     linear = bs.hamming74_code()

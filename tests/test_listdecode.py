@@ -550,10 +550,12 @@ def _no_table(code):
     raise AssertionError("coset table built")
 
 
-@pytest.mark.parametrize("spec, trials", [("random_linear:16,8,1", 500), ("hamming74", 40)])
+@pytest.mark.parametrize(
+    "spec, trials", [("random_linear:16,8,1", 100), ("random_linear:24,9,1", 100)]
+)
 def test_small_runs_keep_the_pair_kernel(spec, trials):
-    # the table path's numpy call overhead dominates here: with a fresh
-    # cache, 1.2 ms against 0.8 ms, and 0.5 ms against 0.1 ms
+    # the table's n (n + 2) 2^(n - k) adds pass the trials |C| pair distances:
+    # 16 x 18 x 2^8 against 100 x 2^8, and 24 x 26 x 2^15 against 100 x 2^9
     code = bs.make_code(spec)
     assert not ld._table_pays(code, trials)
     ld._coset_weights.cache_clear()
@@ -565,6 +567,7 @@ def test_small_runs_keep_the_pair_kernel(spec, trials):
     "spec, trials",
     [
         ("random_linear:16,8,1", 5000),
+        ("random_linear:20,10,1", 500),
         ("random_linear:20,10,1", 2000),
         ("random_linear:20,10,1", 50000),
         ("random_linear:24,12,1", 50000),
@@ -572,7 +575,8 @@ def test_small_runs_keep_the_pair_kernel(spec, trials):
 )
 def test_larger_runs_stay_on_the_table(spec, trials):
     # the decode benchmark's codes at its 50000 trials, and runs where the
-    # table is faster: 1.4 ms against 3.9 ms, and 1.4 ms against 5.1 ms
+    # table is faster: [20,10] at 500 trials is the smallest, 20 x 22 x 2^10
+    # adds against 500 x 2^10 pair distances
     assert ld._table_pays(bs.make_code(spec), trials)
 
 
