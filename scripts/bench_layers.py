@@ -30,6 +30,9 @@ both trees (``inner_loops`` in FILE).  The cases:
 * ``entropy_analysis.projection_entropies`` over all masks on seed 1's
   nonlinear n = 14, 200-word code at orders 1 and 2, and on 1,000
   seeded random words of length 16 at orders 1 to 4;
+* ``entropy_analysis.noisy_laws`` on those 1,000 words of length 16
+  over ``verify``'s default eps grid, reading each law's
+  ``cell_entropy`` (``noisy_laws.nonlinear16``);
 * ``entropy_analysis.subset_renyi_values`` on seed 1's
   random_linear:18,8: the exact subset table of a linear code
   (``subset_table.linear18``);
@@ -84,7 +87,8 @@ MC_TRIALS = 2000
 MC_ETAS = [0.25, 0.5]
 MC_ORDERS = [1.0, 2.0]
 DENSITIES = [i / 10 for i in range(10)]
-KERNEL_WORDS = 1000  # codewords of the n = 16 projection case
+KERNEL_WORDS = 1000  # codewords of the n = 16 projection and noisy-law cases
+VERIFY_EPS = [i / 20 for i in range(1, 10)]  # verify's default eps grid, 0.05 to 0.45
 CALIBRATION_WORDS = 1 << 20  # uint32 words of the calibration sort
 SHORT_CASE_S = 0.02  # a case faster than this is timed in an inner loop
 MIN_SAMPLE_S = 0.1  # of at least this long per sample
@@ -239,6 +243,13 @@ def cases(work_dir: Path) -> dict:
         masks = np.arange(1 << code.n, dtype=np.uint64)
         return lambda: entropy_analysis.projection_entropies(code, masks, qs)
 
+    def laws(code):
+        def run():
+            laws = entropy_analysis.noisy_laws(code, VERIFY_EPS)
+            return repr([law.cell_entropy for law in laws]).encode()
+
+        return run
+
     nonlinear14 = bitspace.Code(n=workloads.NONLINEAR_N, codewords=inputs.nonlinear_words)
     rng = np.random.default_rng(SEED)
     words16 = rng.choice(1 << 16, KERNEL_WORDS, replace=False)
@@ -256,6 +267,7 @@ def cases(work_dir: Path) -> dict:
         "cli.verify.linear20": cli([workloads._cli_op("verify.linear20", verify_linear20)]),
         "projection_entropies.nonlinear14": projection(nonlinear14, (1.0, 2.0)),
         "projection_entropies.n16_1000": projection(code16, (1.0, 2.0, 3.0, 4.0)),
+        "noisy_laws.nonlinear16": laws(code16),
         "subset_table.linear18": lambda: entropy_analysis.subset_renyi_values(linear18, (1.0,))[0],
         "noise_operator.n20": noise20,
         "simulate.24_12": simulate(mc_code, 0.2),

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 import math
 
@@ -21,7 +22,8 @@ DENSE_CAP = 24
 EXACT_CAP = 20
 
 # entries of the largest array that one block of a blocked loop allocates; each
-# loop (masked_ranks, v log2 v, the projection and pair kernels) reads it at call time
+# loop reads it at call time: masked_ranks, v log2 v, the projection and pair
+# kernels, the chunks of noisy_laws and the draw blocks of bernoulli_words
 _BLOCK = 1 << 16
 
 
@@ -114,6 +116,15 @@ def _xor_table(vectors: list[int] | tuple[int, ...], dtype) -> np.ndarray:
     for i, h in enumerate(vectors):
         np.bitwise_xor(table[: 1 << i], dtype(h), out=table[1 << i : 2 << i])
     return table
+
+
+@lru_cache(maxsize=32)
+def popcounts(n: int) -> np.ndarray:
+    """Hamming weight of every integer in [0, 2^n), read-only."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    np.bitwise_count(idx, out=idx)  # in place: one 2^n array
+    idx.flags.writeable = False
+    return idx
 
 
 def span(rows: list[int] | tuple[int, ...]) -> np.ndarray:

@@ -15,6 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import bitspace
 from .boolfn import _require_unit_interval, dim_of
 
 
@@ -91,11 +92,6 @@ def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
     return out
 
 
-# trials per block of drawn uniforms: a block of n <= 24 coordinates
-# stays below 1 MB
-_DRAW_BLOCK = 1 << 12
-
-
 def bernoulli_words(
     trials: int, n: int, ps: Sequence[float], rng: np.random.Generator
 ) -> list[np.ndarray]:
@@ -106,16 +102,17 @@ def bernoulli_words(
     word, set when the trial's i-th uniform is below p; n <= 24
     (``DENSE_CAP``) fits a word.  Every p reads the same uniforms
     (common random numbers), so each p's words are those of a draw at
-    that p alone.  The uniforms are drawn a block of trials at a time
-    into one reused buffer, the same stream as one draw, and each p
-    packs the block's bits, zero-padded to 32 columns, by ``np.packbits``.
+    that p alone.  The uniforms are drawn ``bitspace._BLOCK // 32``
+    trials at a time into one reused buffer, the same stream as one
+    draw whatever the block, and each p packs the block's bits,
+    zero-padded to 32 columns, by ``np.packbits``.
     """
     words = [np.empty(trials, dtype=np.uint32) for _ in ps]
-    block = min(trials, _DRAW_BLOCK)
+    block = max(1, min(trials, bitspace._BLOCK // 32))  # the bit buffer is the largest array
     draw = np.empty((block, n))
     bits = np.zeros((block, 32), dtype=bool)
-    for start in range(0, trials, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, trials)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
         u = rng.random(out=draw[: stop - start])
         for p, w in zip(ps, words):
             np.less(u, p, out=bits[: stop - start, :n])

@@ -5,8 +5,8 @@ share:
 
 * the noise side, ``noisy_laws(code, eps_grid)``: the law p of X+Z at
   each eps (``NoisyFunction``), one XOR-shift pass per chunk of the
-  grid.  Its 2^m cells are the cosets of the code's kernel,
-  which is C when the code has a generator and {0} otherwise.  X+Z is
+  grid of at most ``bitspace._BLOCK`` law cells.  Its 2^m cells are the
+  cosets of the code's kernel, C with a generator, {0} otherwise.  X+Z is
   uniform within a cell of 2^(n-m) points, so H(X+Z) = (n-m) + H(p), and
   H(X|Y_BSC) = H(X) + n*h(eps) - H(X+Z) (``cond_entropy_bsc_of_law``);
 * the subset side, ``SubsetStats``: H_q(X_S) for every subset S from the
@@ -41,19 +41,10 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from . import bitspace
-from .bitspace import EXACT_CAP, Code, masked_ranks, syndrome_columns
+from .bitspace import EXACT_CAP, Code, masked_ranks, popcounts, syndrome_columns
 from .boolfn import _require_orders, _require_unit_interval, binary_entropy, ent, from_code
 from .boolfn import renyi_entropy, renyi_entropy_from_counts
 from .channels import _axis_pairs, _xor_shift_pass, bernoulli_words, noise_operator
-
-
-@lru_cache(maxsize=32)
-def popcounts(n: int) -> np.ndarray:
-    """Hamming weight of every integer in [0, 2^n), read-only."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    np.bitwise_count(idx, out=idx)  # in place: one 2^n array
-    idx.flags.writeable = False
-    return idx
 
 
 def subset_weights(n: int, lam: float) -> np.ndarray:
@@ -329,11 +320,6 @@ class NoisyFunction:
         return self.k + renyi_entropy(self.p, q)
 
 
-# noisy-law cells that one chunk of an eps grid holds (8 MiB of floats);
-# its XOR-shift pass adds one scratch array of the chunk's size
-_LAW_CELLS = 1 << 20
-
-
 def noisy_laws(code: Code, eps_grid: Sequence[float]) -> Iterator[NoisyFunction]:
     """The noisy law of f_C at each eps of the grid, in grid order; every eps is checked first.
 
@@ -342,7 +328,7 @@ def noisy_laws(code: Code, eps_grid: Sequence[float]) -> Iterator[NoisyFunction]
     generator, and {0}, m = n, otherwise.  Coordinate i of Z moves the
     cell of X+Z by its column h_i: the syndrome column from the point
     mass at 0, or the unit column from 1/|C| on each codeword.  The grid
-    is cut into chunks of at most ``_LAW_CELLS`` cells of laws (one eps
+    is cut into chunks of at most ``bitspace._BLOCK`` law cells (one eps
     at least), and each chunk takes one XOR-shift pass, each row bit for
     bit the pass at its eps alone.  The stream drops a chunk once its
     last law is handed out, so a caller that keeps no law past its use
@@ -354,7 +340,7 @@ def noisy_laws(code: Code, eps_grid: Sequence[float]) -> Iterator[NoisyFunction]
         m, columns = code.n, [1 << i for i in range(code.n)]
     else:
         m, columns = code.redundancy, syndrome_columns(code.generator, code.n)
-    rows = max(1, _LAW_CELLS >> m)
+    rows = max(1, bitspace._BLOCK >> m)
     # chain holds only the iterator of the chunk it hands out, which lets go when exhausted
     return itertools.chain.from_iterable(
         _chunk_laws(code, m, columns, eps_grid[i : i + rows])

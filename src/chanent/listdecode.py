@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from . import bitspace
-from .bitspace import EXACT_CAP, Code, _xor_table, syndrome_columns
+from .bitspace import EXACT_CAP, Code, _xor_table, popcounts, syndrome_columns
 from .boolfn import _require_unit_interval, binary_entropy, from_code
 from .channels import _walsh_hadamard, bernoulli_words, noise_operator
 
@@ -126,7 +126,7 @@ def _radius_counts(code: Code, cfg: DecoderConfig) -> np.ndarray:
     """
     n = code.n
     bitspace.require_exact_cap(n)
-    within = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)) < cfg.radius
+    within = popcounts(n) < cfg.radius
     indicator = np.zeros(1 << n, dtype=np.int64)
     indicator[code.codewords] = 1
     spectrum = _walsh_hadamard(within.astype(np.int64)) * _walsh_hadamard(indicator)

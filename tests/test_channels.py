@@ -288,8 +288,9 @@ def test_samplers_deterministic_given_seed():
 def test_bernoulli_words_pack_bits_as_a_multiply_and_sum(n, p):
     # coordinate i of a row is bit i of its word, the same draws bit for
     # bit, and every p of one call reads the uniforms of a draw at that p
-    # alone; blocks of 7 trials split the draw, the last block partial
-    with mock.patch.object(channels, "_DRAW_BLOCK", 7):
+    # alone; blocks of 7 trials (32 bits each) split the draw, the last
+    # block partial
+    with mock.patch.object(bs, "_BLOCK", 7 * 32):
         words = channels.bernoulli_words(50, n, [p, 0.5], np.random.default_rng(n))
     for q, got in zip([p, 0.5], words, strict=True):
         ref = multiply_sum_bernoulli_words(50, n, q, np.random.default_rng(n))

@@ -49,6 +49,16 @@ def test_high_rate_code_outputs_are_pinned(args, pinned, tmp_path):
     assert out.read_bytes() == (DATA / pinned).read_bytes()
 
 
+def test_verify_at_the_subset_cap_output_is_pinned(tmp_path):
+    # the CI run at n = EXACT_CAP, recorded when two of repetition:20's
+    # 2^19-coset laws shared a chunk: the CSV must not change by a single byte
+    out = tmp_path / "verify_cap.csv"
+    argv = ["verify", "--code", "repetition:20", "--code", "random_linear:20,10,1",
+            "--q", "2,3", "--eta", "0.3,0.5", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (DATA / "verify_cap.csv").read_bytes()
+
+
 NONLINEAR14 = f"codewords-file:{DATA / 'nonlinear14.txt'}"  # n = 14, 200 words, no generator
 
 
@@ -291,7 +301,7 @@ def test_verify_takes_one_law_pass_per_chunk_per_code(monkeypatch, tmp_path, cap
     passes = _count_law_passes(monkeypatch)
     # two laws of 2^5 cells a chunk: the nonlinear n = 5 code's grid is cut
     # in two, the linear codes' 2^2 and 2^3 cosets take it in one
-    monkeypatch.setattr(ea, "_LAW_CELLS", 2 << 5)
+    monkeypatch.setattr(bs, "_BLOCK", 2 << 5)
     words = tmp_path / "words.txt"
     words.write_text("00000\n11000\n00110\n10011\n01111\n")
     code, out = run(
@@ -318,6 +328,31 @@ def test_verify_takes_one_law_pass_per_chunk_per_code(monkeypatch, tmp_path, cap
     assert json.loads(out)[-1]["pass"] is True
 
 
+def test_no_block_size_changes_an_output(monkeypatch, tmp_path, capsys):
+    # one patch reaches all six blocked loops: the law chunks and v log2 v
+    # (verify, entropy), the projection kernel (the file's subset table),
+    # masked_ranks and the draw blocks (the Monte Carlo rows of the n = 21
+    # code), and the pair kernel (decode-sim of the file; hamming74 reads
+    # its coset table)
+    words = tmp_path / "words.txt"
+    words.write_text("00000\n11000\n00110\n10011\n01111\n")
+    codes = ["--code", "hamming74", "--code", f"codewords-file:{words}"]
+    commands = [
+        ["verify", *codes, "--q", "2", "--eta", "0.3"],
+        ["entropy", *codes, "--eps", "0.1,0.2", "--eta", "0.25,0.5", "--q", "1,2"],
+        ["entropy", "--code", "random_linear:21,3,1", "--eta", "0.5", "--trials", "200", "--seed", "1"],
+        ["decode-sim", *codes, "--eps", "0.1,0.3", "--trials", "500", "--seed", "1"],
+    ]
+    assert listdecode._table_pays(bs.hamming74_code(), 500)
+    outputs = []
+    for block in (bs._BLOCK, 1, 224):
+        monkeypatch.setattr(bs, "_BLOCK", block)
+        ea.subset_renyi_values.cache_clear()  # the file's table is built under this block
+        outputs.append([run(argv, capsys) for argv in commands])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert all(code == 0 for code, _ in outputs[0])
+
+
 def test_verify_gathers_subset_weights_once_per_distinct_lambda(monkeypatch, capsys):
     # the workload's battery: 144 rows, but 29 distinct lambdas per code
     gathers = []
@@ -342,9 +377,9 @@ def test_verify_gathers_subset_weights_once_per_distinct_lambda(monkeypatch, cap
 
 
 def test_verify_holds_one_chunk_of_noisy_laws(monkeypatch, capsys):
-    # repetition:20 has 2^19 cosets, so a chunk of the grid holds two laws
-    cells = ea._LAW_CELLS
-    assert cells >> 19 == 2
+    # repetition:20 has 2^19 cosets, so a chunk of the grid holds one law
+    assert bs._BLOCK >> 19 == 0
+    cells = 1 << 19
     chunks = _count_law_passes(monkeypatch)
     held = []
     build, laws = ea.subset_stats_of_code, ea.noisy_laws
@@ -373,10 +408,10 @@ def test_verify_holds_one_chunk_of_noisy_laws(monkeypatch, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert [len(grid) for _, grid in chunks] == [2, 2, 2, 2, 1]
-    # one chunk of laws and the pass's scratch (2 x 2^20 cells), one
+    assert [len(grid) for _, grid in chunks] == [1] * 9
+    # one chunk of laws and the pass's scratch (2 x 2^19 cells), one
     # weight array (2^20) and 1 MiB of the rest: a second chunk of laws
-    # alive at once would add 8 MiB, the whole grid 56 MiB
+    # alive at once would add 4 MiB, the whole grid 64 MiB
     assert peak - held[0] <= 8 * (2 * cells + (1 << 20)) + (1 << 20)
     assert json.loads(capsys.readouterr().out)[-1]["pass"] is True
 

@@ -113,6 +113,14 @@ def test_codes_differ_by_words_or_generator_not_by_name():
     assert linear != bs.Code(n=3, codewords=None, generator=(7, 7))
 
 
+def test_a_code_shows_its_name_or_its_size_and_equals_no_other_type():
+    assert repr(bs.hamming74_code()) == "Code(n=7, hamming74)"
+    assert repr(bs.Code(n=5, codewords=(0, 3, 12))) == "Code(n=5, 3 codewords)"
+    code = bs.repetition_code(3)
+    assert code.__eq__((3, code.generator)) is NotImplemented
+    assert code != (3, code.generator) and not code == "repetition(3)"
+
+
 def test_a_code_is_hashed_once_and_a_linear_code_by_its_generator():
     linear = bs.make_code("random_linear:20,16,1")
     bare = bs.make_code("random_linear:20,16,1")

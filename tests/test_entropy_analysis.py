@@ -431,7 +431,7 @@ def test_noisy_laws_of_grid_chunks_are_the_one_eps_laws(linear, nonlinear, grid,
             whole = list(ea.noisy_laws(code, grid))
             assert passes == [grid]
             reports = ea.entropy_report(code, grid, [None])
-            patch.setattr(ea, "_LAW_CELLS", ((rows + 1) << m) - 1)
+            patch.setattr(bs, "_BLOCK", ((rows + 1) << m) - 1)
             passes.clear()
             chunked = list(ea.noisy_laws(code, grid))
             chunks = list(passes)
@@ -482,8 +482,8 @@ def test_noise_law_memory_is_two_arrays():
     # the pass's scratch, and small objects; no copy of f_C is made
     words = np.sort(np.random.default_rng(3).choice(1 << 16, 1000, replace=False))
     code = bs.Code(n=16, codewords=words)
-    chunk = [0.05 * i for i in range(1, 20)][: ea._LAW_CELLS >> 16]
-    assert len(chunk) == ea._LAW_CELLS >> 16
+    chunk = [0.05 * i for i in range(1, 20)][: bs._BLOCK >> 16]
+    assert len(chunk) == bs._BLOCK >> 16
     tracemalloc.start()
     try:
         list(ea.noisy_laws(code, chunk))
@@ -678,7 +678,7 @@ def test_entropy_report_holds_one_chunk_of_noisy_laws():
     # repetition:21 has 2^20 cosets, so each eps is a chunk of its own
     code = bs.repetition_code(21)
     law_bytes = 8 << code.redundancy
-    assert ea._LAW_CELLS >> code.redundancy == 1
+    assert bs._BLOCK >> code.redundancy == 0
     tracemalloc.start()
     try:
         reports = ea.entropy_report(code, [0.05, 0.1, 0.2], [None])

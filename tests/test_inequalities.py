@@ -351,6 +351,12 @@ def test_subset_stats_of_a_linear_code_build_one_row_on_first_use():
     assert stats.row("ent") is row and not row.flags.writeable
 
 
+def test_subset_stats_reject_an_unknown_row():
+    stats = ea.subset_stats_of_code(bs.hamming74_code(), (2.0,))
+    with pytest.raises(ValueError, match="unknown subset row 'norm'"):
+        stats.row("norm", 2.0)
+
+
 def test_subset_stats_of_code_enforces_the_subset_cap():
     # the library holds no DP that could run instead
     assert not hasattr(iq, "subset_stats") and not hasattr(ea, "subset_stats")

@@ -451,19 +451,20 @@ GRID_EPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 0.49), st.floats(
     trials=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
     table=st.booleans(),
-    block=st.sampled_from([7, 64, channels._DRAW_BLOCK]),
+    block=st.sampled_from([7, 64, bs._BLOCK // 32]),
 )
 # several blocks of the real size, the last one partial
 @example(
     code=bs.make_code("random_linear:16,8,1"), grid=[0.2, 0.9, 0.0], trials=9000, seed=5,
-    table=True, block=channels._DRAW_BLOCK,
+    table=True, block=bs._BLOCK // 32,
 )
 def test_grid_pass_matches_single_eps_passes(code, grid, trials, seed, table, block):
     # every eps reads the draws of a pass seeded at that eps alone; a
     # block size that does not divide the trials splits the noise draw,
-    # and ``table`` sends a linear code down either side of _table_pays
+    # and ``table`` sends a linear code down either side of _table_pays;
+    # a draw block of ``block`` trials holds 32 bits a trial
     with (
-        mock.patch.object(channels, "_DRAW_BLOCK", block),
+        mock.patch.object(bs, "_BLOCK", block * 32),
         mock.patch.object(ld, "_table_pays", lambda code, trials: table),
     ):
         passes = list(ld.simulate_grid(code, grid, trials, seed))
