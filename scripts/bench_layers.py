@@ -40,7 +40,10 @@ both trees (``inner_loops`` in FILE).  The cases:
   random_linear:20,10,1 at eps 0.2: one dense operator at n = 20;
 * ``listdecode.simulate`` on seed 1's random_linear:24,12 at eps 0.2 and
   on reed_muller:2,4 at eps 0.3, each at the ``decode`` workload's 50000
-  trials, under its Monte Carlo seed;
+  trials, under its Monte Carlo seed, for the two decoders of the
+  workload's deltas 0 and 0.05 (the output hashed is their stats rows;
+  a tree whose ``simulate`` takes one eps is called through its
+  ``.stats``);
 * ``listdecode.simulate`` at eps 0.2 on one small run each side of
   ``_table_pays``: random_linear:24,9,1 at 100 trials, where the pair
   kernel it takes is the faster path, and random_linear:20,10,1 at 500
@@ -208,9 +211,17 @@ def cases(work_dir: Path) -> dict:
         return channels.noise_operator(f20, 0.2)
 
     def simulate(code, eps, trials=workloads.DECODE_SIM_TRIALS):
+        # the decode workload's deltas at one eps, each at the theoretical list size
+        decoders = [listdecode.DecoderConfig(n=code.n, eps=eps, delta=d) for d in (0.0, 0.05)]
+
         def run():
-            sim = listdecode.simulate(code, eps, trials, inputs.mc_seed)
-            return b"".join(a.tobytes() for a in (sim.counts, sim.rank, sim.inside))
+            if hasattr(listdecode, "simulate_grid"):
+                # a tree whose simulate takes one eps and returns per-trial arrays
+                sim = listdecode.simulate(code, eps, trials, inputs.mc_seed)
+                stats = [sim.stats(cfg) for cfg in decoders]
+            else:
+                stats = listdecode.simulate(code, decoders, trials, inputs.mc_seed)
+            return repr([row.to_dict() for row in stats]).encode()
 
         return run
 

@@ -33,12 +33,10 @@ from .inequalities import (
 )
 from .listdecode import (
     DecoderConfig,
-    DecodeTrials,
     DecodeTrialStats,
     likely_probability,
     rs22_lower_bound,
     simulate,
-    simulate_grid,
     theoretical_list_size,
 )
 

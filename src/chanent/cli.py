@@ -143,32 +143,29 @@ def cmd_decode_sim(args, codes: list[bitspace.Code]) -> int:
     deltas = args.delta or [0.0]
     # validate every decoder, and take its list size once, before the first pass
     grids = [
-        [[_decoder(code, eps, delta, args.list_cap) for delta in deltas] for eps in eps_grid]
+        [_decoder(code, eps, delta, args.list_cap) for eps in eps_grid for delta in deltas]
         for code in codes
     ]
     rows = []
     for code, decoders in zip(codes, grids):
-        passes = listdecode.simulate_grid(code, eps_grid, args.trials, args.seed)
-        for eps, cfgs, decoded in zip(eps_grid, decoders, passes):
-            for cfg, cap, k_theory in cfgs:
-                stats = decoded.stats(cfg)
-                rs_exp, rs_in_hyp = listdecode.rs22_lower_bound(
-                    code.rate, cfg.effective_eps, code.n
-                )
-                rows.append(
-                    {
-                        "code": code.name,
-                        "n": code.n,
-                        "eps": eps,
-                        "delta": cfg.delta,
-                        "k": cap,
-                        "k_theoretical": k_theory,
-                        "rs22_log2_lower_bound": rs_exp,
-                        "rs22_in_hypothesis": rs_in_hyp,
-                        "seed": args.seed,
-                        **stats.to_dict(),
-                    }
-                )
+        cfgs = [cfg for cfg, _, _ in decoders]
+        results = listdecode.simulate(code, cfgs, args.trials, args.seed)
+        for (cfg, cap, k_theory), stats in zip(decoders, results):
+            rs_exp, rs_in_hyp = listdecode.rs22_lower_bound(code.rate, cfg.effective_eps, code.n)
+            rows.append(
+                {
+                    "code": code.name,
+                    "n": code.n,
+                    "eps": cfg.eps,
+                    "delta": cfg.delta,
+                    "k": cap,
+                    "k_theoretical": k_theory,
+                    "rs22_log2_lower_bound": rs_exp,
+                    "rs22_in_hypothesis": rs_in_hyp,
+                    "seed": args.seed,
+                    **stats.to_dict(),
+                }
+            )
     emit(rows, args)
     return 0
 

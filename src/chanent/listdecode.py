@@ -7,24 +7,27 @@ By construction a trial can only fail because the noise was heavy
 (weight >= radius) or the list was truncated; the simulator asserts
 exactly that decomposition.
 
-``simulate_grid`` decodes a whole eps grid in one pass over common
-random numbers: X and the uniforms behind Z are drawn once, and each
-eps compares the same uniforms with its own eps, so every eps gets the
-trials of a pass seeded at that eps alone.  Every eps's noise is drawn
+``simulate`` decodes a list of decoders in one pass over common random
+numbers: X and the uniforms behind Z are drawn once, and each eps
+compares the same uniforms with its own eps, so every decoder gets the
+trials of a pass seeded at its eps alone.  Every eps's noise is drawn
 before the first eps is counted, so the grid holds one extra uint32
 noise word per trial per extra eps, and each eps's noise is dropped
-once its trials are counted.  ``simulate`` is its one-eps case.
+once its trials are counted.
 
 For a linear code the distances from Y = X + Z to the codewords are the
 weights of the coset Z + C, whatever X is.  ``simulate`` and
 ``likely_probability`` therefore read one cached coset weight table of
-(n + 2) x 2^(n - k) counts, indexed by the syndrome of Z.  Only a tie
-in distance with X depends on X: a tied X + c is ahead of X iff X has a
-one at c's top bit b.  The same table recursion, stopped before
-coordinate b, counts the words below bit b by weight and syndrome, and
-one lookup there gives the codewords of top bit b tied with X, so
-``simulate`` walks the recursion once per eps, one gather per
-coordinate, and a tied trial needs at most n lookups.
+(n + 2) x 2^(n - k) counts, indexed by the syndrome of Z.  It brackets
+the rank of X, the codewords ahead of it, between those strictly closer
+and those no farther; only the order among the ties between them depends
+on X: a tied X + c is ahead of X iff X has a one at c's top bit b.  The
+same table recursion, stopped before coordinate b, counts the words
+below bit b by weight and syndrome, and one lookup there gives the
+codewords of top bit b tied with X.  A trial's success reads its rank
+only against the list cap, so ``simulate`` walks the recursion once per
+code, one gather per coordinate, over just the trials whose bracket
+straddles a cap, and a walked trial needs at most n lookups.
 The table is built only when it holds at most 2^min(n, 20) entries, and
 ``simulate`` reads it when the n (n + 2) 2^(n - k) adds of its build
 and walk are at most the trials |C| pair distances of comparing every
@@ -37,9 +40,8 @@ received words (n <= 20).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -207,53 +209,6 @@ class DecodeTrialStats:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class DecodeTrials:
-    """Per-trial outcomes of one decode pass over BSC(eps), for any list cap.
-
-    ``counts`` is the number of codewords within the radius of the
-    received word, ``rank`` the number of codewords ahead of the
-    transmitted one in the decoder's (distance, lexicographic) order and
-    ``inside`` whether the noise weight is below the radius.  The arrays
-    are read-only; ``stats`` applies a decoder's list cap to them.
-    """
-
-    code: Code
-    eps: float
-    trials: int
-    counts: np.ndarray
-    rank: np.ndarray
-    inside: np.ndarray
-
-    def stats(self, cfg: DecoderConfig) -> DecodeTrialStats:
-        """Outcomes of the decoder ``cfg``, which must share this pass's n and eps.
-
-        Success means the transmitted codeword appears in the decoded
-        list.  Every failure is asserted to be explained by heavy noise
-        (wt(Z) >= radius) or truncation; anything else would contradict
-        the decoder's construction.
-        """
-        if cfg.n != self.code.n or cfg.eps != self.eps:
-            raise ValueError("decoder n and eps differ from the decode pass")
-        cap = cfg.cap_for(self.code)
-        sizes = np.minimum(self.counts, cap)
-        trunc = self.counts > cap
-        # X makes the list iff it is within the radius and fewer than cap
-        # codewords beat it
-        ok = self.inside & (self.rank < cap)
-        if np.any(~ok & self.inside & ~trunc):
-            raise AssertionError("failure without heavy noise or truncation")
-        return DecodeTrialStats(
-            trials=self.trials,
-            successes=int(np.count_nonzero(ok)),
-            truncations=int(np.count_nonzero(trunc)),
-            heavy_noise=int(np.count_nonzero(~self.inside)),
-            list_min=int(sizes.min()),
-            list_mean=int(sizes.sum(dtype=np.int64)) / self.trials,
-            list_max=int(sizes.max()),
-        )
-
-
 def _pair_counts(y, x, wz, radius: int, cws):
     """Compare every received word y[t] with every codeword.
 
@@ -343,8 +298,9 @@ def _table_pays(code: Code, trials: int) -> bool:
     """Whether ``simulate`` reads the coset table rather than the pair kernel.
 
     The table path's leading cost is the n (n + 2) 2^(n - k) integer
-    adds of its cached build and of one prefix walk; the pair kernel's
-    is trials |C| pair distances.  The table is read when the first is
+    adds of its cached build and of its one prefix walk, whatever the
+    eps grid and list caps; the pair kernel's is trials |C| pair
+    distances per eps.  The table is read when the first is
     at most the second.  A low-rate code with few trials, such as
     [24, 5] at 1000 trials, keeps the pair kernel, and so does a small
     run such as [16, 8] at 100 trials.
@@ -368,18 +324,15 @@ def _syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radius: int):
-    """``_pair_counts`` over a linear code, read from its cumulative coset table.
+def _coset_bracket(code: Code, below: np.ndarray, cols: list[int], z, wz, radius: int):
+    """Per trial: the codewords within the radius, and the bracket closer <= rank < through.
 
     The codewords x ^ c lie at distances wt(z ^ c) from y = x ^ z: the
     weights of the coset z + C, which ``below`` gives by the syndrome of
-    z.  Only the order among the coset words of weight wt(z) depends on
-    x: a tied x ^ c is ahead of x iff x has a one at c's top bit b.
-    Write c = e_b + c', with c' below bit b and syndrome h_b, and
-    u = z_<b ^ c'.  Then u is below b with syndrome syn(z_<b) ^ h_b,
-    and c ties iff wt(u) = wt(z_<b) + 2 z_b - 1.  So the prefix table
-    T_b counts the tied codewords of top bit b in one lookup, and a
-    tied trial needs at most n lookups, one per one of x.
+    z, whatever x is.  ``closer`` = below[wt(z), s] counts the codewords
+    strictly closer than x and ``through`` = below[wt(z) + 1, s] those no
+    farther, x itself included; only the order among the ties between
+    them depends on x (``_tie_walk``).
     """
     n, r = code.n, code.redundancy
     at = _syndromes(cols, z)
@@ -388,81 +341,151 @@ def _coset_counts(code: Code, below: np.ndarray, cols: list[int], x, z, wz, radi
     # the flat index of below[wt(z), s], then of below[wt(z) + 1, s]
     flat = below.ravel()
     at |= np.left_shift(wz, r, dtype=np.uint32)
-    ahead = flat.take(at, mode="clip")
+    closer = flat.take(at, mode="clip")
     at += np.uint32(1 << r)
-    # z ties when its coset holds another word of its weight
-    tied = flat.take(at, mode="clip") - ahead > 1
-    del at
-    if tied.any():
-        xt, zt = x[tied], z[tied]
-        # wt(z_<b) 2^r + syn(z_<b), below (n + 2) 2^r <= 2^20
-        key = np.zeros(xt.size, dtype=np.uint32)
-        ties = np.zeros(xt.size, dtype=np.uint32)
-        for b, table in zip(range(n), _prefix_tables(cols, r)):
-            h = np.uint32(cols[b])
-            zb = zt >> b & 1
-            # no codeword has top bit b when h_b is unreachable below b
-            if table[:, h].any():
-                # T_b[w - 1] sits in row w, and row 0 reads w = -1 as no word:
-                # the flat index of T_b[wt(z_<b) + 2 z_b - 1, syn(z_<b) ^ h_b]
-                found = table.ravel().take((key ^ h) + (zb << (r + 1)))
-                found *= xt >> b & 1
-                ties += found
-            key ^= zb * h
-            key += zb << r
-        ahead[tied] += ties
-    return within, ahead
+    return within, closer, flat.take(at, mode="clip")
 
 
-def simulate_grid(
-    code: Code, eps_grid: list[float], trials: int, seed: int
-) -> Iterator[DecodeTrials]:
-    """Transmit random codewords over BSC(eps) and decode each output, for every eps.
+def _tie_walk(cols: list[int], r: int, x, z):
+    """Per trial, the codewords at distance wt(z) from y = x ^ z that are ahead of x.
 
-    Every eps reads the same draws (common random numbers): X once, and
-    each block of uniforms once, compared with each eps to give its
-    noise, so the grid costs one draw and one extra uint32 word per
-    trial per extra eps.  Each eps's trials are those of a pass seeded
-    with ``seed`` at that eps alone.  Every eps is validated before any
-    draw; the returned iterator yields one ``DecodeTrials`` per eps, in
-    grid order, counting each eps when it is reached.  One pass serves
-    every list cap and delta: ``DecodeTrials.stats`` turns it into the
-    outcomes of a given decoder.  A linear code reads its coset weight
-    table when its adds are at most the pair kernel's pair distances
-    (``_table_pays``); otherwise every trial meets every codeword.  Both
-    paths give the same arrays.
+    A tied x ^ c is ahead of x iff x has a one at c's top bit b.  Write
+    c = e_b + c', with c' below bit b and syndrome h_b, and
+    u = z_<b ^ c'.  Then u is below b with syndrome syn(z_<b) ^ h_b, and
+    c ties iff wt(u) = wt(z_<b) + 2 z_b - 1.  So the prefix table T_b
+    counts the tied codewords of top bit b in one lookup, and the walk
+    takes at most n lookups a trial, one per one of x, in one pass of
+    ``_prefix_tables`` whatever the trials' eps.
+    """
+    n = len(cols)
+    # wt(z_<b) 2^r + syn(z_<b), below (n + 2) 2^r <= 2^20
+    key = np.zeros(x.size, dtype=np.uint32)
+    ties = np.zeros(x.size, dtype=np.uint32)
+    for b, table in zip(range(n), _prefix_tables(cols, r)):
+        h = np.uint32(cols[b])
+        zb = z >> b & 1
+        # no codeword has top bit b when h_b is unreachable below b
+        if table[:, h].any():
+            # T_b[w - 1] sits in row w, and row 0 reads w = -1 as no word:
+            # the flat index of T_b[wt(z_<b) + 2 z_b - 1, syn(z_<b) ^ h_b]
+            found = table.ravel().take((key ^ h) + (zb << (r + 1)))
+            found *= x >> b & 1
+            ties += found
+        key ^= zb * h
+        key += zb << r
+    return ties
+
+
+def _bracket(code: Code, found, cws, x, z, radius: int):
+    """(within, closer, through) of every trial: the coset table's, or the pair kernel's.
+
+    The pair kernel counts the rank exactly, so its bracket is
+    [rank, rank + 1) and no trial of it needs the tie walk.
+    """
+    wz = np.bitwise_count(z)
+    if found is not None:
+        return _coset_bracket(code, *found, z, wz, radius)
+    within, rank = _pair_counts(x ^ z, x, wz, radius, cws)
+    return within, rank, rank + np.uint32(1)
+
+
+def _count(code: Code, found, cws, x, z, radius: int, caps: list[int]):
+    """The outcomes of one eps at each list cap, and the trials that only the tie walk decides.
+
+    X makes the list iff it is within the radius and fewer than cap
+    codewords are ahead of it: surely when through <= cap, never when
+    closer >= cap.  Returns one ``DecodeTrialStats`` per cap, counting
+    the successes its bracket decides, and the x, z, closer and through
+    of the trials within the radius whose bracket straddles some cap.
+    """
+    trials = z.size
+    counts, closer, through = _bracket(code, found, cws, x, z, radius)
+    inside = np.bitwise_count(z) < radius
+    heavy = trials - int(np.count_nonzero(inside))
+    walk = np.zeros(trials, dtype=bool)
+    stats = []
+    for cap in caps:
+        sizes = np.minimum(counts, cap)
+        trunc = counts > cap
+        unsure = inside & (through > cap)
+        # within the radius, every codeword no farther than X is listed
+        # unless the list is truncated
+        if np.any(unsure & ~trunc):
+            raise AssertionError("failure without heavy noise or truncation")
+        walk |= unsure & (closer < cap)
+        stats.append(
+            DecodeTrialStats(
+                trials=trials,
+                successes=trials - heavy - int(np.count_nonzero(unsure)),
+                truncations=int(np.count_nonzero(trunc)),
+                heavy_noise=heavy,
+                list_min=int(sizes.min()),
+                list_mean=int(sizes.sum(dtype=np.int64)) / trials,
+                list_max=int(sizes.max()),
+            )
+        )
+    return stats, (x[walk], z[walk], closer[walk], through[walk])
+
+
+def simulate(
+    code: Code, decoders: list[DecoderConfig], trials: int, seed: int
+) -> list[DecodeTrialStats]:
+    """Transmit random codewords over BSC(eps) and list-decode each output, for every decoder.
+
+    Returns one ``DecodeTrialStats`` per decoder, in order; success means
+    the transmitted codeword X appears in the decoded list.  Every
+    decoder is validated before any draw.  The decoders share the draws
+    (common random numbers): X once, and the uniforms behind the noise
+    once, compared with each eps to give its noise, so each decoder gets
+    the trials of a pass seeded with ``seed`` at its eps alone.  Each eps
+    is counted, and its noise dropped, as soon as it is reached.
+
+    A linear code whose coset table pays (``_table_pays``) brackets the
+    rank of every X, the codewords ahead of it in the decoder's
+    (distance, lexicographic) order, from the table; one tie walk, over
+    every eps, then ranks only the trials whose bracket straddles a
+    decoder's cap.  Otherwise every trial meets every codeword, which
+    ranks it exactly.  Every failure is asserted to be explained by
+    heavy noise (wt(Z) >= radius) or truncation; anything else would
+    contradict the decoder's construction.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cfgs = [DecoderConfig(n=code.n, eps=eps) for eps in eps_grid]
+    if any(cfg.n != code.n for cfg in decoders):
+        raise ValueError("decoder and code dimensions differ")
+    caps = [cfg.cap_for(code) for cfg in decoders]
+    # the decoders of one folded eps share its noise and its radius
+    groups: dict[float, list[int]] = {}
+    for i, cfg in enumerate(decoders):
+        groups.setdefault(cfg.effective_eps, []).append(i)
     rng = np.random.default_rng(seed)
     # n <= 24, so words fit in uint32 and distances in uint8
     cws = code.codewords.astype(np.uint32)
     x = cws[rng.integers(0, code.size, size=trials)]
-    zs = bernoulli_words(trials, code.n, [cfg.effective_eps for cfg in cfgs], rng)
+    noise = bernoulli_words(trials, code.n, list(groups), rng)
     found = _coset_weights(code) if _table_pays(code, trials) else None
-    # popped in grid order: each eps's noise is dropped once it is counted
-    zs.reverse()
-    return (_decode(code, cfg, cws, x, zs.pop(), found) for cfg in cfgs)
-
-
-def _decode(code: Code, cfg: DecoderConfig, cws, x, z, found) -> DecodeTrials:
-    wz = np.bitwise_count(z)
-    # integer distances: d < radius iff d < ceil(radius)
-    radius = math.ceil(cfg.radius)
-    if found is None:
-        counts, rank = _pair_counts(x ^ z, x, wz, radius, cws)
-    else:
-        counts, rank = _coset_counts(code, *found, x, z, wz, radius)
-    inside = wz < radius
-    for arr in (counts, rank, inside):
-        arr.setflags(write=False)
-    return DecodeTrials(code, cfg.eps, len(x), counts, rank, inside)
-
-
-def simulate(code: Code, eps: float, trials: int, seed: int) -> DecodeTrials:
-    """Transmit random codewords over BSC(eps) and decode each output.
-
-    The one-eps case of ``simulate_grid``.
-    """
-    return next(simulate_grid(code, [eps], trials, seed))
+    noise.reverse()  # popped in grid order: each eps's noise is dropped once it is counted
+    out: list[DecodeTrialStats] = [None] * len(decoders)
+    # per eps: its decoders, then the x, z, closer and through of its straddling trials
+    pending = []
+    for members in groups.values():
+        # integer distances: d < radius iff d < ceil(radius)
+        radius = math.ceil(decoders[members[0]].radius)
+        member_caps = [caps[i] for i in members]
+        stats, straddling = _count(code, found, cws, x, noise.pop(), radius, member_caps)
+        for i, one in zip(members, stats):
+            out[i] = one
+        if straddling[0].size:
+            pending.append((members, *straddling))
+    if pending:
+        # one walk over the straddling trials of every eps and decoder
+        members_of, xs, zs, closers, throughs = zip(*pending)
+        ties = _tie_walk(found[1], code.redundancy, np.concatenate(xs), np.concatenate(zs))
+        start = 0
+        for members, closer, through in zip(members_of, closers, throughs):
+            rank = closer + ties[start : start + closer.size]
+            start += closer.size
+            for i in members:
+                won = int(np.count_nonzero((rank < caps[i]) & (through > caps[i])))
+                out[i] = replace(out[i], successes=out[i].successes + won)
+    return out

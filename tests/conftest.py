@@ -14,7 +14,7 @@ from chanent.bitspace import Code
 from chanent.boolfn import dim_of, from_code, h_q, validate
 from chanent.entropy_analysis import NoisyFunction, subset_weights
 from chanent.inequalities import noisy_function
-from chanent.listdecode import DecoderConfig, DecodeTrialStats, simulate
+from chanent.listdecode import DecoderConfig, DecodeTrialStats
 
 RANDOM_LINEAR_PARAMS = [
     (6 + i % 7, 2 + (3 * i) % 5, 100 + i) for i in range(20)
@@ -526,12 +526,14 @@ def likely_probability_mc(
 ) -> tuple[float, float]:
     """Monte Carlo Pr[Y is delta-likely]: (estimate, std error).
 
-    The received words and their within-radius counts are those of
-    ``simulate`` under the same seed.
+    The received words are those of ``simulate`` under the same seed,
+    in the decoder's relabeled view, from ``single_eps_draws``.
     """
     if cfg.n != code.n:
         raise ValueError("decoder and code dimensions differ")
-    counts = simulate(code, cfg.eps, trials, seed).counts
+    x, z = single_eps_draws(code, cfg.eps, trials, seed)
+    dists = np.bitwise_count((x ^ z)[:, None] ^ code.codewords.astype(np.uint32))
+    counts = np.count_nonzero(dists < cfg.radius, axis=1)
     p = int(np.count_nonzero(counts > delta_likely_threshold(code, cfg))) / trials
     return p, math.sqrt(max(p * (1 - p), 0.0) / trials)
 

@@ -177,15 +177,15 @@ def test_criterion_6_decoder_soundness(corpus):
     for code in corpus:
         for eps in (0.05, 0.1, 0.2):
             cfg = ld.DecoderConfig(n=code.n, eps=eps, delta=0.0)
-            # stats() raises if any failure is not heavy noise or truncation
-            out = ld.simulate(code, cfg.eps, trials=trials, seed=606).stats(cfg)
+            # simulate raises if any failure is not heavy noise or truncation
+            out = ld.simulate(code, [cfg], trials=trials, seed=606)[0]
             ok &= out.failures <= out.heavy_noise + out.truncations
     # single(n): error rate is exactly the binomial weight tail
     tail_ok = True
     for n, eps in ((5, 0.2), (8, 0.2), (10, 0.3)):
         c = bs.single_code(n)
         cfg = ld.DecoderConfig(n=n, eps=eps, list_cap=1)
-        out = ld.simulate(c, cfg.eps, trials=trials, seed=607).stats(cfg)
+        out = ld.simulate(c, [cfg], trials=trials, seed=607)[0]
         radius = eps * n + n**0.75
         p = float(sps.binom.sf(math.ceil(radius) - 1, n, eps))
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -211,8 +211,7 @@ def test_criterion_7_heavy_noise_trend():
             ))
         else:
             cfg = ld.DecoderConfig(n=n, eps=eps, delta=0.0)
-            decoded = ld.simulate(c, cfg.eps, trials=trials, seed=700 + n)
-            heavy = decoded.stats(cfg).heavy_noise
+            heavy = ld.simulate(c, [cfg], trials=trials, seed=700 + n)[0].heavy_noise
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
         mc_ok &= abs(heavy / trials - p) <= 4 * sigma + 1e-6
     strictly_decreasing = all(b < a for a, b in zip(exact_tails, exact_tails[1:]))

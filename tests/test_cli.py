@@ -60,6 +60,29 @@ def test_verify_at_the_subset_cap_output_is_pinned(tmp_path):
 
 
 NONLINEAR14 = f"codewords-file:{DATA / 'nonlinear14.txt'}"  # n = 14, 200 words, no generator
+NONLINEAR10 = f"codewords-file:{DATA / 'nonlinear10.txt'}"  # n = 10, 40 words, no generator
+
+DECODE_PIN_RUNS = [
+    ["decode-sim", "--code", "random_linear:16,8,1", "--code", "hamming74", "--code", NONLINEAR10,
+     "--eps", "0.1,0.3,0.7,0.0,1.0", "--delta", "0,0.05,0.2", "--trials", "3000", "--seed", "5"],
+    ["decode-sim", "--code", "reed_muller:2,4", "--code", "random_linear:20,10,3",
+     "--eps", "0.05,0.2,0.35", "--delta", "0,0.1", "--list-cap", "3", "--trials", "20000",
+     "--seed", "9"],
+]
+
+
+def test_decode_sim_output_is_pinned(tmp_path):
+    # both paths, the coset table with its tie walk and the pair kernel of
+    # a codeword file; eps on both sides of 1/2, 0 and 1 included; deltas
+    # and a list cap.  One CSV: the second run's rows follow the first's
+    outs = []
+    for i, argv in enumerate(DECODE_PIN_RUNS):
+        out = tmp_path / f"decode{i}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    header, _, rows = outs[1].partition(b"\n")
+    assert outs[0].startswith(header + b"\n")
+    assert outs[0] + rows == (DATA / "decode_sim_pin.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -454,19 +477,15 @@ def test_repeated_codes_and_grid_values_print_each_row_once(repeated, once, caps
 
 
 def test_decode_sim_runs_one_shared_pass_per_code(monkeypatch, capsys):
-    # one pass per code serves its whole eps grid; no per-eps pass is left
+    # one pass per code serves its whole (eps, delta) grid
     calls = []
-    simulate_grid = listdecode.simulate_grid
+    simulate = listdecode.simulate
 
-    def counted(code, eps_grid, trials, seed):
-        calls.append((code.n, list(eps_grid)))
-        return simulate_grid(code, eps_grid, trials, seed)
+    def counted(code, decoders, trials, seed):
+        calls.append((code.n, [(cfg.eps, cfg.delta) for cfg in decoders]))
+        return simulate(code, decoders, trials, seed)
 
-    def per_eps(*args):
-        raise AssertionError("a pass of one eps")
-
-    monkeypatch.setattr(listdecode, "simulate_grid", counted)
-    monkeypatch.setattr(listdecode, "simulate", per_eps)
+    monkeypatch.setattr(listdecode, "simulate", counted)
     code, out = run(
         [
             "decode-sim",
@@ -482,9 +501,10 @@ def test_decode_sim_runs_one_shared_pass_per_code(monkeypatch, capsys):
     )
     assert code == 0
     rows = json.loads(out)
-    assert calls == [(5, [0.2, 0.1]), (7, [0.2, 0.1])]
+    grid = [(eps, delta) for eps in (0.2, 0.1) for delta in (0.0, 0.05)]
+    assert calls == [(5, grid), (7, grid)]
     assert [(row["n"], row["eps"], row["delta"]) for row in rows] == [
-        (n, eps, delta) for n in (5, 7) for eps in (0.2, 0.1) for delta in (0.0, 0.05)
+        (n, eps, delta) for n in (5, 7) for eps, delta in grid
     ]
 
 
@@ -700,7 +720,7 @@ def test_decode_sim_rejects_non_finite_delta(delta, capsys):
 
 
 def test_decode_sim_rejects_a_list_size_past_the_float_range_before_any_draw(monkeypatch, capsys):
-    _forbid(monkeypatch, listdecode, "simulate_grid")
+    _forbid(monkeypatch, listdecode, "simulate")
     # the first code's decoders are fine: the second's delta is checked before its pass
     argv = ["decode-sim", "--code", "hamming74", "--code", "repetition:3", "--delta", "0,200"]
     code = main(argv + ["--trials", "100", "--seed", "1"])
@@ -796,7 +816,7 @@ def test_decode_sim_matches_library(tmp_path):
     c = bs.hamming74_code()
     for row in rows:
         cfg = ld.DecoderConfig(n=7, eps=row["eps"], delta=0.0)
-        stats = ld.simulate(c, cfg.eps, trials=2000, seed=7).stats(cfg)
+        stats = ld.simulate(c, [cfg], trials=2000, seed=7)[0]
         assert row["error_rate"] == pytest.approx(stats.error_rate, abs=1e-12)
         assert row["k_theoretical"] == ld.theoretical_list_size(
             c.rate, row["eps"], 0.0, 7

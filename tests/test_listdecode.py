@@ -42,8 +42,9 @@ def test_radius_definition():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ld.DecoderConfig(n=4, eps=0.5)
+    for eps in (0.5, 1.2):
+        with pytest.raises(ValueError):
+            ld.DecoderConfig(n=4, eps=eps)
     for delta in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="delta must be finite and >= 0"):
             ld.DecoderConfig(n=4, eps=0.1, delta=delta)
@@ -378,14 +379,49 @@ def test_coset_weights_match_brute_force_histogram(code):
 @example(code=bs.make_code("random_linear:24,12,3"), eps=0.2, trials=3000, seed=5)
 @example(code=bs.make_code("reed_muller:2,4"), eps=0.3, trials=3000, seed=5)
 def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
-    # the table path wherever the table exists, whatever it costs
+    found = ld._coset_weights(code)
+    if found is None:
+        return  # a low-rate code has no table: only the pair kernel runs
+    x, z = single_eps_draws(code, eps, trials, seed)
+    radius = math.ceil(ld.DecoderConfig(n=code.n, eps=eps).radius)
+    got = ld._bracket(code, found, code.codewords.astype(np.uint32), x, z, radius)
+    pin_bracket_to_pair_kernel(code, found, x, z, radius, got)
+    # the table path wherever the table exists, whatever it costs; without a
+    # generator the same codewords take the pair kernel
+    decoders = [ld.DecoderConfig(n=code.n, eps=eps, list_cap=cap) for cap in (None, 1, 2)]
     with mock.patch.object(ld, "_table_pays", lambda code, trials: True):
-        fast = ld.simulate(code, eps, trials, seed)
-    # without a generator the same codewords take the pair kernel
-    ref = ld.simulate(bs.Code(n=code.n, codewords=code.codewords), eps, trials, seed)
-    for name in ("counts", "rank", "inside"):
-        a, b = getattr(fast, name), getattr(ref, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        fast = ld.simulate(code, decoders, trials, seed)
+    assert fast == ld.simulate(bs.Code(n=code.n, codewords=code.codewords), decoders, trials, seed)
+
+
+def pin_bracket_to_pair_kernel(code, found, x, z, radius, got):
+    """Per trial, ``_bracket``'s (within, closer, through) against the pair kernel.
+
+    The counts are the pair kernel's, closer <= rank < through, and
+    closer plus the tie walk over every tied trial is the rank.  On the
+    table path, closer and through count exactly the codewords strictly
+    closer than x and those no farther.
+    """
+    wz = np.bitwise_count(z)
+    cws = code.codewords.astype(np.uint32)
+    counts, rank = ld._pair_counts(x ^ z, x, wz, radius, cws)
+    within, closer, through = got
+    assert within.dtype == counts.dtype and np.array_equal(within, counts)
+    if found is not None:
+        nearer = np.zeros_like(closer)
+        no_farther = np.zeros_like(through)
+        for c in cws:
+            d = np.bitwise_count(z ^ c)  # the distance from y = x ^ z to x ^ c
+            nearer += d < wz
+            no_farther += d <= wz
+        assert np.array_equal(closer, nearer) and np.array_equal(through, no_farther)
+    assert closer.dtype == through.dtype == rank.dtype
+    assert np.all(closer <= rank) and np.all(rank < through)
+    tied = through - closer > 1
+    assert np.array_equal(closer[~tied], rank[~tied])
+    if tied.any():
+        ties = ld._tie_walk(found[1], code.redundancy, x[tied], z[tied])
+        assert np.array_equal(closer[tied] + ties, rank[tied])
 
 
 @pytest.mark.parametrize(
@@ -398,7 +434,7 @@ def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
         "random_linear:11,4,5",
     ],
 )
-def test_coset_counts_match_pair_kernel_on_every_pair(spec):
+def test_coset_bracket_matches_pair_kernel_on_every_pair(spec):
     # every (codeword, noise) pair, at most 2^15 here; RM(2,4) would have
     # 2^27, more than memory holds
     code = bs.make_code(spec)
@@ -407,11 +443,10 @@ def test_coset_counts_match_pair_kernel_on_every_pair(spec):
     x = np.repeat(cws, 1 << n)
     z = np.tile(np.arange(1 << n, dtype=np.uint32), code.size)
     wz = np.bitwise_count(z)
+    found = ld._coset_weights(code)
     for radius in (1, n // 2, n + 1):
-        got = ld._coset_counts(code, *ld._coset_weights(code), x, z, wz, radius)
-        expect = ld._pair_counts(x ^ z, x, wz, radius, cws)
-        for a, b in zip(got, expect):
-            assert a.dtype == b.dtype and np.array_equal(a, b), radius
+        got = ld._coset_bracket(code, *found, z, wz, radius)
+        pin_bracket_to_pair_kernel(code, found, x, z, radius, got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,63 +498,122 @@ def test_grid_pass_matches_single_eps_passes(code, grid, trials, seed, table, bl
     # block size that does not divide the trials splits the noise draw,
     # and ``table`` sends a linear code down either side of _table_pays;
     # a draw block of ``block`` trials holds 32 bits a trial
+    decoders = [
+        ld.DecoderConfig(n=code.n, eps=eps, list_cap=cap) for eps in grid for cap in (None, 1)
+    ]
+    calls = []
+    bracket = ld._bracket
+
+    def recorded(code, found, cws, x, z, radius):
+        got = bracket(code, found, cws, x, z, radius)
+        calls.append((found, x, z, radius, got))
+        return got
+
     with (
         mock.patch.object(bs, "_BLOCK", block * 32),
         mock.patch.object(ld, "_table_pays", lambda code, trials: table),
     ):
-        passes = list(ld.simulate_grid(code, grid, trials, seed))
-        singles = [ld.simulate(code, eps, trials, seed) for eps in grid]
-    cws = code.codewords.astype(np.uint32)
-    assert len(passes) == len(grid)
-    for eps, got, single in zip(grid, passes, singles):
-        x, z = single_eps_draws(code, eps, trials, seed)
-        wz = np.bitwise_count(z)
-        radius = math.ceil(ld.DecoderConfig(n=code.n, eps=eps).radius)
-        counts, rank = ld._pair_counts(x ^ z, x, wz, radius, cws)
-        assert (got.code, got.eps, got.trials) == (code, eps, trials)
-        for name, expect in (("counts", counts), ("rank", rank), ("inside", wz < radius)):
-            a, b = getattr(got, name), getattr(single, name)
-            assert a.dtype == expect.dtype and np.array_equal(a, expect), (eps, name)
-            assert b.dtype == expect.dtype and np.array_equal(b, expect), (eps, name)
-            assert not a.flags.writeable
+        with mock.patch.object(ld, "_bracket", recorded):
+            stats = ld.simulate(code, decoders, trials, seed)
+        singles = [ld.simulate(code, [cfg], trials, seed)[0] for cfg in decoders]
+    assert stats == singles
+    # one bracket per folded eps, in grid order: eps and 1 - eps share their noise
+    folded = list(dict.fromkeys(min(eps, 1 - eps) for eps in grid))
+    assert len(calls) == len(folded)
+    for eps, (found, x, z, radius, got) in zip(folded, calls):
+        assert (found is not None) == (table and ld._coset_weights(code) is not None)
+        assert radius == math.ceil(ld.DecoderConfig(n=code.n, eps=eps).radius)
+        x_one, z_one = single_eps_draws(code, eps, trials, seed)
+        assert np.array_equal(x, x_one) and np.array_equal(z, z_one), eps
+        pin_bracket_to_pair_kernel(code, found, x, z, radius, got)
 
 
-def test_grid_pass_validates_every_eps_before_drawing():
-    code = bs.hamming74_code()
-    with mock.patch.object(ld, "bernoulli_words", side_effect=AssertionError("drew")):
-        for grid in ([0.1, 0.5], [0.1, 1.2]):
-            with pytest.raises(ValueError, match="eps"):
-                ld.simulate_grid(code, grid, 10, seed=1)
-        with pytest.raises(ValueError, match="trials"):
-            ld.simulate_grid(code, [0.1], 0, seed=1)
-
-
-def test_grid_pass_releases_each_eps_noise_at_its_yield():
-    # one uint32 noise word per trial per eps still to come, and nothing
-    # else of an eps outlives its yield
+def test_one_tie_walk_ranks_only_the_straddling_trials():
+    # a 4-eps x 3-delta grid on a table code runs the table recursion twice,
+    # the cached build and one walk, and walks exactly the trials within
+    # the radius whose bracket closer <= rank < through straddles a cap
     code = bs.make_code("random_linear:16,8,1")
-    trials, grid = 20000, [0.05, 0.1, 0.2, 0.3]
-    ld.simulate(code, 0.1, trials, seed=1)  # the coset table is cached
+    trials = 5000
+    decoders = [
+        ld.DecoderConfig(n=16, eps=eps, delta=delta)
+        for eps in (0.05, 0.1, 0.2, 0.3)
+        for delta in (0.0, 0.05, 0.2)
+    ]
+    assert ld._table_pays(code, trials)
+    runs, brackets, walks = [], [], []
+    prefix_tables, bracket, tie_walk = ld._prefix_tables, ld._bracket, ld._tie_walk
+
+    def counted_tables(cols, r):
+        runs.append(r)
+        return prefix_tables(cols, r)
+
+    def recorded_bracket(code, found, cws, x, z, radius):
+        got = bracket(code, found, cws, x, z, radius)
+        brackets.append((z, radius, got))
+        return got
+
+    def recorded_walk(cols, r, x, z):
+        walks.append((x, z))
+        return tie_walk(cols, r, x, z)
+
+    ld._coset_weights.cache_clear()
+    with mock.patch.multiple(
+        ld, _prefix_tables=counted_tables, _bracket=recorded_bracket, _tie_walk=recorded_walk
+    ):
+        got = ld.simulate(code, decoders, trials, seed=3)
+    assert len(runs) == 2 and len(walks) == 1 and len(brackets) == 4
+    caps = [cfg.cap_for(code) for cfg in decoders]
+    x, _ = single_eps_draws(code, 0.1, trials, 3)
+    expect, tied = [], 0
+    for j, (z, radius, (_, closer, through)) in enumerate(brackets):
+        straddling = np.zeros(trials, dtype=bool)
+        for cap in caps[3 * j : 3 * j + 3]:
+            straddling |= (closer < cap) & (cap < through)
+        straddling &= np.bitwise_count(z) < radius
+        expect.append(np.flatnonzero(straddling))
+        tied += int(np.count_nonzero(through - closer > 1))
+    walked_x, walked_z = walks[0]
+    zs = np.concatenate([z[i] for (z, _, _), i in zip(brackets, expect)])
+    assert np.array_equal(walked_x, np.concatenate([x[i] for i in expect]))
+    assert np.array_equal(walked_z, zs)
+    assert 0 < walked_z.size < tied
+    ref = ld.simulate(bs.Code(n=16, codewords=code.codewords), decoders, trials, seed=3)
+    assert got == ref
+
+
+def test_simulate_validates_every_decoder_before_drawing():
+    code = bs.hamming74_code()
+    ok = ld.DecoderConfig(n=7, eps=0.1)
+    with mock.patch.object(ld, "bernoulli_words", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            ld.simulate(code, [ok, ld.DecoderConfig(n=8, eps=0.2)], 10, seed=1)
+        with pytest.raises(ValueError, match="float range"):
+            ld.simulate(code, [ok, ld.DecoderConfig(n=7, eps=0.2, delta=200)], 10, seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            ld.simulate(code, [ok], 0, seed=1)
+
+
+def test_simulate_memory_stays_under_the_per_eps_pass():
+    # 4 eps x 3 deltas at 20000 trials.  The bound is the peak of the
+    # per-eps pass that walked every tied trial once per eps on this input,
+    # 1,326,348 to 1,328,076 B under tracemalloc (16.6 uint32 words a
+    # trial): the one walk holds each eps's straddling trials until it runs
+    code = bs.make_code("random_linear:16,8,1")
+    trials = 20000
+    decoders = [
+        ld.DecoderConfig(n=16, eps=eps, delta=delta)
+        for eps in (0.05, 0.1, 0.2, 0.3)
+        for delta in (0.0, 0.05, 0.2)
+    ]
+    ld.simulate(code, decoders, trials, seed=1)  # the coset table is cached
     tracemalloc.start()
     try:
-        held = []
-        for decoded in ld.simulate_grid(code, grid, trials, seed=1):
-            held.append(tracemalloc.get_traced_memory()[0])
-            del decoded
-        tracemalloc.reset_peak()
-        one = tracemalloc.get_traced_memory()[0]
-        ld.simulate(code, 0.3, trials, seed=1)
-        single_peak = tracemalloc.get_traced_memory()[1] - one
-        tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        for _ in ld.simulate_grid(code, grid, trials, seed=1):
-            pass
-        grid_peak = tracemalloc.get_traced_memory()[1] - start
+        ld.simulate(code, decoders, trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    for before, after in zip(held, held[1:]):
-        assert abs(before - after - 4 * trials) < 2**12, held
-    assert grid_peak < single_peak + 3 * 4 * trials + 2**16
+    assert peak < 1_326_000
 
 
 def test_decoding_and_monte_carlo_entropy_leave_numpy_ma_unimported():
@@ -528,7 +622,7 @@ def test_decoding_and_monte_carlo_entropy_leave_numpy_ma_unimported():
 import sys
 from chanent import bitspace, entropy_analysis, listdecode
 code = bitspace.make_code("random_linear:24,12,1")
-listdecode.simulate(code, 0.2, 50000, seed=1)
+listdecode.simulate(code, [listdecode.DecoderConfig(n=24, eps=0.2)], 50000, seed=1)
 entropy_analysis.entropy_report(code, [None], [0.5], [1.0], 2000, 1)
 assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 """
@@ -561,7 +655,7 @@ def test_small_runs_keep_the_pair_kernel(spec, trials):
     assert not ld._table_pays(code, trials)
     ld._coset_weights.cache_clear()
     with mock.patch.object(ld, "_coset_weights", _no_table):
-        ld.simulate(code, 0.2, trials, seed=1)
+        ld.simulate(code, [ld.DecoderConfig(n=code.n, eps=0.2)], trials, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -587,11 +681,12 @@ def test_low_rate_code_keeps_the_pair_kernel_without_a_table(spec):
     c = bs.make_code(spec)
     ld._coset_weights.cache_clear()
     assert ld._coset_weights(c) is None
-    ref = ld.simulate(bs.Code(n=24, codewords=c.codewords), 0.1, trials=1000, seed=1)
+    decoders = [ld.DecoderConfig(n=24, eps=0.1, list_cap=cap) for cap in (None, 1)]
+    ref = ld.simulate(bs.Code(n=24, codewords=c.codewords), decoders, trials=1000, seed=1)
     tracemalloc.start()
     try:
         with mock.patch.object(ld, "_coset_weights", _no_table):
-            sim = ld.simulate(c, 0.1, trials=1000, seed=1)
+            sim = ld.simulate(c, decoders, trials=1000, seed=1)
         # no table either, and the dense fallback refuses n = 24 before allocating
         with pytest.raises(ValueError, match="capped at n <= 20"):
             ld.likely_probability(c, ld.DecoderConfig(n=24, eps=0.1))
@@ -599,13 +694,13 @@ def test_low_rate_code_keeps_the_pair_kernel_without_a_table(spec):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert np.array_equal(sim.counts, ref.counts) and np.array_equal(sim.rank, ref.rank)
+    assert sim == ref
 
 
 def test_simulate_zero_noise_never_fails():
     c = bs.hamming74_code()
     cfg = ld.DecoderConfig(n=7, eps=0.0, list_cap=1)
-    stats_ = ld.simulate(c, cfg.eps, trials=2000, seed=8).stats(cfg)
+    stats_ = ld.simulate(c, [cfg], trials=2000, seed=8)[0]
     assert stats_.error_rate == 0.0
 
 
@@ -614,7 +709,7 @@ def test_simulate_single_code_matches_binomial_tail():
     c = bs.single_code(n)
     cfg = ld.DecoderConfig(n=n, eps=eps, list_cap=1)
     trials = 10**5
-    out = ld.simulate(c, cfg.eps, trials=trials, seed=9).stats(cfg)
+    out = ld.simulate(c, [cfg], trials=trials, seed=9)[0]
     radius = eps * n + n**0.75
     p = float(stats.binom.sf(math.ceil(radius) - 1, n, eps))
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -644,7 +739,7 @@ def test_simulate_matches_exhaustive_error_probability():
             if x not in [cw for _, cw in hits[:cap]]:
                 exact += pz
     trials = 10**5
-    out = ld.simulate(c, cfg.eps, trials=trials, seed=10).stats(cfg)
+    out = ld.simulate(c, [cfg], trials=trials, seed=10)[0]
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(out.error_rate - exact) <= 4 * sigma + 1e-9
 
@@ -652,7 +747,7 @@ def test_simulate_matches_exhaustive_error_probability():
 def test_simulate_failure_decomposition():
     for code in small_corpus(8):
         cfg = ld.DecoderConfig(n=code.n, eps=0.2, delta=0.0)
-        out = ld.simulate(code, cfg.eps, trials=5000, seed=11).stats(cfg)
+        out = ld.simulate(code, [cfg], trials=5000, seed=11)[0]
         assert out.failures <= out.heavy_noise + out.truncations
         assert out.successes + out.failures == out.trials
 
@@ -668,40 +763,35 @@ def test_simulate_failure_decomposition():
 )
 def test_simulate_matches_per_trial_decoding(code, eps, delta, list_cap, trials, seed):
     cfg = ld.DecoderConfig(n=code.n, eps=eps, delta=delta, list_cap=list_cap)
-    out = ld.simulate(code, eps, trials, seed).stats(cfg)
+    out = ld.simulate(code, [cfg], trials, seed)[0]
     assert out == naive_simulate(code, cfg, trials, seed)
 
 
 def test_simulate_serves_every_delta_and_cap():
     # one pass gives each decoder the outcomes of its own pass
     c = bs.random_linear_code(9, 5, 3)
-    decoded = ld.simulate(c, 0.3, trials=500, seed=13)
-    for delta, list_cap in ((0.0, None), (0.2, None), (0.0, 1), (0.0, 3)):
-        cfg = ld.DecoderConfig(n=9, eps=0.3, delta=delta, list_cap=list_cap)
-        assert decoded.stats(cfg) == naive_simulate(c, cfg, 500, 13)
+    decoders = [
+        ld.DecoderConfig(n=9, eps=0.3, delta=delta, list_cap=list_cap)
+        for delta, list_cap in ((0.0, None), (0.2, None), (0.0, 1), (0.0, 3))
+    ]
+    got = ld.simulate(c, decoders, trials=500, seed=13)
+    assert got == [naive_simulate(c, cfg, 500, 13) for cfg in decoders]
 
 
-def test_simulate_rejects_bad_input():
+def test_simulate_returns_one_result_per_decoder_in_order():
+    # decoders in any order, eps repeated and interleaved, and eps and
+    # 1 - eps folded onto one noise draw: each gets its own pass's outcomes
     c = bs.hamming74_code()
-    with pytest.raises(ValueError):
-        ld.simulate(c, 0.5, trials=10, seed=1)
-    with pytest.raises(ValueError):
-        ld.simulate(c, 1.2, trials=10, seed=1)
-    with pytest.raises(ValueError):
-        ld.simulate(c, 0.1, trials=0, seed=1)
-    decoded = ld.simulate(c, 0.1, trials=10, seed=1)
-    for cfg in (ld.DecoderConfig(n=7, eps=0.2), ld.DecoderConfig(n=8, eps=0.1)):
-        with pytest.raises(ValueError):
-            decoded.stats(cfg)
-
-
-def test_simulate_trials_are_read_only():
-    decoded = ld.simulate(bs.hamming74_code(), 0.1, trials=10, seed=1)
-    assert (decoded.code, decoded.eps, decoded.trials) == (bs.hamming74_code(), 0.1, 10)
-    for arr in (decoded.counts, decoded.rank, decoded.inside):
-        assert len(arr) == 10
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    decoders = [
+        ld.DecoderConfig(n=7, eps=0.2, list_cap=1),
+        ld.DecoderConfig(n=7, eps=0.1),
+        ld.DecoderConfig(n=7, eps=0.8, list_cap=1),
+        ld.DecoderConfig(n=7, eps=0.2, delta=0.3),
+    ]
+    got = ld.simulate(c, decoders, trials=300, seed=4)
+    assert got == [ld.simulate(c, [cfg], trials=300, seed=4)[0] for cfg in decoders]
+    assert got[0] == got[2]
+    assert ld.simulate(c, [], trials=10, seed=1) == []
 
 
 def test_simulate_memory_is_bounded():
@@ -709,7 +799,7 @@ def test_simulate_memory_is_bounded():
     c = bs.random_linear_code(10, 5, 1)
     tracemalloc.start()
     try:
-        ld.simulate(c, 0.1, trials=10**6, seed=2)
+        ld.simulate(c, [ld.DecoderConfig(n=10, eps=0.1)], trials=10**6, seed=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -719,8 +809,8 @@ def test_simulate_memory_is_bounded():
 def test_simulate_deterministic():
     c = bs.hamming74_code()
     cfg = ld.DecoderConfig(n=7, eps=0.15, delta=0.05)
-    a = ld.simulate(c, cfg.eps, trials=3000, seed=12).stats(cfg)
-    b = ld.simulate(c, cfg.eps, trials=3000, seed=12).stats(cfg)
+    a = ld.simulate(c, [cfg], trials=3000, seed=12)[0]
+    b = ld.simulate(c, [cfg], trials=3000, seed=12)[0]
     assert a == b
 
 
