@@ -48,6 +48,11 @@ both trees (``inner_loops`` in FILE).  The cases:
   ``_table_pays``: random_linear:24,9,1 at 100 trials, where the pair
   kernel it takes is the faster path, and random_linear:20,10,1 at 500
   trials, where it takes the coset table, the faster path there;
+* ``channels.bernoulli_words`` on the two noise draws of seed 1's
+  ``decode-sim`` (``bernoulli_words.decode``): random_linear:20,10 and
+  random_linear:24,12 at the workload's 50000 trials and eps 0.1 and
+  0.2, each from the generator state that ``simulate`` reaches after
+  drawing the transmitted codewords (the output hashed is the words);
 * the ``decode`` workload's operations: ``decode-sim`` through
   ``cli.main`` and the ``likely_probability`` library calls;
 * those ``likely_probability`` calls on their own: seed 1's
@@ -231,6 +236,25 @@ def cases(work_dir: Path) -> dict:
         for eps, delta in workloads.LIKELY_GRID
     ]
 
+    def noise_draws():
+        # the generator state after simulate's codeword draw, for each decode-sim code
+        states = []
+        for shape in ("20,10", "24,12"):
+            code = bitspace.make_code(f"random_linear:{shape},{inputs.code_seed}")
+            rng = np.random.default_rng(inputs.mc_seed)
+            rng.integers(0, code.size, size=workloads.DECODE_SIM_TRIALS)
+            states.append((code.n, rng.bit_generator.state))
+
+        def run():
+            words = []
+            for n, state in states:
+                rng = np.random.Generator(np.random.PCG64())
+                rng.bit_generator.state = state
+                words += channels.bernoulli_words(workloads.DECODE_SIM_TRIALS, n, [0.1, 0.2], rng)
+            return np.concatenate(words)
+
+        return run
+
     calibration_words = np.random.default_rng(SEED).integers(
         0, 1 << 32, CALIBRATION_WORDS, dtype=np.uint32
     )
@@ -285,6 +309,7 @@ def cases(work_dir: Path) -> dict:
         "simulate.rm2_4": simulate(bitspace.make_code("reed_muller:2,4"), 0.3),
         "simulate.24_9_100": simulate(bitspace.make_code("random_linear:24,9,1"), 0.2, 100),
         "simulate.20_10_500": simulate(linear20, 0.2, 500),
+        "bernoulli_words.decode": noise_draws(),
         "cli.decode": cli(workloads.build_ops("decode", inputs, work_dir)),
         "likely_probability.18_8": likely,
         "calibration.sort": lambda: np.sort(calibration_words),

@@ -23,7 +23,8 @@ EXACT_CAP = 20
 
 # entries of the largest array that one block of a blocked loop allocates; each
 # loop reads it at call time: masked_ranks, v log2 v, the projection and pair
-# kernels, the chunks of noisy_laws and the draw blocks of bernoulli_words
+# kernels, the chunks of noisy_laws and the draw blocks of bernoulli_words, whose
+# largest array is its uint8 bit buffer of 32 entries a trial
 _BLOCK = 1 << 16
 
 

@@ -104,18 +104,28 @@ def bernoulli_words(
     (common random numbers), so each p's words are those of a draw at
     that p alone.  The uniforms are drawn ``bitspace._BLOCK // 32``
     trials at a time into one reused buffer, the same stream as one
-    draw whatever the block, and each p packs the block's bits,
-    zero-padded to 32 columns, by ``np.packbits``.
+    draw whatever the block.  Each p compares the block into 32 byte
+    columns, zero past n, and packs each 8-byte lane b_0..b_7 with one
+    wrapping multiply by 0x0102040810204080: the product's top byte is
+    b_0 + 2 b_1 + ... + 128 b_7, and a trial's four top bytes, lowest
+    lane first, are its little-endian word.
     """
     words = [np.empty(trials, dtype=np.uint32) for _ in ps]
-    block = max(1, min(trials, bitspace._BLOCK // 32))  # the bit buffer is the largest array
+    block = max(1, min(trials, bitspace._BLOCK // 32))  # the uint8 bit buffer is the largest array
     draw = np.empty((block, n))
-    bits = np.zeros((block, 32), dtype=bool)
+    bits = np.zeros((block, 32), dtype=np.uint8)
+    flags, lanes = bits.view(bool), bits.view("<u8")
+    spread = np.uint64(0x0102040810204080)
+    products = np.empty((block, 4), dtype="<u8")
+    top = products.view(np.uint8)[:, 7::8]  # byte 7 of a little-endian lane is its top byte
+    packed = np.empty((block, 4), dtype=np.uint8)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        u = rng.random(out=draw[: stop - start])
+        m = stop - start
+        u = rng.random(out=draw[:m])
         for p, w in zip(ps, words):
-            np.less(u, p, out=bits[: stop - start, :n])
-            packed = np.packbits(bits[: stop - start], axis=1, bitorder="little")
-            w[start:stop] = packed.view("<u4")[:, 0]
+            np.less(u, p, out=flags[:m, :n])
+            np.multiply(lanes[:m], spread, out=products[:m])
+            packed[:m] = top[:m]
+            w[start:stop] = packed[:m].view("<u4")[:, 0]
     return words

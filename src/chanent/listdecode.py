@@ -396,7 +396,9 @@ def _count(code: Code, found, cws, x, z, radius: int, caps: list[int]):
     codewords are ahead of it: surely when through <= cap, never when
     closer >= cap.  Returns one ``DecodeTrialStats`` per cap, counting
     the successes its bracket decides, and the x, z, closer and through
-    of the trials within the radius whose bracket straddles some cap.
+    of the trials within the radius whose bracket straddles some cap, in
+    trial order.  They are a scattered few, so they are gathered by
+    index, found once, rather than selected by the mask four times.
     """
     trials = z.size
     counts, closer, through = _bracket(code, found, cws, x, z, radius)
@@ -424,7 +426,8 @@ def _count(code: Code, found, cws, x, z, radius: int, caps: list[int]):
                 list_max=int(sizes.max()),
             )
         )
-    return stats, (x[walk], z[walk], closer[walk], through[walk])
+    at = np.flatnonzero(walk)
+    return stats, (x.take(at), z.take(at), closer.take(at), through.take(at))
 
 
 def simulate(

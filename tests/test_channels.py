@@ -296,3 +296,29 @@ def test_bernoulli_words_pack_bits_as_a_multiply_and_sum(n, p):
         ref = multiply_sum_bernoulli_words(50, n, q, np.random.default_rng(n))
         assert got.dtype == np.uint32 and got.shape == (50,)
         assert np.array_equal(got, ref), q
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+@settings(max_examples=15, deadline=None)
+@given(
+    p=st.floats(0, 1),
+    block=st.integers(1, 9),
+    extra=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# p at and next to the ends of the uniforms' range [0, 1 - 2^-53]
+@example(p=0.0, block=3, extra=1, seed=0)
+@example(p=2.0**-53, block=3, extra=1, seed=0)
+@example(p=0.5, block=3, extra=1, seed=0)
+@example(p=1 - 2.0**-53, block=3, extra=1, seed=0)
+@example(p=1.0, block=3, extra=1, seed=0)
+def test_bernoulli_words_match_the_multiply_and_sum_on_any_input(n, p, block, extra, seed):
+    # every lane of the packing at every n, both p of one call reading one
+    # stream of uniforms, and trials past a draw block of ``block`` trials
+    trials = block + extra
+    with mock.patch.object(bs, "_BLOCK", block * 32):
+        words = channels.bernoulli_words(trials, n, [p, 1 - p], np.random.default_rng(seed))
+    for q, got in zip([p, 1 - p], words, strict=True):
+        ref = multiply_sum_bernoulli_words(trials, n, q, np.random.default_rng(seed))
+        assert got.dtype == np.uint32 and got.shape == (trials,)
+        assert np.array_equal(got, ref), q

@@ -581,6 +581,38 @@ def test_one_tie_walk_ranks_only_the_straddling_trials():
     assert got == ref
 
 
+@pytest.mark.parametrize("table", [True, False])
+@pytest.mark.parametrize("eps", [0.2, 0.0])
+def test_count_returns_the_boolean_mask_selection_of_the_straddling_trials(table, eps):
+    # the x, z, closer and through of the trials within the radius whose
+    # bracket straddles a cap, in trial order and dtype; the pair kernel's
+    # exact rank never straddles, and at eps 0 every z is 0, whose bracket
+    # [0, 1) straddles no cap either
+    code = bs.make_code("random_linear:16,8,1")
+    found = ld._coset_weights(code) if table else None
+    trials = 5000
+    x, z = single_eps_draws(code, eps, trials, seed=2)
+    cws = code.codewords.astype(np.uint32)
+    decoders = [ld.DecoderConfig(n=16, eps=eps, delta=d) for d in (0.0, 0.05)]
+    caps = [cfg.cap_for(code) for cfg in decoders] + [1]
+    radius = math.ceil(decoders[0].radius)
+    _, closer, through = ld._bracket(code, found, cws, x, z, radius)
+    walk = np.zeros(trials, dtype=bool)
+    for cap in caps:
+        walk |= (closer < cap) & (cap < through)
+    walk &= np.bitwise_count(z) < radius
+    _, got = ld._count(code, found, cws, x, z, radius, caps)
+    expect = (x[walk], z[walk], closer[walk], through[walk])
+    for g, e in zip(got, expect, strict=True):
+        assert g.dtype == e.dtype == np.uint32
+        assert np.array_equal(g, e)
+    assert (got[0].size > 0) == (table and eps > 0)
+    if not got[0].size:
+        routed = code if table else bs.Code(n=16, codewords=code.codewords)
+        with mock.patch.object(ld, "_tie_walk", side_effect=AssertionError("walked")):
+            ld.simulate(routed, decoders, trials, seed=2)
+
+
 def test_simulate_validates_every_decoder_before_drawing():
     code = bs.hamming74_code()
     ok = ld.DecoderConfig(n=7, eps=0.1)
