@@ -210,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser(
         "decode-sim",
         help="list-decoding simulation",
-        description="One pass per code serves its whole --eps grid from shared draws, "
-        "so it holds 4 bytes per trial per eps at once: 50 eps at 10^6 trials "
-        "hold about 200 MB of noise.",
+        description="Distance ties at the list cap are broken uniformly at random. "
+        "One pass per code serves its whole --eps grid from shared draws, "
+        "so it holds 8 bytes per trial for the tie-breaking uniform and 4 more "
+        "per trial per eps: 50 eps at 10^6 trials hold about 200 MB of noise.",
     )
     common(p_dec)
     p_dec.add_argument("--delta", type=_float_list, help="comma-separated delta grid")

@@ -2,45 +2,40 @@
 
 The decoder returns every codeword within Hamming distance
 eps*n + n^(3/4) of the received word (strict inequality), truncated to
-the k closest when the qualifying set is larger than the list cap.
-By construction a trial can only fail because the noise was heavy
-(weight >= radius) or the list was truncated; the simulator asserts
-exactly that decomposition.
+the k closest when the qualifying set is larger than the list cap, with
+distance ties broken uniformly at random.  By construction a trial can
+only fail because the noise was heavy (weight >= radius) or the list was
+truncated; the simulator asserts exactly that decomposition.
 
 ``simulate`` decodes a list of decoders in one pass over common random
-numbers: X and the uniforms behind Z are drawn once, and each eps
-compares the same uniforms with its own eps, so every decoder gets the
-trials of a pass seeded at its eps alone.  Every eps's noise is drawn
-before the first eps is counted, so the grid holds one extra uint32
-noise word per trial per extra eps, and each eps's noise is dropped
-once its trials are counted.
+numbers: X, the uniforms behind Z and one tie-breaking uniform U per
+trial are drawn once, and each eps compares the same uniforms with its
+own eps, so every decoder gets the trials of a pass seeded at its eps
+alone.  Every eps's noise is drawn before the first eps is counted, so
+the grid holds one extra uint32 noise word per trial per extra eps, and
+each eps's noise is dropped once its trials are counted.
 
-For a linear code the distances from Y = X + Z to the codewords are the
-weights of the coset Z + C, whatever X is.  ``simulate`` and
-``likely_probability`` therefore read one cached coset weight table of
-(n + 2) x 2^(n - k) counts, indexed by the syndrome of Z.  It brackets
-the rank of X, the codewords ahead of it, between those strictly closer
-and those no farther; only the order among the ties between them depends
-on X: a tied X + c is ahead of X iff X has a one at c's top bit b.  The
-same table recursion, stopped before coordinate b, counts the words
-below bit b by weight and syndrome, and one lookup there gives the
-codewords of top bit b tied with X.  A trial's success reads its rank
-only against the list cap, so ``simulate`` walks the recursion once per
-code, one gather per coordinate, over just the trials whose bracket
-straddles a cap, and a walked trial needs at most n lookups.
-The table is built only when it holds at most 2^min(n, 20) entries, and
-``simulate`` reads it when the n (n + 2) 2^(n - k) adds of its build
-and walk are at most the trials |C| pair distances of comparing every
-trial with every codeword.  Otherwise, and for nonlinear codes,
-``simulate`` runs the pair kernel (every trial against every codeword)
-and ``likely_probability`` the Walsh–Hadamard count over all 2^n
-received words (n <= 20).
+A trial's outcome depends on X only through two counts: the codewords
+strictly closer to the received word Y than X (closer) and those no
+farther (through, X included).  Uniform ties put X at rank
+closer + floor(U (through - closer)).  For a linear code the distances
+from Y = X + Z to the codewords are the weights of the coset Z + C,
+whatever X is.  ``simulate`` and ``likely_probability`` therefore read
+one cached coset weight table of (n + 2) x 2^(n - k) counts, indexed by
+the syndrome of Z, and two lookups give closer and through.  The table
+is built only when it holds at most 2^min(n, 20) entries, and
+``simulate`` reads it when the n (n + 2) 2^(n - k) adds of its build are
+at most the E trials |C| pair distances of comparing every trial with
+every codeword at each of its E eps.  Otherwise, and for nonlinear
+codes, ``simulate`` runs the pair kernel (every trial against every
+codeword) and ``likely_probability`` the Walsh–Hadamard count over all
+2^n received words (n <= 20).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -209,21 +204,22 @@ class DecodeTrialStats:
         }
 
 
-def _pair_counts(y, x, wz, radius: int, cws):
+def _pair_counts(y, wz, radius: int, cws):
     """Compare every received word y[t] with every codeword.
 
-    Returns (within, ahead) per trial: the codewords at distance below
-    radius from y[t], and those ahead of the transmitted x[t], at
-    distance wz[t], in the decoder's (distance, lexicographic) order.
+    Returns (within, closer, through) per trial: the codewords at distance
+    below radius from y[t], those strictly closer than the transmitted
+    word, at distance wz[t], and those no farther, the transmitted word
+    included.
     """
     trials, size = len(y), len(cws)
     within = np.empty(trials, dtype=np.uint32)
-    ahead = np.empty(trials, dtype=np.uint32)
-    # (received word, codeword) pairs: the block's scratch, 7 bytes a pair, stays in L2
+    closer = np.empty(trials, dtype=np.uint32)
+    through = np.empty(trials, dtype=np.uint32)
+    # (received word, codeword) pairs: the block's scratch, 6 bytes a pair, stays in L2
     block = max(1, min(trials, bitspace._BLOCK // size))
     words = np.empty((block, size), dtype=np.uint32)
     dists = np.empty((block, size), dtype=np.uint8)
-    limits = np.empty((block, size), dtype=np.uint8)
     hits = np.empty((block, size), dtype=bool)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
@@ -231,37 +227,10 @@ def _pair_counts(y, x, wz, radius: int, cws):
         np.bitwise_xor(y[start:stop, None], cws, out=words[:m])
         d = np.bitwise_count(words[:m], out=dists[:m])
         within[start:stop] = np.less(d, radius, out=hits[:m]).sum(axis=1, dtype=np.uint32)
-        # c is ahead of x iff d < wz, or d == wz and c < x: d < wz + [c < x]
-        np.less(cws, x[start:stop, None], out=hits[:m])
-        np.add(hits[:m], wz[start:stop, None], out=limits[:m])
-        ahead[start:stop] = np.less(d, limits[:m], out=hits[:m]).sum(axis=1, dtype=np.uint32)
-    return within, ahead
-
-
-def _prefix_tables(cols: list[int], r: int):
-    """The coset table recursion, one coordinate at a time.
-
-    Yields T_b for b = 0..n, in one uint32 array updated in place:
-    T_b[w, s] counts the words supported below bit b of weight w and
-    syndrome s, kept in row w + 1 so that row 0 stays zero.  T_0 is the
-    zero word; coordinate b, with parity-check column h_b, adds
-    T_b[w - 1, s ^ h_b] to T_b[w, s].  T_n is the full coset weight
-    table (MacWilliams–Sloane).  No entry passes C(24, 12) < 2^32.
-    """
-    n, size = len(cols), 1 << r
-    table = np.zeros((n + 2, size), dtype=np.uint32)
-    table[1, 0] = 1
-    index = np.arange(size)
-    shifted = np.empty((n, size), dtype=np.uint32)
-    for b, h in enumerate(cols):
-        yield table
-        # below bit b no word is heavier than b, so rows 1..b+1 hold all
-        # of T_b; one gather shifts them all before any row changes.
-        # index ^ h is in range, and mode "clip" spares take the buffered
-        # bounds check of mode "raise"
-        np.take(table[1 : b + 2], index ^ h, axis=1, out=shifted[: b + 1], mode="clip")
-        table[2 : b + 3] += shifted[: b + 1]
-    yield table
+        w = wz[start:stop, None]
+        closer[start:stop] = np.less(d, w, out=hits[:m]).sum(axis=1, dtype=np.uint32)
+        through[start:stop] = np.less_equal(d, w, out=hits[:m]).sum(axis=1, dtype=np.uint32)
+    return within, closer, through
 
 
 # at most 4 MB a table, so the cache holds at most 16 MB
@@ -270,14 +239,18 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     """Cumulative coset weight table of a linear code, and its parity-check columns.
 
     below[w, s] = #{e in F_2^n : wt(e) < w, syndrome(e) = s} for
-    w = 0..n+1: the last of ``_prefix_tables``, summed over rows.  Its
-    row differences T[w, s] are the weight distribution of the coset of
-    syndrome s, column 0 the code's weight enumerator.  None for a code
-    without a generator, and when the (n + 2) x 2^(n - k) table would
-    hold more than 2^min(n, EXACT_CAP) entries: never more than one
-    array of the dense path.  It stays in uint32, as no entry passes
-    2^n <= 2^24; it is read-only and cached per code, so every eps and
-    delta of a code share one build.
+    w = 0..n+1.  Its row differences T[w, s] are the weight distribution
+    of the coset of syndrome s, column 0 the code's weight enumerator.
+    T is built one coordinate at a time (MacWilliams–Sloane): T_b[w, s]
+    counts the words supported below bit b of weight w and syndrome s,
+    kept in row w + 1 so that row 0 stays zero.  T_0 is the zero word;
+    coordinate b, with parity-check column h_b, adds T_b[w - 1, s ^ h_b]
+    to T_b[w, s], and T_n = T.  None for a code without a generator, and
+    when the (n + 2) x 2^(n - k) table would hold more than
+    2^min(n, EXACT_CAP) entries: never more than one array of the dense
+    path.  It stays in uint32, as no entry passes 2^n <= 2^24; it is
+    read-only and cached per code, so every eps and delta of a code
+    share one build.
     """
     if code.generator is None:
         return None
@@ -285,8 +258,18 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     if (n + 2) << r > 1 << min(n, EXACT_CAP):
         return None
     cols = syndrome_columns(code.generator, n)
-    for below in _prefix_tables(cols, r):
-        pass
+    size = 1 << r
+    below = np.zeros((n + 2, size), dtype=np.uint32)
+    below[1, 0] = 1
+    index = np.arange(size)
+    shifted = np.empty((n, size), dtype=np.uint32)
+    for b, h in enumerate(cols):
+        # below bit b no word is heavier than b, so rows 1..b+1 hold all
+        # of T_b; one gather shifts them all before any row changes.
+        # index ^ h is in range, and mode "clip" spares take the buffered
+        # bounds check of mode "raise"
+        np.take(below[1 : b + 2], index ^ h, axis=1, out=shifted[: b + 1], mode="clip")
+        below[2 : b + 3] += shifted[: b + 1]
     # T[w] sits in row w + 1, so row w ends up counting weights below w
     for row in range(2, n + 2):
         below[row] += below[row - 1]
@@ -294,19 +277,21 @@ def _coset_weights(code: Code) -> tuple[np.ndarray, list[int]] | None:
     return below, cols
 
 
-def _table_pays(code: Code, trials: int) -> bool:
+def _table_pays(code: Code, trials: int, folded: int) -> bool:
     """Whether ``simulate`` reads the coset table rather than the pair kernel.
 
     The table path's leading cost is the n (n + 2) 2^(n - k) integer
-    adds of its cached build and of its one prefix walk, whatever the
-    eps grid and list caps; the pair kernel's is trials |C| pair
-    distances per eps.  The table is read when the first is
+    adds of its cached build, whatever the eps grid and list caps; the
+    pair kernel's is trials |C| pair distances for each of the
+    ``folded`` distinct folded eps.  The table is read when the first is
     at most the second.  A low-rate code with few trials, such as
     [24, 5] at 1000 trials, keeps the pair kernel, and so does a small
-    run such as [16, 8] at 100 trials.
+    run such as [16, 8] at 100 trials; [24, 12] at 500 trials takes the
+    table for two eps, not for one.
     """
     n = code.n
-    return code.generator is not None and n * (n + 2) << code.redundancy <= trials * code.size
+    pairs = folded * trials * code.size
+    return code.generator is not None and n * (n + 2) << code.redundancy <= pairs
 
 
 def _syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
@@ -325,14 +310,13 @@ def _syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
 
 
 def _coset_bracket(code: Code, below: np.ndarray, cols: list[int], z, wz, radius: int):
-    """Per trial: the codewords within the radius, and the bracket closer <= rank < through.
+    """Per trial: the codewords within the radius, and those strictly closer and no farther than x.
 
     The codewords x ^ c lie at distances wt(z ^ c) from y = x ^ z: the
     weights of the coset z + C, which ``below`` gives by the syndrome of
     z, whatever x is.  ``closer`` = below[wt(z), s] counts the codewords
     strictly closer than x and ``through`` = below[wt(z) + 1, s] those no
-    farther, x itself included; only the order among the ties between
-    them depends on x (``_tie_walk``).
+    farther, x itself included.
     """
     n, r = code.n, code.redundancy
     at = _syndromes(cols, z)
@@ -346,79 +330,44 @@ def _coset_bracket(code: Code, below: np.ndarray, cols: list[int], z, wz, radius
     return within, closer, flat.take(at, mode="clip")
 
 
-def _tie_walk(cols: list[int], r: int, x, z):
-    """Per trial, the codewords at distance wt(z) from y = x ^ z that are ahead of x.
-
-    A tied x ^ c is ahead of x iff x has a one at c's top bit b.  Write
-    c = e_b + c', with c' below bit b and syndrome h_b, and
-    u = z_<b ^ c'.  Then u is below b with syndrome syn(z_<b) ^ h_b, and
-    c ties iff wt(u) = wt(z_<b) + 2 z_b - 1.  So the prefix table T_b
-    counts the tied codewords of top bit b in one lookup, and the walk
-    takes at most n lookups a trial, one per one of x, in one pass of
-    ``_prefix_tables`` whatever the trials' eps.
-    """
-    n = len(cols)
-    # wt(z_<b) 2^r + syn(z_<b), below (n + 2) 2^r <= 2^20
-    key = np.zeros(x.size, dtype=np.uint32)
-    ties = np.zeros(x.size, dtype=np.uint32)
-    for b, table in zip(range(n), _prefix_tables(cols, r)):
-        h = np.uint32(cols[b])
-        zb = z >> b & 1
-        # no codeword has top bit b when h_b is unreachable below b
-        if table[:, h].any():
-            # T_b[w - 1] sits in row w, and row 0 reads w = -1 as no word:
-            # the flat index of T_b[wt(z_<b) + 2 z_b - 1, syn(z_<b) ^ h_b]
-            found = table.ravel().take((key ^ h) + (zb << (r + 1)))
-            found *= x >> b & 1
-            ties += found
-        key ^= zb * h
-        key += zb << r
-    return ties
-
-
 def _bracket(code: Code, found, cws, x, z, radius: int):
-    """(within, closer, through) of every trial: the coset table's, or the pair kernel's.
-
-    The pair kernel counts the rank exactly, so its bracket is
-    [rank, rank + 1) and no trial of it needs the tie walk.
-    """
+    """(within, closer, through) of every trial: the coset table's, or the pair kernel's."""
     wz = np.bitwise_count(z)
     if found is not None:
         return _coset_bracket(code, *found, z, wz, radius)
-    within, rank = _pair_counts(x ^ z, x, wz, radius, cws)
-    return within, rank, rank + np.uint32(1)
+    return _pair_counts(x ^ z, wz, radius, cws)
 
 
-def _count(code: Code, found, cws, x, z, radius: int, caps: list[int]):
-    """The outcomes of one eps at each list cap, and the trials that only the tie walk decides.
+def _count(code: Code, found, cws, x, z, u, radius: int, caps: list[int]):
+    """The outcomes of one eps at each list cap, one ``DecodeTrialStats`` per cap.
 
-    X makes the list iff it is within the radius and fewer than cap
-    codewords are ahead of it: surely when through <= cap, never when
-    closer >= cap.  Returns one ``DecodeTrialStats`` per cap, counting
-    the successes its bracket decides, and the x, z, closer and through
-    of the trials within the radius whose bracket straddles some cap, in
-    trial order.  They are a scattered few, so they are gathered by
-    index, found once, rather than selected by the mask four times.
+    X sits uniformly among the through - closer codewords at its
+    distance, at rank closer + floor(u (through - closer)), and makes the
+    list iff it is within the radius and its rank is below the cap.  The
+    floor comes before the add: closer + u (through - closer) in floats
+    can round up to through once closer >= 2^21.
     """
     trials = z.size
     counts, closer, through = _bracket(code, found, cws, x, z, radius)
     inside = np.bitwise_count(z) < radius
     heavy = trials - int(np.count_nonzero(inside))
-    walk = np.zeros(trials, dtype=bool)
+    # x is no farther than itself, so through - closer >= 1, and u < 1
+    # keeps the floor below it
+    rank = (u * (through - closer)).astype(np.uint32)
+    rank += closer
     stats = []
     for cap in caps:
         sizes = np.minimum(counts, cap)
         trunc = counts > cap
-        unsure = inside & (through > cap)
+        lost = inside & (rank >= cap)
         # within the radius, every codeword no farther than X is listed
         # unless the list is truncated
-        if np.any(unsure & ~trunc):
+        if np.any(lost & ~trunc):
             raise AssertionError("failure without heavy noise or truncation")
-        walk |= unsure & (closer < cap)
         stats.append(
             DecodeTrialStats(
                 trials=trials,
-                successes=trials - heavy - int(np.count_nonzero(unsure)),
+                successes=trials - heavy - int(np.count_nonzero(lost)),
                 truncations=int(np.count_nonzero(trunc)),
                 heavy_noise=heavy,
                 list_min=int(sizes.min()),
@@ -426,8 +375,7 @@ def _count(code: Code, found, cws, x, z, radius: int, caps: list[int]):
                 list_max=int(sizes.max()),
             )
         )
-    at = np.flatnonzero(walk)
-    return stats, (x.take(at), z.take(at), closer.take(at), through.take(at))
+    return stats
 
 
 def simulate(
@@ -438,19 +386,18 @@ def simulate(
     Returns one ``DecodeTrialStats`` per decoder, in order; success means
     the transmitted codeword X appears in the decoded list.  Every
     decoder is validated before any draw.  The decoders share the draws
-    (common random numbers): X once, and the uniforms behind the noise
-    once, compared with each eps to give its noise, so each decoder gets
-    the trials of a pass seeded with ``seed`` at its eps alone.  Each eps
-    is counted, and its noise dropped, as soon as it is reached.
+    (common random numbers): X once, the uniforms behind the noise once,
+    compared with each eps to give its noise, and then one uniform per
+    trial, which breaks X's distance ties at every eps; so each decoder
+    gets the trials of a pass seeded with ``seed`` at its eps alone.  Each
+    eps is counted, and its noise dropped, as soon as it is reached.
 
-    A linear code whose coset table pays (``_table_pays``) brackets the
-    rank of every X, the codewords ahead of it in the decoder's
-    (distance, lexicographic) order, from the table; one tie walk, over
-    every eps, then ranks only the trials whose bracket straddles a
-    decoder's cap.  Otherwise every trial meets every codeword, which
-    ranks it exactly.  Every failure is asserted to be explained by
-    heavy noise (wt(Z) >= radius) or truncation; anything else would
-    contradict the decoder's construction.
+    A linear code whose coset table pays (``_table_pays``) reads, per
+    trial, the codewords strictly closer to Y than X and those no
+    farther from the table; otherwise every trial meets every codeword,
+    which counts the same two.  Every failure is asserted to be
+    explained by heavy noise (wt(Z) >= radius) or truncation; anything
+    else would contradict the decoder's construction.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -466,29 +413,15 @@ def simulate(
     cws = code.codewords.astype(np.uint32)
     x = cws[rng.integers(0, code.size, size=trials)]
     noise = bernoulli_words(trials, code.n, list(groups), rng)
-    found = _coset_weights(code) if _table_pays(code, trials) else None
+    u = rng.random(trials)
+    found = _coset_weights(code) if _table_pays(code, trials, len(groups)) else None
     noise.reverse()  # popped in grid order: each eps's noise is dropped once it is counted
     out: list[DecodeTrialStats] = [None] * len(decoders)
-    # per eps: its decoders, then the x, z, closer and through of its straddling trials
-    pending = []
     for members in groups.values():
         # integer distances: d < radius iff d < ceil(radius)
         radius = math.ceil(decoders[members[0]].radius)
         member_caps = [caps[i] for i in members]
-        stats, straddling = _count(code, found, cws, x, noise.pop(), radius, member_caps)
+        stats = _count(code, found, cws, x, noise.pop(), u, radius, member_caps)
         for i, one in zip(members, stats):
             out[i] = one
-        if straddling[0].size:
-            pending.append((members, *straddling))
-    if pending:
-        # one walk over the straddling trials of every eps and decoder
-        members_of, xs, zs, closers, throughs = zip(*pending)
-        ties = _tie_walk(found[1], code.redundancy, np.concatenate(xs), np.concatenate(zs))
-        start = 0
-        for members, closer, through in zip(members_of, closers, throughs):
-            rank = closer + ties[start : start + closer.size]
-            start += closer.size
-            for i in members:
-                won = int(np.count_nonzero((rank < caps[i]) & (through > caps[i])))
-                out[i] = replace(out[i], successes=out[i].successes + won)
     return out

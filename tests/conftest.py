@@ -406,21 +406,21 @@ def bit_loop_syndromes(cols: list[int], z: np.ndarray) -> np.ndarray:
     return s
 
 
-def row_by_row_prefix_tables(cols: list[int], r: int):
-    """T_b for b = 0..n (row w + 1 holds weight w), extended one row at a time.
+def row_by_row_coset_table(cols: list[int], r: int) -> np.ndarray:
+    """T[w, s] in row w + 1: the coset weight table, extended one coordinate and one row at a time.
 
-    Rows are updated downwards, so row w - 1 still holds T_b when row w
-    reads it; each yield is a copy.
+    Coordinate b, with parity-check column h, adds the old row w - 1 read
+    at s ^ h to row w; rows are updated downwards, so row w - 1 still
+    holds the old counts when row w reads it.
     """
     n, size = len(cols), 1 << r
     table = np.zeros((n + 2, size), dtype=np.int64)
     table[1, 0] = 1
     index = np.arange(size)
     for b, h in enumerate(cols):
-        yield table.copy()
         for row in range(b + 2, 1, -1):
             table[row] += table[row - 1][index ^ h]
-    yield table.copy()
+    return table
 
 
 def exhaustive_decode_scan(y: int, code: Code, radius: float) -> list[int]:
@@ -445,12 +445,14 @@ def naive_simulate(code: Code, cfg, trials: int, seed: int):
 
     The draws are the transmitted codeword indices, then the noise bits
     (coordinate i of a trial is column i), with the noise drawn at the
-    folded eps so that the words below are the decoder's relabeled view.
+    folded eps so that the words below are the decoder's relabeled view,
+    then one uniform per trial that breaks the transmitted word's ties.
     """
     rng = np.random.default_rng(seed)
     x_idx = rng.integers(0, code.size, size=trials)
     eps = cfg.eps if cfg.eps < 0.5 else 1 - cfg.eps
     bits = rng.random((trials, code.n)) < eps
+    u = rng.random(trials)
     ones = (1 << code.n) - 1
     cws = codeword_ints(code)
     successes = truncations = heavy = 0
@@ -460,7 +462,7 @@ def naive_simulate(code: Code, cfg, trials: int, seed: int):
         z = sum(1 << i for i in range(code.n) if bits[t, i])
         # the channel flips with probability cfg.eps: z, or its complement
         y = x ^ (z if cfg.eps < 0.5 else z ^ ones)
-        listed, truncated = decode(y, code, cfg)
+        listed, truncated = decode(y, code, cfg, tie=(x, float(u[t])))
         successes += x in listed
         truncations += truncated
         heavy += bin(z).count("1") >= cfg.radius
@@ -476,6 +478,36 @@ def naive_simulate(code: Code, cfg, trials: int, seed: int):
     )
 
 
+def uniform_tie_decode_stats(code: Code, cfg: DecoderConfig) -> dict[str, float]:
+    """Exact error, truncation and heavy-noise probabilities under uniform ties, over every (x, z).
+
+    x is uniform on the code and z has i.i.d. Bernoulli coordinates at
+    the folded eps, the decoder's relabeled view; y = x ^ z.  Given
+    (x, z), x sits uniformly among the t codewords at its distance from
+    y, behind the c strictly closer, so when wt(z) is below the radius it
+    makes a list of cap with probability min(max(cap - c, 0), t) / t.
+    Meant for n <= 10: it builds a 2^n x |C| distance array per codeword.
+    """
+    n = code.n
+    e = min(cfg.eps, 1 - cfg.eps)
+    cap = cfg.cap_for(code)
+    cws = np.array(codeword_ints(code), dtype=np.int64)
+    z = np.arange(1 << n, dtype=np.int64)
+    wz = np.bitwise_count(z).astype(np.int64)
+    p_z = e**wz * (1 - e) ** (n - wz) / code.size
+    inside = wz < cfg.radius
+    error = truncation = 0.0
+    for x in cws:
+        d = np.bitwise_count((x ^ z)[:, None] ^ cws[None, :]).astype(np.int64)
+        closer = np.sum(d < wz[:, None], axis=1)
+        tied = np.sum(d == wz[:, None], axis=1)
+        listed = np.clip(cap - closer, 0, tied) / tied
+        error += float(p_z @ (1 - np.where(inside, listed, 0.0)))
+        truncation += float(p_z @ (np.sum(d < cfg.radius, axis=1) > cap))
+    heavy = float(p_z[~inside].sum()) * code.size
+    return {"error_rate": error, "truncations": truncation, "heavy_noise": heavy}
+
+
 def _received(y: int, code: Code, cfg: DecoderConfig) -> int:
     """The n-bit word y as the decoder reads it: relabeled when eps > 1/2."""
     if cfg.n != code.n:
@@ -485,19 +517,29 @@ def _received(y: int, code: Code, cfg: DecoderConfig) -> int:
     return y if cfg.eps < 0.5 else y ^ ((1 << code.n) - 1)
 
 
-def decode(y: int, code: Code, cfg: DecoderConfig) -> tuple[list[int], bool]:
+def decode(y: int, code: Code, cfg: DecoderConfig, tie=None) -> tuple[list[int], bool]:
     """The radius decoder on one word: every codeword within the radius of y, k closest on truncation.
 
     Output is sorted by increasing distance, ties broken
-    lexicographically; the second element flags truncation.
+    lexicographically, except that ``tie = (x, u)`` places the codeword
+    x at position floor(u t) among the t codewords at its distance; the
+    second element flags truncation.
     """
     recv = _received(y, code, cfg)
     cws = code.codewords
     dists = np.bitwise_count(cws ^ np.uint64(recv))
     inside = dists < cfg.radius
     hits = sorted((int(d), int(c)) for d, c in zip(dists[inside], cws[inside]))
+    ordered = [c for _, c in hits]
+    if tie is not None and tie[0] in ordered:
+        x, u = tie
+        dx = bin(x ^ recv).count("1")
+        ordered.remove(x)
+        closer = sum(d < dx for d, _ in hits)
+        tied = sum(d == dx for d, _ in hits)
+        ordered.insert(closer + int(u * tied), x)
     cap = cfg.cap_for(code)
-    return [c for _, c in hits[:cap]], len(hits) > cap
+    return ordered[:cap], len(hits) > cap
 
 
 def delta_likely_threshold(code: Code, cfg: DecoderConfig) -> float:

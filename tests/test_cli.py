@@ -72,7 +72,7 @@ DECODE_PIN_RUNS = [
 
 
 def test_decode_sim_output_is_pinned(tmp_path):
-    # both paths, the coset table with its tie walk and the pair kernel of
+    # both paths, the coset table and the pair kernel of
     # a codeword file; eps on both sides of 1/2, 0 and 1 included; deltas
     # and a list cap.  One CSV: the second run's rows follow the first's
     outs = []
@@ -366,7 +366,7 @@ def test_no_block_size_changes_an_output(monkeypatch, tmp_path, capsys):
         ["entropy", "--code", "random_linear:21,3,1", "--eta", "0.5", "--trials", "200", "--seed", "1"],
         ["decode-sim", *codes, "--eps", "0.1,0.3", "--trials", "500", "--seed", "1"],
     ]
-    assert listdecode._table_pays(bs.hamming74_code(), 500)
+    assert listdecode._table_pays(bs.hamming74_code(), 500, 2)
     outputs = []
     for block in (bs._BLOCK, 1, 224):
         monkeypatch.setattr(bs, "_BLOCK", block)

@@ -17,6 +17,7 @@ from chanent import channels
 from chanent import listdecode as ld
 from chanent.boolfn import from_code
 from chanent.channels import noise_operator
+from chanent.cli import resolve_code
 
 from conftest import (
     bit_loop_syndromes,
@@ -30,9 +31,10 @@ from conftest import (
     linear_codes,
     naive_simulate,
     nonlinear_codes,
-    row_by_row_prefix_tables,
+    row_by_row_coset_table,
     single_eps_draws,
     small_corpus,
+    uniform_tie_decode_stats,
 )
 
 
@@ -385,43 +387,38 @@ def test_simulate_coset_path_matches_pair_kernel(code, eps, trials, seed):
     x, z = single_eps_draws(code, eps, trials, seed)
     radius = math.ceil(ld.DecoderConfig(n=code.n, eps=eps).radius)
     got = ld._bracket(code, found, code.codewords.astype(np.uint32), x, z, radius)
-    pin_bracket_to_pair_kernel(code, found, x, z, radius, got)
+    pin_bracket_to_pair_kernel(code, x, z, radius, got)
     # the table path wherever the table exists, whatever it costs; without a
     # generator the same codewords take the pair kernel
     decoders = [ld.DecoderConfig(n=code.n, eps=eps, list_cap=cap) for cap in (None, 1, 2)]
-    with mock.patch.object(ld, "_table_pays", lambda code, trials: True):
+    with mock.patch.object(ld, "_table_pays", lambda code, trials, folded: True):
         fast = ld.simulate(code, decoders, trials, seed)
     assert fast == ld.simulate(bs.Code(n=code.n, codewords=code.codewords), decoders, trials, seed)
+    if code.n <= 12:  # the drawn codes; the examples' per-trial decoding takes seconds
+        assert fast == [naive_simulate(code, cfg, trials, seed) for cfg in decoders]
 
 
-def pin_bracket_to_pair_kernel(code, found, x, z, radius, got):
+def pin_bracket_to_pair_kernel(code, x, z, radius, got):
     """Per trial, ``_bracket``'s (within, closer, through) against the pair kernel.
 
-    The counts are the pair kernel's, closer <= rank < through, and
-    closer plus the tie walk over every tied trial is the rank.  On the
-    table path, closer and through count exactly the codewords strictly
-    closer than x and those no farther.
+    The counts are the pair kernel's, and closer and through count
+    exactly the codewords strictly closer than x and those no farther.
     """
     wz = np.bitwise_count(z)
     cws = code.codewords.astype(np.uint32)
-    counts, rank = ld._pair_counts(x ^ z, x, wz, radius, cws)
-    within, closer, through = got
-    assert within.dtype == counts.dtype and np.array_equal(within, counts)
-    if found is not None:
-        nearer = np.zeros_like(closer)
-        no_farther = np.zeros_like(through)
-        for c in cws:
-            d = np.bitwise_count(z ^ c)  # the distance from y = x ^ z to x ^ c
-            nearer += d < wz
-            no_farther += d <= wz
-        assert np.array_equal(closer, nearer) and np.array_equal(through, no_farther)
-    assert closer.dtype == through.dtype == rank.dtype
-    assert np.all(closer <= rank) and np.all(rank < through)
-    tied = through - closer > 1
-    assert np.array_equal(closer[~tied], rank[~tied])
-    if tied.any():
-        ties = ld._tie_walk(found[1], code.redundancy, x[tied], z[tied])
-        assert np.array_equal(closer[tied] + ties, rank[tied])
+    expect = ld._pair_counts(x ^ z, wz, radius, cws)
+    for g, e in zip(got, expect, strict=True):
+        assert g.dtype == e.dtype == np.uint32 and np.array_equal(g, e)
+    _, closer, through = got
+    nearer = np.zeros_like(closer)
+    no_farther = np.zeros_like(through)
+    y = x ^ z
+    for c in cws:
+        d = np.bitwise_count(y ^ c)
+        nearer += d < wz
+        no_farther += d <= wz
+    assert np.array_equal(closer, nearer) and np.array_equal(through, no_farther)
+    assert np.all(closer < through)
 
 
 @pytest.mark.parametrize(
@@ -446,7 +443,7 @@ def test_coset_bracket_matches_pair_kernel_on_every_pair(spec):
     found = ld._coset_weights(code)
     for radius in (1, n // 2, n + 1):
         got = ld._coset_bracket(code, *found, z, wz, radius)
-        pin_bracket_to_pair_kernel(code, found, x, z, radius, got)
+        pin_bracket_to_pair_kernel(code, x, z, radius, got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,13 +463,14 @@ def test_byte_table_syndromes_match_the_bit_loop(code, data):
 
 @settings(max_examples=60, deadline=None)
 @given(code=linear_codes(max_n=14))
-def test_prefix_walk_matches_the_row_by_row_walk(code):
-    # the one gather per coordinate gives every T_b of the row-by-row update
-    cols = bs.syndrome_columns(code.generator, code.n)
-    r = code.redundancy
-    steps = zip(ld._prefix_tables(cols, r), row_by_row_prefix_tables(cols, r), strict=True)
-    for table, expect in steps:
-        assert table.dtype == np.uint32 and np.array_equal(table, expect)
+def test_coset_table_build_matches_the_row_by_row_build(code):
+    # the one gather per coordinate gives the table of the row-by-row update
+    found = ld._coset_weights(code)
+    if found is None:
+        return
+    below, cols = found
+    expect = row_by_row_coset_table(cols, code.redundancy)
+    assert np.array_equal(below, np.cumsum(expect, axis=0))
 
 
 # eps on both sides of 1/2, with the noiseless channels 0 and 1
@@ -511,7 +509,7 @@ def test_grid_pass_matches_single_eps_passes(code, grid, trials, seed, table, bl
 
     with (
         mock.patch.object(bs, "_BLOCK", block * 32),
-        mock.patch.object(ld, "_table_pays", lambda code, trials: table),
+        mock.patch.object(ld, "_table_pays", lambda code, trials, folded: table),
     ):
         with mock.patch.object(ld, "_bracket", recorded):
             stats = ld.simulate(code, decoders, trials, seed)
@@ -525,92 +523,56 @@ def test_grid_pass_matches_single_eps_passes(code, grid, trials, seed, table, bl
         assert radius == math.ceil(ld.DecoderConfig(n=code.n, eps=eps).radius)
         x_one, z_one = single_eps_draws(code, eps, trials, seed)
         assert np.array_equal(x, x_one) and np.array_equal(z, z_one), eps
-        pin_bracket_to_pair_kernel(code, found, x, z, radius, got)
+        pin_bracket_to_pair_kernel(code, x, z, radius, got)
 
 
-def test_one_tie_walk_ranks_only_the_straddling_trials():
-    # a 4-eps x 3-delta grid on a table code runs the table recursion twice,
-    # the cached build and one walk, and walks exactly the trials within
-    # the radius whose bracket closer <= rank < through straddles a cap
-    code = bs.make_code("random_linear:16,8,1")
-    trials = 5000
+def test_tie_rank_stays_below_through_at_the_largest_uniform():
+    # at u = 1 - 2^-53 and closer >= 2^21, closer + u (through - closer)
+    # rounds up to through in floats; the rank floors before it adds
+    through = np.uint32(1 << 24)
+    closer = through - np.arange(1, 1001, dtype=np.uint32)
+    u = np.full(closer.size, 1 - 2.0**-53)
+    assert np.all(closer + u * (through - closer) == through)
+    bracket = (np.full_like(closer, through), closer, np.full_like(closer, through))
+    z = np.zeros(closer.size, dtype=np.uint32)
+    with mock.patch.object(ld, "_bracket", lambda *args: bracket):
+        (got,) = ld._count(None, None, None, z, z, u, 1, [int(through)])
+    assert got.successes == got.trials == closer.size and got.truncations == 0
+
+
+NONLINEAR10 = os.path.join(os.path.dirname(__file__), "data", "nonlinear10.txt")  # 40 words
+
+
+@pytest.mark.parametrize(
+    "spec, table",
+    [
+        ("random_linear:10,5,3", True),
+        ("random_linear:10,2,1", False),
+        (f"codewords-file:{NONLINEAR10}", False),
+    ],
+)
+def test_simulate_matches_the_exact_uniform_tie_statistics(spec, table):
+    # a coset-table code, a linear code on the pair kernel and a nonlinear
+    # code, at list caps that cut through tied codewords: every rate lies
+    # within 4 standard errors of its exact value
+    code = resolve_code(spec)
+    trials = 20000
     decoders = [
-        ld.DecoderConfig(n=16, eps=eps, delta=delta)
-        for eps in (0.05, 0.1, 0.2, 0.3)
-        for delta in (0.0, 0.05, 0.2)
+        ld.DecoderConfig(n=code.n, eps=eps, list_cap=cap)
+        for eps in (0.1, 0.25, 0.8)
+        for cap in (None, 1, 2)
     ]
-    assert ld._table_pays(code, trials)
-    runs, brackets, walks = [], [], []
-    prefix_tables, bracket, tie_walk = ld._prefix_tables, ld._bracket, ld._tie_walk
-
-    def counted_tables(cols, r):
-        runs.append(r)
-        return prefix_tables(cols, r)
-
-    def recorded_bracket(code, found, cws, x, z, radius):
-        got = bracket(code, found, cws, x, z, radius)
-        brackets.append((z, radius, got))
-        return got
-
-    def recorded_walk(cols, r, x, z):
-        walks.append((x, z))
-        return tie_walk(cols, r, x, z)
-
-    ld._coset_weights.cache_clear()
-    with mock.patch.multiple(
-        ld, _prefix_tables=counted_tables, _bracket=recorded_bracket, _tie_walk=recorded_walk
-    ):
-        got = ld.simulate(code, decoders, trials, seed=3)
-    assert len(runs) == 2 and len(walks) == 1 and len(brackets) == 4
-    caps = [cfg.cap_for(code) for cfg in decoders]
-    x, _ = single_eps_draws(code, 0.1, trials, 3)
-    expect, tied = [], 0
-    for j, (z, radius, (_, closer, through)) in enumerate(brackets):
-        straddling = np.zeros(trials, dtype=bool)
-        for cap in caps[3 * j : 3 * j + 3]:
-            straddling |= (closer < cap) & (cap < through)
-        straddling &= np.bitwise_count(z) < radius
-        expect.append(np.flatnonzero(straddling))
-        tied += int(np.count_nonzero(through - closer > 1))
-    walked_x, walked_z = walks[0]
-    zs = np.concatenate([z[i] for (z, _, _), i in zip(brackets, expect)])
-    assert np.array_equal(walked_x, np.concatenate([x[i] for i in expect]))
-    assert np.array_equal(walked_z, zs)
-    assert 0 < walked_z.size < tied
-    ref = ld.simulate(bs.Code(n=16, codewords=code.codewords), decoders, trials, seed=3)
-    assert got == ref
-
-
-@pytest.mark.parametrize("table", [True, False])
-@pytest.mark.parametrize("eps", [0.2, 0.0])
-def test_count_returns_the_boolean_mask_selection_of_the_straddling_trials(table, eps):
-    # the x, z, closer and through of the trials within the radius whose
-    # bracket straddles a cap, in trial order and dtype; the pair kernel's
-    # exact rank never straddles, and at eps 0 every z is 0, whose bracket
-    # [0, 1) straddles no cap either
-    code = bs.make_code("random_linear:16,8,1")
-    found = ld._coset_weights(code) if table else None
-    trials = 5000
-    x, z = single_eps_draws(code, eps, trials, seed=2)
-    cws = code.codewords.astype(np.uint32)
-    decoders = [ld.DecoderConfig(n=16, eps=eps, delta=d) for d in (0.0, 0.05)]
-    caps = [cfg.cap_for(code) for cfg in decoders] + [1]
-    radius = math.ceil(decoders[0].radius)
-    _, closer, through = ld._bracket(code, found, cws, x, z, radius)
-    walk = np.zeros(trials, dtype=bool)
-    for cap in caps:
-        walk |= (closer < cap) & (cap < through)
-    walk &= np.bitwise_count(z) < radius
-    _, got = ld._count(code, found, cws, x, z, radius, caps)
-    expect = (x[walk], z[walk], closer[walk], through[walk])
-    for g, e in zip(got, expect, strict=True):
-        assert g.dtype == e.dtype == np.uint32
-        assert np.array_equal(g, e)
-    assert (got[0].size > 0) == (table and eps > 0)
-    if not got[0].size:
-        routed = code if table else bs.Code(n=16, codewords=code.codewords)
-        with mock.patch.object(ld, "_tie_walk", side_effect=AssertionError("walked")):
-            ld.simulate(routed, decoders, trials, seed=2)
+    assert (ld._table_pays(code, trials, 3) and ld._coset_weights(code) is not None) == table
+    got = ld.simulate(code, decoders, trials, seed=17)
+    for cfg, one in zip(decoders, got):
+        rates = {
+            "error_rate": one.error_rate,
+            "truncations": one.truncations / trials,
+            "heavy_noise": one.heavy_noise / trials,
+        }
+        for field, p in uniform_tie_decode_stats(code, cfg).items():
+            se = math.sqrt(max(p * (1 - p), 0.0) / trials)
+            assert abs(rates[field] - p) <= 4 * se + 1e-12, (cfg, field, rates[field], p)
 
 
 def test_simulate_validates_every_decoder_before_drawing():
@@ -626,10 +588,10 @@ def test_simulate_validates_every_decoder_before_drawing():
 
 
 def test_simulate_memory_stays_under_the_per_eps_pass():
-    # 4 eps x 3 deltas at 20000 trials.  The bound is the peak of the
-    # per-eps pass that walked every tied trial once per eps on this input,
-    # 1,326,348 to 1,328,076 B under tracemalloc (16.6 uint32 words a
-    # trial): the one walk holds each eps's straddling trials until it runs
+    # 4 eps x 3 deltas at 20000 trials.  The bound is the peak of an
+    # earlier per-eps pass that walked every tied trial once per eps on
+    # this input, 1,326,348 to 1,328,076 B under tracemalloc (16.6 uint32
+    # words a trial)
     code = bs.make_code("random_linear:16,8,1")
     trials = 20000
     decoders = [
@@ -667,10 +629,13 @@ assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 
 def test_simulate_reads_the_table_only_when_it_pays():
     # [24,12] at the decode benchmark's 50000 trials: 624 x 2^12 adds
-    # against 2^12 pairs per trial
-    assert ld._table_pays(bs.make_code("random_linear:24,12,1"), 50000)
-    assert not ld._table_pays(bs.make_code("random_linear:24,12,1"), 100)
-    assert not ld._table_pays(bs.Code(n=3, codewords=(0, 7)), 10**9)
+    # against 2^12 pairs per trial; at 500 trials the pair kernel's
+    # 500 x 2^12 pairs an eps pass the table's adds from two eps on
+    code = bs.make_code("random_linear:24,12,1")
+    assert ld._table_pays(code, 50000, 1)
+    assert not ld._table_pays(code, 100, 1)
+    assert not ld._table_pays(code, 500, 1) and ld._table_pays(code, 500, 2)
+    assert not ld._table_pays(bs.Code(n=3, codewords=(0, 7)), 10**9, 1)
 
 
 def _no_table(code):
@@ -684,7 +649,7 @@ def test_small_runs_keep_the_pair_kernel(spec, trials):
     # the table's n (n + 2) 2^(n - k) adds pass the trials |C| pair distances:
     # 16 x 18 x 2^8 against 100 x 2^8, and 24 x 26 x 2^15 against 100 x 2^9
     code = bs.make_code(spec)
-    assert not ld._table_pays(code, trials)
+    assert not ld._table_pays(code, trials, 1)
     ld._coset_weights.cache_clear()
     with mock.patch.object(ld, "_coset_weights", _no_table):
         ld.simulate(code, [ld.DecoderConfig(n=code.n, eps=0.2)], trials, seed=1)
@@ -704,7 +669,35 @@ def test_larger_runs_stay_on_the_table(spec, trials):
     # the decode benchmark's codes at its 50000 trials, and runs where the
     # table is faster: [20,10] at 500 trials is the smallest, 20 x 22 x 2^10
     # adds against 500 x 2^10 pair distances
-    assert ld._table_pays(bs.make_code(spec), trials)
+    assert ld._table_pays(bs.make_code(spec), trials, 1)
+
+
+@pytest.mark.parametrize(
+    "grid, table", [((0.25,), False), ((0.25, 0.75), False), ((0.1, 0.25), True)]
+)
+def test_simulate_routes_by_the_distinct_folded_eps(grid, table):
+    # [24,12] at 500 trials: the deltas of one eps, and eps and 1 - eps,
+    # share one pair-kernel pass and keep it; two distinct folded eps take
+    # the table, and both paths give the same stats
+    code = bs.make_code("random_linear:24,12,1")
+    trials = 500
+    decoders = [
+        ld.DecoderConfig(n=24, eps=eps, delta=delta) for eps in grid for delta in (0.0, 0.1)
+    ]
+    ld._coset_weights.cache_clear()
+    builds = []
+    coset_weights = ld._coset_weights
+
+    def recorded(code):
+        found = coset_weights(code)
+        builds.append(found)
+        return found
+
+    with mock.patch.object(ld, "_coset_weights", recorded if table else _no_table):
+        got = ld.simulate(code, decoders, trials, seed=4)
+    assert len(builds) == table and all(found is not None for found in builds)
+    ref = ld.simulate(bs.Code(n=24, codewords=code.codewords), decoders, trials, seed=4)
+    assert got == ref
 
 
 @pytest.mark.parametrize("spec", ["random_linear:24,2,1", "random_linear:24,5,1"])
